@@ -8,6 +8,10 @@ testable under a virtual clock; real-socket helpers live at the bottom.
 Reliability rules:
 
 * a row leaves the buffer only after feedback whose stored count covers it
+* a packet's retry timer starts when the packet is handed to the transport,
+  at the ``now`` of the pump that encodes it; the drain loop pumps one new
+  packet at a time with a fresh ``now``, so encoding a window never expires
+  the timers of packets still waiting to be sent
 * retransmission uses exponential backoff and re-emits identical bytes,
   unless the key or session id changed since the packet was encoded, in
   which case the packet is re-encoded under the current values
@@ -64,7 +68,21 @@ class _BufferedRow:
     index: int  # journal index
     stream: str
     row: dict
-    json_size: int
+    json_size: int  # canonical JSON bytes of the row plus one list separator
+
+
+def _row_json_size(row: dict) -> int:
+    return len(codec.canonical_json(row)) + 1
+
+
+def _payload_size(seq: int, entries: list[_BufferedRow]) -> int:
+    """Length of the canonical payload {"seq": seq, "streams": ...} that
+    carries ``entries``, from their sizes instead of a second serialization.
+    Each stream adds its quoted name, colon and brackets; the separators
+    counted in the sizes exceed those in the payload by one."""
+    names = {entry.stream for entry in entries}
+    return (len('{"seq":,"streams":{}}') + len(str(seq)) + sum(len(n) + 5 for n in names)
+            + sum(entry.json_size for entry in entries) - 1)
 
 
 @dataclass
@@ -196,13 +214,10 @@ class ClientSession:
     def _timeout_after(self, retries: int) -> float:
         return min(self.max_timeout, self.base_timeout * self.backoff_factor ** retries)
 
-    def _row_json_size(self, row: dict) -> int:
-        return len(codec.serialize_payload(row)) + 1  # +1 for the list comma
-
     def _buffer_row(self, index: int, stream: str, row: dict,
                     *, front: bool = False, json_size: int | None = None):
         entry = _BufferedRow(index, stream, row,
-                             self._row_json_size(row) if json_size is None else json_size)
+                             _row_json_size(row) if json_size is None else json_size)
         if front:
             self._buffer.appendleft(entry)
         else:
@@ -263,26 +278,34 @@ class ClientSession:
         known, unknown = codec.validate_streams(streams)
         if unknown:
             raise ValueError("cannot enqueue rows for unknown streams")
-        normalized = {s: rows for s, rows in known.items()}
-        sizes = [self._row_json_size(row) for _, row in iter_batch_rows(normalized)]
-        if self._buffered_bytes + sum(sizes) > self.buffer_limit_bytes:
+        rows = [(stream, row, _row_json_size(row)) for stream, row in iter_batch_rows(known)]
+        if self._buffered_bytes + sum(size for _, _, size in rows) > self.buffer_limit_bytes:
             raise BufferFull(f"buffer limit {self.buffer_limit_bytes} bytes exceeded")
-        indexes = self.journal.append(normalized)
-        for (stream, row), index, size in zip(iter_batch_rows(normalized), indexes, sizes):
+        indexes = self.journal.append(known)
+        for (stream, row, size), index in zip(rows, indexes):
             self._buffer_row(index, stream, row, json_size=size)
-        count = codec.batch_row_count(normalized)
-        self.counters["rows_enqueued"] += count
-        return count
+        self.counters["rows_enqueued"] += len(rows)
+        return len(rows)
 
     # -- transmission -------------------------------------------------------
 
-    def pump(self, now: float) -> list[tuple[str, bytes]]:
+    @property
+    def can_send_new(self) -> bool:
+        """Whether ``pump`` would encode a new data packet now."""
+        return self.authenticated and bool(self._buffer) and len(self._flight) < self.window
+
+    def pump(self, now: float, max_new: int | None = None) -> list[tuple[str, bytes]]:
+        """Due retransmissions, then new data packets until the window is
+        full or ``max_new`` are encoded; each new packet's retry timer starts
+        at ``now``."""
         out: list[tuple[str, bytes]] = []
         self._pump_auth(now, out)
         if self.authenticated:
             self._pump_retries(now, out)
-            while self._buffer and len(self._flight) < self.window:
+            new = 0
+            while self.can_send_new and (max_new is None or new < max_new):
                 out.append(self._send_new_packet(now))
+                new += 1
         self.counters["max_inflight"] = max(self.counters["max_inflight"],
                                             len(self._flight))
         return out
@@ -337,25 +360,27 @@ class ClientSession:
             streams: dict[str, list[dict]] = {}
             for entry in take:
                 streams.setdefault(entry.stream, []).append(entry.row)
-            payload = codec.serialize_payload({"seq": seq, "streams": streams})
             blob = codec.encode_data_packet(
                 codec.DataPacket(self.session_id, seq, streams), self.key)
             if len(blob) <= self.max_packet_bytes:
                 break
             if len(take) == 1:
                 raise ClientError("single row exceeds the packet size limit")
-            take = take[:len(take) // 2]
+            # shrink in proportion to the overshoot, with 10% headroom
+            keep = int(len(take) * self.max_packet_bytes * 0.9 // len(blob))
+            take = take[:min(max(keep, 1), len(take) - 1)]
+        json_size = _payload_size(seq, take)
         for _ in take:
             entry = self._buffer.popleft()
             self._buffered_bytes -= entry.json_size
         pkt = OutstandingPacket(
             seq=seq, entries=take, streams=streams, blob=blob,
             key_used=self.key, session_id_used=self.session_id,
-            json_size=len(payload), first_sent_at=now,
+            json_size=json_size, first_sent_at=now,
             next_retry_at=now + self._timeout_after(0))
         self._flight[seq] = pkt
         self.counters["packets_sent"] += 1
-        self.counters["json_bytes"] += len(payload)
+        self.counters["json_bytes"] += json_size
         self.counters["wire_bytes"] += len(blob)
         self.counters["wire_bytes_total"] += len(blob)
         return (DATA, blob)
@@ -489,16 +514,20 @@ class UdpTransport:
 
 
 class TcpTransport:
-    """Two framed stream connections, one per server socket."""
+    """Two framed stream connections, one per server socket.
+
+    The sockets stay in timeout mode, where ``sendall`` waits while the
+    peer's receive window is full and then writes the rest of the frame; a
+    non-blocking socket would fail part-way through a frame instead and
+    desynchronize the framing. A peer that reads nothing for the whole
+    timeout makes ``send`` raise ``socket.timeout``."""
 
     def __init__(self, host: str, auth_port: int, data_port: int,
                  connect_timeout: float = 10.0):
         self._socks = {}
         self._buffers = {AUTH: codec.FrameBuffer(), DATA: codec.FrameBuffer()}
         for kind, port in ((AUTH, auth_port), (DATA, data_port)):
-            sock = socket.create_connection((host, port), timeout=connect_timeout)
-            sock.setblocking(False)
-            self._socks[kind] = sock
+            self._socks[kind] = socket.create_connection((host, port), timeout=connect_timeout)
 
     def send(self, kind: str, blob: bytes):
         self._socks[kind].sendall(codec.frame(blob))
@@ -510,10 +539,7 @@ class TcpTransport:
         by_sock = {sock: kind for kind, sock in self._socks.items()}
         for sock in readable:
             kind = by_sock[sock]
-            try:
-                data = sock.recv(65536)
-            except BlockingIOError:
-                continue
+            data = sock.recv(65536)  # readable, so this returns at once
             if data:
                 out.extend((kind, blob) for blob in self._buffers[kind].feed(data))
         return out
@@ -526,18 +552,26 @@ class TcpTransport:
 def run_until_drained(session: ClientSession, transport, *,
                       timeout: float | None = None,
                       clock=time.monotonic, sleep_quantum: float = 0.2) -> DeliveryReport:
-    """Pump and receive until every buffered row is delivered or given up."""
+    """Pump and receive until every buffered row is delivered or given up.
+
+    New data packets are encoded one per pump and sent at once, so the
+    transfer and the server's work on one packet overlap the encoding of the
+    next; feedback that has already arrived is read before each encode."""
     deadline = None if timeout is None else clock() + timeout
     while not session.is_done():
         now = clock()
         if deadline is not None and now >= deadline:
             break
-        for kind, blob in session.pump(now):
+        for kind, blob in session.pump(now, max_new=1):
             transport.send(kind, blob)
-        wake = session.next_wakeup()
-        wait = sleep_quantum if wake is None else min(sleep_quantum, max(wake - clock(), 0.0))
-        if deadline is not None:
-            wait = min(wait, max(deadline - clock(), 0.0))
+        if session.can_send_new:
+            wait = 0.0
+        else:
+            wake = session.next_wakeup()
+            wait = sleep_quantum if wake is None else min(sleep_quantum,
+                                                          max(wake - clock(), 0.0))
+            if deadline is not None:
+                wait = min(wait, max(deadline - clock(), 0.0))
         for kind, blob in transport.poll(wait):
             session.handle_wire(kind, blob, clock())
     return session.report()

@@ -178,12 +178,20 @@ def payload_dict(value: object) -> dict:
     raise ValueError(f"cannot serialize {type(value).__name__}")
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              ensure_ascii=False, allow_nan=False)
+
+
+def canonical_json(obj: object) -> bytes:
+    """Canonical bytes of a value already known to hold only string keys and
+    finite numbers (validated rows); ``allow_nan=False`` remains a backstop."""
+    return _CANONICAL.encode(obj).encode("utf-8")
+
+
 def serialize_payload(value: object) -> bytes:
     obj = payload_dict(value)
     _check_json_value(obj)
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False, allow_nan=False)
-    return text.encode("utf-8")
+    return canonical_json(obj)
 
 
 def _parse_json(data: bytes) -> dict:
@@ -435,7 +443,8 @@ def encode_data_packet(pkt: DataPacket, key: bytes, *, iv: bytes | None = None) 
     streams, unknown = validate_streams(pkt.streams)
     if unknown:
         raise ValueError("cannot encode rows for unknown streams")
-    payload = serialize_payload({"seq": pkt.seq, "streams": streams})
+    # validate_streams rebuilt every row with string keys and finite numbers
+    payload = canonical_json({"seq": pkt.seq, "streams": streams})
     return _U32.pack(pkt.session_id) + crypto.sym_encrypt(key, compress(payload), iv=iv)
 
 

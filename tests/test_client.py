@@ -1,10 +1,15 @@
 import random
+import socket
+import threading
+import time
+from collections import deque
 
 import pytest
 
 from senselink import codec, crypto, journal, storage
-from senselink.client import (AUTH, DATA, ClientError, BufferFull, TimeMismatch,
-                              UnknownSeq, ClientSession, begin_session)
+from senselink.client import (AUTH, DATA, BASE_TIMEOUT, ClientError, BufferFull, TimeMismatch,
+                              UnknownSeq, ClientSession, TcpTransport, begin_session,
+                              run_until_drained)
 from senselink.server import IngestCore
 
 TS = 1_400_000_000
@@ -159,7 +164,7 @@ def test_packet_split_when_over_byte_limit(test_keypair, core):
     session = make_session(test_keypair, max_packet_bytes=400)
     authenticate(session, core)
     # 8 incompressible ~150 B rows cannot share one 400 B packet: the sender
-    # must halve the take until each emitted blob fits
+    # must shrink the take until each emitted blob fits
     session.enqueue_rows({"events": [{"ts": TS, "idx": i, "kind": "blob", "detail": d}
                                      for i, d in enumerate(blobs)]})
     emissions = session.pump(1.0)
@@ -462,3 +467,98 @@ def test_begin_session_convenience(test_keypair):
     session, emissions = begin_session(HASH, TS, test_keypair.public_part, window=4)
     assert session.window == 4
     assert len(emissions) == 1 and emissions[0][0] == AUTH
+
+
+# ---------------------------------------------------------------------------
+# drain loop and transports
+
+
+class _TickingClock:
+    """Advances 0.2 s on every reading: a window of packets stamped one
+    reading apiece spans more than BASE_TIMEOUT."""
+
+    def __init__(self):
+        self.t = 0.0
+
+    def __call__(self) -> float:
+        self.t += 0.2
+        return self.t
+
+
+class _CoreTransport:
+    """Answered by an in-process IngestCore that handles one queued blob per
+    poll, as a server busy with one packet at a time."""
+
+    def __init__(self, core, session):
+        self.core = core
+        self.session = session
+        self.queue = deque()
+        self.stamps = []  # first_sent_at of each new data packet, as sent
+
+    def send(self, kind, blob):
+        if kind == DATA:
+            seq = codec.decode_data_packet(blob, self.core.lookup_key).seq
+            pkt = self.session._flight[seq]
+            if pkt.retries == 0:
+                self.stamps.append(pkt.first_sent_at)
+        self.queue.append((kind, blob))
+
+    def poll(self, timeout):
+        if not self.queue:
+            return []
+        kind, blob = self.queue.popleft()
+        handle = self.core.handle_auth_packet if kind == AUTH else self.core.handle_data_packet
+        reply = handle(blob)
+        return [] if reply is None else [(kind, reply)]
+
+
+def test_drain_loop_times_each_packet_from_its_own_send(test_keypair, core):
+    assert 0.2 * 16 > BASE_TIMEOUT
+    clock = _TickingClock()
+    session = make_session(test_keypair, pack_json_budget=1)  # one row per packet
+    session.enqueue_rows(pressure_batch(40))
+    transport = _CoreTransport(core, session)
+    for kind, blob in session.begin(clock()):
+        transport.send(kind, blob)
+    report = run_until_drained(session, transport, timeout=600.0, clock=clock)
+    assert report.complete and report.delivered_rows == 40
+    assert report.retransmissions == 0
+    assert len(transport.stamps) == 40
+    assert len(set(transport.stamps)) == 40  # each packet stamped at its own send
+    rows = core.storage.read_session_rows(session.session_id)["pressure"]
+    assert [r["ts"] for r in rows] == [TS + i for i in range(40)]
+
+
+def _listener() -> socket.socket:
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 32 * 1024)  # fills sooner
+    sock.bind(("127.0.0.1", 0))
+    sock.listen(1)
+    return sock
+
+
+def test_tcp_send_waits_out_a_stalled_reader(test_keypair):
+    frames = [bytes([i]) * 60_000 for i in range(64)]  # about 3.8 MB, none read at first
+    auth_l, data_l = _listener(), _listener()
+    transport = TcpTransport("127.0.0.1", auth_l.getsockname()[1], data_l.getsockname()[1])
+    auth_conn, _ = auth_l.accept()
+    data_conn, _ = data_l.accept()
+    received = []
+
+    def read_later():
+        time.sleep(0.5)
+        data_conn.settimeout(10.0)
+        received.extend(codec.iter_frames(data_conn.recv))
+
+    reader = threading.Thread(target=read_later, daemon=True)
+    reader.start()
+    try:
+        for blob in frames:
+            transport.send(DATA, blob)
+    finally:
+        transport.close()
+        reader.join(timeout=20.0)
+        for sock in (auth_conn, data_conn, auth_l, data_l):
+            sock.close()
+    assert not reader.is_alive()
+    assert received == frames
