@@ -402,8 +402,8 @@ class ClientSession:
             return None
         self.counters["feedback_received"] += 1
         stored = min(fb.stored, pkt.row_count)
-        ordered = [entry for stream in sorted(pkt.streams)
-                   for entry in pkt.entries if entry.stream == stream]
+        # storage's write order (codec.write_order): stream name, then packet order
+        ordered = sorted(pkt.entries, key=lambda entry: entry.stream)
         for entry in ordered[:stored]:
             self._released.add(entry.index)
         self._advance_watermark()
@@ -520,7 +520,8 @@ class TcpTransport:
     peer's receive window is full and then writes the rest of the frame; a
     non-blocking socket would fail part-way through a frame instead and
     desynchronize the framing. A peer that reads nothing for the whole
-    timeout makes ``send`` raise ``socket.timeout``."""
+    timeout makes ``send`` raise ``socket.timeout``; a connection the server
+    has closed makes ``poll`` raise ``ConnectionError``."""
 
     def __init__(self, host: str, auth_port: int, data_port: int,
                  connect_timeout: float = 10.0):
@@ -540,8 +541,9 @@ class TcpTransport:
         for sock in readable:
             kind = by_sock[sock]
             data = sock.recv(65536)  # readable, so this returns at once
-            if data:
-                out.extend((kind, blob) for blob in self._buffers[kind].feed(data))
+            if not data:
+                raise ConnectionError(f"server closed the {kind} connection")
+            out.extend((kind, blob) for blob in self._buffers[kind].feed(data))
         return out
 
     def close(self):

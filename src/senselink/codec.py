@@ -37,9 +37,6 @@ U16_MAX = 0xFFFF
 U32_MAX = 0xFFFFFFFF
 U64_MAX = 0xFFFFFFFFFFFFFFFF
 
-STREAMS = ("gps", "accel", "gyro", "mag", "wifi", "bt", "pressure", "obd", "events")
-MOTION_STREAMS = frozenset({"accel", "gyro", "mag"})
-MS_REQUIRED_STREAMS = frozenset({"gps", "obd"})
 MAX_SAMPLES_PER_ROW = 1024
 
 _U32 = struct.Struct("!I")
@@ -261,44 +258,121 @@ def deserialize_payload(data: bytes, expected_kind: type):
 
 
 # ---------------------------------------------------------------------------
-# row validation
+# the stream table: row shape, ms rule, SQLite table and logical byte cost
 
 _NUMBER = (int, float)
 
-
-def _row_number(row: dict, key: str, required: bool = True):
-    value = row.get(key)
-    if value is None:
-        if required:
-            raise MalformedPayload(f"row missing field {key!r}")
-        return None
-    if isinstance(value, bool) or not isinstance(value, _NUMBER):
-        raise MalformedPayload(f"row field {key!r} is not a number")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise MalformedPayload(f"row field {key!r} is not finite")
-    return value
+# A field is (name, checker, required); the checker raises MalformedPayload
+# or returns the normalized value. Checkers are built once, with the table.
 
 
-def _row_int(row: dict, key: str, *, required: bool = True, lo: int = 0, hi: int = U64_MAX):
-    value = row.get(key)
-    if value is None:
-        if required:
-            raise MalformedPayload(f"row missing field {key!r}")
-        return None
-    if isinstance(value, bool) or not isinstance(value, int) or not (lo <= value <= hi):
-        raise MalformedPayload(f"row field {key!r} out of range")
-    return value
+def _int(name: str, lo: int = 0, hi: int = U64_MAX, *, required: bool = True):
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+            raise MalformedPayload(f"row field {name!r} out of range")
+        return value
+    return name, check, required
 
 
-def _row_str(row: dict, key: str, *, required: bool = True, allow_empty: bool = True):
-    value = row.get(key)
-    if value is None:
-        if required:
-            raise MalformedPayload(f"row missing field {key!r}")
-        return None
-    if not isinstance(value, str) or (not allow_empty and not value):
-        raise MalformedPayload(f"row field {key!r} is not a valid string")
-    return value
+def _number(name: str, *, positive: bool = False):
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, _NUMBER):
+            raise MalformedPayload(f"row field {name!r} is not a number")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise MalformedPayload(f"row field {name!r} is not finite")
+        if positive and value <= 0:
+            raise MalformedPayload(f"{name} must be positive")
+        return value
+    return name, check, True
+
+
+def _text(name: str, *, allow_empty: bool = True, required: bool = True):
+    def check(value):
+        if not isinstance(value, str) or not (allow_empty or value):
+            raise MalformedPayload(f"row field {name!r} is not a valid string")
+        return value
+    return name, check, required
+
+
+def _check_samples(value):
+    if not isinstance(value, list) or not value or len(value) > MAX_SAMPLES_PER_ROW:
+        raise MalformedPayload("samples must be a non-empty bounded list")
+    for triple in value:
+        if (
+            not isinstance(triple, list)
+            or len(triple) != 3
+            or any(
+                isinstance(v, bool) or not isinstance(v, int) or not -32768 <= v <= 32767
+                for v in triple
+            )
+        ):
+            raise MalformedPayload("samples must be 16-bit [x, y, z] triplets")
+    return [list(t) for t in value]
+
+
+class StreamSpec:
+    """One sensor stream.
+
+    ``columns`` name the row's fields after the natural key, in the column
+    order of its SQLite ``table``; ``checks`` validate a whole row. A row's
+    logical size, the unit of the storage-rate figures, is ``row_bytes``
+    plus ``sample_bytes`` per motion sample plus the UTF-8 length of each
+    field named in ``text_bytes``.
+    """
+
+    def __init__(self, name: str, table: str, fields: tuple, *, ms_required: bool = False,
+                 row_bytes: int, sample_bytes: int = 0, text_bytes: tuple[str, ...] = ()):
+        self.name = name
+        self.table = table
+        self.columns = tuple(field_name for field_name, _, _ in fields)
+        # every row starts with its natural key (ts, ms, idx)
+        self.checks = (_int("ts"), _int("ms", hi=999, required=ms_required),
+                       _int("idx", hi=U32_MAX, required=False)) + fields
+        self.ms_required = ms_required
+        self.row_bytes = row_bytes
+        self.sample_bytes = sample_bytes
+        self.text_bytes = text_bytes
+
+
+_RSSI = _int("rssi", lo=-127, hi=0)
+
+STREAM_SPECS: dict[str, StreamSpec] = {spec.name: spec for spec in (
+    StreamSpec("gps", "gps_rows", (
+        _number("lat"), _number("lon"), _number("alt"), _number("speed"),
+        _number("accuracy"), _int("device_ts")), ms_required=True, row_bytes=47),
+    # the table's columns are (rate, n, samples): n samples packed as 16-bit triplets
+    *(StreamSpec(name, "motion_rows", (
+        _number("rate", positive=True), ("samples", _check_samples, True)),
+        row_bytes=8, sample_bytes=6) for name in ("accel", "gyro", "mag")),
+    # rows that name the access point by (mac, essid) are checked by _WIFI_BY_PAIR
+    StreamSpec("wifi", "wifi_rows", (_int("ap_id", lo=1, hi=U32_MAX), _RSSI), row_bytes=17),
+    StreamSpec("bt", "bt_rows", (_text("device_id", allow_empty=False), _RSSI), row_bytes=16),
+    StreamSpec("pressure", "pressure_rows", (_number("hpa"),), row_bytes=12),
+    StreamSpec("obd", "obd_rows", (_int("pid", hi=U32_MAX), _number("value")),
+               ms_required=True, row_bytes=14),
+    StreamSpec("events", "event_rows", (
+        _text("kind", allow_empty=False), _text("detail", required=False)),
+        row_bytes=8, text_bytes=("kind", "detail")),
+)}
+
+STREAMS = tuple(STREAM_SPECS)
+MOTION_STREAMS = frozenset(s.name for s in STREAM_SPECS.values() if s.sample_bytes)
+MS_REQUIRED_STREAMS = frozenset(s.name for s in STREAM_SPECS.values() if s.ms_required)
+_WIFI_BY_PAIR = STREAM_SPECS["wifi"].checks[:3] + (
+    _RSSI, _text("mac", allow_empty=False), _text("essid"))  # hidden networks broadcast ""
+
+
+def natural_key(row: dict) -> tuple[int, int, int]:
+    """(ts, ms, idx) of a normalized row: unique per session and stream, so
+    replayed writes are idempotent. Absent ms is -1 rather than NULL, which
+    would compare unequal and break idempotent replays; absent idx is 0."""
+    return row["ts"], row.get("ms", -1), row.get("idx", 0)
+
+
+def write_order(streams: dict[str, list]) -> list[tuple[str, list]]:
+    """A batch's (stream, rows) pairs in the order storage writes them and a
+    stored count covers them: by stream name, then batch order."""
+    return sorted(streams.items())  # names are unique, so rows are never compared
 
 
 def validate_row(stream: str, row: dict) -> dict:
@@ -307,61 +381,23 @@ def validate_row(stream: str, row: dict) -> dict:
     Raises :class:`MalformedPayload` on any violation; receivers discard the
     whole packet in that case (a well-formed client never produces one).
     """
-    if stream not in STREAMS:
+    spec = STREAM_SPECS.get(stream)
+    if spec is None:
         raise MalformedPayload(f"unknown stream {stream!r}")
     if not isinstance(row, dict):
         raise MalformedPayload("row is not an object")
-    out: dict = {"ts": _row_int(row, "ts", hi=U64_MAX)}
-    ms = _row_int(row, "ms", required=stream in MS_REQUIRED_STREAMS, lo=0, hi=999)
-    if ms is not None:
-        out["ms"] = ms
-    idx = _row_int(row, "idx", required=False, hi=U32_MAX)
-    if idx:  # 0 means "only row this (ts, ms)" and is normalized to absent
-        out["idx"] = idx
-
-    if stream == "gps":
-        for name in ("lat", "lon", "alt", "speed", "accuracy"):
-            out[name] = _row_number(row, name)
-        out["device_ts"] = _row_int(row, "device_ts", hi=U64_MAX)
-    elif stream in MOTION_STREAMS:
-        samples = row.get("samples")
-        if not isinstance(samples, list) or not samples or len(samples) > MAX_SAMPLES_PER_ROW:
-            raise MalformedPayload("samples must be a non-empty bounded list")
-        for triple in samples:
-            if (
-                not isinstance(triple, list)
-                or len(triple) != 3
-                or any(
-                    isinstance(v, bool) or not isinstance(v, int) or not -32768 <= v <= 32767
-                    for v in triple
-                )
-            ):
-                raise MalformedPayload("samples must be 16-bit [x, y, z] triplets")
-        rate = _row_number(row, "rate")
-        if rate <= 0:
-            raise MalformedPayload("rate must be positive")
-        out["samples"] = [list(t) for t in samples]
-        out["rate"] = rate
-    elif stream == "wifi":
-        out["rssi"] = _row_int(row, "rssi", lo=-127, hi=0)
-        if "ap_id" in row:
-            out["ap_id"] = _row_int(row, "ap_id", lo=1, hi=U32_MAX)
-        else:
-            out["mac"] = _row_str(row, "mac", allow_empty=False)
-            out["essid"] = _row_str(row, "essid")  # hidden networks broadcast ""
-    elif stream == "bt":
-        out["device_id"] = _row_str(row, "device_id", allow_empty=False)
-        out["rssi"] = _row_int(row, "rssi", lo=-127, hi=0)
-    elif stream == "pressure":
-        out["hpa"] = _row_number(row, "hpa")
-    elif stream == "obd":
-        out["pid"] = _row_int(row, "pid", hi=U32_MAX)
-        out["value"] = _row_number(row, "value")
-    elif stream == "events":
-        out["kind"] = _row_str(row, "kind", allow_empty=False)
-        out["detail"] = _row_str(row, "detail", required=False)
-        if out["detail"] is None:
-            del out["detail"]
+    checks = spec.checks
+    if stream == "wifi" and "ap_id" not in row:
+        checks = _WIFI_BY_PAIR
+    out: dict = {}
+    for name, check, required in checks:
+        value = row.get(name)
+        if value is not None:
+            out[name] = check(value)
+        elif required:
+            raise MalformedPayload(f"row missing field {name!r}")
+    if not out.get("idx", 1):  # 0 means "only row this (ts, ms)" and is normalized to absent
+        del out["idx"]
     return out
 
 
@@ -374,7 +410,7 @@ def validate_streams(streams: object) -> tuple[dict[str, list[dict]], int]:
     for name, rows in streams.items():
         if not isinstance(name, str) or not isinstance(rows, list):
             raise MalformedPayload("stream entries must map names to row lists")
-        if name in STREAMS:
+        if name in STREAM_SPECS:
             known[name] = [validate_row(name, row) for row in rows]
         else:
             unknown += len(rows)

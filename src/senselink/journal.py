@@ -10,8 +10,8 @@ writes are idempotent.
 
 Record kinds:
 
-* ``{"kind": "batch", "streams": {...}}`` — rows, indexed in sorted-stream
-  order then list order
+* ``{"kind": "batch", "streams": {...}}`` — rows, indexed in
+  :func:`senselink.codec.write_order` (stream name, then list order)
 * ``{"kind": "ack", "through": N}`` — first N rows are released
 
 A torn final record (crash mid-append) is truncated away on open.
@@ -35,9 +35,9 @@ class JournalError(Exception):
 
 
 def iter_batch_rows(streams: dict[str, list[dict]]):
-    """Rows of one batch in global index order."""
-    for stream in sorted(streams):
-        for row in streams[stream]:
+    """Rows of one batch in global index order, the write order of storage."""
+    for stream, rows in codec.write_order(streams):
+        for row in rows:
             yield stream, row
 
 

@@ -299,7 +299,7 @@ def normalized_rows(streams: dict[str, list[dict]]) -> dict[str, list[dict]]:
     out = {}
     for stream, rows in streams.items():
         shaped = [codec.validate_row(stream, row) for row in rows]
-        shaped.sort(key=lambda r: (r["ts"], r.get("ms", -1), r.get("idx", 0)))
+        shaped.sort(key=codec.natural_key)
         out[stream] = shaped
     return out
 

@@ -2,12 +2,16 @@
 
 Two backends behind one synchronous interface: :class:`MemoryStorage` for
 tests and simulations, :class:`SqliteStorage` (single file, WAL) as the
-default. Schema rules shared by both:
+default. The stream table in :mod:`senselink.codec` (``STREAM_SPECS``)
+defines each stream's fields, its row table and columns, and its logical
+byte cost; both backends read it. Schema rules shared by both:
 
 * every row is timestamped in unix seconds; asynchronous sensors add a
-  milliseconds column (required for gps and obd rows)
+  milliseconds column (required where the stream table says so)
 * the natural key (session_id, stream, ts, ms, idx) is unique, so replayed
   writes are idempotent and retransmission is safe
+* a batch is written in :func:`senselink.codec.write_order`, the order a
+  partial stored count refers to
 * accel/gyro/mag rows pack one second of samples each, as 16-bit triplets
 * wifi rows intern their (mac, essid) pair into a shared auxiliary table
   and store only the surrogate ap_id
@@ -24,15 +28,10 @@ import threading
 import time
 from typing import Iterable
 
-MOTION_STREAMS = ("accel", "gyro", "mag")
-ROW_TABLES = ("gps", "motion", "wifi", "bt", "pressure", "obd", "events")
-SCHEMA_VERSION = 1
+from . import codec
+from .codec import MOTION_STREAMS, STREAM_SPECS, natural_key, write_order
 
-# logical per-row storage cost in bytes, the unit the rate figures use
-FIXED_ROW_BYTES = {"gps": 47, "wifi": 17, "bt": 16, "pressure": 12, "obd": 14}
-MOTION_ROW_BASE = 8
-MOTION_SAMPLE_BYTES = 6  # three 16-bit axes
-EVENT_ROW_BASE = 8
+SCHEMA_VERSION = 1
 
 
 class StorageError(Exception):
@@ -46,18 +45,36 @@ class UnknownSessionId(StorageError):
 
 
 def logical_row_bytes(stream: str, row: dict) -> int:
-    if stream in FIXED_ROW_BYTES:
-        return FIXED_ROW_BYTES[stream]
-    if stream in MOTION_STREAMS:
-        return MOTION_ROW_BASE + MOTION_SAMPLE_BYTES * len(row["samples"])
-    if stream == "events":
-        detail = row.get("detail") or ""
-        return EVENT_ROW_BASE + len(row["kind"].encode()) + len(detail.encode())
-    raise ValueError(f"unknown stream {stream!r}")
+    """A row's storage cost in bytes, the unit the rate figures use."""
+    spec = STREAM_SPECS[stream]
+    total = spec.row_bytes
+    if spec.sample_bytes:
+        total += spec.sample_bytes * len(row["samples"])
+    for name in spec.text_bytes:
+        total += len((row.get(name) or "").encode())
+    return total
 
 
-def batch_logical_bytes(streams: dict[str, list[dict]]) -> int:
-    return sum(logical_row_bytes(s, r) for s, rows in streams.items() for r in rows)
+def _logical_bytes_sql(spec: codec.StreamSpec) -> str:
+    """The SQL sum of :func:`logical_row_bytes` over a stream's rows."""
+    terms = [f"{spec.row_bytes} * COUNT(*)"]
+    if spec.sample_bytes:
+        terms.append(f"{spec.sample_bytes} * TOTAL(n)")
+    terms += [f"TOTAL(LENGTH(CAST({name} AS BLOB)))" for name in spec.text_bytes]
+    return " + ".join(terms)
+
+
+def _stats(sessions: int, access_points: int, rows: dict[str, int],
+           logical: dict[str, int]) -> dict:
+    """The storage_stats() report; streams without rows are left out."""
+    return {
+        "sessions": sessions,
+        "access_points": access_points,
+        "rows": rows,
+        "logical_bytes": logical,
+        "total_rows": sum(rows.values()),
+        "total_logical_bytes": sum(logical.values()),
+    }
 
 
 def _identifiers_text(identifiers: dict | None) -> str | None:
@@ -74,12 +91,6 @@ def _pack_samples(samples: list) -> bytes:
 def _unpack_samples(blob: bytes) -> list[list[int]]:
     flat = struct.unpack(f"<{len(blob) // 2}h", blob)
     return [list(flat[i:i + 3]) for i in range(0, len(flat), 3)]
-
-
-def _row_key(row: dict) -> tuple[int, int, int]:
-    # ms -1 encodes "absent" so the natural key stays total (NULLs would
-    # compare unequal and break idempotent replays)
-    return row["ts"], row.get("ms", -1), row.get("idx", 0)
 
 
 def _common_out(ts: int, ms: int, idx: int) -> dict:
@@ -102,9 +113,7 @@ class MemoryStorage:
         self._next_session_id = 1
         self._aps: dict[tuple[str, str], int] = {}
         self._ap_pairs: dict[int, tuple[str, str]] = {}
-        self._rows: dict[str, dict[tuple, dict]] = {s: {} for s in
-                                                    ("gps", "accel", "gyro", "mag", "wifi",
-                                                     "bt", "pressure", "obd", "events")}
+        self._rows: dict[str, dict[tuple, dict]] = {s: {} for s in STREAM_SPECS}
 
     def upsert_session(self, user_hash: str, start_time: int, key: bytes,
                        version: int = 1, identifiers: dict | None = None,
@@ -147,17 +156,15 @@ class MemoryStorage:
         with self._lock:
             if session_id not in self._sessions:
                 raise UnknownSessionId(session_id)
-            count = 0
-            for stream in sorted(streams):
+            for stream, rows in write_order(streams):
                 table = self._rows[stream]
-                for row in streams[stream]:
+                for row in rows:
                     stored = dict(row)
                     if stream == "wifi" and "ap_id" not in stored:
                         stored["ap_id"] = self.intern_auxiliary(stored.pop("mac"),
                                                                 stored.pop("essid"))
-                    table.setdefault((session_id, *_row_key(row)), stored)
-                    count += 1
-            return count
+                    table.setdefault((session_id, *natural_key(row)), stored)
+            return codec.batch_row_count(streams)
 
     def read_session_rows(self, session_id: int, streams: Iterable[str] | None = None,
                           start_ts: int | None = None, end_ts: int | None = None
@@ -174,16 +181,12 @@ class MemoryStorage:
                     if end_ts is not None and ts >= end_ts:
                         continue
                     shaped = _common_out(ts, ms, idx)
-                    payload = {k: v for k, v in row.items() if k not in ("ts", "ms", "idx")}
-                    if stream == "wifi":
-                        pair = self._ap_pairs.get(payload["ap_id"])
-                        if pair:
-                            payload["mac"], payload["essid"] = pair
-                    shaped.update(payload)
-                    picked.append(((ts, ms, idx), shaped))
+                    shaped.update((k, v) for k, v in row.items() if k not in ("ts", "ms", "idx"))
+                    if stream == "wifi" and row["ap_id"] in self._ap_pairs:
+                        shaped["mac"], shaped["essid"] = self._ap_pairs[row["ap_id"]]
+                    picked.append(shaped)
                 if picked:
-                    picked.sort(key=lambda item: item[0])
-                    out[stream] = [shaped for _, shaped in picked]
+                    out[stream] = sorted(picked, key=natural_key)
             return out
 
     def storage_stats(self) -> dict:
@@ -195,14 +198,7 @@ class MemoryStorage:
                     continue
                 rows[stream] = len(table)
                 logical[stream] = sum(logical_row_bytes(stream, r) for r in table.values())
-            return {
-                "sessions": len(self._sessions),
-                "access_points": len(self._aps),
-                "rows": rows,
-                "logical_bytes": logical,
-                "total_rows": sum(rows.values()),
-                "total_logical_bytes": sum(logical.values()),
-            }
+            return _stats(len(self._sessions), len(self._aps), rows, logical)
 
     def flush(self):
         pass
@@ -367,17 +363,14 @@ class SqliteStorage:
 
     def intern_auxiliary(self, mac: str, essid: str) -> int:
         with self._lock:
-            return self._intern(mac, essid)
-
-    def _intern(self, mac: str, essid: str) -> int:
-        row = self._db.execute(
-            "SELECT ap_id FROM access_points WHERE mac=? AND essid=?",
-            (mac, essid)).fetchone()
-        if row is not None:
-            return row[0]
-        cur = self._db.execute(
-            "INSERT INTO access_points(mac, essid) VALUES(?,?)", (mac, essid))
-        return cur.lastrowid
+            row = self._db.execute(
+                "SELECT ap_id FROM access_points WHERE mac=? AND essid=?",
+                (mac, essid)).fetchone()
+            if row is not None:
+                return row[0]
+            cur = self._db.execute(
+                "INSERT INTO access_points(mac, essid) VALUES(?,?)", (mac, essid))
+            return cur.lastrowid
 
     def write_rows(self, session_id: int, streams: dict[str, list[dict]]) -> int:
         with self._lock:
@@ -385,61 +378,34 @@ class SqliteStorage:
                 raise UnknownSessionId(session_id)
             self._db.execute("BEGIN IMMEDIATE")
             try:
-                count = 0
-                for stream in sorted(streams):
-                    for row in streams[stream]:
-                        self._insert_row(session_id, stream, row)
-                        count += 1
+                for stream, rows in write_order(streams):
+                    self._db.executemany(*self._insert(session_id, STREAM_SPECS[stream], rows))
                 self._db.execute("COMMIT")
-                return count
+                return codec.batch_row_count(streams)
             except BaseException:
                 self._db.execute("ROLLBACK")
                 raise
 
-    def _insert_row(self, sid: int, stream: str, row: dict):
-        ts, ms, idx = _row_key(row)
-        if stream == "gps":
-            self._db.execute(
-                "INSERT OR IGNORE INTO gps_rows VALUES(?,?,?,?,?,?,?,?,?,?)",
-                (sid, ts, ms, idx, row["lat"], row["lon"], row["alt"],
-                 row["speed"], row["accuracy"], row["device_ts"]))
-        elif stream in MOTION_STREAMS:
-            samples = row["samples"]
-            self._db.execute(
-                "INSERT OR IGNORE INTO motion_rows VALUES(?,?,?,?,?,?,?,?)",
-                (sid, stream, ts, ms, idx, row["rate"], len(samples),
-                 _pack_samples(samples)))
-        elif stream == "wifi":
-            ap_id = row.get("ap_id")
-            if ap_id is None:
-                ap_id = self._intern(row["mac"], row["essid"])
-            self._db.execute(
-                "INSERT OR IGNORE INTO wifi_rows VALUES(?,?,?,?,?,?)",
-                (sid, ts, ms, idx, ap_id, row["rssi"]))
-        elif stream == "bt":
-            self._db.execute(
-                "INSERT OR IGNORE INTO bt_rows VALUES(?,?,?,?,?,?)",
-                (sid, ts, ms, idx, row["device_id"], row["rssi"]))
-        elif stream == "pressure":
-            self._db.execute(
-                "INSERT OR IGNORE INTO pressure_rows VALUES(?,?,?,?,?)",
-                (sid, ts, ms, idx, row["hpa"]))
-        elif stream == "obd":
-            self._db.execute(
-                "INSERT OR IGNORE INTO obd_rows VALUES(?,?,?,?,?,?)",
-                (sid, ts, ms, idx, row["pid"], row["value"]))
-        elif stream == "events":
-            self._db.execute(
-                "INSERT OR IGNORE INTO event_rows VALUES(?,?,?,?,?,?)",
-                (sid, ts, ms, idx, row["kind"], row.get("detail")))
+    def _insert(self, sid: int, spec: codec.StreamSpec, rows: list[dict]) -> tuple[str, list]:
+        """One INSERT OR IGNORE statement for a stream and its parameter rows."""
+        if spec.name in MOTION_STREAMS:
+            columns = ("stream", "ts", "ms", "idx", "rate", "n", "samples")
+            params = [(sid, spec.name, *natural_key(row), row["rate"], len(row["samples"]),
+                       _pack_samples(row["samples"])) for row in rows]
         else:
-            raise StorageError(f"unknown stream {stream!r}")
+            if spec.name == "wifi":  # interned in row order, so each ap_id keeps its value
+                rows = [row if "ap_id" in row
+                        else dict(row, ap_id=self.intern_auxiliary(row["mac"], row["essid"]))
+                        for row in rows]
+            columns = ("ts", "ms", "idx", *spec.columns)
+            params = [(sid, *natural_key(row), *map(row.get, spec.columns)) for row in rows]
+        sql = (f"INSERT OR IGNORE INTO {spec.table}(session_id, {', '.join(columns)}) "
+               f"VALUES(?{', ?' * len(columns)})")
+        return sql, params
 
     def read_session_rows(self, session_id: int, streams: Iterable[str] | None = None,
                           start_ts: int | None = None, end_ts: int | None = None
                           ) -> dict[str, list[dict]]:
-        wanted = tuple(streams) if streams else (
-            "gps", "accel", "gyro", "mag", "wifi", "bt", "pressure", "obd", "events")
         bounds = ""
         args: list = []
         if start_ts is not None:
@@ -450,113 +416,47 @@ class SqliteStorage:
             args.append(end_ts)
         out: dict[str, list[dict]] = {}
         with self._lock:
-            for stream in wanted:
-                rows = self._read_stream(session_id, stream, bounds, args)
+            for stream in streams or STREAM_SPECS:
+                rows = self._read_stream(session_id, STREAM_SPECS[stream], bounds, args)
                 if rows:
                     out[stream] = rows
         return out
 
-    def _read_stream(self, sid: int, stream: str, bounds: str, args: list) -> list[dict]:
-        order = " ORDER BY ts, ms, idx"
-        shaped = []
-        if stream == "gps":
-            query = ("SELECT ts, ms, idx, lat, lon, alt, speed, accuracy, device_ts "
-                     "FROM gps_rows WHERE session_id=?" + bounds + order)
-            for ts, ms, idx, lat, lon, alt, speed, accuracy, device_ts in \
-                    self._db.execute(query, (sid, *args)):
-                row = _common_out(ts, ms, idx)
-                row.update(lat=lat, lon=lon, alt=alt, speed=speed,
-                           accuracy=accuracy, device_ts=device_ts)
-                shaped.append(row)
-        elif stream in MOTION_STREAMS:
-            query = ("SELECT ts, ms, idx, rate, samples FROM motion_rows "
-                     "WHERE session_id=? AND stream=?" + bounds + order)
-            for ts, ms, idx, rate, blob in self._db.execute(query, (sid, stream, *args)):
-                row = _common_out(ts, ms, idx)
-                row["samples"] = _unpack_samples(blob)
-                row["rate"] = rate
-                shaped.append(row)
-        elif stream == "wifi":
-            query = ("SELECT w.ts, w.ms, w.idx, w.ap_id, w.rssi, a.mac, a.essid "
-                     "FROM wifi_rows w LEFT JOIN access_points a ON a.ap_id = w.ap_id "
-                     "WHERE w.session_id=?" + bounds.replace("ts", "w.ts") +
-                     " ORDER BY w.ts, w.ms, w.idx")
-            for ts, ms, idx, ap_id, rssi, mac, essid in self._db.execute(query, (sid, *args)):
-                row = _common_out(ts, ms, idx)
-                row.update(rssi=rssi, ap_id=ap_id)
-                if mac is not None:
-                    row.update(mac=mac, essid=essid)
-                shaped.append(row)
-        elif stream == "bt":
-            query = ("SELECT ts, ms, idx, device_id, rssi FROM bt_rows "
-                     "WHERE session_id=?" + bounds + order)
-            for ts, ms, idx, device_id, rssi in self._db.execute(query, (sid, *args)):
-                row = _common_out(ts, ms, idx)
-                row.update(device_id=device_id, rssi=rssi)
-                shaped.append(row)
-        elif stream == "pressure":
-            query = ("SELECT ts, ms, idx, hpa FROM pressure_rows "
-                     "WHERE session_id=?" + bounds + order)
-            for ts, ms, idx, hpa in self._db.execute(query, (sid, *args)):
-                row = _common_out(ts, ms, idx)
-                row["hpa"] = hpa
-                shaped.append(row)
-        elif stream == "obd":
-            query = ("SELECT ts, ms, idx, pid, value FROM obd_rows "
-                     "WHERE session_id=?" + bounds + order)
-            for ts, ms, idx, pid, value in self._db.execute(query, (sid, *args)):
-                row = _common_out(ts, ms, idx)
-                row.update(pid=pid, value=value)
-                shaped.append(row)
-        elif stream == "events":
-            query = ("SELECT ts, ms, idx, kind, detail FROM event_rows "
-                     "WHERE session_id=?" + bounds + order)
-            for ts, ms, idx, kind, detail in self._db.execute(query, (sid, *args)):
-                row = _common_out(ts, ms, idx)
-                row["kind"] = kind
-                if detail is not None:
-                    row["detail"] = detail
-                shaped.append(row)
+    def _read_stream(self, sid: int, spec: codec.StreamSpec, bounds: str,
+                     args: list) -> list[dict]:
+        columns, source, where = spec.columns, spec.table, "session_id=?"
+        if spec.name in MOTION_STREAMS:
+            where, args = "session_id=? AND stream=?", [spec.name, *args]
+        elif spec.name == "wifi":
+            columns += ("mac", "essid")
+            source += " LEFT JOIN access_points USING (ap_id)"
+        # absent ms and idx are stored as -1 and 0 (see codec.natural_key)
+        query = (f"SELECT ts, NULLIF(ms, -1), NULLIF(idx, 0), {', '.join(columns)} "
+                 f"FROM {source} WHERE {where}{bounds} ORDER BY ts, ms, idx")
+        names = ("ts", "ms", "idx", *columns)
+        # a NULL is a field the row left out, or the pair of an ap_id never interned
+        shaped = [{name: value for name, value in zip(names, values) if value is not None}
+                  for values in self._db.execute(query, (sid, *args))]
+        if spec.name in MOTION_STREAMS:
+            for row in shaped:
+                row["samples"] = _unpack_samples(row["samples"])
         return shaped
 
     def storage_stats(self) -> dict:
-        sums = {
-            "gps": "47 * COUNT(*)",
-            "wifi": "17 * COUNT(*)",
-            "bt": "16 * COUNT(*)",
-            "pressure": "12 * COUNT(*)",
-            "obd": "14 * COUNT(*)",
-            "events": "SUM(8 + LENGTH(CAST(kind AS BLOB)) "
-                      "+ IFNULL(LENGTH(CAST(detail AS BLOB)), 0))",
-        }
-        tables = {"gps": "gps_rows", "wifi": "wifi_rows", "bt": "bt_rows",
-                  "pressure": "pressure_rows", "obd": "obd_rows", "events": "event_rows"}
         rows: dict[str, int] = {}
         logical: dict[str, int] = {}
         with self._lock:
-            for stream, table in tables.items():
+            for spec in STREAM_SPECS.values():
+                where = " WHERE stream=?" if spec.name in MOTION_STREAMS else ""
                 n, total = self._db.execute(
-                    f"SELECT COUNT(*), {sums[stream]} FROM {table}").fetchone()
+                    f"SELECT COUNT(*), {_logical_bytes_sql(spec)} FROM {spec.table}{where}",
+                    (spec.name,) if where else ()).fetchone()
                 if n:
-                    rows[stream] = n
-                    logical[stream] = int(total)
-            for stream in MOTION_STREAMS:
-                n, total = self._db.execute(
-                    "SELECT COUNT(*), SUM(8 + 6 * n) FROM motion_rows WHERE stream=?",
-                    (stream,)).fetchone()
-                if n:
-                    rows[stream] = n
-                    logical[stream] = int(total)
+                    rows[spec.name] = n
+                    logical[spec.name] = int(total)
             sessions = self._db.execute("SELECT COUNT(*) FROM sessions").fetchone()[0]
             aps = self._db.execute("SELECT COUNT(*) FROM access_points").fetchone()[0]
-        return {
-            "sessions": sessions,
-            "access_points": aps,
-            "rows": rows,
-            "logical_bytes": logical,
-            "total_rows": sum(rows.values()),
-            "total_logical_bytes": sum(logical.values()),
-        }
+        return _stats(sessions, aps, rows, logical)
 
     def flush(self):
         with self._lock:

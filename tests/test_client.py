@@ -307,6 +307,27 @@ def test_partial_store_reenqueues_shortfall_first(test_keypair, core, tmp_path):
     assert session.is_done()
 
 
+def test_partial_ack_releases_the_write_order_prefix(test_keypair, core, tmp_path):
+    j = journal.Journal(str(tmp_path / "j.bin"))
+    session = make_session(test_keypair, journal=j)
+    authenticate(session, core)
+    for base in (TS, TS + 10):  # journal indexes: events 0, pressure 1-3, events 4, pressure 5-7
+        session.enqueue_rows({"pressure": [{"ts": base + i, "hpa": 1000.0} for i in range(3)],
+                              "events": [{"ts": base, "kind": "lap"}]})
+    [(_, blob)] = session.pump(1.0)
+    pkt = codec.decode_data_packet(blob, core.lookup_key)
+    written = list(journal.iter_batch_rows(pkt.streams))  # the order storage writes them in
+    assert [stream for stream, _ in written] == ["events"] * 2 + ["pressure"] * 6
+    session.handle_feedback(codec.FeedbackPacket(session.session_id, pkt.seq, stored=4), 1.1)
+    # released: both events (0, 4) and the first two pressure rows (1, 2)
+    assert j.watermark == 3
+    assert session._released == {4}
+    [(_, blob2)] = session.pump(2.0)
+    resent = codec.decode_data_packet(blob2, core.lookup_key)
+    assert resent.streams == {"pressure": [row for _, row in written[4:]]}
+    assert [r["ts"] for r in resent.streams["pressure"]] == [TS + 2, TS + 10, TS + 11, TS + 12]
+
+
 def test_rows_kept_until_acked(test_keypair, core, tmp_path):
     j = journal.Journal(str(tmp_path / "j.bin"))
     session = make_session(test_keypair, journal=j)
@@ -562,3 +583,27 @@ def test_tcp_send_waits_out_a_stalled_reader(test_keypair):
             sock.close()
     assert not reader.is_alive()
     assert received == frames
+
+
+def test_tcp_poll_raises_once_the_server_closes(test_keypair):
+    auth_l, data_l = _listener(), _listener()
+    transport = TcpTransport("127.0.0.1", auth_l.getsockname()[1], data_l.getsockname()[1])
+    for listener in (auth_l, data_l):
+        conn, _ = listener.accept()
+        conn.close()
+        listener.close()
+    try:
+        started = time.monotonic()
+        with pytest.raises(ConnectionError):
+            transport.poll(0.5)
+        assert time.monotonic() - started < 0.5
+        # the drain loop stops at once instead of polling a dead socket until its timeout
+        session = make_session(test_keypair)
+        for kind, blob in session.begin(0.0):
+            transport.send(kind, blob)
+        started = time.monotonic()
+        with pytest.raises(ConnectionError):
+            run_until_drained(session, transport, timeout=5.0)
+        assert time.monotonic() - started < 1.0
+    finally:
+        transport.close()

@@ -1,19 +1,24 @@
-"""Property tests for the data-packet encoder and the client's payload sizes.
+"""Property tests against reference implementations.
 
 The client counts a packet's canonical JSON length from per-row sizes
 instead of serializing the payload a second time, and ``encode_data_packet``
 serializes rows that ``validate_streams`` has rebuilt without walking them
 again. Both must agree byte for byte with a plain serialization.
+
+Row validation is driven by the stream table in ``codec``; it must accept,
+reject and normalize exactly as a hand-written branch per stream does. The
+memory and SQLite backends must store and report the same rows.
 """
 
 import json
+import math
 import struct
 import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from senselink import codec, crypto
+from senselink import codec, crypto, storage
 from senselink.client import ClientSession
 
 TS = 1_400_000_000
@@ -22,24 +27,44 @@ HASH = crypto.hash_user("props@example.com")
 _text = st.text(max_size=12)  # includes non-ASCII, which costs several UTF-8 bytes
 _ts = st.integers(min_value=0, max_value=codec.U64_MAX)
 _num = st.floats(allow_nan=False, allow_infinity=False)
-_rows = {
-    "pressure": st.fixed_dictionaries({"ts": _ts, "hpa": _num}),
-    "gps": st.fixed_dictionaries({
-        "ts": _ts, "ms": st.integers(0, 999), "lat": _num, "lon": _num, "alt": _num,
-        "speed": _num, "accuracy": _num, "device_ts": _ts}),
-    "accel": st.fixed_dictionaries({
-        "ts": _ts, "rate": st.floats(min_value=0.5, max_value=400.0),
+
+
+def _row_strategies(ts, num):
+    """A strategy for valid rows of each of the nine streams."""
+    key = {"ts": ts}
+    motion = st.fixed_dictionaries({
+        **key, "rate": st.floats(min_value=0.5, max_value=400.0),
         "samples": st.lists(st.lists(st.integers(-32768, 32767), min_size=3, max_size=3),
-                            min_size=1, max_size=4)}),
-    "wifi": st.fixed_dictionaries({
-        "ts": _ts, "rssi": st.integers(-127, 0), "mac": _text.filter(bool), "essid": _text}),
-    "events": st.fixed_dictionaries({"ts": _ts, "kind": _text.filter(bool)},
-                                    optional={"detail": _text, "idx": st.integers(0, 9)}),
-}
-_batches = st.dictionaries(st.sampled_from(sorted(_rows)), st.integers(1, 6),
+                            min_size=1, max_size=4)})
+    return {
+        "pressure": st.fixed_dictionaries({**key, "hpa": num}),
+        "gps": st.fixed_dictionaries({
+            **key, "ms": st.integers(0, 999), "lat": num, "lon": num, "alt": num,
+            "speed": num, "accuracy": num, "device_ts": ts}),
+        "accel": motion, "gyro": motion, "mag": motion,
+        "wifi": st.fixed_dictionaries(
+            {**key, "rssi": st.integers(-127, 0), "mac": _text.filter(bool), "essid": _text})
+        | st.fixed_dictionaries({**key, "rssi": st.integers(-127, 0),
+                                 "ap_id": st.integers(1, 6)}),
+        "bt": st.fixed_dictionaries(
+            {**key, "device_id": _text.filter(bool), "rssi": st.integers(-127, 0)},
+            optional={"ms": st.integers(0, 999)}),
+        "obd": st.fixed_dictionaries({**key, "ms": st.integers(0, 999),
+                                      "pid": st.integers(0, codec.U32_MAX), "value": num}),
+        "events": st.fixed_dictionaries({**key, "kind": _text.filter(bool)},
+                                        optional={"detail": _text, "idx": st.integers(0, 9)}),
+    }
+
+
+def _batch_strategy(rows):
+    return st.dictionaries(st.sampled_from(sorted(rows)), st.integers(1, 6),
                            min_size=1).flatmap(
-    lambda counts: st.fixed_dictionaries(
-        {name: st.lists(_rows[name], min_size=n, max_size=n) for name, n in counts.items()}))
+        lambda counts: st.fixed_dictionaries(
+            {name: st.lists(rows[name], min_size=n, max_size=n) for name, n in counts.items()}))
+
+
+_rows = _row_strategies(_ts, _num)
+_batches = _batch_strategy(_rows)
 _bytes16 = st.binary(min_size=16, max_size=16)
 
 
@@ -98,3 +123,217 @@ _poisoned = st.recursive(
 def test_serialize_rejects_non_finite_numbers_and_non_string_keys(value):
     with pytest.raises(ValueError):
         codec.serialize_payload({"x": value})
+
+
+# ---------------------------------------------------------------------------
+# row validation against a reference copy of the per-stream if-chain
+
+_REF_STREAMS = ("gps", "accel", "gyro", "mag", "wifi", "bt", "pressure", "obd", "events")
+_REF_MOTION = frozenset({"accel", "gyro", "mag"})
+_REF_MS_REQUIRED = frozenset({"gps", "obd"})
+_REF_MAX_SAMPLES = 1024
+
+
+def _ref_number(row, key, required=True):
+    value = row.get(key)
+    if value is None:
+        if required:
+            raise codec.MalformedPayload(f"row missing field {key!r}")
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise codec.MalformedPayload(f"row field {key!r} is not a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise codec.MalformedPayload(f"row field {key!r} is not finite")
+    return value
+
+
+def _ref_int(row, key, *, required=True, lo=0, hi=codec.U64_MAX):
+    value = row.get(key)
+    if value is None:
+        if required:
+            raise codec.MalformedPayload(f"row missing field {key!r}")
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or not (lo <= value <= hi):
+        raise codec.MalformedPayload(f"row field {key!r} out of range")
+    return value
+
+
+def _ref_str(row, key, *, required=True, allow_empty=True):
+    value = row.get(key)
+    if value is None:
+        if required:
+            raise codec.MalformedPayload(f"row missing field {key!r}")
+        return None
+    if not isinstance(value, str) or (not allow_empty and not value):
+        raise codec.MalformedPayload(f"row field {key!r} is not a valid string")
+    return value
+
+
+def _reference_validate_row(stream, row):
+    """Reference validator: one hand-written branch per stream."""
+    if stream not in _REF_STREAMS:
+        raise codec.MalformedPayload(f"unknown stream {stream!r}")
+    if not isinstance(row, dict):
+        raise codec.MalformedPayload("row is not an object")
+    out = {"ts": _ref_int(row, "ts", hi=codec.U64_MAX)}
+    ms = _ref_int(row, "ms", required=stream in _REF_MS_REQUIRED, lo=0, hi=999)
+    if ms is not None:
+        out["ms"] = ms
+    idx = _ref_int(row, "idx", required=False, hi=codec.U32_MAX)
+    if idx:
+        out["idx"] = idx
+
+    if stream == "gps":
+        for name in ("lat", "lon", "alt", "speed", "accuracy"):
+            out[name] = _ref_number(row, name)
+        out["device_ts"] = _ref_int(row, "device_ts", hi=codec.U64_MAX)
+    elif stream in _REF_MOTION:
+        samples = row.get("samples")
+        if not isinstance(samples, list) or not samples or len(samples) > _REF_MAX_SAMPLES:
+            raise codec.MalformedPayload("samples must be a non-empty bounded list")
+        for triple in samples:
+            if (
+                not isinstance(triple, list)
+                or len(triple) != 3
+                or any(
+                    isinstance(v, bool) or not isinstance(v, int) or not -32768 <= v <= 32767
+                    for v in triple
+                )
+            ):
+                raise codec.MalformedPayload("samples must be 16-bit [x, y, z] triplets")
+        rate = _ref_number(row, "rate")
+        if rate <= 0:
+            raise codec.MalformedPayload("rate must be positive")
+        out["samples"] = [list(t) for t in samples]
+        out["rate"] = rate
+    elif stream == "wifi":
+        out["rssi"] = _ref_int(row, "rssi", lo=-127, hi=0)
+        if "ap_id" in row:
+            out["ap_id"] = _ref_int(row, "ap_id", lo=1, hi=codec.U32_MAX)
+        else:
+            out["mac"] = _ref_str(row, "mac", allow_empty=False)
+            out["essid"] = _ref_str(row, "essid")
+    elif stream == "bt":
+        out["device_id"] = _ref_str(row, "device_id", allow_empty=False)
+        out["rssi"] = _ref_int(row, "rssi", lo=-127, hi=0)
+    elif stream == "pressure":
+        out["hpa"] = _ref_number(row, "hpa")
+    elif stream == "obd":
+        out["pid"] = _ref_int(row, "pid", hi=codec.U32_MAX)
+        out["value"] = _ref_number(row, "value")
+    elif stream == "events":
+        out["kind"] = _ref_str(row, "kind", allow_empty=False)
+        out["detail"] = _ref_str(row, "detail", required=False)
+        if out["detail"] is None:
+            del out["detail"]
+    return out
+
+
+_DROP = object()  # mutation: remove the key
+_FIELDS = ("ts", "ms", "idx", "lat", "lon", "alt", "speed", "accuracy", "device_ts", "rate",
+           "samples", "rssi", "ap_id", "mac", "essid", "device_id", "hpa", "pid", "value",
+           "kind", "detail", "junk")
+_ODD_VALUES = (
+    _DROP, None, True, False, float("nan"), float("inf"), float("-inf"), -0.0, 0.5, -1.5,
+    -1, 0, 1, 5, 999, 1000, -127, -128, 32767, 32768, codec.U32_MAX, codec.U32_MAX + 1,
+    codec.U64_MAX, codec.U64_MAX + 1, "", "x", "é", [], {}, [[1, 2, 3]], [[1, 2]],
+    [[0, 0, 32768]], [[True, 0, 0]], [[1.0, 2, 3]], [[1, 2, 3]] * (codec.MAX_SAMPLES_PER_ROW + 1))
+_mutations = st.lists(st.tuples(st.sampled_from(_FIELDS), st.sampled_from(_ODD_VALUES)),
+                      max_size=3)
+
+
+_EXAMPLE_ROWS = [
+    ("gps", {"ts": TS, "ms": 5, "lat": 1.5, "lon": -2.5, "alt": 3, "speed": 0.0,
+             "accuracy": 4.0, "device_ts": TS - 1}),
+    ("accel", {"ts": TS, "idx": 2, "rate": 50, "samples": [[1, -2, 3], [0, 0, 0]]}),
+    ("gyro", {"ts": TS, "rate": 0.5, "samples": [[-32768, 32767, 0]]}),
+    ("mag", {"ts": TS, "ms": 999, "rate": 10.0, "samples": [[4, 5, 6]]}),
+    ("wifi", {"ts": TS, "mac": "aa:bb", "essid": "", "rssi": -127}),
+    ("wifi", {"ts": TS, "idx": 1, "ap_id": 3, "rssi": 0}),
+    ("bt", {"ts": TS, "device_id": "mouse", "rssi": -40}),
+    ("pressure", {"ts": 0, "hpa": 1013.25}),
+    ("obd", {"ts": codec.U64_MAX, "ms": 0, "pid": codec.U32_MAX, "value": -1}),
+    ("events", {"ts": TS, "kind": "lap", "detail": "é"}),
+]
+
+
+def test_validate_row_matches_reference_under_each_single_mutation():
+    for source, base in _EXAMPLE_ROWS:
+        for key in _FIELDS:
+            for value in _ODD_VALUES:
+                row = dict(base)
+                if value is _DROP:
+                    row.pop(key, None)
+                else:
+                    row[key] = value
+                for stream in codec.STREAMS + ("heart_rate",):
+                    expected = _outcome(_reference_validate_row, stream, row)
+                    assert _outcome(codec.validate_row, stream, row) == expected, (stream, row)
+
+
+def _outcome(validate, stream, row):
+    try:
+        return validate(stream, row)
+    except codec.MalformedPayload:
+        return "malformed"
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data(), source=st.sampled_from(codec.STREAMS), mutations=_mutations,
+       target=st.sampled_from(codec.STREAMS + ("heart_rate",)) | st.none(),
+       not_a_row=st.sampled_from([None, [], "row", 7]) | st.none())
+def test_validate_row_matches_reference(data, source, mutations, target, not_a_row):
+    row = data.draw(_rows[source])
+    for key, value in mutations:
+        if value is _DROP:
+            row.pop(key, None)
+        else:
+            row[key] = value
+    if not_a_row is not None and data.draw(st.integers(0, 9)) == 0:
+        row = not_a_row
+    stream = source if target is None else target  # mostly a row of its own stream
+    expected = _outcome(_reference_validate_row, stream, row)
+    assert _outcome(codec.validate_row, stream, row) == expected
+
+
+# ---------------------------------------------------------------------------
+# the two storage backends against each other
+
+# SQLite holds integers as signed 64 bits and numbers as doubles (schema v1),
+# so the sequence draws values it holds exactly. Integers beyond 64 bits are
+# discarded by the server (test_integers_beyond_sqlite_are_discarded_not_raised).
+_stored_rows = _row_strategies(st.integers(0, 2**63 - 1),
+                               _num | st.integers(-(2**53), 2**53))
+_writes = st.lists(st.tuples(st.integers(0, 1), _batch_strategy(_stored_rows)
+                             | st.integers(0, 9)),  # an int replays an earlier packet
+                   min_size=1, max_size=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(writes=_writes, lo=st.integers(0, 2**62 - 1), span=st.integers(0, 2**62))
+def test_memory_and_sqlite_backends_agree(writes, lo, span):
+    backends = [storage.MemoryStorage(), storage.SqliteStorage(":memory:")]
+    try:
+        sids = [[b.upsert_session(f"{n:0>32}", TS, bytes(16)) for n in range(2)]
+                for b in backends]
+        assert sids[0] == sids[1]
+        sent: list[tuple[int, dict]] = []
+        for who, batch in writes:
+            if isinstance(batch, int):
+                if not sent:
+                    continue
+                sid, streams = sent[batch % len(sent)]
+            else:
+                sid, (streams, _) = sids[0][who], codec.validate_streams(batch)
+                sent.append((sid, streams))
+            assert [b.write_rows(sid, streams) for b in backends] == [
+                codec.batch_row_count(streams)] * 2
+        mem, sql = backends
+        for sid in sids[0]:
+            assert mem.read_session_rows(sid) == sql.read_session_rows(sid)
+            assert (mem.read_session_rows(sid, ["wifi", "accel", "events"], lo, lo + span)
+                    == sql.read_session_rows(sid, ["wifi", "accel", "events"], lo, lo + span))
+        assert mem.storage_stats() == sql.storage_stats()
+    finally:
+        for b in backends:
+            b.close()

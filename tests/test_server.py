@@ -118,6 +118,22 @@ def test_replayed_data_packet_acked_idempotently(test_keypair):
     assert core.storage.storage_stats()["rows"]["pressure"] == 120
 
 
+def test_integers_beyond_sqlite_are_discarded_not_raised(test_keypair, tmp_path):
+    # ts and auth time may reach 2**64 - 1 on the wire; SQLite holds signed 64 bits
+    core = IngestCore(test_keypair.private_part, storage.SqliteStorage(str(tmp_path / "s.db")))
+    key = crypto.generate_session_key()
+    assert core.handle_auth_packet(auth_blob(test_keypair, key, start=2**63)) is None
+    assert core.metrics["auth_discard_storage"] == 1
+    sid = codec.decode_auth_response(
+        core.handle_auth_packet(auth_blob(test_keypair, key)), key).session_id
+    assert core.handle_data_packet(data_blob(key, sid, seq=2, base_ts=2**63)) is None
+    assert core.metrics["data_discard_storage"] == 1
+    fb = codec.decode_feedback(core.handle_data_packet(data_blob(key, sid, seq=3)), key)
+    assert fb.stored == 5
+    assert core.storage.storage_stats()["rows"] == {"pressure": 5}
+    core.storage.close()
+
+
 def test_data_for_unknown_session_discarded(test_keypair):
     core = IngestCore(test_keypair.private_part, storage.MemoryStorage())
     key = crypto.generate_session_key()

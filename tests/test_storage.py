@@ -1,4 +1,5 @@
 import os
+import sqlite3
 import subprocess
 import sys
 import textwrap
@@ -324,3 +325,141 @@ def test_open_storage_selectors(tmp_path):
 
     with pytest.raises(ValueError):
         storage.open_storage("")
+
+
+# The on-disk format v1 as first released; SqliteStorage must keep creating
+# exactly these tables and keep reading files made from them.
+_SCHEMA_V1 = """
+CREATE TABLE IF NOT EXISTS meta(
+    key TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS users(
+    user_id INTEGER PRIMARY KEY,
+    user_hash TEXT NOT NULL UNIQUE
+);
+CREATE TABLE IF NOT EXISTS sessions(
+    session_id INTEGER PRIMARY KEY,
+    user_id INTEGER NOT NULL,
+    start_time INTEGER NOT NULL,
+    key BLOB NOT NULL,
+    version INTEGER NOT NULL,
+    identifiers TEXT,
+    created_at INTEGER NOT NULL,
+    UNIQUE(user_id, start_time)
+);
+CREATE TABLE IF NOT EXISTS access_points(
+    ap_id INTEGER PRIMARY KEY,
+    mac TEXT NOT NULL,
+    essid TEXT NOT NULL,
+    UNIQUE(mac, essid)
+);
+CREATE TABLE IF NOT EXISTS gps_rows(
+    session_id INTEGER NOT NULL, ts INTEGER NOT NULL,
+    ms INTEGER NOT NULL, idx INTEGER NOT NULL,
+    lat REAL NOT NULL, lon REAL NOT NULL, alt REAL NOT NULL,
+    speed REAL NOT NULL, accuracy REAL NOT NULL, device_ts INTEGER NOT NULL,
+    PRIMARY KEY(session_id, ts, ms, idx)
+);
+CREATE TABLE IF NOT EXISTS motion_rows(
+    session_id INTEGER NOT NULL, stream TEXT NOT NULL, ts INTEGER NOT NULL,
+    ms INTEGER NOT NULL, idx INTEGER NOT NULL,
+    rate REAL NOT NULL, n INTEGER NOT NULL, samples BLOB NOT NULL,
+    PRIMARY KEY(session_id, stream, ts, ms, idx)
+);
+CREATE TABLE IF NOT EXISTS wifi_rows(
+    session_id INTEGER NOT NULL, ts INTEGER NOT NULL,
+    ms INTEGER NOT NULL, idx INTEGER NOT NULL,
+    ap_id INTEGER NOT NULL, rssi INTEGER NOT NULL,
+    PRIMARY KEY(session_id, ts, ms, idx)
+);
+CREATE TABLE IF NOT EXISTS bt_rows(
+    session_id INTEGER NOT NULL, ts INTEGER NOT NULL,
+    ms INTEGER NOT NULL, idx INTEGER NOT NULL,
+    device_id TEXT NOT NULL, rssi INTEGER NOT NULL,
+    PRIMARY KEY(session_id, ts, ms, idx)
+);
+CREATE TABLE IF NOT EXISTS pressure_rows(
+    session_id INTEGER NOT NULL, ts INTEGER NOT NULL,
+    ms INTEGER NOT NULL, idx INTEGER NOT NULL,
+    hpa REAL NOT NULL,
+    PRIMARY KEY(session_id, ts, ms, idx)
+);
+CREATE TABLE IF NOT EXISTS obd_rows(
+    session_id INTEGER NOT NULL, ts INTEGER NOT NULL,
+    ms INTEGER NOT NULL, idx INTEGER NOT NULL,
+    pid INTEGER NOT NULL, value REAL NOT NULL,
+    PRIMARY KEY(session_id, ts, ms, idx)
+);
+CREATE TABLE IF NOT EXISTS event_rows(
+    session_id INTEGER NOT NULL, ts INTEGER NOT NULL,
+    ms INTEGER NOT NULL, idx INTEGER NOT NULL,
+    kind TEXT NOT NULL, detail TEXT,
+    PRIMARY KEY(session_id, ts, ms, idx)
+);
+"""
+
+
+def _layout(db: sqlite3.Connection) -> dict:
+    tables = [name for (name,) in db.execute(
+        "SELECT name FROM sqlite_master WHERE type='table' ORDER BY name")]
+    return {t: (db.execute(f"PRAGMA table_info({t})").fetchall(),
+                [row[2:] for row in db.execute(f"PRAGMA index_list({t})")])
+            for t in tables}
+
+
+def test_fresh_database_has_the_v1_layout(tmp_path):
+    storage.SqliteStorage(str(tmp_path / "new.db")).close()
+    reference = sqlite3.connect(":memory:")
+    reference.executescript(_SCHEMA_V1)
+    fresh = sqlite3.connect(str(tmp_path / "new.db"))
+    try:
+        assert _layout(fresh) == _layout(reference)
+        assert {spec.table for spec in codec.STREAM_SPECS.values()} < set(_layout(reference))
+    finally:
+        fresh.close()
+        reference.close()
+
+
+def test_v1_file_opens_and_round_trips(tmp_path):
+    path = str(tmp_path / "v1.db")
+    db = sqlite3.connect(path)
+    db.executescript(_SCHEMA_V1)
+    # rows laid out positionally, the way the v1 writer stored them
+    db.executescript(f"""
+        INSERT INTO meta VALUES('schema_version', '1'), ('next_session_id', '2');
+        INSERT INTO users VALUES(1, '{"a" * 32}');
+        INSERT INTO sessions VALUES(1, 1, {TS}, x'{KEY.hex()}', 1, NULL, {TS});
+        INSERT INTO access_points VALUES(1, 'aa:bb', 'cafe');
+        INSERT INTO gps_rows VALUES(1, {TS}, 5, 0, 1.5, 2.5, 3.5, 0.5, 4.0, {TS - 1});
+        INSERT INTO motion_rows VALUES(1, 'gyro', {TS}, -1, 0, 50.0, 1, x'0100feff0300');
+        INSERT INTO wifi_rows VALUES(1, {TS}, -1, 2, 1, -40);
+        INSERT INTO bt_rows VALUES(1, {TS}, -1, 0, 'mouse', -70);
+        INSERT INTO pressure_rows VALUES(1, {TS}, -1, 0, 1013.25);
+        INSERT INTO obd_rows VALUES(1, {TS}, 0, 0, 12, 870.5);
+        INSERT INTO event_rows VALUES(1, {TS}, 7, 0, 'lap', NULL);
+    """)
+    db.close()
+    expected = {
+        "gps": [{"ts": TS, "ms": 5, "lat": 1.5, "lon": 2.5, "alt": 3.5, "speed": 0.5,
+                 "accuracy": 4.0, "device_ts": TS - 1}],
+        "gyro": [{"ts": TS, "rate": 50.0, "samples": [[1, -2, 3]]}],
+        "wifi": [{"ts": TS, "idx": 2, "ap_id": 1, "rssi": -40, "mac": "aa:bb", "essid": "cafe"}],
+        "bt": [{"ts": TS, "device_id": "mouse", "rssi": -70}],
+        "pressure": [{"ts": TS, "hpa": 1013.25}],
+        "obd": [{"ts": TS, "ms": 0, "pid": 12, "value": 870.5}],
+        "events": [{"ts": TS, "ms": 7, "kind": "lap"}],
+    }
+    st = storage.SqliteStorage(path)
+    try:
+        assert st.read_session_rows(1) == expected
+        assert st.upsert_session("a" * 32, TS, KEY) == 1
+        # written back through the current code, the file reads the same
+        again = {s: [{k: v for k, v in row.items() if k not in ("mac", "essid")} for row in rows]
+                 for s, rows in expected.items()}
+        assert st.write_rows(1, again) == 7
+        assert st.storage_stats()["total_rows"] == 7
+        st.write_rows(st.upsert_session("b" * 32, TS, KEY), again)
+        assert st.read_session_rows(2) == expected
+    finally:
+        st.close()
