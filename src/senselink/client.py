@@ -12,9 +12,12 @@ Reliability rules:
   at the ``now`` of the pump that encodes it; the drain loop pumps one new
   packet at a time with a fresh ``now``, so encoding a window never expires
   the timers of packets still waiting to be sent
+* each row is validated and serialized once, when it is buffered; a packet's
+  payload is joined from those bytes and kept until the packet is
+  acknowledged
 * retransmission uses exponential backoff and re-emits identical bytes,
-  unless the key or session id changed since the packet was encoded, in
-  which case the packet is re-encoded under the current values
+  unless the key or session id changed since the packet was sealed, in
+  which case the kept payload is re-sealed under the current values
 * feedback reporting stored < sent releases the stored prefix (server-side
   write order: stream name, then batch order) and re-enqueues the shortfall
   at the front of the buffer under a fresh sequence number
@@ -29,7 +32,7 @@ import select
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import codec, crypto
 from .journal import MemoryJournal, iter_batch_rows
@@ -63,26 +66,22 @@ class TimeMismatch(ClientError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class _BufferedRow:
     index: int  # journal index
     stream: str
-    row: dict
-    json_size: int  # canonical JSON bytes of the row plus one list separator
+    json: bytes  # canonical JSON of the validated row
+
+    @property
+    def json_size(self) -> int:
+        return len(self.json) + 1  # plus one list separator
 
 
-def _row_json_size(row: dict) -> int:
-    return len(codec.canonical_json(row)) + 1
-
-
-def _payload_size(seq: int, entries: list[_BufferedRow]) -> int:
-    """Length of the canonical payload {"seq": seq, "streams": ...} that
-    carries ``entries``, from their sizes instead of a second serialization.
-    Each stream adds its quoted name, colon and brackets; the separators
-    counted in the sizes exceed those in the payload by one."""
-    names = {entry.stream for entry in entries}
-    return (len('{"seq":,"streams":{}}') + len(str(seq)) + sum(len(n) + 5 for n in names)
-            + sum(entry.json_size for entry in entries) - 1)
+def _data_payload(seq: int, entries: list[_BufferedRow]) -> bytes:
+    row_json: dict[str, list[bytes]] = {}
+    for entry in entries:
+        row_json.setdefault(entry.stream, []).append(entry.json)
+    return codec.data_payload(seq, row_json)
 
 
 @dataclass
@@ -100,11 +99,10 @@ class PendingAuth:
 class OutstandingPacket:
     seq: int
     entries: list[_BufferedRow]
-    streams: dict[str, list[dict]]
+    payload: bytes  # canonical JSON, sealed again after a key or session change
     blob: bytes
     key_used: bytes
     session_id_used: int
-    json_size: int
     first_sent_at: float
     retries: int = 0
     next_retry_at: float = 0.0
@@ -112,6 +110,10 @@ class OutstandingPacket:
     @property
     def row_count(self) -> int:
         return len(self.entries)
+
+    @property
+    def json_size(self) -> int:
+        return len(self.payload)
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,8 @@ class ClientSession:
             "max_inflight": 0,
         }
         for index, stream, row in self.journal.pending_rows():
-            self._buffer_row(index, stream, row)
+            self._buffer_row(index, stream,
+                             codec.canonical_json(codec.validate_row(stream, row)))
 
     # -- helpers ------------------------------------------------------------
 
@@ -214,14 +217,9 @@ class ClientSession:
     def _timeout_after(self, retries: int) -> float:
         return min(self.max_timeout, self.base_timeout * self.backoff_factor ** retries)
 
-    def _buffer_row(self, index: int, stream: str, row: dict,
-                    *, front: bool = False, json_size: int | None = None):
-        entry = _BufferedRow(index, stream, row,
-                             _row_json_size(row) if json_size is None else json_size)
-        if front:
-            self._buffer.appendleft(entry)
-        else:
-            self._buffer.append(entry)
+    def _buffer_row(self, index: int, stream: str, row_json: bytes):
+        entry = _BufferedRow(index, stream, row_json)
+        self._buffer.append(entry)
         self._buffered_bytes += entry.json_size
 
     # -- handshake ----------------------------------------------------------
@@ -278,12 +276,12 @@ class ClientSession:
         known, unknown = codec.validate_streams(streams)
         if unknown:
             raise ValueError("cannot enqueue rows for unknown streams")
-        rows = [(stream, row, _row_json_size(row)) for stream, row in iter_batch_rows(known)]
-        if self._buffered_bytes + sum(size for _, _, size in rows) > self.buffer_limit_bytes:
+        rows = [(stream, codec.canonical_json(row)) for stream, row in iter_batch_rows(known)]
+        if self._buffered_bytes + sum(len(data) + 1 for _, data in rows) > self.buffer_limit_bytes:
             raise BufferFull(f"buffer limit {self.buffer_limit_bytes} bytes exceeded")
         indexes = self.journal.append(known)
-        for (stream, row, size), index in zip(rows, indexes):
-            self._buffer_row(index, stream, row, json_size=size)
+        for (stream, data), index in zip(rows, indexes):
+            self._buffer_row(index, stream, data)
         self.counters["rows_enqueued"] += len(rows)
         return len(rows)
 
@@ -333,8 +331,7 @@ class ClientSession:
                 self._fail_packet(pkt)
                 continue
             if pkt.key_used != self.key or pkt.session_id_used != self.session_id:
-                pkt.blob = codec.encode_data_packet(
-                    codec.DataPacket(self.session_id, pkt.seq, pkt.streams), self.key)
+                pkt.blob = codec.seal_data_payload(self.session_id, pkt.payload, self.key)
                 pkt.key_used = self.key
                 pkt.session_id_used = self.session_id
             pkt.retries += 1
@@ -357,11 +354,8 @@ class ClientSession:
             total += entry.json_size
         seq = self.take_seq()
         while True:
-            streams: dict[str, list[dict]] = {}
-            for entry in take:
-                streams.setdefault(entry.stream, []).append(entry.row)
-            blob = codec.encode_data_packet(
-                codec.DataPacket(self.session_id, seq, streams), self.key)
+            payload = _data_payload(seq, take)
+            blob = codec.seal_data_payload(self.session_id, payload, self.key)
             if len(blob) <= self.max_packet_bytes:
                 break
             if len(take) == 1:
@@ -369,18 +363,16 @@ class ClientSession:
             # shrink in proportion to the overshoot, with 10% headroom
             keep = int(len(take) * self.max_packet_bytes * 0.9 // len(blob))
             take = take[:min(max(keep, 1), len(take) - 1)]
-        json_size = _payload_size(seq, take)
         for _ in take:
             entry = self._buffer.popleft()
             self._buffered_bytes -= entry.json_size
         pkt = OutstandingPacket(
-            seq=seq, entries=take, streams=streams, blob=blob,
+            seq=seq, entries=take, payload=payload, blob=blob,
             key_used=self.key, session_id_used=self.session_id,
-            json_size=json_size, first_sent_at=now,
-            next_retry_at=now + self._timeout_after(0))
+            first_sent_at=now, next_retry_at=now + self._timeout_after(0))
         self._flight[seq] = pkt
         self.counters["packets_sent"] += 1
-        self.counters["json_bytes"] += json_size
+        self.counters["json_bytes"] += len(payload)
         self.counters["wire_bytes"] += len(blob)
         self.counters["wire_bytes_total"] += len(blob)
         return (DATA, blob)

@@ -475,13 +475,27 @@ def decode_auth_response(blob: bytes, key: bytes) -> AuthResponse:
     return resp
 
 
+def data_payload(seq: int, row_json: dict[str, list[bytes]]) -> bytes:
+    """The canonical payload ``{"seq":N,"streams":{...}}`` assembled from the
+    canonical JSON of each validated row, so no row is serialized again;
+    equal to ``canonical_json({"seq": seq, "streams": rows})``."""
+    streams = b",".join(canonical_json(name) + b":[" + b",".join(rows) + b"]"
+                        for name, rows in sorted(row_json.items()))
+    return b'{"seq":' + canonical_json(seq) + b',"streams":{' + streams + b"}}"
+
+
+def seal_data_payload(session_id: int, payload: bytes, key: bytes, *,
+                      iv: bytes | None = None) -> bytes:
+    return _U32.pack(session_id) + crypto.sym_encrypt(key, compress(payload), iv=iv)
+
+
 def encode_data_packet(pkt: DataPacket, key: bytes, *, iv: bytes | None = None) -> bytes:
     streams, unknown = validate_streams(pkt.streams)
     if unknown:
         raise ValueError("cannot encode rows for unknown streams")
     # validate_streams rebuilt every row with string keys and finite numbers
-    payload = canonical_json({"seq": pkt.seq, "streams": streams})
-    return _U32.pack(pkt.session_id) + crypto.sym_encrypt(key, compress(payload), iv=iv)
+    row_json = {name: [canonical_json(row) for row in rows] for name, rows in streams.items()}
+    return seal_data_payload(pkt.session_id, data_payload(pkt.seq, row_json), key, iv=iv)
 
 
 def decode_data_packet(blob: bytes, key_lookup: Callable[[int], bytes | None]) -> DataPacket:

@@ -5,11 +5,11 @@ threads: every arriving blob is self-describing, so the core can be thrown
 away and rebuilt around the same storage at any time and handle the next
 packet identically. The simulator and the fuzz tests drive it directly.
 
-:class:`ServerDaemon` wraps the core in the production topology: one
-connection worker per listening port (each multiplexing a UDP socket and a
-TCP listener), an authentication worker whose storage calls are serialized
-by construction, a data worker doing decode/parse work, and a storage
-manager that writes rows and only then releases the feedback packet.
+:class:`ServerDaemon` wraps the core in the production topology of four
+workers: one connection worker per listening port (each multiplexing a UDP
+socket and a TCP listener), an authentication worker whose storage calls are
+serialized by construction, and a data worker that decodes each packet,
+writes its rows and only then releases the feedback packet.
 
 Anything that fails decryption, decompression, or validation is silently
 discarded; per-kind counters are the only trace.
@@ -189,7 +189,7 @@ class IngestCore:
         return codec.encode_feedback(fb, key)
 
     def handle_data_packet(self, blob: bytes) -> bytes | None:
-        """Single-threaded convenience: decode, store, acknowledge."""
+        """Decode, store, then acknowledge one data packet."""
         self.bump("data_packets")
         try:
             pkt = self.decode_data_packet(blob)
@@ -322,15 +322,19 @@ class _ConnectionWorker(threading.Thread):
 
 
 def _worker_loop(in_queue: queue.Queue, handle):
+    """Answer each queued blob with ``handle(blob)``, unless that is None."""
     while True:
         item = in_queue.get()
         if item is None:
             return
-        handle(*item)
+        blob, reply = item
+        resp = handle(blob)
+        if resp is not None:
+            reply(resp)
 
 
 class ServerDaemon:
-    """Five-worker ingest daemon around one IngestCore."""
+    """Four-worker ingest daemon around one IngestCore."""
 
     def __init__(self, config: ServerConfig, *, private_key=None, storage=None):
         self.config = config
@@ -343,7 +347,6 @@ class ServerDaemon:
         self._stop = threading.Event()
         self._auth_queue: queue.Queue = queue.Queue()
         self._data_queue: queue.Queue = queue.Queue()
-        self._store_queue: queue.Queue = queue.Queue()
         self._threads: list[threading.Thread] = []
         self._workers: list[_ConnectionWorker] = []
         self._metrics_sock = None
@@ -368,35 +371,15 @@ class ServerDaemon:
         except OSError as exc:
             raise ConfigError(f"cannot bind listening sockets: {exc}") from exc
         self._workers = [auth_worker, data_worker]
-
-        def handle_auth(blob, reply):
-            resp = self.core.handle_auth_packet(blob)
-            if resp is not None:
-                reply(resp)
-
-        def handle_data(blob, reply):
-            self.core.bump("data_packets")
-            try:
-                pkt = self.core.decode_data_packet(blob)
-            except codec.DECODE_ERRORS as exc:
-                self.core.bump("data_discard_" + _DISCARD_KEYS[type(exc)])
-                return
-            self._store_queue.put((pkt, reply))
-
-        def handle_store(pkt, reply):
-            resp = self.core.store_and_ack(pkt)
-            if resp is not None:
-                reply(resp)
-
         self._threads = [
             auth_worker,
             data_worker,
             threading.Thread(target=_worker_loop, name="auth-worker",
-                             args=(self._auth_queue, handle_auth), daemon=True),
+                             args=(self._auth_queue, self.core.handle_auth_packet),
+                             daemon=True),
             threading.Thread(target=_worker_loop, name="data-worker",
-                             args=(self._data_queue, handle_data), daemon=True),
-            threading.Thread(target=_worker_loop, name="storage-manager",
-                             args=(self._store_queue, handle_store), daemon=True),
+                             args=(self._data_queue, self.core.handle_data_packet),
+                             daemon=True),
         ]
         for thread in self._threads:
             thread.start()
@@ -436,7 +419,7 @@ class ServerDaemon:
 
     def stop(self):
         self._stop.set()
-        for q in (self._auth_queue, self._data_queue, self._store_queue):
+        for q in (self._auth_queue, self._data_queue):
             q.put(None)
         for worker in self._workers:
             worker.join(timeout=2.0)

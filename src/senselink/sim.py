@@ -320,7 +320,7 @@ def verify_storage(storage, session_id: int, generated: dict[str, list[dict]]):
             raise VerificationFailed(
                 f"{stream}: {len(got)} stored rows, {len(want)} generated")
         for i, (w, g) in enumerate(zip(want, got)):
-            if codec.serialize_payload(w) != codec.serialize_payload(g):
+            if codec.canonical_json(w) != codec.canonical_json(g):
                 raise VerificationFailed(f"{stream}[{i}]: stored {g!r} != generated {w!r}")
 
 

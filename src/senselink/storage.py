@@ -32,6 +32,7 @@ from . import codec
 from .codec import MOTION_STREAMS, STREAM_SPECS, natural_key, write_order
 
 SCHEMA_VERSION = 1
+_AP_CACHE_LIMIT = 100_000  # interned access points SqliteStorage remembers
 
 
 class StorageError(Exception):
@@ -290,6 +291,9 @@ class SqliteStorage:
         self._db.execute("PRAGMA journal_mode=WAL")
         self._db.execute("PRAGMA synchronous=NORMAL")
         self._db.execute("PRAGMA foreign_keys=ON")
+        # (mac, essid) -> ap_id; forgotten on ROLLBACK, where SQLite may hand a
+        # rolled-back ap_id to the next access point
+        self._ap_ids: dict[tuple[str, str], int] = {}
         with self._lock:
             self._db.executescript(_SCHEMA)
             self._db.execute("BEGIN IMMEDIATE")
@@ -363,14 +367,21 @@ class SqliteStorage:
 
     def intern_auxiliary(self, mac: str, essid: str) -> int:
         with self._lock:
+            ap_id = self._ap_ids.get((mac, essid))
+            if ap_id is not None:
+                return ap_id
             row = self._db.execute(
                 "SELECT ap_id FROM access_points WHERE mac=? AND essid=?",
                 (mac, essid)).fetchone()
             if row is not None:
-                return row[0]
-            cur = self._db.execute(
-                "INSERT INTO access_points(mac, essid) VALUES(?,?)", (mac, essid))
-            return cur.lastrowid
+                ap_id = row[0]
+            else:
+                ap_id = self._db.execute(
+                    "INSERT INTO access_points(mac, essid) VALUES(?,?)", (mac, essid)).lastrowid
+            if len(self._ap_ids) >= _AP_CACHE_LIMIT:
+                self._ap_ids.clear()
+            self._ap_ids[(mac, essid)] = ap_id
+            return ap_id
 
     def write_rows(self, session_id: int, streams: dict[str, list[dict]]) -> int:
         with self._lock:
@@ -383,6 +394,7 @@ class SqliteStorage:
                 self._db.execute("COMMIT")
                 return codec.batch_row_count(streams)
             except BaseException:
+                self._ap_ids.clear()
                 self._db.execute("ROLLBACK")
                 raise
 

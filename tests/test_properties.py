@@ -1,9 +1,9 @@
 """Property tests against reference implementations.
 
-The client counts a packet's canonical JSON length from per-row sizes
-instead of serializing the payload a second time, and ``encode_data_packet``
-serializes rows that ``validate_streams`` has rebuilt without walking them
-again. Both must agree byte for byte with a plain serialization.
+The client serializes each row once and joins a packet's payload from those
+bytes (``codec.data_payload``), and ``encode_data_packet`` serializes rows
+that ``validate_streams`` has rebuilt without walking them again. Both must
+agree byte for byte with a plain serialization.
 
 Row validation is driven by the stream table in ``codec``; it must accept,
 reject and normalize exactly as a hand-written branch per stream does. The
@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from senselink import codec, crypto, storage
 from senselink.client import ClientSession
+from senselink.journal import iter_batch_rows
 
 TS = 1_400_000_000
 HASH = crypto.hash_user("props@example.com")
@@ -79,11 +80,25 @@ def test_client_json_size_is_the_payload_length(test_keypair, batch, seq_gap):
     session.enqueue_rows(batch)
     session.pump(1.0)
     assert session._flight
+    by_index = [row for _, row in iter_batch_rows(codec.validate_streams(batch)[0])]
     for pkt in session._flight.values():
+        streams = {}
+        for entry in pkt.entries:
+            streams.setdefault(entry.stream, []).append(by_index[entry.index])
         payload = codec.decompress(crypto.sym_decrypt(session.key, pkt.blob[4:]))
-        assert payload == codec.serialize_payload({"seq": pkt.seq, "streams": pkt.streams})
+        assert payload == codec.serialize_payload({"seq": pkt.seq, "streams": streams})
         assert pkt.json_size == len(payload)
     assert session.counters["json_bytes"] == sum(p.json_size for p in session._flight.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=_batches, seq=st.integers(0, codec.U32_MAX))
+def test_data_payload_joins_rows_into_the_canonical_payload(batch, seq):
+    validated, _ = codec.validate_streams(batch)
+    row_json = {name: [codec.canonical_json(row) for row in rows]
+                for name, rows in validated.items()}
+    assert codec.data_payload(seq, row_json) == codec.canonical_json(
+        {"seq": seq, "streams": validated})
 
 
 def _reference_encode(pkt: codec.DataPacket, key: bytes, iv: bytes) -> bytes:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from senselink import codec, crypto, storage
+from senselink import codec, crypto, sim, storage
 from senselink.client import (AUTH, DATA, ClientSession, TcpTransport,
                               UdpTransport, run_until_drained)
 from senselink.server import (ConfigError, IngestCore, ServerConfig,
@@ -330,6 +330,48 @@ def test_daemon_ignores_fuzz_on_both_sockets(test_keypair, daemon):
     assert daemon.core.storage.storage_stats()["sessions"] == 1
 
 
+def test_daemon_over_sqlite_stores_a_recording_in_several_packets(test_keypair, tmp_path):
+    path = tmp_path / "daemon.db"
+    config = ServerConfig(auth_port=0, data_port=0, host="127.0.0.1",
+                          metrics_port=_free_tcp_port())
+    d = ServerDaemon(config, private_key=test_keypair.private_part,
+                     storage=storage.SqliteStorage(str(path)))
+    generated = sim.generate_session(sim.WorkloadConfig(duration_s=120, start_ts=TS))
+    assert {"wifi", "accel"} <= set(generated)
+    session = ClientSession(HASH, TS, test_keypair.public_part, pack_json_budget=8 * 1024)
+    acks = []
+    handle_feedback = session.handle_feedback
+
+    def record(fb, now=0.0):
+        result = handle_feedback(fb, now)
+        if result is not None:
+            acks.append(result)
+        return result
+
+    session.handle_feedback = record
+    try:
+        d.start()
+        session.begin(time.monotonic())
+        rows = session.enqueue_rows(generated)
+        report = drain(session, TcpTransport("127.0.0.1", d.auth_port, d.data_port))
+        text = _scrape(d.metrics_port)
+    finally:
+        d.stop()
+        d.core.storage.close()
+    assert report.complete and report.delivered_rows == rows
+    assert len(acks) > 1
+    assert all(ack.stored_rows == ack.sent_rows for ack in acks)
+    assert sum(ack.sent_rows for ack in acks) == rows
+    fields = dict(line.split(" ", 1) for line in text.strip().splitlines())
+    assert fields["data_packets"] == fields["data_ok"]
+    assert not [name for name in fields if "_discard_" in name]
+    reopened = storage.SqliteStorage(str(path))
+    try:
+        sim.verify_storage(reopened, session.session_id, generated)
+    finally:
+        reopened.close()
+
+
 def test_daemon_port_conflict_raises(test_keypair):
     blocker = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     blocker.bind(("127.0.0.1", 0))
@@ -350,6 +392,17 @@ def _free_tcp_port() -> int:
         return s.getsockname()[1]
 
 
+def _scrape(port: int) -> str:
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
+        chunks = []
+        while True:
+            chunk = s.recv(4096)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks).decode()
+
+
 def test_metrics_endpoint(test_keypair):
     # metrics_port 0 disables the endpoint, so reserve a concrete port
     config = ServerConfig(auth_port=0, data_port=0, host="127.0.0.1",
@@ -362,14 +415,7 @@ def test_metrics_endpoint(test_keypair):
         session.begin(time.monotonic())
         session.enqueue_rows({"pressure": [{"ts": TS, "hpa": 1000.0}]})
         drain(session, UdpTransport("127.0.0.1", d.auth_port, d.data_port))
-        with socket.create_connection(("127.0.0.1", d.metrics_port), timeout=5) as s:
-            chunks = []
-            while True:
-                chunk = s.recv(4096)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-        text = b"".join(chunks).decode()
+        text = _scrape(d.metrics_port)
         fields = dict(line.split(" ", 1) for line in text.strip().splitlines())
         assert fields["auth_ok"] == "1"
         assert fields["data_ok"] == "1"

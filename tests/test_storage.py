@@ -228,6 +228,40 @@ def test_ap_ids_shared_across_sessions(store):
 # accounting
 
 
+def test_sqlite_ap_cache_forgets_ids_a_rollback_gave_back(tmp_path):
+    """SQLite hands the ap_id of a rolled-back access point to the next new
+    one, so an id remembered from a failed write must not be reused."""
+    path = str(tmp_path / "t.db")
+    st = storage.SqliteStorage(path)
+    sid = new_session(st)
+    with pytest.raises(OverflowError):  # ts beyond SQLite's 64 bits: the write rolls back
+        st.write_rows(sid, {"wifi": [{"ts": TS, "rssi": -50, "mac": "m1", "essid": "one"},
+                                     {"ts": 2 ** 63, "rssi": -50, "mac": "m1", "essid": "one"}]})
+    st.write_rows(sid, {"wifi": [{"ts": TS + 1, "rssi": -60, "mac": "m2", "essid": "two"}]})
+    st.write_rows(sid, {"wifi": [{"ts": TS + 2, "rssi": -70, "mac": "m1", "essid": "one"}]})
+    rows = st.read_session_rows(sid)["wifi"]
+    assert [(r["ts"], r["mac"], r["essid"]) for r in rows] == [
+        (TS + 1, "m2", "two"), (TS + 2, "m1", "one")]
+    st.close()
+    db = sqlite3.connect(path)
+    try:
+        orphans = db.execute("SELECT COUNT(*) FROM wifi_rows WHERE ap_id NOT IN "
+                             "(SELECT ap_id FROM access_points)").fetchone()[0]
+    finally:
+        db.close()
+    assert orphans == 0
+
+
+def test_sqlite_ap_cache_stays_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(storage, "_AP_CACHE_LIMIT", 3)
+    st = storage.SqliteStorage(str(tmp_path / "t.db"))
+    pairs = [(f"m{i}", "net") for i in range(10)]
+    ids = [st.intern_auxiliary(*pair) for pair in pairs]
+    assert len(st._ap_ids) <= 3
+    assert [st.intern_auxiliary(*pair) for pair in pairs] == ids == list(range(1, 11))
+    st.close()
+
+
 def test_logical_row_bytes_constants():
     assert storage.logical_row_bytes("gps", {}) == 47
     assert storage.logical_row_bytes("wifi", {}) == 17
