@@ -7,7 +7,7 @@ rows from mobile units into a central store:
 * :mod:`senselink.codec` -- canonical serialization, compression, wire formats.
 * :mod:`senselink.client` -- sans-I/O session engine with windowed delivery.
 * :mod:`senselink.server` -- stateless ingest core and socket daemon.
-* :mod:`senselink.storage` -- pluggable row storage (memory, sqlite).
+* :mod:`senselink.storage` -- SQLite row storage, in a file or in memory.
 * :mod:`senselink.sim` -- deterministic network/workload simulator.
 * :mod:`senselink.cli` -- operator command line.
 """

@@ -35,7 +35,8 @@ MAX_PACKET_BYTES = 60 * 1024  # fits a UDP datagram with headroom
 
 U16_MAX = 0xFFFF
 U32_MAX = 0xFFFFFFFF
-U64_MAX = 0xFFFFFFFFFFFFFFFF
+I64_MAX = 2**63 - 1  # SQLite INTEGER is signed 64-bit
+I64_MIN = -(2**63)
 
 MAX_SAMPLES_PER_ROW = 1024
 
@@ -140,7 +141,7 @@ def payload_dict(value: object) -> dict:
     if isinstance(value, AuthRequest):
         if not (0 <= value.seq <= U32_MAX):
             raise ValueError("seq out of range")
-        if not (0 <= value.time <= U64_MAX):
+        if not (0 <= value.time <= I64_MAX):
             raise ValueError("time out of range")
         if not (1 <= value.version <= U16_MAX):
             raise ValueError("version out of range")
@@ -237,7 +238,7 @@ def deserialize_payload(data: bytes, expected_kind: type):
         return AuthRequest(
             seq=_uint(obj, "seq", U32_MAX),
             user_hash=user_hash,
-            time=_uint(obj, "time", U64_MAX),
+            time=_uint(obj, "time", I64_MAX),
             key=key,
             version=_uint(obj, "version", U16_MAX, minimum=1),
             identifiers=identifiers,
@@ -245,7 +246,7 @@ def deserialize_payload(data: bytes, expected_kind: type):
     if expected_kind is AuthResponse:
         return AuthResponse(
             seq=_uint(obj, "seq", U32_MAX),
-            time=_uint(obj, "time", U64_MAX),
+            time=_uint(obj, "time", I64_MAX),
             session_id=_uint(obj, "session_id", U32_MAX, minimum=1),
         )
     if expected_kind is FeedbackPacket:
@@ -260,13 +261,11 @@ def deserialize_payload(data: bytes, expected_kind: type):
 # ---------------------------------------------------------------------------
 # the stream table: row shape, ms rule, SQLite table and logical byte cost
 
-_NUMBER = (int, float)
-
 # A field is (name, checker, required); the checker raises MalformedPayload
 # or returns the normalized value. Checkers are built once, with the table.
 
 
-def _int(name: str, lo: int = 0, hi: int = U64_MAX, *, required: bool = True):
+def _int(name: str, lo: int = 0, hi: int = I64_MAX, *, required: bool = True):
     def check(value):
         if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
             raise MalformedPayload(f"row field {name!r} out of range")
@@ -276,10 +275,13 @@ def _int(name: str, lo: int = 0, hi: int = U64_MAX, *, required: bool = True):
 
 def _number(name: str, *, positive: bool = False):
     def check(value):
-        if isinstance(value, bool) or not isinstance(value, _NUMBER):
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise MalformedPayload(f"row field {name!r} is not finite")
+        elif isinstance(value, bool) or not isinstance(value, int):
             raise MalformedPayload(f"row field {name!r} is not a number")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise MalformedPayload(f"row field {name!r} is not finite")
+        elif not I64_MIN <= value <= I64_MAX:
+            raise MalformedPayload(f"row field {name!r} out of range")
         if positive and value <= 0:
             raise MalformedPayload(f"{name} must be positive")
         return value
@@ -290,6 +292,10 @@ def _text(name: str, *, allow_empty: bool = True, required: bool = True):
     def check(value):
         if not isinstance(value, str) or not (allow_empty or value):
             raise MalformedPayload(f"row field {name!r} is not a valid string")
+        try:  # a JSON escape can carry a lone surrogate; UTF-8 (SQLite TEXT) cannot
+            value.encode()
+        except UnicodeEncodeError:
+            raise MalformedPayload(f"row field {name!r} is not valid UTF-8") from None
         return value
     return name, check, required
 
@@ -314,8 +320,13 @@ class StreamSpec:
     """One sensor stream.
 
     ``columns`` name the row's fields after the natural key, in the column
-    order of its SQLite ``table``; ``checks`` validate a whole row. A row's
-    logical size, the unit of the storage-rate figures, is ``row_bytes``
+    order of its SQLite ``table``; ``checks`` validate a whole row. They admit
+    only what SQLite holds (https://www.sqlite.org/datatype3.html): integers
+    in signed 64 bits, so ``ts`` and ``device_ts`` end at ``I64_MAX``; number
+    fields as finite floats or signed 64-bit integers, kept as sent on the
+    wire but read back from storage as floats; text as valid UTF-8.
+
+    A row's logical size, the unit of the storage-rate figures, is ``row_bytes``
     plus ``sample_bytes`` per motion sample plus the UTF-8 length of each
     field named in ``text_bytes``.
     """

@@ -134,7 +134,7 @@ class IngestCore:
         try:
             session_id = self.storage.upsert_session(
                 req.user_hash, req.time, req.key, req.version, req.identifiers)
-        except (StorageError, OverflowError):  # OverflowError: beyond SQLite's 64 bits
+        except StorageError:
             log.exception("auth upsert failed")
             self.bump("auth_discard_storage")
             return None
@@ -169,7 +169,7 @@ class IngestCore:
         except UnknownSessionId:
             self.bump("data_discard_unknown_session")
             return None
-        except (StorageError, OverflowError):  # OverflowError: beyond SQLite's 64 bits
+        except StorageError:
             log.exception("row write failed session_id=%d seq=%d", pkt.session_id, pkt.seq)
             self.bump("data_discard_storage")
             return None

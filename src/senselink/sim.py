@@ -23,7 +23,7 @@ from dataclasses import dataclass, asdict
 from . import codec, crypto
 from .client import AUTH, DATA, ClientSession
 from .server import IngestCore
-from .storage import MemoryStorage, open_storage
+from .storage import open_storage
 
 DEFAULT_EMAIL = "unit@example.org"
 MAX_VIRTUAL_S = 36_000.0  # hard stop for runaway retransmission loops
@@ -394,132 +394,136 @@ def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
     "realtime" feeds rows to the engine every flush_period_s of virtual
     time, the way a live recorder does.  data_channel, when given, applies
     to the data-port directions only (channel then covers the handshake).
+    storage is a storage object, left open, or an ``open_storage`` selector
+    (None is "memory"), whose storage is closed before returning.
     """
     if mode not in ("batch", "realtime"):
         raise ValueError("mode must be 'batch' or 'realtime'")
     started = time.monotonic()
     if keypair is None:
         keypair = crypto.generate_server_keypair()
-    if storage is None:
-        storage = MemoryStorage()
-    elif isinstance(storage, str):
-        storage = open_storage(storage)
+    owned = storage is None or isinstance(storage, str)
+    if owned:
+        storage = open_storage(storage or "memory")
+    try:
+        generated = generate_session(workload)
+        rows_generated = codec.batch_row_count(generated)
 
-    generated = generate_session(workload)
-    rows_generated = codec.batch_row_count(generated)
+        loop = EventLoop()
+        rng = random.Random(channel.seed)
+        box = _ServerBox(keypair.private_part, storage, cache_capacity=10_000)
+        session = ClientSession(crypto.hash_user(user_email), workload.start_ts,
+                                keypair.public_part, window=window,
+                                **(client_options or {}))
 
-    loop = EventLoop()
-    rng = random.Random(channel.seed)
-    box = _ServerBox(keypair.private_part, storage, cache_capacity=10_000)
-    session = ClientSession(crypto.hash_user(user_email), workload.start_ts,
-                            keypair.public_part, window=window,
-                            **(client_options or {}))
+        restart_set = set(restart_at)
+        arrivals = itertools.count(1)
 
-    restart_set = set(restart_at)
-    arrivals = itertools.count(1)
+        def on_auth_arrival(blob: bytes):
+            resp = box.core.handle_auth_packet(blob)
+            if resp is not None:
+                s2c_auth.send(resp)
 
-    def on_auth_arrival(blob: bytes):
-        resp = box.core.handle_auth_packet(blob)
-        if resp is not None:
-            s2c_auth.send(resp)
+        def on_data_arrival(blob: bytes):
+            if next(arrivals) in restart_set:
+                box.restart()
+            resp = box.core.handle_data_packet(blob)
+            if resp is not None:
+                s2c_data.send(resp)
 
-    def on_data_arrival(blob: bytes):
-        if next(arrivals) in restart_set:
-            box.restart()
-        resp = box.core.handle_data_packet(blob)
-        if resp is not None:
-            s2c_data.send(resp)
+        def on_client_receive(kind: str):
+            def receive(blob: bytes):
+                session.handle_wire(kind, blob, loop.now)
+                pump()
+            return receive
 
-    def on_client_receive(kind: str):
-        def receive(blob: bytes):
-            session.handle_wire(kind, blob, loop.now)
+        data_cfg = data_channel if data_channel is not None else channel
+        c2s_auth = _Direction(loop, rng, channel, on_auth_arrival)
+        c2s_data = _Direction(loop, rng, data_cfg, on_data_arrival)
+        s2c_auth = _Direction(loop, rng, channel, on_client_receive(AUTH))
+        s2c_data = _Direction(loop, rng, data_cfg, on_client_receive(DATA))
+
+        timer_armed = [math.inf]
+
+        def pump():
+            for kind, blob in session.pump(loop.now):
+                (c2s_auth if kind == AUTH else c2s_data).send(blob)
+            wake = session.next_wakeup()
+            if wake is not None and wake < timer_armed[0] - 1e-9:
+                timer_armed[0] = wake
+                loop.call_at(wake, on_timer)
+
+        def on_timer():
+            timer_armed[0] = math.inf
             pump()
-        return receive
 
-    data_cfg = data_channel if data_channel is not None else channel
-    c2s_auth = _Direction(loop, rng, channel, on_auth_arrival)
-    c2s_data = _Direction(loop, rng, data_cfg, on_data_arrival)
-    s2c_auth = _Direction(loop, rng, channel, on_client_receive(AUTH))
-    s2c_data = _Direction(loop, rng, data_cfg, on_client_receive(DATA))
+        pending_enqueues = [0]
 
-    timer_armed = [math.inf]
+        def enqueue(chunk: dict[str, list[dict]]):
+            def fire():
+                pending_enqueues[0] -= 1
+                session.enqueue_rows(chunk)
+                pump()
+            pending_enqueues[0] += 1
+            return fire
 
-    def pump():
-        for kind, blob in session.pump(loop.now):
+        if mode == "batch":
+            if rows_generated:
+                loop.call_at(0.0, enqueue(generated))
+        else:
+            for offset, chunk in flush_chunks(generated, workload.start_ts, flush_period_s):
+                loop.call_at(offset, enqueue(chunk))
+
+        for kind, blob in session.begin(now=0.0):
             (c2s_auth if kind == AUTH else c2s_data).send(blob)
-        wake = session.next_wakeup()
-        if wake is not None and wake < timer_armed[0] - 1e-9:
-            timer_armed[0] = wake
-            loop.call_at(wake, on_timer)
-
-    def on_timer():
-        timer_armed[0] = math.inf
         pump()
 
-    pending_enqueues = [0]
+        loop.run(until_idle=lambda: pending_enqueues[0] == 0 and session.is_done())
+        report_in = session.report()
 
-    def enqueue(chunk: dict[str, list[dict]]):
-        def fire():
-            pending_enqueues[0] -= 1
-            session.enqueue_rows(chunk)
-            pump()
-        pending_enqueues[0] += 1
-        return fire
-
-    if mode == "batch":
-        if rows_generated:
-            loop.call_at(0.0, enqueue(generated))
-    else:
-        for offset, chunk in flush_chunks(generated, workload.start_ts, flush_period_s):
-            loop.call_at(offset, enqueue(chunk))
-
-    for kind, blob in session.begin(now=0.0):
-        (c2s_auth if kind == AUTH else c2s_data).send(blob)
-    pump()
-
-    loop.run(until_idle=lambda: pending_enqueues[0] == 0 and session.is_done())
-    report_in = session.report()
-
-    stats = storage.storage_stats()
-    stored_rows = stats["total_rows"]
-    report = ExperimentReport(
-        rows_generated=rows_generated,
-        rows_stored=stored_rows,
-        rows_failed=report_in.failed_rows + report_in.pending_rows,
-        duplicate_rows=0,
-        retransmissions=report_in.retransmissions,
-        packets_sent=report_in.packets_sent,
-        packets_lost=(c2s_auth.dropped + c2s_data.dropped
-                      + s2c_auth.dropped + s2c_data.dropped),
-        packets_duplicated=(c2s_auth.duplicated + c2s_data.duplicated
-                            + s2c_auth.duplicated + s2c_data.duplicated),
-        feedback_received=report_in.feedback_received,
-        auth_sent=report_in.auth_sent,
-        auth_responses=report_in.auth_responses,
-        json_bytes=report_in.json_bytes,
-        wire_bytes=report_in.wire_bytes,
-        wire_bytes_total=report_in.wire_bytes_total,
-        stored_bytes=stats["total_logical_bytes"],
-        storage_rate_bps=stats["total_logical_bytes"] / workload.duration_s,
-        compression_ratio=(report_in.wire_bytes / report_in.json_bytes
-                           if report_in.json_bytes else 0.0),
-        delivery_ratio=(report_in.delivered_rows / rows_generated
-                        if rows_generated else 1.0),
-        throughput_rows_s=(report_in.delivered_rows / loop.now if loop.now else 0.0),
-        virtual_time_s=loop.now,
-        restarts=box.restarts,
-        window=window,
-    )
-    if verify:
-        verify_storage(storage, session.session_id, generated)
-        expected_rows = rows_generated
-        if stored_rows != expected_rows:
-            raise VerificationFailed(
-                f"{stored_rows} rows stored, {expected_rows} generated")
-        report.verified = True
-    report.duplicate_rows = max(0, stored_rows - rows_generated)
-    report.wall_time_s = round(time.monotonic() - started, 3)
-    return report
+        stats = storage.storage_stats()
+        stored_rows = stats["total_rows"]
+        report = ExperimentReport(
+            rows_generated=rows_generated,
+            rows_stored=stored_rows,
+            rows_failed=report_in.failed_rows + report_in.pending_rows,
+            duplicate_rows=0,
+            retransmissions=report_in.retransmissions,
+            packets_sent=report_in.packets_sent,
+            packets_lost=(c2s_auth.dropped + c2s_data.dropped
+                          + s2c_auth.dropped + s2c_data.dropped),
+            packets_duplicated=(c2s_auth.duplicated + c2s_data.duplicated
+                                + s2c_auth.duplicated + s2c_data.duplicated),
+            feedback_received=report_in.feedback_received,
+            auth_sent=report_in.auth_sent,
+            auth_responses=report_in.auth_responses,
+            json_bytes=report_in.json_bytes,
+            wire_bytes=report_in.wire_bytes,
+            wire_bytes_total=report_in.wire_bytes_total,
+            stored_bytes=stats["total_logical_bytes"],
+            storage_rate_bps=stats["total_logical_bytes"] / workload.duration_s,
+            compression_ratio=(report_in.wire_bytes / report_in.json_bytes
+                               if report_in.json_bytes else 0.0),
+            delivery_ratio=(report_in.delivered_rows / rows_generated
+                            if rows_generated else 1.0),
+            throughput_rows_s=(report_in.delivered_rows / loop.now if loop.now else 0.0),
+            virtual_time_s=loop.now,
+            restarts=box.restarts,
+            window=window,
+        )
+        if verify:
+            verify_storage(storage, session.session_id, generated)
+            expected_rows = rows_generated
+            if stored_rows != expected_rows:
+                raise VerificationFailed(
+                    f"{stored_rows} rows stored, {expected_rows} generated")
+            report.verified = True
+        report.duplicate_rows = max(0, stored_rows - rows_generated)
+        report.wall_time_s = round(time.monotonic() - started, 3)
+        return report
+    finally:
+        if owned:
+            storage.close()
 
 
 def flush_chunks(generated: dict[str, list[dict]], start_ts: int,

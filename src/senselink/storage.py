@@ -1,10 +1,11 @@
-"""Pluggable persistence: sessions, sensor rows, and interned access points.
+"""Persistence: sessions, sensor rows, and interned access points, in SQLite.
 
-Two backends behind one synchronous interface: :class:`MemoryStorage` for
-tests and simulations, :class:`SqliteStorage` (single file, WAL) as the
-default. The stream table in :mod:`senselink.codec` (``STREAM_SPECS``)
-defines each stream's fields, its row table and columns, and its logical
-byte cost; both backends read it. Schema rules shared by both:
+:class:`SqliteStorage` keeps everything in one WAL-mode file, or in memory
+for tests and simulations (``open_storage("memory")``). The stream table in
+:mod:`senselink.codec` (``STREAM_SPECS``) defines each stream's fields, its
+row table and columns, and its logical byte cost, and its validation admits
+only values SQLite holds: signed 64-bit integers, and numbers that read back
+as floats. Schema rules:
 
 * every row is timestamped in unix seconds; asynchronous sensors add a
   milliseconds column (required where the stream table says so)
@@ -45,37 +46,13 @@ class UnknownSessionId(StorageError):
         self.session_id = session_id
 
 
-def logical_row_bytes(stream: str, row: dict) -> int:
-    """A row's storage cost in bytes, the unit the rate figures use."""
-    spec = STREAM_SPECS[stream]
-    total = spec.row_bytes
-    if spec.sample_bytes:
-        total += spec.sample_bytes * len(row["samples"])
-    for name in spec.text_bytes:
-        total += len((row.get(name) or "").encode())
-    return total
-
-
 def _logical_bytes_sql(spec: codec.StreamSpec) -> str:
-    """The SQL sum of :func:`logical_row_bytes` over a stream's rows."""
+    """The SQL sum of a stream's logical row sizes (see codec.StreamSpec)."""
     terms = [f"{spec.row_bytes} * COUNT(*)"]
     if spec.sample_bytes:
         terms.append(f"{spec.sample_bytes} * TOTAL(n)")
     terms += [f"TOTAL(LENGTH(CAST({name} AS BLOB)))" for name in spec.text_bytes]
     return " + ".join(terms)
-
-
-def _stats(sessions: int, access_points: int, rows: dict[str, int],
-           logical: dict[str, int]) -> dict:
-    """The storage_stats() report; streams without rows are left out."""
-    return {
-        "sessions": sessions,
-        "access_points": access_points,
-        "rows": rows,
-        "logical_bytes": logical,
-        "total_rows": sum(rows.values()),
-        "total_logical_bytes": sum(logical.values()),
-    }
 
 
 def _identifiers_text(identifiers: dict | None) -> str | None:
@@ -92,120 +69,6 @@ def _pack_samples(samples: list) -> bytes:
 def _unpack_samples(blob: bytes) -> list[list[int]]:
     flat = struct.unpack(f"<{len(blob) // 2}h", blob)
     return [list(flat[i:i + 3]) for i in range(0, len(flat), 3)]
-
-
-def _common_out(ts: int, ms: int, idx: int) -> dict:
-    out: dict = {"ts": ts}
-    if ms >= 0:
-        out["ms"] = ms
-    if idx:
-        out["idx"] = idx
-    return out
-
-
-class MemoryStorage:
-    """Dict-backed reference backend; fully synchronized, nothing persisted."""
-
-    def __init__(self):
-        self._lock = threading.RLock()
-        self._users: dict[str, int] = {}
-        self._session_ids: dict[tuple[int, int], int] = {}  # (user_id, start_time)
-        self._sessions: dict[int, dict] = {}
-        self._next_session_id = 1
-        self._aps: dict[tuple[str, str], int] = {}
-        self._ap_pairs: dict[int, tuple[str, str]] = {}
-        self._rows: dict[str, dict[tuple, dict]] = {s: {} for s in STREAM_SPECS}
-
-    def upsert_session(self, user_hash: str, start_time: int, key: bytes,
-                       version: int = 1, identifiers: dict | None = None,
-                       created_at: int | None = None) -> int:
-        with self._lock:
-            user_id = self._users.setdefault(user_hash, len(self._users) + 1)
-            sid = self._session_ids.get((user_id, start_time))
-            if sid is None:
-                sid = self._next_session_id
-                self._next_session_id += 1
-                self._session_ids[(user_id, start_time)] = sid
-                self._sessions[sid] = {
-                    "user_hash": user_hash,
-                    "start_time": start_time,
-                    "created_at": int(time.time()) if created_at is None else created_at,
-                }
-            rec = self._sessions[sid]
-            rec["key"] = bytes(key)
-            rec["version"] = version
-            rec["identifiers"] = dict(identifiers) if identifiers else None
-            return sid
-
-    def lookup_session_key(self, session_id: int):
-        with self._lock:
-            rec = self._sessions.get(session_id)
-            if rec is None:
-                return None
-            return rec["key"], rec["user_hash"], rec["start_time"]
-
-    def intern_auxiliary(self, mac: str, essid: str) -> int:
-        with self._lock:
-            ap_id = self._aps.get((mac, essid))
-            if ap_id is None:
-                ap_id = len(self._aps) + 1
-                self._aps[(mac, essid)] = ap_id
-                self._ap_pairs[ap_id] = (mac, essid)
-            return ap_id
-
-    def write_rows(self, session_id: int, streams: dict[str, list[dict]]) -> int:
-        with self._lock:
-            if session_id not in self._sessions:
-                raise UnknownSessionId(session_id)
-            for stream, rows in write_order(streams):
-                table = self._rows[stream]
-                for row in rows:
-                    stored = dict(row)
-                    if stream == "wifi" and "ap_id" not in stored:
-                        stored["ap_id"] = self.intern_auxiliary(stored.pop("mac"),
-                                                                stored.pop("essid"))
-                    table.setdefault((session_id, *natural_key(row)), stored)
-            return codec.batch_row_count(streams)
-
-    def read_session_rows(self, session_id: int, streams: Iterable[str] | None = None,
-                          start_ts: int | None = None, end_ts: int | None = None
-                          ) -> dict[str, list[dict]]:
-        with self._lock:
-            out: dict[str, list[dict]] = {}
-            for stream in streams or self._rows:
-                picked = []
-                for (sid, ts, ms, idx), row in self._rows[stream].items():
-                    if sid != session_id:
-                        continue
-                    if start_ts is not None and ts < start_ts:
-                        continue
-                    if end_ts is not None and ts >= end_ts:
-                        continue
-                    shaped = _common_out(ts, ms, idx)
-                    shaped.update((k, v) for k, v in row.items() if k not in ("ts", "ms", "idx"))
-                    if stream == "wifi" and row["ap_id"] in self._ap_pairs:
-                        shaped["mac"], shaped["essid"] = self._ap_pairs[row["ap_id"]]
-                    picked.append(shaped)
-                if picked:
-                    out[stream] = sorted(picked, key=natural_key)
-            return out
-
-    def storage_stats(self) -> dict:
-        with self._lock:
-            rows = {}
-            logical = {}
-            for stream, table in self._rows.items():
-                if not table:
-                    continue
-                rows[stream] = len(table)
-                logical[stream] = sum(logical_row_bytes(stream, r) for r in table.values())
-            return _stats(len(self._sessions), len(self._aps), rows, logical)
-
-    def flush(self):
-        pass
-
-    def close(self):
-        pass
 
 
 _SCHEMA = """
@@ -468,7 +331,14 @@ class SqliteStorage:
                     logical[spec.name] = int(total)
             sessions = self._db.execute("SELECT COUNT(*) FROM sessions").fetchone()[0]
             aps = self._db.execute("SELECT COUNT(*) FROM access_points").fetchone()[0]
-        return _stats(sessions, aps, rows, logical)
+        return {
+            "sessions": sessions,
+            "access_points": aps,
+            "rows": rows,
+            "logical_bytes": logical,
+            "total_rows": sum(rows.values()),
+            "total_logical_bytes": sum(logical.values()),
+        }
 
     def flush(self):
         with self._lock:
@@ -479,10 +349,17 @@ class SqliteStorage:
             self._db.close()
 
 
-def open_storage(selector: str):
-    """'memory', 'sqlite:<path>', or a bare filesystem path."""
+class MemoryStorage(SqliteStorage):
+    """``SqliteStorage(":memory:")`` under the name existing callers import."""
+
+    def __init__(self):
+        super().__init__(":memory:")
+
+
+def open_storage(selector: str) -> SqliteStorage:
+    """'memory' (in-memory SQLite), 'sqlite:<path>', or a bare filesystem path."""
     if selector == "memory":
-        return MemoryStorage()
+        return SqliteStorage(":memory:")
     path = selector[len("sqlite:"):] if selector.startswith("sqlite:") else selector
     if not path:
         raise ValueError("empty storage selector")

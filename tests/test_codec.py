@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import random
@@ -53,6 +54,16 @@ def test_serialize_rejects_non_finite_numbers():
         codec.serialize_payload({"x": float("inf")})
 
 
+def test_auth_time_ends_at_signed_64_bits():
+    req = codec.AuthRequest(seq=1, user_hash="ab" * 16, time=2**63 - 1, key=bytes(16))
+    wire = codec.serialize_payload(req)
+    assert codec.deserialize_payload(wire, codec.AuthRequest) == req
+    with pytest.raises(ValueError):
+        codec.serialize_payload(dataclasses.replace(req, time=2**63))
+    with pytest.raises(codec.MalformedPayload):
+        codec.deserialize_payload(wire.replace(b"807", b"808"), codec.AuthRequest)  # 2**63
+
+
 def test_key_serialized_as_lowercase_hex():
     req = codec.AuthRequest(seq=1, user_hash="ab" * 16, time=TS, key=bytes([0xAB] * 16))
     obj = json.loads(codec.serialize_payload(req))
@@ -97,6 +108,7 @@ def test_deserialize_rejects_bad_values():
         b'{"seq":true,"session_id":7,"time":5}',
         b'{"seq":1,"session_id":0,"time":5}',
         b'{"seq":1,"time":5}',
+        b'{"seq":1,"session_id":7,"time":9223372036854775808}',  # 2**63: beyond SQLite
     ):
         with pytest.raises(codec.MalformedPayload):
             codec.deserialize_payload(data, codec.AuthResponse)

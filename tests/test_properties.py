@@ -6,8 +6,9 @@ that ``validate_streams`` has rebuilt without walking them again. Both must
 agree byte for byte with a plain serialization.
 
 Row validation is driven by the stream table in ``codec``; it must accept,
-reject and normalize exactly as a hand-written branch per stream does. The
-memory and SQLite backends must store and report the same rows.
+reject and normalize exactly as a hand-written branch per stream does, and
+admit only what SQLite holds. SQLite storage must store and report what a
+dict model of it does.
 """
 
 import json
@@ -26,7 +27,8 @@ TS = 1_400_000_000
 HASH = crypto.hash_user("props@example.com")
 
 _text = st.text(max_size=12)  # includes non-ASCII, which costs several UTF-8 bytes
-_ts = st.integers(min_value=0, max_value=codec.U64_MAX)
+_i64 = st.integers(-(2**63), 2**63 - 1)
+_ts = st.integers(min_value=0, max_value=2**63 - 1)
 _num = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -34,7 +36,7 @@ def _row_strategies(ts, num):
     """A strategy for valid rows of each of the nine streams."""
     key = {"ts": ts}
     motion = st.fixed_dictionaries({
-        **key, "rate": st.floats(min_value=0.5, max_value=400.0),
+        **key, "rate": st.floats(min_value=0.5, max_value=400.0) | st.integers(1, 2**63 - 1),
         "samples": st.lists(st.lists(st.integers(-32768, 32767), min_size=3, max_size=3),
                             min_size=1, max_size=4)})
     return {
@@ -64,7 +66,7 @@ def _batch_strategy(rows):
             {name: st.lists(rows[name], min_size=n, max_size=n) for name, n in counts.items()}))
 
 
-_rows = _row_strategies(_ts, _num)
+_rows = _row_strategies(_ts, _num | _i64)
 _batches = _batch_strategy(_rows)
 _bytes16 = st.binary(min_size=16, max_size=16)
 
@@ -159,10 +161,12 @@ def _ref_number(row, key, required=True):
         raise codec.MalformedPayload(f"row field {key!r} is not a number")
     if isinstance(value, float) and not math.isfinite(value):
         raise codec.MalformedPayload(f"row field {key!r} is not finite")
+    if isinstance(value, int) and not -(2**63) <= value <= 2**63 - 1:
+        raise codec.MalformedPayload(f"row field {key!r} out of range")
     return value
 
 
-def _ref_int(row, key, *, required=True, lo=0, hi=codec.U64_MAX):
+def _ref_int(row, key, *, required=True, lo=0, hi=2**63 - 1):
     value = row.get(key)
     if value is None:
         if required:
@@ -181,6 +185,8 @@ def _ref_str(row, key, *, required=True, allow_empty=True):
         return None
     if not isinstance(value, str) or (not allow_empty and not value):
         raise codec.MalformedPayload(f"row field {key!r} is not a valid string")
+    if any(0xD800 <= ord(c) <= 0xDFFF for c in value):  # no UTF-8 form
+        raise codec.MalformedPayload(f"row field {key!r} is not valid UTF-8")
     return value
 
 
@@ -190,7 +196,7 @@ def _reference_validate_row(stream, row):
         raise codec.MalformedPayload(f"unknown stream {stream!r}")
     if not isinstance(row, dict):
         raise codec.MalformedPayload("row is not an object")
-    out = {"ts": _ref_int(row, "ts", hi=codec.U64_MAX)}
+    out = {"ts": _ref_int(row, "ts")}
     ms = _ref_int(row, "ms", required=stream in _REF_MS_REQUIRED, lo=0, hi=999)
     if ms is not None:
         out["ms"] = ms
@@ -201,7 +207,7 @@ def _reference_validate_row(stream, row):
     if stream == "gps":
         for name in ("lat", "lon", "alt", "speed", "accuracy"):
             out[name] = _ref_number(row, name)
-        out["device_ts"] = _ref_int(row, "device_ts", hi=codec.U64_MAX)
+        out["device_ts"] = _ref_int(row, "device_ts")
     elif stream in _REF_MOTION:
         samples = row.get("samples")
         if not isinstance(samples, list) or not samples or len(samples) > _REF_MAX_SAMPLES:
@@ -251,8 +257,9 @@ _FIELDS = ("ts", "ms", "idx", "lat", "lon", "alt", "speed", "accuracy", "device_
 _ODD_VALUES = (
     _DROP, None, True, False, float("nan"), float("inf"), float("-inf"), -0.0, 0.5, -1.5,
     -1, 0, 1, 5, 999, 1000, -127, -128, 32767, 32768, codec.U32_MAX, codec.U32_MAX + 1,
-    codec.U64_MAX, codec.U64_MAX + 1, "", "x", "é", [], {}, [[1, 2, 3]], [[1, 2]],
-    [[0, 0, 32768]], [[True, 0, 0]], [[1.0, 2, 3]], [[1, 2, 3]] * (codec.MAX_SAMPLES_PER_ROW + 1))
+    2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64, "", "x", "é", "\ud800", "a\udfff", [], {},
+    [[1, 2, 3]], [[1, 2]], [[0, 0, 32768]], [[True, 0, 0]], [[1.0, 2, 3]],
+    [[1, 2, 3]] * (codec.MAX_SAMPLES_PER_ROW + 1))
 _mutations = st.lists(st.tuples(st.sampled_from(_FIELDS), st.sampled_from(_ODD_VALUES)),
                       max_size=3)
 
@@ -267,7 +274,7 @@ _EXAMPLE_ROWS = [
     ("wifi", {"ts": TS, "idx": 1, "ap_id": 3, "rssi": 0}),
     ("bt", {"ts": TS, "device_id": "mouse", "rssi": -40}),
     ("pressure", {"ts": 0, "hpa": 1013.25}),
-    ("obd", {"ts": codec.U64_MAX, "ms": 0, "pid": codec.U32_MAX, "value": -1}),
+    ("obd", {"ts": 2**63 - 1, "ms": 0, "pid": codec.U32_MAX, "value": -1}),
     ("events", {"ts": TS, "kind": "lap", "detail": "é"}),
 ]
 
@@ -312,26 +319,86 @@ def test_validate_row_matches_reference(data, source, mutations, target, not_a_r
 
 
 # ---------------------------------------------------------------------------
-# the two storage backends against each other
+# SQLite storage against a dict model of it
 
-# SQLite holds integers as signed 64 bits and numbers as doubles (schema v1),
-# so the sequence draws values it holds exactly. Integers beyond 64 bits are
-# discarded by the server (test_integers_beyond_sqlite_are_discarded_not_raised).
-_stored_rows = _row_strategies(st.integers(0, 2**63 - 1),
-                               _num | st.integers(-(2**53), 2**53))
-_writes = st.lists(st.tuples(st.integers(0, 1), _batch_strategy(_stored_rows)
+_REF_NUMBER_FIELDS = frozenset({"lat", "lon", "alt", "speed", "accuracy", "rate", "hpa", "value"})
+
+
+def logical_row_bytes(stream: str, row: dict) -> int:
+    """A row's storage cost in bytes, the unit the rate figures use."""
+    spec = codec.STREAM_SPECS[stream]
+    total = spec.row_bytes
+    if spec.sample_bytes:
+        total += spec.sample_bytes * len(row["samples"])
+    for name in spec.text_bytes:
+        total += len((row.get(name) or "").encode())
+    return total
+
+
+class _StorageOracle:
+    """What SqliteStorage holds after a sequence of writes, as dicts: the first
+    write of a (session, stream, ts, ms, idx) key wins, with absent ms stored
+    as -1 and absent idx as 0; number fields read back as floats; a wifi row's
+    (mac, essid) is interned to the next ap_id on first sight."""
+
+    def __init__(self, sessions: int):
+        self.sessions = sessions
+        self.rows: dict[tuple, dict] = {}
+        self.aps: dict[tuple[str, str], int] = {}
+
+    def write_rows(self, sid: int, streams: dict[str, list[dict]]) -> int:
+        for stream, rows in sorted(streams.items()):
+            for row in rows:
+                fields = {name: float(v) if name in _REF_NUMBER_FIELDS else v
+                          for name, v in row.items() if name not in ("ts", "ms", "idx")}
+                if "mac" in fields:
+                    pair = fields.pop("mac"), fields.pop("essid")
+                    fields["ap_id"] = self.aps.setdefault(pair, len(self.aps) + 1)
+                key = (sid, stream, row["ts"], row.get("ms", -1), row.get("idx", 0))
+                self.rows.setdefault(key, fields)
+        return sum(len(rows) for rows in streams.values())
+
+    def read_session_rows(self, sid, streams=None, start_ts=None, end_ts=None):
+        pairs = {ap_id: pair for pair, ap_id in self.aps.items()}
+        out: dict[str, list[dict]] = {}
+        for key in sorted(self.rows, key=lambda k: k[2:]):
+            row_sid, stream, ts, ms, idx = key
+            if (row_sid != sid or (streams and stream not in streams)
+                    or (start_ts is not None and ts < start_ts)
+                    or (end_ts is not None and ts >= end_ts)):
+                continue
+            row = {"ts": ts, **({"ms": ms} if ms != -1 else {}),
+                   **({"idx": idx} if idx else {}), **self.rows[key]}
+            if stream == "wifi" and row["ap_id"] in pairs:
+                row["mac"], row["essid"] = pairs[row["ap_id"]]
+            out.setdefault(stream, []).append(row)
+        return out
+
+    def storage_stats(self) -> dict:
+        rows: dict[str, int] = {}
+        logical: dict[str, int] = {}
+        for (_, stream, *_), fields in self.rows.items():
+            rows[stream] = rows.get(stream, 0) + 1
+            logical[stream] = logical.get(stream, 0) + logical_row_bytes(stream, fields)
+        return {"sessions": self.sessions, "access_points": len(self.aps), "rows": rows,
+                "logical_bytes": logical, "total_rows": sum(rows.values()),
+                "total_logical_bytes": sum(logical.values())}
+
+
+# timestamps 0-2 make rows collide on their natural key, where the first write wins
+_colliding = _batch_strategy(_row_strategies(st.integers(0, 2) | _ts, _num | _i64))
+_writes = st.lists(st.tuples(st.integers(0, 1), _colliding
                              | st.integers(0, 9)),  # an int replays an earlier packet
                    min_size=1, max_size=6)
 
 
 @settings(max_examples=50, deadline=None)
 @given(writes=_writes, lo=st.integers(0, 2**62 - 1), span=st.integers(0, 2**62))
-def test_memory_and_sqlite_backends_agree(writes, lo, span):
-    backends = [storage.MemoryStorage(), storage.SqliteStorage(":memory:")]
+def test_sqlite_storage_matches_dict_model(writes, lo, span):
+    sql = storage.SqliteStorage(":memory:")
     try:
-        sids = [[b.upsert_session(f"{n:0>32}", TS, bytes(16)) for n in range(2)]
-                for b in backends]
-        assert sids[0] == sids[1]
+        sids = [sql.upsert_session(f"{n:0>32}", TS, bytes(16)) for n in range(2)]
+        model = _StorageOracle(sessions=len(sids))
         sent: list[tuple[int, dict]] = []
         for who, batch in writes:
             if isinstance(batch, int):
@@ -339,16 +406,43 @@ def test_memory_and_sqlite_backends_agree(writes, lo, span):
                     continue
                 sid, streams = sent[batch % len(sent)]
             else:
-                sid, (streams, _) = sids[0][who], codec.validate_streams(batch)
+                sid, (streams, _) = sids[who], codec.validate_streams(batch)
                 sent.append((sid, streams))
-            assert [b.write_rows(sid, streams) for b in backends] == [
-                codec.batch_row_count(streams)] * 2
-        mem, sql = backends
-        for sid in sids[0]:
-            assert mem.read_session_rows(sid) == sql.read_session_rows(sid)
-            assert (mem.read_session_rows(sid, ["wifi", "accel", "events"], lo, lo + span)
-                    == sql.read_session_rows(sid, ["wifi", "accel", "events"], lo, lo + span))
-        assert mem.storage_stats() == sql.storage_stats()
+            assert sql.write_rows(sid, streams) == model.write_rows(sid, streams)
+        for sid in sids:
+            assert sql.read_session_rows(sid) == model.read_session_rows(sid)
+            picked = (["wifi", "accel", "events"], lo, lo + span)
+            assert sql.read_session_rows(sid, *picked) == model.read_session_rows(sid, *picked)
+        assert sql.storage_stats() == model.storage_stats()
     finally:
-        for b in backends:
-            b.close()
+        sql.close()
+
+
+_wild = (st.sampled_from(_ODD_VALUES) | st.integers()
+         | st.text(st.characters(exclude_categories=()), max_size=4))  # lone surrogates too
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), stream=st.sampled_from(codec.STREAMS),
+       beyond=st.sampled_from([2**63, -(2**63) - 1]))
+def test_validation_admits_only_what_sqlite_holds(data, stream, beyond):
+    row = data.draw(_rows[stream])
+    numeric = sorted(name for name, v in row.items() if type(v) in (int, float))
+    with pytest.raises(codec.MalformedPayload):
+        codec.validate_row(stream, {**row, data.draw(st.sampled_from(numeric)): beyond})
+    for key in data.draw(st.lists(st.sampled_from(sorted(row)), max_size=3)):
+        value = data.draw(_wild)
+        if value is _DROP:
+            row.pop(key, None)
+        else:
+            row[key] = value
+    try:
+        accepted = codec.validate_row(stream, row)
+    except codec.MalformedPayload:
+        return
+    sql = storage.SqliteStorage(":memory:")
+    try:
+        sid = sql.upsert_session(HASH, TS, bytes(16))
+        assert sql.write_rows(sid, {stream: [accepted]}) == 1
+    finally:
+        sql.close()

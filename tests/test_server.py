@@ -119,18 +119,37 @@ def test_replayed_data_packet_acked_idempotently(test_keypair):
 
 
 def test_integers_beyond_sqlite_are_discarded_not_raised(test_keypair, tmp_path):
-    # ts and auth time may reach 2**64 - 1 on the wire; SQLite holds signed 64 bits
+    # ts and auth time end at 2**63 - 1, where SQLite's signed 64 bits do;
+    # the blobs are sealed by hand because the encoders refuse such values
     core = IngestCore(test_keypair.private_part, storage.SqliteStorage(str(tmp_path / "s.db")))
     key = crypto.generate_session_key()
-    assert core.handle_auth_packet(auth_blob(test_keypair, key, start=2**63)) is None
-    assert core.metrics["auth_discard_storage"] == 1
+    auth = codec.canonical_json({"seq": 1, "hash": HASH, "time": 2**63, "key": key.hex(),
+                                 "version": codec.PROTOCOL_VERSION})
+    assert core.handle_auth_packet(
+        crypto.asym_encrypt(test_keypair.public_part, codec.compress(auth))) is None
+    assert core.metrics["auth_discard_malformed"] == 1
     sid = codec.decode_auth_response(
         core.handle_auth_packet(auth_blob(test_keypair, key)), key).session_id
-    assert core.handle_data_packet(data_blob(key, sid, seq=2, base_ts=2**63)) is None
-    assert core.metrics["data_discard_storage"] == 1
+    data = codec.canonical_json({"seq": 2, "streams": {"pressure": [{"ts": 2**63, "hpa": 1.0}]}})
+    assert core.handle_data_packet(codec.seal_data_payload(sid, data, key)) is None
+    assert core.metrics["data_discard_malformed"] == 1
     fb = codec.decode_feedback(core.handle_data_packet(data_blob(key, sid, seq=3)), key)
     assert fb.stored == 5
     assert core.storage.storage_stats()["rows"] == {"pressure": 5}
+    assert not any(name.endswith("_discard_storage") for name in core.metrics)
+    core.storage.close()
+
+
+def test_text_without_a_utf8_form_is_discarded_not_raised(test_keypair):
+    # a JSON escape can carry a lone surrogate, which a SQLite TEXT column cannot
+    core = IngestCore(test_keypair.private_part, storage.SqliteStorage(":memory:"))
+    key = crypto.generate_session_key()
+    sid = codec.decode_auth_response(
+        core.handle_auth_packet(auth_blob(test_keypair, key)), key).session_id
+    data = b'{"seq":2,"streams":{"bt":[{"device_id":"\\ud800","rssi":-3,"ts":5}]}}'
+    assert core.handle_data_packet(codec.seal_data_payload(sid, data, key)) is None
+    assert core.metrics["data_discard_malformed"] == 1
+    assert core.storage.storage_stats()["total_rows"] == 0
     core.storage.close()
 
 

@@ -1,8 +1,9 @@
 import random
+import sqlite3
 
 import pytest
 
-from senselink import codec, storage
+from senselink import codec, sim, storage
 from senselink.sim import (ChannelConfig, EventLoop, ExperimentReport, SimError,
                            VerificationFailed, WorkloadConfig, MAX_RATE_WORKLOAD,
                            _Direction, flush_chunks, generate_session,
@@ -292,6 +293,35 @@ def test_experiment_against_sqlite_storage(test_keypair, tmp_path):
     st = storage.SqliteStorage(str(tmp_path / "x.db"))
     try:
         assert st.storage_stats()["total_rows"] == report.rows_stored
+    finally:
+        st.close()
+
+
+@pytest.mark.parametrize("selector", [None, "memory", "sqlite"])
+def test_experiment_closes_the_storage_it_opens(test_keypair, tmp_path, monkeypatch,
+                                                selector):
+    opened = []
+
+    def spy(sel):
+        opened.append(storage.open_storage(sel))
+        return opened[-1]
+
+    monkeypatch.setattr(sim, "open_storage", spy)
+    if selector == "sqlite":
+        selector = f"sqlite:{tmp_path / 'x.db'}"
+    report = run_experiment(WorkloadConfig(duration_s=10, seed=12), ChannelConfig(),
+                            keypair=test_keypair, storage=selector)
+    assert report.verified and len(opened) == 1
+    with pytest.raises(sqlite3.ProgrammingError):  # closed
+        opened[0].storage_stats()
+
+
+def test_experiment_leaves_a_callers_storage_open(test_keypair):
+    st = storage.SqliteStorage(":memory:")
+    report = run_experiment(WorkloadConfig(duration_s=10, seed=12), ChannelConfig(),
+                            keypair=test_keypair, storage=st)
+    try:
+        assert st.storage_stats()["total_rows"] == report.rows_stored > 0
     finally:
         st.close()
 

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from senselink import codec, storage
+from test_properties import logical_row_bytes  # the cost function of the dict model
 
 TS = 1_400_000_000
 KEY = bytes(range(16))
@@ -15,8 +16,8 @@ KEY = bytes(range(16))
 
 @pytest.fixture(params=["memory", "sqlite"])
 def store(request, tmp_path):
-    if request.param == "memory":
-        st = storage.MemoryStorage()
+    if request.param == "memory":  # in-memory SQLite: the simulator's and ServerConfig's default
+        st = storage.open_storage("memory")
     else:
         st = storage.SqliteStorage(str(tmp_path / "t.db"))
     yield st
@@ -263,14 +264,14 @@ def test_sqlite_ap_cache_stays_bounded(tmp_path, monkeypatch):
 
 
 def test_logical_row_bytes_constants():
-    assert storage.logical_row_bytes("gps", {}) == 47
-    assert storage.logical_row_bytes("wifi", {}) == 17
-    assert storage.logical_row_bytes("bt", {}) == 16
-    assert storage.logical_row_bytes("pressure", {}) == 12
-    assert storage.logical_row_bytes("obd", {}) == 14
-    assert storage.logical_row_bytes("accel", {"samples": [[1, 2, 3]] * 10}) == 8 + 60
-    assert storage.logical_row_bytes("events", {"kind": "marker", "detail": "x"}) == 8 + 6 + 1
-    assert storage.logical_row_bytes("events", {"kind": "marker"}) == 8 + 6
+    assert logical_row_bytes("gps", {}) == 47
+    assert logical_row_bytes("wifi", {}) == 17
+    assert logical_row_bytes("bt", {}) == 16
+    assert logical_row_bytes("pressure", {}) == 12
+    assert logical_row_bytes("obd", {}) == 14
+    assert logical_row_bytes("accel", {"samples": [[1, 2, 3]] * 10}) == 8 + 60
+    assert logical_row_bytes("events", {"kind": "marker", "detail": "x"}) == 8 + 6 + 1
+    assert logical_row_bytes("events", {"kind": "marker"}) == 8 + 6
 
 
 def test_stats_logical_bytes_match_hand_computation(store):
@@ -301,8 +302,10 @@ def test_stats_do_not_expose_user_identities(store):
 
 def test_sqlite_survives_process_kill(tmp_path):
     db = tmp_path / "durable.db"
+    package_root = os.path.dirname(os.path.dirname(storage.__file__))
     script = textwrap.dedent(f"""
-        import os
+        import os, sys
+        sys.path.insert(0, {package_root!r})  # the senselink under test
         from senselink import storage
         st = storage.SqliteStorage({str(db)!r})
         sid = st.upsert_session("a" * 32, {TS}, bytes(16))
@@ -344,7 +347,7 @@ def test_sqlite_reopen_after_close(tmp_path):
 
 def test_open_storage_selectors(tmp_path):
     st = storage.open_storage("memory")
-    assert isinstance(st, storage.MemoryStorage)
+    assert type(st) is storage.SqliteStorage  # not the MemoryStorage subclass
     st.close()
 
     path = str(tmp_path / "sel.db")
