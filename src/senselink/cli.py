@@ -21,9 +21,10 @@ import sys
 import time
 
 from . import crypto, sim
-from .client import ClientSession, TcpTransport, UdpTransport, run_until_drained
+from .client import DEFAULT_WINDOW, ClientSession, TcpTransport, UdpTransport, run_until_drained
 from .journal import Journal
-from .server import ConfigError, ServerConfig, ServerDaemon
+from .server import (DEFAULT_AUTH_PORT, DEFAULT_CACHE_CAPACITY, DEFAULT_DATA_PORT, ConfigError,
+                     ServerConfig, ServerDaemon)
 from .storage import open_storage
 
 ENV_PREFIX = "SENSELINK_"
@@ -238,24 +239,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the ingest server")
     _arg(p, "key", default="server_key.pem", help="private key path")
     _arg(p, "host", default="127.0.0.1", help="bind address")
-    _arg(p, "auth-port", type=int, default=7401, help="authentication port")
-    _arg(p, "data-port", type=int, default=7402, help="data port")
+    _arg(p, "auth-port", type=int, default=DEFAULT_AUTH_PORT, help="authentication port")
+    _arg(p, "data-port", type=int, default=DEFAULT_DATA_PORT, help="data port")
     _arg(p, "transport", default="udp,tcp", help="comma list of udp,tcp")
     _arg(p, "storage", default="senselink.db", help="'memory', 'sqlite:PATH' or a path")
-    _arg(p, "cache", type=int, default=10000, help="session key cache entries")
+    _arg(p, "cache", type=int, default=DEFAULT_CACHE_CAPACITY,
+         help="session key cache entries")
     _arg(p, "metrics-port", type=int, default=0, help="plain-text metrics port (0=off)")
     _arg(p, "log-level", default="info", help="debug|info|warning|error")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("upload", help="upload a journal or generated workload")
     _arg(p, "server", default="127.0.0.1", help="server host")
-    _arg(p, "auth-port", type=int, default=7401, help="authentication port")
-    _arg(p, "data-port", type=int, default=7402, help="data port")
+    _arg(p, "auth-port", type=int, default=DEFAULT_AUTH_PORT, help="authentication port")
+    _arg(p, "data-port", type=int, default=DEFAULT_DATA_PORT, help="data port")
     _arg(p, "pubkey", default="server_key.pub.pem", help="server public key path")
     _arg(p, "email", default="unit@example.org", help="user e-mail (hashed locally)")
     _arg(p, "time", type=int, default=0, help="session start time (0 = now)")
     _arg(p, "transport", default="udp", choices=("udp", "tcp"), help="transport")
-    _arg(p, "window", type=int, default=16, help="max data packets in flight")
+    _arg(p, "window", type=int, default=DEFAULT_WINDOW, help="max data packets in flight")
     _arg(p, "journal", default=None, help="journal file to upload and track")
     _arg(p, "duration", type=int, default=0, help="generate a workload of this many seconds")
     _arg(p, "seed", type=int, default=1, help="workload generator seed")

@@ -90,7 +90,6 @@ class PendingAuth:
     key: bytes
     identifiers: dict | None
     blob: bytes
-    sent_at: float
     retries: int = 0
     next_retry_at: float = 0.0
 
@@ -150,9 +149,6 @@ class ClientSession:
     def __init__(self, user_hash: str, start_time: int, server_public, *,
                  version: int = 1, identifiers: dict | None = None,
                  window: int = DEFAULT_WINDOW, journal=None,
-                 base_timeout: float = BASE_TIMEOUT,
-                 backoff_factor: float = BACKOFF_FACTOR,
-                 max_timeout: float = MAX_TIMEOUT,
                  max_retries: int = MAX_RETRIES,
                  buffer_limit_bytes: int = BUFFER_LIMIT_BYTES,
                  pack_json_budget: int = PACK_JSON_BUDGET,
@@ -170,9 +166,6 @@ class ClientSession:
         self.identifiers = dict(identifiers) if identifiers else None
         self.server_public = server_public
         self.window = window
-        self.base_timeout = base_timeout
-        self.backoff_factor = backoff_factor
-        self.max_timeout = max_timeout
         self.max_retries = max_retries
         self.buffer_limit_bytes = buffer_limit_bytes
         self.pack_json_budget = pack_json_budget
@@ -215,7 +208,7 @@ class ClientSession:
         return seq
 
     def _timeout_after(self, retries: int) -> float:
-        return min(self.max_timeout, self.base_timeout * self.backoff_factor ** retries)
+        return min(MAX_TIMEOUT, BASE_TIMEOUT * BACKOFF_FACTOR ** retries)
 
     def _buffer_row(self, index: int, stream: str, row_json: bytes):
         entry = _BufferedRow(index, stream, row_json)
@@ -231,7 +224,7 @@ class ClientSession:
                                 version=self.version, identifiers=identifiers)
         blob = codec.encode_auth_request(req, self.server_public)
         self._pending_auths[seq] = PendingAuth(
-            seq=seq, key=key, identifiers=identifiers, blob=blob, sent_at=now,
+            seq=seq, key=key, identifiers=identifiers, blob=blob,
             next_retry_at=now + self._timeout_after(0))
         self.counters["auth_sent"] += 1
         self.counters["wire_bytes_total"] += len(blob)
@@ -464,12 +457,6 @@ class ClientSession:
             feedback_received=c["feedback_received"], json_bytes=c["json_bytes"],
             wire_bytes=c["wire_bytes"], wire_bytes_total=c["wire_bytes_total"],
             max_inflight=c["max_inflight"])
-
-
-def begin_session(user_hash: str, start_time: int, server_public, *,
-                  now: float = 0.0, **options) -> tuple[ClientSession, list[tuple[str, bytes]]]:
-    session = ClientSession(user_hash, start_time, server_public, **options)
-    return session, session.begin(now)
 
 
 # ---------------------------------------------------------------------------

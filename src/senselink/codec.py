@@ -23,7 +23,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import crypto
 from .crypto import DecryptFailed
@@ -64,10 +64,6 @@ class UnknownSession(CodecError):
 
 
 class FrameTooLarge(CodecError):
-    pass
-
-
-class TruncatedStream(CodecError):
     pass
 
 
@@ -368,7 +364,6 @@ STREAM_SPECS: dict[str, StreamSpec] = {spec.name: spec for spec in (
 
 STREAMS = tuple(STREAM_SPECS)
 MOTION_STREAMS = frozenset(s.name for s in STREAM_SPECS.values() if s.sample_bytes)
-MS_REQUIRED_STREAMS = frozenset(s.name for s in STREAM_SPECS.values() if s.ms_required)
 _WIFI_BY_PAIR = STREAM_SPECS["wifi"].checks[:3] + (
     _RSSI, _text("mac", allow_empty=False), _text("essid"))  # hidden networks broadcast ""
 
@@ -551,45 +546,10 @@ def frame(blob: bytes) -> bytes:
     return _U32.pack(len(blob)) + blob
 
 
-def _read_exact(read: Callable[[int], bytes], n: int) -> bytes | None:
-    """Read exactly n bytes; None on clean EOF before the first byte."""
-    chunks: list[bytes] = []
-    got = 0
-    while got < n:
-        chunk = read(n - got)
-        if not chunk:
-            if got == 0:
-                return None
-            raise TruncatedStream(f"stream ended {n - got} bytes short")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
-def iter_frames(read: Callable[[int], bytes], *, max_bytes: int = MAX_PACKET_BYTES) -> Iterator[bytes]:
-    """Yield framed blobs from a stream reader until clean EOF.
-
-    The length prefix is checked before any body allocation, so an adversarial
-    declared length cannot force a large buffer.
-    """
-    while True:
-        header = _read_exact(read, 4)
-        if header is None:
-            return
-        length = _U32.unpack(header)[0]
-        if length > max_bytes:
-            raise FrameTooLarge(f"declared frame of {length} bytes exceeds {max_bytes}")
-        body = _read_exact(read, length) if length else b""
-        if body is None:
-            raise TruncatedStream("stream ended before frame body")
-        yield body
-
-
 @dataclass
 class FrameBuffer:
     """Incremental deframer for non-blocking TCP receive paths."""
 
-    max_bytes: int = MAX_PACKET_BYTES
     _buf: bytearray = field(default_factory=bytearray)
 
     def feed(self, data: bytes) -> list[bytes]:
@@ -597,8 +557,8 @@ class FrameBuffer:
         out: list[bytes] = []
         while len(self._buf) >= 4:
             length = _U32.unpack_from(self._buf)[0]
-            if length > self.max_bytes:
-                raise FrameTooLarge(f"declared frame of {length} bytes exceeds {self.max_bytes}")
+            if length > MAX_PACKET_BYTES:
+                raise FrameTooLarge(f"declared frame of {length} bytes exceeds {MAX_PACKET_BYTES}")
             if len(self._buf) < 4 + length:
                 break
             out.append(bytes(self._buf[4:4 + length]))

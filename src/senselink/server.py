@@ -5,11 +5,17 @@ threads: every arriving blob is self-describing, so the core can be thrown
 away and rebuilt around the same storage at any time and handle the next
 packet identically. The simulator and the fuzz tests drive it directly.
 
-:class:`ServerDaemon` wraps the core in the production topology of four
-workers: one connection worker per listening port (each multiplexing a UDP
-socket and a TCP listener), an authentication worker whose storage calls are
-serialized by construction, and a data worker that decodes each packet,
-writes its rows and only then releases the feedback packet.
+:class:`ServerDaemon` wraps the core in two port workers, one thread per
+listening port. Each selects on its port's UDP socket, TCP listener and TCP
+connections, handles a blob on the spot and sends the reply itself; the auth
+port's worker also serves the metrics page. There are no queues: while a
+worker handles one blob the next ones wait in the kernel, so TCP peers are
+slowed by their window and memory stays bounded by the socket buffers. The
+UDP receive buffer asks for room for several clients' windows (the kernel
+caps it at net.core.rmem_max); datagrams beyond it are dropped, counted as
+``<port>_udp_dropped`` on Linux, and retransmitted by the client. A TCP
+reply is one non-blocking send of the whole frame into a small send buffer;
+a peer that cannot take it is closed, so no frame follows a cut one.
 
 Anything that fails decryption, decompression, or validation is silently
 discarded; per-kind counters are the only trace.
@@ -18,9 +24,10 @@ discarded; per-kind counters are the only trace.
 from __future__ import annotations
 
 import logging
-import queue
 import selectors
+import signal
 import socket
+import sys
 import threading
 import time
 from collections import OrderedDict
@@ -34,6 +41,8 @@ log = logging.getLogger(__name__)
 DEFAULT_AUTH_PORT = 7401
 DEFAULT_DATA_PORT = 7402
 DEFAULT_CACHE_CAPACITY = 10_000
+UDP_RCVBUF_BYTES = 4 * 1024 * 1024  # a window of 16 batch packets is ~0.6 MB
+TCP_SNDBUF_BYTES = 16 * 1024  # a peer that reads keeps its window of replies itself
 
 _DISCARD_KEYS = {
     crypto.DecryptFailed: "decrypt",
@@ -56,7 +65,6 @@ class ServerConfig:
     transports: tuple[str, ...] = ("udp", "tcp")
     storage: str = "memory"
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
-    max_packet_bytes: int = codec.MAX_PACKET_BYTES
     metrics_port: int = 0  # 0 disables the metrics listener
 
     def __post_init__(self):
@@ -203,19 +211,21 @@ class IngestCore:
 # threaded daemon
 
 
-class _ConnectionWorker(threading.Thread):
-    """Receives blobs for one port over UDP and TCP and queues them with a
-    reply callback bound to the originating endpoint."""
+class _PortWorker(threading.Thread):
+    """Receives, handles and answers every blob of one port on the thread
+    that owns the port's sockets: the UDP socket, the TCP listener and each
+    TCP connection (and, on the auth port, the metrics listener)."""
 
-    def __init__(self, name: str, host: str, port: int, transports: tuple[str, ...],
-                 out_queue: queue.Queue, max_packet_bytes: int, stop: threading.Event):
-        super().__init__(name=f"{name}-conn", daemon=True)
-        self._out = out_queue
-        self._max = max_packet_bytes
+    def __init__(self, kind: str, host: str, port: int, transports: tuple[str, ...],
+                 handle, core: IngestCore, stop: threading.Event):
+        super().__init__(name=f"{kind}-worker", daemon=True)
+        self._kind = kind
+        self._handle = handle
+        self._core = core
         self._stop_event = stop
         self._selector = selectors.DefaultSelector()
-        self.udp_sock = None
-        self.tcp_sock = None
+        self.udp_sock = self.tcp_sock = self.metrics_sock = None
+        self._udp_drops = 0
         self._bind(host, port, transports)
         if self.udp_sock is not None:
             self._selector.register(self.udp_sock, selectors.EVENT_READ, self._on_udp)
@@ -230,6 +240,9 @@ class _ConnectionWorker(threading.Thread):
             try:
                 if "udp" in transports:
                     udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+                    udp.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, UDP_RCVBUF_BYTES)
+                    if sys.platform == "linux":  # SO_RXQ_OVFL: datagrams carry the drop count
+                        udp.setsockopt(socket.SOL_SOCKET, 40, 1)
                     udp.bind((host, port))
                     udp.setblocking(False)
                 if "tcp" in transports:
@@ -250,39 +263,58 @@ class _ConnectionWorker(threading.Thread):
 
     @property
     def port(self) -> int:
-        sock = self.udp_sock or self.tcp_sock
-        return sock.getsockname()[1]
+        return (self.udp_sock or self.tcp_sock).getsockname()[1]
+
+    def listen_metrics(self, host: str, port: int):
+        self.metrics_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._selector.register(self.metrics_sock, selectors.EVENT_READ, self._on_metrics)
+        self.metrics_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self.metrics_sock.bind((host, port))
+        self.metrics_sock.listen(8)
+        self.metrics_sock.setblocking(False)
+
+    def _answer(self, blob: bytes) -> bytes | None:
+        try:
+            return self._handle(blob)
+        except Exception:
+            # the handler already counted the blob as received; count it
+            # as discarded so received = ok + discarded still holds
+            log.exception("%s handler failed", self._kind)
+            self._core.bump(f"{self._kind}_discard_error")
+            return None
 
     def _on_udp(self, sock):
         try:
-            blob, addr = sock.recvfrom(65535)
+            blob, ancdata, _, addr = sock.recvmsg(65535, socket.CMSG_SPACE(4))
         except OSError:
             return
-        def reply(resp: bytes, _addr=addr):
+        if ancdata:  # the socket's drops so far, once there are any
+            drops = int.from_bytes(ancdata[0][2], sys.byteorder)
+            self._core.bump(f"{self._kind}_udp_dropped", drops - self._udp_drops)
+            self._udp_drops = drops
+        resp = self._answer(blob)
+        if resp is not None:
             try:
-                sock.sendto(resp, _addr)
+                sock.sendto(resp, addr)
             except OSError:
-                pass
-        self._out.put((blob, reply))
+                pass  # a full send buffer drops the reply; the client retransmits
 
     def _on_accept(self, listener):
         try:
-            conn, _ = listener.accept()
+            conn, peer = listener.accept()
         except OSError:
             return
         conn.setblocking(False)
-        buf = codec.FrameBuffer(max_bytes=self._max)
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, TCP_SNDBUF_BYTES)
+        buf = codec.FrameBuffer()
         self._selector.register(conn, selectors.EVENT_READ,
-                                lambda sock, _buf=buf: self._on_tcp(sock, _buf))
+                                lambda sock, _buf=buf, _peer=peer: self._on_tcp(sock, _buf, _peer))
 
     def _close_conn(self, conn):
-        try:
-            self._selector.unregister(conn)
-        except (KeyError, ValueError):
-            pass
+        self._selector.unregister(conn)
         conn.close()
 
-    def _on_tcp(self, conn, buf: codec.FrameBuffer):
+    def _on_tcp(self, conn, buf: codec.FrameBuffer, peer):
         try:
             data = conn.recv(65536)
         except BlockingIOError:
@@ -296,16 +328,28 @@ class _ConnectionWorker(threading.Thread):
         try:
             blobs = buf.feed(data)
         except codec.FrameTooLarge:
-            log.warning("oversized frame from %s", conn.getpeername())
+            log.warning("oversized frame from %s", peer)
             self._close_conn(conn)
             return
-        def reply(resp: bytes, _conn=conn):
-            try:
-                _conn.sendall(codec.frame(resp))
-            except OSError:
-                pass
         for blob in blobs:
-            self._out.put((blob, reply))
+            resp = self._answer(blob)
+            if resp is not None and not _send_whole(conn, codec.frame(resp)):
+                # a peer that stopped reading: never leave a cut frame behind
+                self._core.bump(f"{self._kind}_tcp_stalled")
+                self._close_conn(conn)
+                return
+
+    def _on_metrics(self, listener):
+        try:
+            conn, _ = listener.accept()
+        except OSError:
+            return
+        with conn:
+            conn.setblocking(False)
+            try:
+                _send_whole(conn, self._core.metrics_text().encode("utf-8"))
+            except Exception:
+                log.exception("metrics page failed")
 
     def run(self):
         while not self._stop_event.is_set():
@@ -314,27 +358,20 @@ class _ConnectionWorker(threading.Thread):
 
     def close(self):
         for key in list(self._selector.get_map().values()):
-            try:
-                key.fileobj.close()
-            except OSError:
-                pass
+            key.fileobj.close()
         self._selector.close()
 
 
-def _worker_loop(in_queue: queue.Queue, handle):
-    """Answer each queued blob with ``handle(blob)``, unless that is None."""
-    while True:
-        item = in_queue.get()
-        if item is None:
-            return
-        blob, reply = item
-        resp = handle(blob)
-        if resp is not None:
-            reply(resp)
+def _send_whole(conn: socket.socket, data: bytes) -> bool:
+    """One non-blocking send of ``data``; False unless all of it went out."""
+    try:
+        return conn.send(data) == len(data)
+    except OSError:
+        return False
 
 
 class ServerDaemon:
-    """Four-worker ingest daemon around one IngestCore."""
+    """Two port workers around one IngestCore."""
 
     def __init__(self, config: ServerConfig, *, private_key=None, storage=None):
         self.config = config
@@ -345,11 +382,7 @@ class ServerDaemon:
         self.core = IngestCore(private_key, self._storage,
                                cache_capacity=config.cache_capacity)
         self._stop = threading.Event()
-        self._auth_queue: queue.Queue = queue.Queue()
-        self._data_queue: queue.Queue = queue.Queue()
-        self._threads: list[threading.Thread] = []
-        self._workers: list[_ConnectionWorker] = []
-        self._metrics_sock = None
+        self._workers: list[_PortWorker] = []
 
     @property
     def auth_port(self) -> int:
@@ -359,76 +392,35 @@ class ServerDaemon:
     def data_port(self) -> int:
         return self._workers[1].port
 
+    @property
+    def metrics_port(self) -> int:
+        sock = self._workers[0].metrics_sock
+        return sock.getsockname()[1] if sock else 0
+
     def start(self):
         cfg = self.config
         try:
-            auth_worker = _ConnectionWorker("auth", cfg.host, cfg.auth_port,
-                                            cfg.transports, self._auth_queue,
-                                            cfg.max_packet_bytes, self._stop)
-            data_worker = _ConnectionWorker("data", cfg.host, cfg.data_port,
-                                            cfg.transports, self._data_queue,
-                                            cfg.max_packet_bytes, self._stop)
+            for kind, port, handle in (("auth", cfg.auth_port, self.core.handle_auth_packet),
+                                       ("data", cfg.data_port, self.core.handle_data_packet)):
+                self._workers.append(_PortWorker(kind, cfg.host, port, cfg.transports,
+                                                 handle, self.core, self._stop))
+            if cfg.metrics_port:
+                self._workers[0].listen_metrics(cfg.host, cfg.metrics_port)
         except OSError as exc:
+            for worker in self._workers:  # each closes every socket it registered
+                worker.close()
+            self._workers.clear()
             raise ConfigError(f"cannot bind listening sockets: {exc}") from exc
-        self._workers = [auth_worker, data_worker]
-        self._threads = [
-            auth_worker,
-            data_worker,
-            threading.Thread(target=_worker_loop, name="auth-worker",
-                             args=(self._auth_queue, self.core.handle_auth_packet),
-                             daemon=True),
-            threading.Thread(target=_worker_loop, name="data-worker",
-                             args=(self._data_queue, self.core.handle_data_packet),
-                             daemon=True),
-        ]
-        for thread in self._threads:
-            thread.start()
-        if cfg.metrics_port:
-            self._start_metrics(cfg.host, cfg.metrics_port)
+        for worker in self._workers:
+            worker.start()
         log.info("serving auth=%d data=%d transports=%s storage=%s",
                  self.auth_port, self.data_port, ",".join(cfg.transports), cfg.storage)
 
-    def _start_metrics(self, host: str, port: int):
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(8)
-        sock.settimeout(0.2)
-        self._metrics_sock = sock
-
-        def serve_metrics():
-            while not self._stop.is_set():
-                try:
-                    conn, _ = sock.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return
-                try:
-                    conn.sendall(self.core.metrics_text().encode("utf-8"))
-                finally:
-                    conn.close()
-
-        thread = threading.Thread(target=serve_metrics, name="metrics", daemon=True)
-        thread.start()
-        self._threads.append(thread)
-
-    @property
-    def metrics_port(self) -> int:
-        return self._metrics_sock.getsockname()[1] if self._metrics_sock else 0
-
     def stop(self):
         self._stop.set()
-        for q in (self._auth_queue, self._data_queue):
-            q.put(None)
-        for worker in self._workers:
-            worker.join(timeout=2.0)
+        for worker in self._workers:  # start() started every worker it kept
+            worker.join()
             worker.close()
-        for thread in self._threads:
-            if thread not in self._workers:
-                thread.join(timeout=2.0)
-        if self._metrics_sock is not None:
-            self._metrics_sock.close()
         if self._owns_storage:
             self._storage.flush()
             self._storage.close()
@@ -441,8 +433,13 @@ class ServerDaemon:
         self.stop()
 
     def run_forever(self):
-        self.start()
+        """Serve until SIGINT or SIGTERM, then stop, flush and close storage."""
+        # SIGINT too: a shell starts a background job (`cmd &`) with it
+        # ignored, and Python then installs no KeyboardInterrupt handler
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, signal.default_int_handler)
         try:
+            self.start()
             while True:
                 time.sleep(1.0)
         except KeyboardInterrupt:

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, asdict
 
 from . import codec, crypto
-from .client import AUTH, DATA, ClientSession
+from .client import AUTH, DATA, DEFAULT_WINDOW, ClientSession
 from .server import IngestCore
 from .storage import open_storage
 
@@ -368,23 +368,21 @@ class _ServerBox:
     """Replaceable ingest core around durable storage: a restart throws the
     core (and its cache) away, the storage object survives."""
 
-    def __init__(self, private_key, storage, cache_capacity: int):
+    def __init__(self, private_key, storage):
         self._private = private_key
-        self._cache_capacity = cache_capacity
         self.storage = storage
         self.restarts = 0
-        self.core = IngestCore(private_key, storage, cache_capacity=cache_capacity)
+        self.core = IngestCore(private_key, storage)
 
     def restart(self):
-        self.core = IngestCore(self._private, self.storage,
-                               cache_capacity=self._cache_capacity)
+        self.core = IngestCore(self._private, self.storage)
         self.restarts += 1
 
 
 def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
                    data_channel: ChannelConfig | None = None,
                    keypair=None, storage=None, mode: str = "batch",
-                   flush_period_s: float = 5.0, window: int = 16,
+                   flush_period_s: float = 5.0, window: int = DEFAULT_WINDOW,
                    restart_at: tuple[int, ...] = (), verify: bool = True,
                    user_email: str = DEFAULT_EMAIL,
                    client_options: dict | None = None) -> ExperimentReport:
@@ -411,7 +409,7 @@ def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
 
         loop = EventLoop()
         rng = random.Random(channel.seed)
-        box = _ServerBox(keypair.private_part, storage, cache_capacity=10_000)
+        box = _ServerBox(keypair.private_part, storage)
         session = ClientSession(crypto.hash_user(user_email), workload.start_ts,
                                 keypair.public_part, window=window,
                                 **(client_options or {}))

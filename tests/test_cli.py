@@ -1,6 +1,10 @@
 import json
 import os
+import pathlib
+import signal
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -173,7 +177,7 @@ def test_upload_missing_pubkey(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# serve (config errors only; the happy path blocks forever)
+# serve
 
 
 def test_serve_equal_ports_is_config_error(keyfiles):
@@ -188,6 +192,34 @@ def test_serve_missing_key_is_config_error(tmp_path):
 def test_serve_bad_transport_is_config_error(keyfiles):
     assert cli.main(["serve", "--key", keyfiles[0],
                      "--transport", "smoke-signals"]) == 2
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_serve_stops_cleanly_on_signal(tmp_path, small_keypair, signum):
+    """The child starts with SIGINT ignored, as a shell background job
+    (`cmd &`) does; either signal still stops it and closes its storage."""
+    key = tmp_path / "k.pem"
+    key.write_bytes(crypto.private_key_pem(small_keypair.private_part))
+    db = tmp_path / "serve.db"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SENSELINK_")}
+    env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "senselink.cli", "serve", "--key", str(key),
+         "--auth-port", "0", "--data-port", "0", "--storage", f"sqlite:{db}"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+    try:
+        for line in proc.stderr:
+            if b"serving auth=" in line:
+                break
+        proc.send_signal(signum)
+        assert proc.wait(timeout=5.0) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert db.exists() and not os.path.exists(f"{db}-wal")  # closed, WAL checkpointed
 
 
 # ---------------------------------------------------------------------------

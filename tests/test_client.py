@@ -8,7 +8,7 @@ import pytest
 
 from senselink import codec, crypto, journal, storage
 from senselink.client import (AUTH, DATA, BASE_TIMEOUT, ClientError, BufferFull, TimeMismatch,
-                              UnknownSeq, ClientSession, TcpTransport, begin_session,
+                              UnknownSeq, ClientSession, TcpTransport,
                               run_until_drained)
 from senselink.server import IngestCore
 
@@ -484,12 +484,6 @@ def test_constructor_validation(test_keypair):
         ClientSession(HASH, TS, test_keypair.public_part, window=0)
 
 
-def test_begin_session_convenience(test_keypair):
-    session, emissions = begin_session(HASH, TS, test_keypair.public_part, window=4)
-    assert session.window == 4
-    assert len(emissions) == 1 and emissions[0][0] == AUTH
-
-
 # ---------------------------------------------------------------------------
 # drain loop and transports
 
@@ -569,7 +563,9 @@ def test_tcp_send_waits_out_a_stalled_reader(test_keypair):
     def read_later():
         time.sleep(0.5)
         data_conn.settimeout(10.0)
-        received.extend(codec.iter_frames(data_conn.recv))
+        buf = codec.FrameBuffer()
+        while data := data_conn.recv(65536):
+            received.extend(buf.feed(data))
 
     reader = threading.Thread(target=read_later, daemon=True)
     reader.start()

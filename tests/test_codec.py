@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import json
 import random
 import zlib
@@ -388,26 +387,17 @@ def test_frame_layout():
     assert codec.frame(b"") == b"\x00\x00\x00\x00"
 
 
-def test_iter_frames_concatenation():
+def test_frame_buffer_concatenation():
     a, b = b"first", b"second frame"
-    stream = io.BytesIO(codec.frame(a) + codec.frame(b))
-    assert list(codec.iter_frames(stream.read)) == [a, b]
+    assert codec.FrameBuffer().feed(codec.frame(a) + codec.frame(b)) == [a, b]
 
 
-def test_iter_frames_rejects_huge_declared_length():
+def test_frame_buffer_rejects_huge_declared_length():
     # 2 GiB declared: must raise on the header alone, no body allocation
-    stream = io.BytesIO((2**31).to_bytes(4, "big"))
     with pytest.raises(codec.FrameTooLarge):
-        list(codec.iter_frames(stream.read))
-
-
-def test_iter_frames_truncation():
-    stream = io.BytesIO(codec.frame(b"hello")[:-2])
-    with pytest.raises(codec.TruncatedStream):
-        list(codec.iter_frames(stream.read))
-    stream = io.BytesIO(b"\x00\x00")
-    with pytest.raises(codec.TruncatedStream):
-        list(codec.iter_frames(stream.read))
+        codec.FrameBuffer().feed((2**31).to_bytes(4, "big"))
+    with pytest.raises(codec.FrameTooLarge):
+        codec.FrameBuffer().feed((codec.MAX_PACKET_BYTES + 1).to_bytes(4, "big"))
 
 
 def test_frame_buffer_incremental():
@@ -418,8 +408,8 @@ def test_frame_buffer_incremental():
     for i in range(0, len(wire), 5):
         seen.extend(buf.feed(wire[i:i + 5]))
     assert seen == payloads
-    with pytest.raises(codec.FrameTooLarge):
-        codec.FrameBuffer(max_bytes=10).feed((11).to_bytes(4, "big"))
+    limit = codec.frame(b"x" * codec.MAX_PACKET_BYTES)
+    assert codec.FrameBuffer().feed(limit) == [limit[4:]]
 
 
 def test_wire_never_contains_plaintext_rows():

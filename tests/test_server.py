@@ -1,6 +1,10 @@
 import os
 import random
+import select
 import socket
+import sqlite3
+import sys
+import threading
 import time
 
 import pytest
@@ -349,15 +353,15 @@ def test_daemon_ignores_fuzz_on_both_sockets(test_keypair, daemon):
     assert daemon.core.storage.storage_stats()["sessions"] == 1
 
 
-def test_daemon_over_sqlite_stores_a_recording_in_several_packets(test_keypair, tmp_path):
+def _store_recording_in_several_packets(keypair, tmp_path, transport_cls):
     path = tmp_path / "daemon.db"
     config = ServerConfig(auth_port=0, data_port=0, host="127.0.0.1",
                           metrics_port=_free_tcp_port())
-    d = ServerDaemon(config, private_key=test_keypair.private_part,
+    d = ServerDaemon(config, private_key=keypair.private_part,
                      storage=storage.SqliteStorage(str(path)))
     generated = sim.generate_session(sim.WorkloadConfig(duration_s=120, start_ts=TS))
     assert {"wifi", "accel"} <= set(generated)
-    session = ClientSession(HASH, TS, test_keypair.public_part, pack_json_budget=8 * 1024)
+    session = ClientSession(HASH, TS, keypair.public_part, pack_json_budget=8 * 1024)
     acks = []
     handle_feedback = session.handle_feedback
 
@@ -372,12 +376,13 @@ def test_daemon_over_sqlite_stores_a_recording_in_several_packets(test_keypair, 
         d.start()
         session.begin(time.monotonic())
         rows = session.enqueue_rows(generated)
-        report = drain(session, TcpTransport("127.0.0.1", d.auth_port, d.data_port))
+        report = drain(session, transport_cls("127.0.0.1", d.auth_port, d.data_port))
         text = _scrape(d.metrics_port)
     finally:
         d.stop()
         d.core.storage.close()
     assert report.complete and report.delivered_rows == rows
+    assert report.retransmissions == 0
     assert len(acks) > 1
     assert all(ack.stored_rows == ack.sent_rows for ack in acks)
     assert sum(ack.sent_rows for ack in acks) == rows
@@ -389,6 +394,134 @@ def test_daemon_over_sqlite_stores_a_recording_in_several_packets(test_keypair, 
         sim.verify_storage(reopened, session.session_id, generated)
     finally:
         reopened.close()
+
+
+def test_daemon_over_sqlite_stores_a_recording_in_several_packets(test_keypair, tmp_path):
+    _store_recording_in_several_packets(test_keypair, tmp_path, TcpTransport)
+
+
+def test_daemon_over_sqlite_takes_a_udp_window_without_retransmission(test_keypair, tmp_path):
+    _store_recording_in_several_packets(test_keypair, tmp_path, UdpTransport)
+
+
+def _udp_handshake(keypair, daemon):
+    """Register a session over UDP; returns the socket, session key and id."""
+    udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    udp.settimeout(5.0)
+    key = crypto.generate_session_key()
+    udp.sendto(auth_blob(keypair, key), ("127.0.0.1", daemon.auth_port))
+    return udp, key, codec.decode_auth_response(udp.recv(65535), key).session_id
+
+
+def test_handler_exception_costs_one_packet_not_the_port(test_keypair, caplog):
+    st = storage.MemoryStorage()
+    write_rows = st.write_rows
+    failures = [sqlite3.OperationalError("disk I/O error")]
+
+    def fail_once(*args):
+        if failures:
+            raise failures.pop()
+        return write_rows(*args)
+
+    st.write_rows = fail_once
+    config = ServerConfig(auth_port=0, data_port=0, host="127.0.0.1",
+                          metrics_port=_free_tcp_port())
+    with ServerDaemon(config, private_key=test_keypair.private_part, storage=st) as d:
+        udp, key, sid = _udp_handshake(test_keypair, d)
+        with udp:
+            for seq in (1, 2):
+                udp.sendto(data_blob(key, sid, seq), ("127.0.0.1", d.data_port))
+            fb = codec.decode_feedback(udp.recv(65535), key)
+        text = _scrape(d.metrics_port)
+    assert (fb.seq, fb.stored) == (2, 5)
+    fields = dict(line.split(" ", 1) for line in text.strip().splitlines())
+    assert fields["data_discard_error"] == "1"
+    assert fields["data_packets"] == "2" and fields["data_ok"] == "1"
+    assert any(r.exc_info and r.exc_info[0] is sqlite3.OperationalError
+               for r in caplog.records)
+
+
+def test_tcp_peer_that_stops_reading_is_closed_between_frames(test_keypair, daemon):
+    udp, key, sid = _udp_handshake(test_keypair, daemon)
+    udp.close()
+    frame = codec.frame(data_blob(key, sid, seq=1))
+    peer = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
+    peer.connect(("127.0.0.1", daemon.data_port))
+    peer.setblocking(False)
+    # replay the packet and never read; keep frames whole on our side
+    burst, pending, sent = frame * 64, b"", 0
+    closed = False
+    deadline = time.monotonic() + 20.0
+    with peer:
+        while time.monotonic() < deadline:
+            pending = pending or burst
+            select.select([], [peer], [], 0.2)
+            try:
+                n = peer.send(pending)
+            except BlockingIOError:
+                continue
+            except (ConnectionResetError, BrokenPipeError):
+                closed = True
+                break
+            pending, sent = pending[n:], sent + n
+        assert closed, f"still open after {sent // len(frame)} packets"
+        peer.settimeout(5.0)
+        buf, frames = codec.FrameBuffer(), []
+        try:
+            while data := peer.recv(65536):
+                frames.extend(buf.feed(data))
+        except ConnectionResetError:
+            pass
+    for blob in frames:
+        assert codec.decode_feedback(blob, key) == codec.FeedbackPacket(sid, 1, 5)
+    assert daemon.core.metrics["data_tcp_stalled"] == 1
+    # the capped send buffer ends it after a few hundred replies, not the
+    # tens of thousands that send-buffer autotuning would take
+    assert daemon.core.metrics["data_packets"] < 2000
+
+    session = ClientSession(crypto.hash_user("next@example.com"), TS, test_keypair.public_part)
+    session.begin(time.monotonic())
+    session.enqueue_rows({"pressure": [{"ts": TS + i, "hpa": 1000.0} for i in range(30)]})
+    report = drain(session, TcpTransport("127.0.0.1", daemon.auth_port, daemon.data_port))
+    assert report.complete and report.delivered_rows == 30
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the kernel reports UDP drops to the socket on Linux only")
+def test_udp_overflow_while_handling_is_counted_as_dropped(test_keypair):
+    st = storage.MemoryStorage()
+    write_rows, release = st.write_rows, threading.Event()
+
+    def wait_for_release(*args):
+        release.wait(10.0)
+        return write_rows(*args)
+
+    st.write_rows = wait_for_release
+    config = ServerConfig(auth_port=0, data_port=0, host="127.0.0.1")
+    with ServerDaemon(config, private_key=test_keypair.private_part, storage=st) as d:
+        udp, key, sid = _udp_handshake(test_keypair, d)
+        with udp:
+            addr = ("127.0.0.1", d.data_port)
+            udp.sendto(data_blob(key, sid, seq=1), addr)
+            time.sleep(0.2)  # the data worker is now waiting inside write_rows
+            # twice the receive buffer in junk for an unknown session
+            rcvbuf = d._workers[1].udp_sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+            junk = bytes(8192)
+            sent = 1 + 2 * rcvbuf // len(junk)
+            for _ in range(sent - 1):
+                udp.sendto(junk, addr)
+            release.set()
+            assert codec.decode_feedback(udp.recv(65535), key).seq == 1
+            # the next datagram the worker reads carries the drop count
+            udp.sendto(data_blob(key, sid, seq=2), addr)
+            sent += 1
+            while codec.decode_feedback(udp.recv(65535), key).seq != 2:
+                pass
+        metrics = dict(d.core.metrics)
+    assert metrics["data_udp_dropped"] > 0
+    assert metrics["data_packets"] + metrics["data_udp_dropped"] == sent
+    assert metrics["data_ok"] == 2
 
 
 def test_daemon_port_conflict_raises(test_keypair):
@@ -428,8 +561,11 @@ def test_metrics_endpoint(test_keypair):
                           metrics_port=_free_tcp_port())
     d = ServerDaemon(config, private_key=test_keypair.private_part,
                      storage=storage.MemoryStorage())
+    before = set(threading.enumerate())
     d.start()
+    started = set(threading.enumerate()) - before
     try:
+        assert len(started) == 2  # one worker per port; the auth one serves metrics
         session = ClientSession(HASH, TS, test_keypair.public_part)
         session.begin(time.monotonic())
         session.enqueue_rows({"pressure": [{"ts": TS, "hpa": 1000.0}]})
@@ -441,3 +577,4 @@ def test_metrics_endpoint(test_keypair):
         assert fields["rows_written"] == "1"
     finally:
         d.stop()
+    assert not [t for t in started if t.is_alive()]
