@@ -102,6 +102,9 @@ class DataPacket:
     # rows under stream names this build does not know; acknowledged but not
     # stored, so newer clients never stall against an older server
     unknown_rows: int = 0
+    # the session key a decoded packet was decrypted with, which encrypts
+    # its feedback
+    key: bytes | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -257,35 +260,63 @@ def deserialize_payload(data: bytes, expected_kind: type):
 # ---------------------------------------------------------------------------
 # the stream table: row shape, ms rule, SQLite table and logical byte cost
 
-# A field is (name, checker, required); the checker raises MalformedPayload
-# or returns the normalized value. Checkers are built once, with the table.
+# A field is (name, check, default). check(row) reads the field from a row as
+# received and returns the value SQLite stores, or raises MalformedPayload; a
+# field a row may leave out stores its default instead. Each check first
+# tests the exact types JSON yields (int, float, str), then falls back to the
+# general test, so bool is refused and int and float subclasses are accepted.
+
+_REQUIRED = object()  # the default of a field every row must carry
+_INF = math.inf
 
 
-def _int(name: str, lo: int = 0, hi: int = I64_MAX, *, required: bool = True):
-    def check(value):
+def _absent(name: str, default):
+    if default is _REQUIRED:
+        raise MalformedPayload(f"row missing field {name!r}")
+    return default
+
+
+def _int(name: str, lo: int = 0, hi: int = I64_MAX, *, default=_REQUIRED):
+    def check(row):
+        value = row.get(name)
+        if type(value) is int and lo <= value <= hi:
+            return value
+        if value is None:
+            return _absent(name, default)
         if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
             raise MalformedPayload(f"row field {name!r} out of range")
         return value
-    return name, check, required
+    return name, check, default
 
 
 def _number(name: str, *, positive: bool = False):
-    def check(value):
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise MalformedPayload(f"row field {name!r} is not finite")
-        elif isinstance(value, bool) or not isinstance(value, int):
-            raise MalformedPayload(f"row field {name!r} is not a number")
-        elif not I64_MIN <= value <= I64_MAX:
-            raise MalformedPayload(f"row field {name!r} out of range")
+    def check(row):
+        value = row.get(name)
+        kind = type(value)
+        if not (kind is float and -_INF < value < _INF
+                or kind is int and I64_MIN <= value <= I64_MAX):
+            if value is None:
+                raise MalformedPayload(f"row missing field {name!r}")
+            if isinstance(value, float):
+                if not math.isfinite(value):
+                    raise MalformedPayload(f"row field {name!r} is not finite")
+            elif isinstance(value, bool) or not isinstance(value, int):
+                raise MalformedPayload(f"row field {name!r} is not a number")
+            elif not I64_MIN <= value <= I64_MAX:
+                raise MalformedPayload(f"row field {name!r} out of range")
         if positive and value <= 0:
             raise MalformedPayload(f"{name} must be positive")
         return value
-    return name, check, True
+    return name, check, _REQUIRED
 
 
-def _text(name: str, *, allow_empty: bool = True, required: bool = True):
-    def check(value):
+def _text(name: str, *, allow_empty: bool = True, default=_REQUIRED):
+    def check(row):
+        value = row.get(name)
+        if type(value) is str and value.isascii() and (allow_empty or value):
+            return value
+        if value is None:
+            return _absent(name, default)
         if not isinstance(value, str) or not (allow_empty or value):
             raise MalformedPayload(f"row field {name!r} is not a valid string")
         try:  # a JSON escape can carry a lone surrogate; UTF-8 (SQLite TEXT) cannot
@@ -293,34 +324,44 @@ def _text(name: str, *, allow_empty: bool = True, required: bool = True):
         except UnicodeEncodeError:
             raise MalformedPayload(f"row field {name!r} is not valid UTF-8") from None
         return value
-    return name, check, required
+    return name, check, default
 
 
-def _check_samples(value):
+def _is_int16(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int) and -32768 <= value <= 32767
+
+
+def _samples(row) -> bytes:
+    """A motion row's samples, packed as little-endian 16-bit triplets."""
+    value = row.get("samples")
     if not isinstance(value, list) or not value or len(value) > MAX_SAMPLES_PER_ROW:
         raise MalformedPayload("samples must be a non-empty bounded list")
+    flat: list = []
     for triple in value:
-        if (
-            not isinstance(triple, list)
-            or len(triple) != 3
-            or any(
-                isinstance(v, bool) or not isinstance(v, int) or not -32768 <= v <= 32767
-                for v in triple
-            )
-        ):
+        if not isinstance(triple, list) or len(triple) != 3:
             raise MalformedPayload("samples must be 16-bit [x, y, z] triplets")
-    return [list(t) for t in value]
+        x, y, z = triple
+        if not (type(x) is int and type(y) is int and type(z) is int
+                or all(map(_is_int16, triple))):
+            raise MalformedPayload("samples must be 16-bit [x, y, z] triplets")
+        flat += triple
+    try:  # the range check of exact ints
+        return struct.pack(f"<{len(flat)}h", *flat)
+    except struct.error:
+        raise MalformedPayload("samples must be 16-bit [x, y, z] triplets") from None
 
 
 class StreamSpec:
     """One sensor stream.
 
-    ``columns`` name the row's fields after the natural key, in the column
-    order of its SQLite ``table``; ``checks`` validate a whole row. They admit
-    only what SQLite holds (https://www.sqlite.org/datatype3.html): integers
-    in signed 64 bits, so ``ts`` and ``device_ts`` end at ``I64_MAX``; number
-    fields as finite floats or signed 64-bit integers, kept as sent on the
-    wire but read back from storage as floats; text as valid UTF-8.
+    ``columns`` name the SQLite columns of the stream's ``table`` after the
+    natural key, in table order. ``row_params`` checks a row as received and
+    returns its values for them; ``normalize`` checks a row and returns the
+    row as validated. Both run the same field checks, which admit only what
+    SQLite holds (https://www.sqlite.org/datatype3.html): integers in signed
+    64 bits, so ``ts`` and ``device_ts`` end at ``I64_MAX``; number fields as
+    finite floats or signed 64-bit integers, kept as sent on the wire but
+    read back from storage as floats; text as valid UTF-8.
 
     A row's logical size, the unit of the storage-rate figures, is ``row_bytes``
     plus ``sample_bytes`` per motion sample plus the UTF-8 length of each
@@ -332,13 +373,83 @@ class StreamSpec:
         self.name = name
         self.table = table
         self.columns = tuple(field_name for field_name, _, _ in fields)
-        # every row starts with its natural key (ts, ms, idx)
-        self.checks = (_int("ts"), _int("ms", hi=999, required=ms_required),
-                       _int("idx", hi=U32_MAX, required=False)) + fields
-        self.ms_required = ms_required
+        # every row starts with its natural key (see natural_key)
+        fields = (_int("ts"), _int("ms", hi=999, default=_REQUIRED if ms_required else -1),
+                  _int("idx", hi=U32_MAX, default=0)) + fields
+        self.checks = tuple(check for _, check, _ in fields)
+        self._named_checks = tuple((field_name, check) for field_name, check, _ in fields)
+        self._optional = tuple(field_name for field_name, _, default in fields if default is None)
         self.row_bytes = row_bytes
         self.sample_bytes = sample_bytes
         self.text_bytes = text_bytes
+
+    def row_params(self, row) -> tuple:
+        """Check one row as received; return ``(ts, ms or -1, idx or 0,
+        *columns)``. A wifi row that names its access point by (mac, essid)
+        carries the pair in place of the ap_id.
+
+        Raises :class:`MalformedPayload` on any violation; receivers discard
+        the whole packet in that case (a well-formed client never sends one).
+        """
+        if not isinstance(row, dict):
+            raise MalformedPayload("row is not an object")
+        return tuple([check(row) for check in self.checks])
+
+    def normalize(self, row) -> dict:
+        """Check one row as ``row_params`` does; return it with unknown fields,
+        an absent ms, a zero idx and absent optional fields left out."""
+        if not isinstance(row, dict):
+            raise MalformedPayload("row is not an object")
+        out = {name: check(row) for name, check in self._named_checks}
+        if out["ms"] == -1:
+            del out["ms"]
+        if not out["idx"]:  # 0 means "the only row of this (ts, ms)", as absent does
+            del out["idx"]
+        for name in self._optional:
+            if out[name] is None:
+                del out[name]
+        return out
+
+
+class _MotionSpec(StreamSpec):
+    """accel, gyro and mag: one row holds a second of samples, stored as
+    their count n and the packed 16-bit triplets."""
+
+    def __init__(self, name: str):
+        super().__init__(name, "motion_rows",
+                         (_number("rate", positive=True), ("samples", _samples, _REQUIRED)),
+                         row_bytes=8, sample_bytes=6)
+        self.columns = ("rate", "n", "samples")
+
+    def row_params(self, row) -> tuple:
+        ts, ms, idx, rate, samples = super().row_params(row)
+        return ts, ms, idx, rate, len(samples) // 6, samples  # 3 x 2 bytes a sample
+
+    def normalize(self, row) -> dict:
+        out = super().normalize(row)
+        out["samples"] = [list(triple) for triple in row["samples"]]  # the checked triples
+        return out
+
+
+class _WifiSpec(StreamSpec):
+    """wifi: a row names its access point by ap_id or by (mac, essid)."""
+
+    def __init__(self):
+        _, ap_id, _ = _int("ap_id", lo=1, hi=U32_MAX)
+        _, mac, _ = _text("mac", allow_empty=False)
+        _, essid, _ = _text("essid")  # hidden networks broadcast ""
+
+        def access_point(row):  # the ap_id, or else the pair that storage interns to one
+            return ap_id(row) if "ap_id" in row else (mac(row), essid(row))
+
+        super().__init__("wifi", "wifi_rows", (("ap_id", access_point, _REQUIRED), _RSSI),
+                         row_bytes=17)
+
+    def normalize(self, row) -> dict:
+        out = super().normalize(row)
+        if isinstance(out["ap_id"], tuple):
+            out["mac"], out["essid"] = out.pop("ap_id")
+        return out
 
 
 _RSSI = _int("rssi", lo=-127, hi=0)
@@ -347,25 +458,19 @@ STREAM_SPECS: dict[str, StreamSpec] = {spec.name: spec for spec in (
     StreamSpec("gps", "gps_rows", (
         _number("lat"), _number("lon"), _number("alt"), _number("speed"),
         _number("accuracy"), _int("device_ts")), ms_required=True, row_bytes=47),
-    # the table's columns are (rate, n, samples): n samples packed as 16-bit triplets
-    *(StreamSpec(name, "motion_rows", (
-        _number("rate", positive=True), ("samples", _check_samples, True)),
-        row_bytes=8, sample_bytes=6) for name in ("accel", "gyro", "mag")),
-    # rows that name the access point by (mac, essid) are checked by _WIFI_BY_PAIR
-    StreamSpec("wifi", "wifi_rows", (_int("ap_id", lo=1, hi=U32_MAX), _RSSI), row_bytes=17),
+    *(_MotionSpec(name) for name in ("accel", "gyro", "mag")),
+    _WifiSpec(),
     StreamSpec("bt", "bt_rows", (_text("device_id", allow_empty=False), _RSSI), row_bytes=16),
     StreamSpec("pressure", "pressure_rows", (_number("hpa"),), row_bytes=12),
     StreamSpec("obd", "obd_rows", (_int("pid", hi=U32_MAX), _number("value")),
                ms_required=True, row_bytes=14),
     StreamSpec("events", "event_rows", (
-        _text("kind", allow_empty=False), _text("detail", required=False)),
+        _text("kind", allow_empty=False), _text("detail", default=None)),
         row_bytes=8, text_bytes=("kind", "detail")),
 )}
 
 STREAMS = tuple(STREAM_SPECS)
 MOTION_STREAMS = frozenset(s.name for s in STREAM_SPECS.values() if s.sample_bytes)
-_WIFI_BY_PAIR = STREAM_SPECS["wifi"].checks[:3] + (
-    _RSSI, _text("mac", allow_empty=False), _text("essid"))  # hidden networks broadcast ""
 
 
 def natural_key(row: dict) -> tuple[int, int, int]:
@@ -382,47 +487,38 @@ def write_order(streams: dict[str, list]) -> list[tuple[str, list]]:
 
 
 def validate_row(stream: str, row: dict) -> dict:
-    """Normalize one row: check the schema, drop unknown fields.
-
-    Raises :class:`MalformedPayload` on any violation; receivers discard the
-    whole packet in that case (a well-formed client never produces one).
-    """
+    """Normalize one row: check the schema, drop unknown fields and a zero
+    idx. Raises :class:`MalformedPayload` as ``StreamSpec.row_params`` does."""
     spec = STREAM_SPECS.get(stream)
     if spec is None:
         raise MalformedPayload(f"unknown stream {stream!r}")
-    if not isinstance(row, dict):
-        raise MalformedPayload("row is not an object")
-    checks = spec.checks
-    if stream == "wifi" and "ap_id" not in row:
-        checks = _WIFI_BY_PAIR
-    out: dict = {}
-    for name, check, required in checks:
-        value = row.get(name)
-        if value is not None:
-            out[name] = check(value)
-        elif required:
-            raise MalformedPayload(f"row missing field {name!r}")
-    if not out.get("idx", 1):  # 0 means "only row this (ts, ms)" and is normalized to absent
-        del out["idx"]
-    return out
+    return spec.normalize(row)
 
 
-def validate_streams(streams: object) -> tuple[dict[str, list[dict]], int]:
-    """Validate a streams map; returns (known streams, unknown row count)."""
+def split_streams(streams: object) -> tuple[dict[str, list], int]:
+    """Check a streams map's shape, not its rows; returns (the rows of known
+    streams, unknown row count). An empty batch is malformed."""
     if not isinstance(streams, dict):
         raise MalformedPayload("streams must be an object")
-    known: dict[str, list[dict]] = {}
+    known: dict[str, list] = {}
     unknown = 0
     for name, rows in streams.items():
         if not isinstance(name, str) or not isinstance(rows, list):
             raise MalformedPayload("stream entries must map names to row lists")
         if name in STREAM_SPECS:
-            known[name] = [validate_row(name, row) for row in rows]
+            known[name] = rows
         else:
             unknown += len(rows)
     if batch_row_count(known) + unknown == 0:
         raise MalformedPayload("empty row batch")
     return known, unknown
+
+
+def validate_streams(streams: object) -> tuple[dict[str, list[dict]], int]:
+    """Validate a streams map; returns (known streams, unknown row count)."""
+    known, unknown = split_streams(streams)
+    return {name: [validate_row(name, row) for row in rows]
+            for name, rows in known.items()}, unknown
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +601,8 @@ def encode_data_packet(pkt: DataPacket, key: bytes, *, iv: bytes | None = None) 
 
 
 def decode_data_packet(blob: bytes, key_lookup: Callable[[int], bytes | None]) -> DataPacket:
+    """Decrypt and parse a data packet. Its rows stay as received: storage
+    checks each one as it builds its parameters (``StreamSpec.row_params``)."""
     if len(blob) <= 4:
         raise MalformedPayload("data packet too short")
     session_id = _U32.unpack_from(blob)[0]
@@ -513,8 +611,9 @@ def decode_data_packet(blob: bytes, key_lookup: Callable[[int], bytes | None]) -
         raise UnknownSession(f"no key for session {session_id}")
     obj = _parse_json(decompress(crypto.sym_decrypt(key, blob[4:])))
     seq = _uint(obj, "seq", U32_MAX)
-    streams, unknown = validate_streams(obj.get("streams"))
-    return DataPacket(session_id=session_id, seq=seq, streams=streams, unknown_rows=unknown)
+    streams, unknown = split_streams(obj.get("streams"))
+    return DataPacket(session_id=session_id, seq=seq, streams=streams, unknown_rows=unknown,
+                      key=key)
 
 
 def encode_feedback(fb: FeedbackPacket, key: bytes, *, iv: bytes | None = None) -> bytes:

@@ -172,8 +172,13 @@ class IngestCore:
         return codec.decode_data_packet(blob, self.lookup_key)
 
     def store_and_ack(self, pkt: codec.DataPacket) -> bytes | None:
+        """Store a decoded packet's rows; its feedback goes out under the key
+        that decrypted it, so the key is looked up once per packet."""
         try:
             stored = self.storage.write_rows(pkt.session_id, pkt.streams)
+        except codec.MalformedPayload:  # storage checks each row as it builds its parameters
+            self.bump("data_discard_malformed")
+            return None
         except UnknownSessionId:
             self.bump("data_discard_unknown_session")
             return None
@@ -184,17 +189,13 @@ class IngestCore:
         # rows under stream names this build does not know are acknowledged
         # (not stored) so a newer client is not wedged into retransmitting
         stored += pkt.unknown_rows
-        key = self.lookup_key(pkt.session_id)
-        if key is None:
-            self.bump("data_discard_unknown_session")
-            return None
         self.bump("data_ok")
         self.bump("rows_written", stored - pkt.unknown_rows)
         if pkt.unknown_rows:
             self.bump("rows_unknown_stream", pkt.unknown_rows)
         log.info("data_ok session_id=%d seq=%d stored=%d", pkt.session_id, pkt.seq, stored)
         fb = codec.FeedbackPacket(session_id=pkt.session_id, seq=pkt.seq, stored=stored)
-        return codec.encode_feedback(fb, key)
+        return codec.encode_feedback(fb, pkt.key)
 
     def handle_data_packet(self, blob: bytes) -> bytes | None:
         """Decode, store, then acknowledge one data packet."""

@@ -3,9 +3,12 @@
 :class:`SqliteStorage` keeps everything in one WAL-mode file, or in memory
 for tests and simulations (``open_storage("memory")``). The stream table in
 :mod:`senselink.codec` (``STREAM_SPECS``) defines each stream's fields, its
-row table and columns, and its logical byte cost, and its validation admits
-only values SQLite holds: signed 64-bit integers, and numbers that read back
-as floats. Schema rules:
+row table and columns, and its logical byte cost. ``write_rows`` takes rows
+as they were received: ``StreamSpec.row_params`` checks each row and returns
+its INSERT parameters in one walk, admitting only values SQLite holds
+(signed 64-bit integers, numbers that read back as floats, valid UTF-8), and
+every row of a batch is checked before its transaction begins, so a
+malformed row writes nothing. Schema rules:
 
 * every row is timestamped in unix seconds; asynchronous sensors add a
   milliseconds column (required where the stream table says so)
@@ -30,7 +33,7 @@ import time
 from typing import Iterable
 
 from . import codec
-from .codec import MOTION_STREAMS, STREAM_SPECS, natural_key, write_order
+from .codec import MOTION_STREAMS, STREAM_SPECS, write_order
 
 SCHEMA_VERSION = 1
 _AP_CACHE_LIMIT = 100_000  # interned access points SqliteStorage remembers
@@ -61,14 +64,21 @@ def _identifiers_text(identifiers: dict | None) -> str | None:
     return json.dumps(identifiers, sort_keys=True, separators=(",", ":"))
 
 
-def _pack_samples(samples: list) -> bytes:
-    flat = [v for triple in samples for v in triple]
-    return struct.pack(f"<{len(flat)}h", *flat)
-
-
 def _unpack_samples(blob: bytes) -> list[list[int]]:
     flat = struct.unpack(f"<{len(blob) // 2}h", blob)
     return [list(flat[i:i + 3]) for i in range(0, len(flat), 3)]
+
+
+def _insert_sql(spec: codec.StreamSpec) -> str:
+    """The INSERT of one row of a stream, its parameters in the order
+    ``(session_id, [stream,] *spec.row_params(row))``."""
+    columns = ("session_id", *(("stream",) if spec.name in MOTION_STREAMS else ()),
+               "ts", "ms", "idx", *spec.columns)
+    return (f"INSERT OR IGNORE INTO {spec.table}({', '.join(columns)}) "
+            f"VALUES(?{', ?' * (len(columns) - 1)})")
+
+
+_INSERTS = {name: _insert_sql(spec) for name, spec in STREAM_SPECS.items()}
 
 
 _SCHEMA = """
@@ -247,13 +257,20 @@ class SqliteStorage:
             return ap_id
 
     def write_rows(self, session_id: int, streams: dict[str, list[dict]]) -> int:
+        """Store a batch of rows as received, in one transaction, and return
+        its row count. Each row is checked as its parameters are built
+        (``StreamSpec.row_params``), all before the transaction begins, so a
+        malformed row raises :class:`codec.MalformedPayload` and writes nothing."""
+        batch = [(stream, list(map(STREAM_SPECS[stream].row_params, rows)))
+                 for stream, rows in write_order(streams)]
         with self._lock:
             if self.lookup_session_key(session_id) is None:
                 raise UnknownSessionId(session_id)
             self._db.execute("BEGIN IMMEDIATE")
             try:
-                for stream, rows in write_order(streams):
-                    self._db.executemany(*self._insert(session_id, STREAM_SPECS[stream], rows))
+                for stream, values in batch:
+                    self._db.executemany(_INSERTS[stream],
+                                         self._params(session_id, stream, values))
                 self._db.execute("COMMIT")
                 return codec.batch_row_count(streams)
             except BaseException:
@@ -261,22 +278,15 @@ class SqliteStorage:
                 self._db.execute("ROLLBACK")
                 raise
 
-    def _insert(self, sid: int, spec: codec.StreamSpec, rows: list[dict]) -> tuple[str, list]:
-        """One INSERT OR IGNORE statement for a stream and its parameter rows."""
-        if spec.name in MOTION_STREAMS:
-            columns = ("stream", "ts", "ms", "idx", "rate", "n", "samples")
-            params = [(sid, spec.name, *natural_key(row), row["rate"], len(row["samples"]),
-                       _pack_samples(row["samples"])) for row in rows]
-        else:
-            if spec.name == "wifi":  # interned in row order, so each ap_id keeps its value
-                rows = [row if "ap_id" in row
-                        else dict(row, ap_id=self.intern_auxiliary(row["mac"], row["essid"]))
-                        for row in rows]
-            columns = ("ts", "ms", "idx", *spec.columns)
-            params = [(sid, *natural_key(row), *map(row.get, spec.columns)) for row in rows]
-        sql = (f"INSERT OR IGNORE INTO {spec.table}(session_id, {', '.join(columns)}) "
-               f"VALUES(?{', ?' * len(columns)})")
-        return sql, params
+    def _params(self, sid: int, stream: str, values: list[tuple]):
+        """The INSERT parameters of one stream's checked rows."""
+        if stream == "wifi":  # interned in row order, so each ap_id keeps its value
+            ap_ids = self._ap_ids
+            return [(sid, ts, ms, idx, ap if not isinstance(ap, tuple)
+                     else ap_ids.get(ap) or self.intern_auxiliary(*ap), rssi)
+                    for ts, ms, idx, ap, rssi in values]
+        head = (sid, stream) if stream in MOTION_STREAMS else (sid,)
+        return map(head.__add__, values)
 
     def read_session_rows(self, session_id: int, streams: Iterable[str] | None = None,
                           start_ts: int | None = None, end_ts: int | None = None
@@ -314,6 +324,7 @@ class SqliteStorage:
                   for values in self._db.execute(query, (sid, *args))]
         if spec.name in MOTION_STREAMS:
             for row in shaped:
+                del row["n"]
                 row["samples"] = _unpack_samples(row["samples"])
         return shaped
 

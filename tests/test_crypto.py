@@ -165,6 +165,7 @@ def test_bit_flips_never_silently_alter_rows():
         mutated[pos // 8] ^= 1 << (pos % 8)
         try:
             decoded = codec.decode_data_packet(bytes(mutated), lookup)
+            codec.validate_streams(decoded.streams)  # the row checks storage makes
         except codec.DECODE_ERRORS:
             continue
         if codec.serialize_payload(decoded) != original:

@@ -7,8 +7,10 @@ agree byte for byte with a plain serialization.
 
 Row validation is driven by the stream table in ``codec``; it must accept,
 reject and normalize exactly as a hand-written branch per stream does, and
-admit only what SQLite holds. SQLite storage must store and report what a
-dict model of it does.
+admit only what SQLite holds. The one pass from a received row to its SQLite
+parameters (``StreamSpec.row_params``) must accept the same rows and build
+what validation followed by a walk over the validated dict did. SQLite
+storage must store and report what a dict model of it does.
 """
 
 import json
@@ -250,6 +252,18 @@ def _reference_validate_row(stream, row):
     return out
 
 
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
 _DROP = object()  # mutation: remove the key
 _FIELDS = ("ts", "ms", "idx", "lat", "lon", "alt", "speed", "accuracy", "device_ts", "rate",
            "samples", "rssi", "ap_id", "mac", "essid", "device_id", "hpa", "pid", "value",
@@ -258,8 +272,11 @@ _ODD_VALUES = (
     _DROP, None, True, False, float("nan"), float("inf"), float("-inf"), -0.0, 0.5, -1.5,
     -1, 0, 1, 5, 999, 1000, -127, -128, 32767, 32768, codec.U32_MAX, codec.U32_MAX + 1,
     2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64, "", "x", "é", "\ud800", "a\udfff", [], {},
-    [[1, 2, 3]], [[1, 2]], [[0, 0, 32768]], [[True, 0, 0]], [[1.0, 2, 3]],
-    [[1, 2, 3]] * (codec.MAX_SAMPLES_PER_ROW + 1))
+    [[1, 2, 3]], [[1, 2]], [[1, 2, 3, 4]], [[0, 0, 32768]], [[True, 0, 0]], [[1.0, 2, 3]],
+    [[1, 2, 3]] * codec.MAX_SAMPLES_PER_ROW, [[1, 2, 3]] * (codec.MAX_SAMPLES_PER_ROW + 1),
+    # subclasses are accepted where their base type is, bool nowhere
+    _Int(0), _Int(7), _Int(2**63), _Float(2.5), _Float("inf"), _Str("x"), _Str("\ud800"),
+    [[_Int(-32768), 0, 0]], [[_Int(32768), 0, 0]])
 _mutations = st.lists(st.tuples(st.sampled_from(_FIELDS), st.sampled_from(_ODD_VALUES)),
                       max_size=3)
 
@@ -279,18 +296,28 @@ _EXAMPLE_ROWS = [
 ]
 
 
-def test_validate_row_matches_reference_under_each_single_mutation():
-    for source, base in _EXAMPLE_ROWS:
+def _mutated(row: dict, mutations) -> dict:
+    row = dict(row)
+    for key, value in mutations:
+        if value is _DROP:
+            row.pop(key, None)
+        else:
+            row[key] = value
+    return row
+
+
+def _single_mutations():
+    for _, base in _EXAMPLE_ROWS:
         for key in _FIELDS:
             for value in _ODD_VALUES:
-                row = dict(base)
-                if value is _DROP:
-                    row.pop(key, None)
-                else:
-                    row[key] = value
-                for stream in codec.STREAMS + ("heart_rate",):
-                    expected = _outcome(_reference_validate_row, stream, row)
-                    assert _outcome(codec.validate_row, stream, row) == expected, (stream, row)
+                yield _mutated(base, [(key, value)])
+
+
+def test_validate_row_matches_reference_under_each_single_mutation():
+    for row in _single_mutations():
+        for stream in codec.STREAMS + ("heart_rate",):
+            expected = _outcome(_reference_validate_row, stream, row)
+            assert _outcome(codec.validate_row, stream, row) == expected, (stream, row)
 
 
 def _outcome(validate, stream, row):
@@ -300,22 +327,76 @@ def _outcome(validate, stream, row):
         return "malformed"
 
 
+_not_a_row = st.sampled_from([None, [], "row", 7]) | st.none()
+
+
+def _draw_row(data, source, mutations, not_a_row):
+    row = _mutated(data.draw(_rows[source]), mutations)
+    if not_a_row is not None and data.draw(st.integers(0, 9)) == 0:
+        return not_a_row
+    return row
+
+
 @settings(max_examples=600, deadline=None)
 @given(data=st.data(), source=st.sampled_from(codec.STREAMS), mutations=_mutations,
        target=st.sampled_from(codec.STREAMS + ("heart_rate",)) | st.none(),
-       not_a_row=st.sampled_from([None, [], "row", 7]) | st.none())
+       not_a_row=_not_a_row)
 def test_validate_row_matches_reference(data, source, mutations, target, not_a_row):
-    row = data.draw(_rows[source])
-    for key, value in mutations:
-        if value is _DROP:
-            row.pop(key, None)
-        else:
-            row[key] = value
-    if not_a_row is not None and data.draw(st.integers(0, 9)) == 0:
-        row = not_a_row
+    row = _draw_row(data, source, mutations, not_a_row)
     stream = source if target is None else target  # mostly a row of its own stream
     expected = _outcome(_reference_validate_row, stream, row)
     assert _outcome(codec.validate_row, stream, row) == expected
+
+
+# ---------------------------------------------------------------------------
+# the one-pass parameter builder against the two passes it replaced
+
+_REF_COLUMNS = {"gps": ("lat", "lon", "alt", "speed", "accuracy", "device_ts"),
+                "wifi": ("ap_id", "rssi"), "bt": ("device_id", "rssi"), "pressure": ("hpa",),
+                "obd": ("pid", "value"), "events": ("kind", "detail")}
+
+
+def _reference_row_params(stream, row):
+    """Model of ``StreamSpec.row_params``: the reference validator, then the
+    walk that storage used to make over the validated dict into the INSERT
+    parameters, without the session id and with a wifi row's (mac, essid)
+    pair not yet interned."""
+    out = _reference_validate_row(stream, row)
+    key = (out["ts"], out.get("ms", -1), out.get("idx", 0))
+    if stream in _REF_MOTION:
+        flat = [v for triple in out["samples"] for v in triple]
+        return (*key, out["rate"], len(out["samples"]), struct.pack(f"<{len(flat)}h", *flat))
+    if stream == "wifi" and "ap_id" not in out:
+        return (*key, (out["mac"], out["essid"]), out["rssi"])
+    return (*key, *map(out.get, _REF_COLUMNS[stream]))
+
+
+def _row_params(stream, row):
+    return codec.STREAM_SPECS[stream].row_params(row)
+
+
+def _typed(outcome):
+    """An outcome whose values also compare by kind: True is not 1, 1.0 is not 1."""
+    if not isinstance(outcome, tuple):
+        return outcome
+    return tuple((v, type(v) is bool, isinstance(v, float)) for v in outcome)
+
+
+def test_row_params_match_the_two_pass_model_under_each_single_mutation():
+    for row in _single_mutations():
+        for stream in codec.STREAMS:
+            expected = _typed(_outcome(_reference_row_params, stream, row))
+            assert _typed(_outcome(_row_params, stream, row)) == expected, (stream, row)
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data(), source=st.sampled_from(codec.STREAMS), mutations=_mutations,
+       target=st.sampled_from(codec.STREAMS) | st.none(), not_a_row=_not_a_row)
+def test_row_params_match_the_two_pass_model(data, source, mutations, target, not_a_row):
+    row = _draw_row(data, source, mutations, not_a_row)
+    stream = source if target is None else target
+    expected = _typed(_outcome(_reference_row_params, stream, row))
+    assert _typed(_outcome(_row_params, stream, row)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +482,16 @@ def test_sqlite_storage_matches_dict_model(writes, lo, span):
         model = _StorageOracle(sessions=len(sids))
         sent: list[tuple[int, dict]] = []
         for who, batch in writes:
-            if isinstance(batch, int):
+            if isinstance(batch, int):  # a replay, of rows already validated
                 if not sent:
                     continue
                 sid, streams = sent[batch % len(sent)]
-            else:
+                received = streams
+            else:  # SQLite gets the rows as a receiver does, the model validated ones
                 sid, (streams, _) = sids[who], codec.validate_streams(batch)
                 sent.append((sid, streams))
-            assert sql.write_rows(sid, streams) == model.write_rows(sid, streams)
+                received = batch
+            assert sql.write_rows(sid, received) == model.write_rows(sid, streams)
         for sid in sids:
             assert sql.read_session_rows(sid) == model.read_session_rows(sid)
             picked = (["wifi", "accel", "events"], lo, lo + span)

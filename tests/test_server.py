@@ -205,6 +205,77 @@ def test_unknown_stream_rows_acked_not_stored(test_keypair):
     assert core.storage.storage_stats()["total_rows"] == 1
 
 
+def _session(core, keypair):
+    key = crypto.generate_session_key()
+    return key, codec.decode_auth_response(
+        core.handle_auth_packet(auth_blob(keypair, key)), key).session_id
+
+
+def _sealed(key, sid, seq, streams):
+    """A data packet sealed by hand: the encoder refuses malformed rows."""
+    payload = codec.canonical_json({"seq": seq, "streams": streams})
+    return codec.seal_data_payload(sid, payload, key)
+
+
+def _discards(metrics):
+    return sum(v for k, v in metrics.items() if k.startswith("data_discard_"))
+
+
+def test_bad_last_row_discards_the_whole_packet(test_keypair):
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
+    key, sid = _session(core, test_keypair)
+    # wifi is the last stream in write order; its last row has rssi 5
+    bad = _sealed(key, sid, 2, {
+        "accel": [{"ts": TS, "rate": 5.0, "samples": [[1, 2, 3]]}],
+        "pressure": [{"ts": TS + i, "hpa": 1000.0} for i in range(3)],
+        "wifi": [{"ts": TS, "mac": "aa:01", "essid": "first-seen", "rssi": -40},
+                 {"ts": TS + 1, "mac": "aa:02", "essid": "", "rssi": 5}]})
+    assert core.handle_data_packet(bad) is None
+    assert core.metrics["data_discard_malformed"] == 1
+    stats = core.storage.storage_stats()
+    assert stats["total_rows"] == 0 and stats["access_points"] == 0
+
+    good = _sealed(key, sid, 3, {"wifi": [
+        {"ts": TS + 2, "mac": "aa:03", "essid": "other", "rssi": -50},
+        {"ts": TS + 3, "mac": "aa:01", "essid": "first-seen", "rssi": -60}]})
+    fb = codec.decode_feedback(core.handle_data_packet(good), key)
+    assert fb.stored == 2
+    rows = core.storage.read_session_rows(sid)["wifi"]
+    assert [(r["ap_id"], r["mac"], r["essid"]) for r in rows] == [
+        (1, "aa:03", "other"), (2, "aa:01", "first-seen")]
+    assert core.metrics["data_packets"] == core.metrics["data_ok"] + _discards(core.metrics)
+
+
+def test_server_stores_without_validate_row(test_keypair, monkeypatch):
+    # storage checks the rows it stores in one pass; validate_row is the
+    # client's and the simulator's, and must not run again on the server
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
+    key, sid = _session(core, test_keypair)
+    streams = {
+        "gps": [{"ts": TS, "ms": 0, "lat": 48.1, "lon": 11.5, "alt": 519, "speed": 0.0,
+                 "accuracy": 4.5, "device_ts": TS}],
+        "accel": [{"ts": TS, "rate": 50.0, "samples": [[1, -2, 3], [32767, -32768, 0]]}],
+        "wifi": [{"ts": TS, "mac": "aa:bb", "essid": "net", "rssi": -40},
+                 {"ts": TS, "idx": 1, "ap_id": 1, "rssi": -45}],
+        "bt": [{"ts": TS, "device_id": "watch", "rssi": -70}],
+        "pressure": [{"ts": TS, "hpa": 1013.25}],
+        "obd": [{"ts": TS, "ms": 250, "pid": 12, "value": 870}],
+        "events": [{"ts": TS, "kind": "lap", "detail": "é"}],
+    }
+    expected = dict(sim.normalized_rows(streams), wifi=[  # read back with both names
+        {"ts": TS, "ap_id": 1, "mac": "aa:bb", "essid": "net", "rssi": -40},
+        {"ts": TS, "idx": 1, "ap_id": 1, "mac": "aa:bb", "essid": "net", "rssi": -45}])
+    blob = codec.encode_data_packet(codec.DataPacket(session_id=sid, seq=2, streams=streams), key)
+
+    def tripwire(stream, row):
+        raise AssertionError("validate_row ran on the server")
+
+    monkeypatch.setattr(codec, "validate_row", tripwire)
+    fb = codec.decode_feedback(core.handle_data_packet(blob), key)
+    assert (fb.seq, fb.stored) == (2, 8)
+    assert core.storage.read_session_rows(sid) == expected
+
+
 # ---------------------------------------------------------------------------
 # key cache
 
@@ -242,6 +313,16 @@ def test_cache_warm_after_auth_cold_after_clear(test_keypair):
     core.handle_data_packet(data_blob(key, sid, seq=11, base_ts=TS + 11_000))
     assert st.key_lookups == 1
     assert core.metrics["cache_misses"] == 1
+
+
+def test_one_key_lookup_per_data_packet(test_keypair):
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
+    key, sid = _session(core, test_keypair)
+    for seq in range(2, 9):  # the feedback goes out under the key that decrypted the packet
+        reply = core.handle_data_packet(data_blob(key, sid, seq=seq, base_ts=TS + seq * 100))
+        assert codec.decode_feedback(reply, key).seq == seq
+    assert core.metrics["cache_hits"] == 7
+    assert "cache_misses" not in core.metrics
 
 
 def test_metrics_text_shape(test_keypair):

@@ -235,9 +235,15 @@ def test_sqlite_ap_cache_forgets_ids_a_rollback_gave_back(tmp_path):
     path = str(tmp_path / "t.db")
     st = storage.SqliteStorage(path)
     sid = new_session(st)
-    with pytest.raises(OverflowError):  # ts beyond SQLite's 64 bits: the write rolls back
+    # write_rows checks every row before it begins, so only the database can
+    # fail a write once m1 is interned: a trigger refuses rows with rssi -1
+    db = sqlite3.connect(path)
+    db.execute("CREATE TRIGGER refuse BEFORE INSERT ON wifi_rows WHEN NEW.rssi = -1 "
+               "BEGIN SELECT RAISE(ABORT, 'refused'); END")
+    db.close()
+    with pytest.raises(sqlite3.IntegrityError):  # the write rolls back
         st.write_rows(sid, {"wifi": [{"ts": TS, "rssi": -50, "mac": "m1", "essid": "one"},
-                                     {"ts": 2 ** 63, "rssi": -50, "mac": "m1", "essid": "one"}]})
+                                     {"ts": TS + 9, "rssi": -1, "mac": "m1", "essid": "one"}]})
     st.write_rows(sid, {"wifi": [{"ts": TS + 1, "rssi": -60, "mac": "m2", "essid": "two"}]})
     st.write_rows(sid, {"wifi": [{"ts": TS + 2, "rssi": -70, "mac": "m1", "essid": "one"}]})
     rows = st.read_session_rows(sid)["wifi"]
