@@ -24,6 +24,11 @@ Reliability rules:
 * after every few fruitless retries of the same packet the engine re-sends
   an authentication packet, so a server that lost or rotated the session
   key converges back instead of discarding packets forever
+
+A session sets its window, journal, JSON bytes per packet, protocol version
+and identifiers; the retry limit, backoff, re-auth interval, buffer limit and
+packet-size limit are module constants (the last is
+``codec.MAX_PACKET_BYTES``, which the server enforces too).
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ MAX_RETRIES = 10
 BUFFER_LIMIT_BYTES = 64 * 1024 * 1024
 PACK_JSON_BUDGET = 240 * 1024  # JSON bytes per data packet before compression
 AUTH_REFRESH_EVERY = 4  # data retries between self-healing re-auths
+CONNECT_TIMEOUT = 10.0  # seconds TcpTransport waits to connect
+SLEEP_QUANTUM = 0.2  # longest wait in run_until_drained between pumps
 
 
 class ClientError(Exception):
@@ -149,11 +156,7 @@ class ClientSession:
     def __init__(self, user_hash: str, start_time: int, server_public, *,
                  version: int = 1, identifiers: dict | None = None,
                  window: int = DEFAULT_WINDOW, journal=None,
-                 max_retries: int = MAX_RETRIES,
-                 buffer_limit_bytes: int = BUFFER_LIMIT_BYTES,
-                 pack_json_budget: int = PACK_JSON_BUDGET,
-                 max_packet_bytes: int = codec.MAX_PACKET_BYTES,
-                 auth_refresh_every: int = AUTH_REFRESH_EVERY):
+                 pack_json_budget: int = PACK_JSON_BUDGET):
         if not crypto.is_user_hash(user_hash):
             raise ValueError("user_hash must be 32 lowercase hex characters")
         if start_time <= 0:
@@ -166,11 +169,7 @@ class ClientSession:
         self.identifiers = dict(identifiers) if identifiers else None
         self.server_public = server_public
         self.window = window
-        self.max_retries = max_retries
-        self.buffer_limit_bytes = buffer_limit_bytes
         self.pack_json_budget = pack_json_budget
-        self.max_packet_bytes = max_packet_bytes
-        self.auth_refresh_every = auth_refresh_every
 
         self.journal = journal if journal is not None else MemoryJournal()
         self.key = b""  # set by the first auth request
@@ -270,8 +269,8 @@ class ClientSession:
         if unknown:
             raise ValueError("cannot enqueue rows for unknown streams")
         rows = [(stream, codec.canonical_json(row)) for stream, row in iter_batch_rows(known)]
-        if self._buffered_bytes + sum(len(data) + 1 for _, data in rows) > self.buffer_limit_bytes:
-            raise BufferFull(f"buffer limit {self.buffer_limit_bytes} bytes exceeded")
+        if self._buffered_bytes + sum(len(data) + 1 for _, data in rows) > BUFFER_LIMIT_BYTES:
+            raise BufferFull(f"buffer limit {BUFFER_LIMIT_BYTES} bytes exceeded")
         indexes = self.journal.append(known)
         for (stream, data), index in zip(rows, indexes):
             self._buffer_row(index, stream, data)
@@ -305,7 +304,7 @@ class ClientSession:
         for pending in list(self._pending_auths.values()):
             if now < pending.next_retry_at:
                 continue
-            if pending.retries >= self.max_retries:
+            if pending.retries >= MAX_RETRIES:
                 del self._pending_auths[pending.seq]
                 if not self.authenticated and not self._pending_auths:
                     self.auth_failed = True
@@ -320,7 +319,7 @@ class ClientSession:
         for pkt in list(self._flight.values()):
             if now < pkt.next_retry_at:
                 continue
-            if pkt.retries >= self.max_retries:
+            if pkt.retries >= MAX_RETRIES:
                 self._fail_packet(pkt)
                 continue
             if pkt.key_used != self.key or pkt.session_id_used != self.session_id:
@@ -333,8 +332,7 @@ class ClientSession:
             self.counters["retransmissions"] += 1
             self.counters["packets_sent"] += 1
             self.counters["wire_bytes_total"] += len(pkt.blob)
-            if (self.auth_refresh_every and not self._pending_auths
-                    and pkt.retries % self.auth_refresh_every == 0):
+            if not self._pending_auths and pkt.retries % AUTH_REFRESH_EVERY == 0:
                 out.append(self._make_auth(now, self.key, self.identifiers))
 
     def _send_new_packet(self, now: float) -> tuple[str, bytes]:
@@ -349,12 +347,12 @@ class ClientSession:
         while True:
             payload = _data_payload(seq, take)
             blob = codec.seal_data_payload(self.session_id, payload, self.key)
-            if len(blob) <= self.max_packet_bytes:
+            if len(blob) <= codec.MAX_PACKET_BYTES:
                 break
             if len(take) == 1:
                 raise ClientError("single row exceeds the packet size limit")
             # shrink in proportion to the overshoot, with 10% headroom
-            keep = int(len(take) * self.max_packet_bytes * 0.9 // len(blob))
+            keep = int(len(take) * codec.MAX_PACKET_BYTES * 0.9 // len(blob))
             take = take[:min(max(keep, 1), len(take) - 1)]
         for _ in take:
             entry = self._buffer.popleft()
@@ -502,12 +500,11 @@ class TcpTransport:
     timeout makes ``send`` raise ``socket.timeout``; a connection the server
     has closed makes ``poll`` raise ``ConnectionError``."""
 
-    def __init__(self, host: str, auth_port: int, data_port: int,
-                 connect_timeout: float = 10.0):
+    def __init__(self, host: str, auth_port: int, data_port: int):
         self._socks = {}
         self._buffers = {AUTH: codec.FrameBuffer(), DATA: codec.FrameBuffer()}
         for kind, port in ((AUTH, auth_port), (DATA, data_port)):
-            self._socks[kind] = socket.create_connection((host, port), timeout=connect_timeout)
+            self._socks[kind] = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT)
 
     def send(self, kind: str, blob: bytes):
         self._socks[kind].sendall(codec.frame(blob))
@@ -532,7 +529,7 @@ class TcpTransport:
 
 def run_until_drained(session: ClientSession, transport, *,
                       timeout: float | None = None,
-                      clock=time.monotonic, sleep_quantum: float = 0.2) -> DeliveryReport:
+                      clock=time.monotonic) -> DeliveryReport:
     """Pump and receive until every buffered row is delivered or given up.
 
     New data packets are encoded one per pump and sent at once, so the
@@ -549,7 +546,7 @@ def run_until_drained(session: ClientSession, transport, *,
             wait = 0.0
         else:
             wake = session.next_wakeup()
-            wait = sleep_quantum if wake is None else min(sleep_quantum,
+            wait = SLEEP_QUANTUM if wake is None else min(SLEEP_QUANTUM,
                                                           max(wake - clock(), 0.0))
             if deadline is not None:
                 wait = min(wait, max(deadline - clock(), 0.0))

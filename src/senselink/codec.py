@@ -135,6 +135,12 @@ def _check_json_value(value: object) -> None:
             _check_json_value(item)
 
 
+def _is_identifiers(value: object) -> bool:
+    """Whether an auth request's identifiers map non-empty strings to strings."""
+    return isinstance(value, dict) and all(
+        isinstance(k, str) and k and isinstance(v, str) for k, v in value.items())
+
+
 def payload_dict(value: object) -> dict:
     """The canonical JSON object for one of the four payload types."""
     if isinstance(value, AuthRequest):
@@ -156,8 +162,8 @@ def payload_dict(value: object) -> dict:
             "version": value.version,
         }
         if value.identifiers:
-            if any(not k for k in value.identifiers):
-                raise ValueError("identifier keys must be non-empty")
+            if not _is_identifiers(value.identifiers):
+                raise ValueError("identifiers must map non-empty strings to strings")
             obj["identifiers"] = dict(value.identifiers)
         return obj
     if isinstance(value, AuthResponse):
@@ -201,12 +207,10 @@ def _parse_json(data: bytes) -> dict:
     return obj
 
 
-def _uint(obj: dict, key: str, limit: int, *, required: bool = True, minimum: int = 0):
+def _uint(obj: dict, key: str, limit: int, *, minimum: int = 0):
     value = obj.get(key)
     if value is None:
-        if required:
-            raise MalformedPayload(f"missing field {key!r}")
-        return None
+        raise MalformedPayload(f"missing field {key!r}")
     if isinstance(value, bool) or not isinstance(value, int) or not (minimum <= value <= limit):
         raise MalformedPayload(f"field {key!r} out of range")
     return value
@@ -229,11 +233,8 @@ def deserialize_payload(data: bytes, expected_kind: type):
         if len(key) != crypto.SESSION_KEY_LEN:
             raise MalformedPayload("session key must be 16 bytes")
         identifiers = obj.get("identifiers")
-        if identifiers is not None:
-            if not isinstance(identifiers, dict) or not all(
-                isinstance(k, str) and k and isinstance(v, str) for k, v in identifiers.items()
-            ):
-                raise MalformedPayload("identifiers must map non-empty strings to strings")
+        if identifiers is not None and not _is_identifiers(identifiers):
+            raise MalformedPayload("identifiers must map non-empty strings to strings")
         return AuthRequest(
             seq=_uint(obj, "seq", U32_MAX),
             user_hash=user_hash,
@@ -529,12 +530,13 @@ def compress(data: bytes) -> bytes:
     return zlib.compress(data, COMPRESSION_LEVEL)
 
 
-def decompress(data: bytes, max_out: int = MAX_DECOMPRESSED_BYTES) -> bytes:
+def decompress(data: bytes) -> bytes:
     obj = zlib.decompressobj()
     try:
-        out = obj.decompress(data, max_out)
+        out = obj.decompress(data, MAX_DECOMPRESSED_BYTES)
         if obj.unconsumed_tail:
-            raise OutputLimitExceeded(f"decompressed output exceeds {max_out} bytes")
+            raise OutputLimitExceeded(
+                f"decompressed output exceeds {MAX_DECOMPRESSED_BYTES} bytes")
         if not obj.eof:
             raise ChecksumMismatch("truncated zlib stream")
         obj.flush()

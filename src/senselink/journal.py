@@ -61,17 +61,10 @@ class MemoryJournal:
             raise JournalError(f"watermark {n} out of range")
         self.watermark = n
 
-    def sync(self):
-        pass
-
-    def close(self):
-        pass
-
 
 class Journal:
-    def __init__(self, path: str, *, fsync: bool = True):
+    def __init__(self, path: str):
         self._path = path
-        self._fsync = fsync
         self.total_rows = 0
         self.watermark = 0
         self._pending: list[tuple[str, dict]] = []
@@ -136,7 +129,8 @@ class Journal:
         if len(body) > MAX_RECORD_BYTES:
             raise JournalError("record too large")
         self._file.write(_LEN.pack(len(body)) + body)
-        self.sync()
+        self._file.flush()
+        os.fsync(self._file.fileno())
 
     def append(self, streams: dict[str, list[dict]]) -> range:
         first = self.total_rows
@@ -151,11 +145,6 @@ class Journal:
         if n > self.watermark:
             self._write({"kind": "ack", "through": n})
             self.watermark = n
-
-    def sync(self):
-        self._file.flush()
-        if self._fsync:
-            os.fsync(self._file.fileno())
 
     def close(self):
         self._file.close()

@@ -34,7 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import codec, crypto
-from .storage import StorageError, UnknownSessionId, open_storage
+from .storage import StorageError, open_storage
 
 log = logging.getLogger(__name__)
 
@@ -161,11 +161,9 @@ class IngestCore:
             self.bump("cache_hits")
             return key
         self.bump("cache_misses")
-        found = self.storage.lookup_session_key(session_id)
-        if found is None:
-            return None
-        key = found[0]
-        self.cache.put(session_id, key)
+        key = self.storage.lookup_session_key(session_id)
+        if key is not None:
+            self.cache.put(session_id, key)
         return key
 
     def decode_data_packet(self, blob: bytes) -> codec.DataPacket:
@@ -178,9 +176,6 @@ class IngestCore:
             stored = self.storage.write_rows(pkt.session_id, pkt.streams)
         except codec.MalformedPayload:  # storage checks each row as it builds its parameters
             self.bump("data_discard_malformed")
-            return None
-        except UnknownSessionId:
-            self.bump("data_discard_unknown_session")
             return None
         except StorageError:
             log.exception("row write failed session_id=%d seq=%d", pkt.session_id, pkt.seq)
@@ -374,10 +369,8 @@ def _send_whole(conn: socket.socket, data: bytes) -> bool:
 class ServerDaemon:
     """Two port workers around one IngestCore."""
 
-    def __init__(self, config: ServerConfig, *, private_key=None, storage=None):
+    def __init__(self, config: ServerConfig, *, private_key, storage=None):
         self.config = config
-        if private_key is None:
-            raise ConfigError("a private key is required")
         self._storage = storage if storage is not None else open_storage(config.storage)
         self._owns_storage = storage is None
         self.core = IngestCore(private_key, self._storage,

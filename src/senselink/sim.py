@@ -53,14 +53,14 @@ class EventLoop:
     def call_later(self, delay: float, fn):
         self.call_at(self.now + delay, fn)
 
-    def run(self, *, until_idle=None, limit_s: float = MAX_VIRTUAL_S):
-        """Dispatch events in time order until the heap empties, the limit
-        is hit, or ``until_idle()`` turns true."""
+    def run(self, *, until_idle=None):
+        """Dispatch events in time order until the heap empties, the next
+        event lies past ``MAX_VIRTUAL_S``, or ``until_idle()`` turns true."""
         while self._heap:
             if until_idle is not None and until_idle():
                 return
             when, _, fn = heapq.heappop(self._heap)
-            if when > limit_s:
+            if when > MAX_VIRTUAL_S:
                 return
             self.now = when
             fn()
@@ -384,7 +384,6 @@ def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
                    keypair=None, storage=None, mode: str = "batch",
                    flush_period_s: float = 5.0, window: int = DEFAULT_WINDOW,
                    restart_at: tuple[int, ...] = (), verify: bool = True,
-                   user_email: str = DEFAULT_EMAIL,
                    client_options: dict | None = None) -> ExperimentReport:
     """Upload one synthetic session end to end and measure it.
 
@@ -410,7 +409,7 @@ def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
         loop = EventLoop()
         rng = random.Random(channel.seed)
         box = _ServerBox(keypair.private_part, storage)
-        session = ClientSession(crypto.hash_user(user_email), workload.start_ts,
+        session = ClientSession(crypto.hash_user(DEFAULT_EMAIL), workload.start_ts,
                                 keypair.public_part, window=window,
                                 **(client_options or {}))
 

@@ -30,7 +30,6 @@ import sqlite3
 import struct
 import threading
 import time
-from typing import Iterable
 
 from . import codec
 from .codec import MOTION_STREAMS, STREAM_SPECS, write_order
@@ -41,12 +40,6 @@ _AP_CACHE_LIMIT = 100_000  # interned access points SqliteStorage remembers
 
 class StorageError(Exception):
     pass
-
-
-class UnknownSessionId(StorageError):
-    def __init__(self, session_id: int):
-        super().__init__(f"unknown session {session_id}")
-        self.session_id = session_id
 
 
 def _logical_bytes_sql(spec: codec.StreamSpec) -> str:
@@ -192,8 +185,7 @@ class SqliteStorage:
         return sid
 
     def upsert_session(self, user_hash: str, start_time: int, key: bytes,
-                       version: int = 1, identifiers: dict | None = None,
-                       created_at: int | None = None) -> int:
+                       version: int = 1, identifiers: dict | None = None) -> int:
         with self._lock:
             self._db.execute("BEGIN IMMEDIATE")
             try:
@@ -214,8 +206,7 @@ class SqliteStorage:
                         "INSERT INTO sessions(session_id, user_id, start_time, key, "
                         "version, identifiers, created_at) VALUES(?,?,?,?,?,?,?)",
                         (sid, user_id, start_time, key, version,
-                         _identifiers_text(identifiers),
-                         int(time.time()) if created_at is None else created_at))
+                         _identifiers_text(identifiers), int(time.time())))
                 else:
                     sid = row[0]
                     self._db.execute(
@@ -228,15 +219,11 @@ class SqliteStorage:
                 self._db.execute("ROLLBACK")
                 raise
 
-    def lookup_session_key(self, session_id: int):
+    def lookup_session_key(self, session_id: int) -> bytes | None:
         with self._lock:
             row = self._db.execute(
-                "SELECT s.key, u.user_hash, s.start_time FROM sessions s "
-                "JOIN users u ON u.user_id = s.user_id WHERE s.session_id=?",
-                (session_id,)).fetchone()
-            if row is None:
-                return None
-            return bytes(row[0]), row[1], row[2]
+                "SELECT key FROM sessions WHERE session_id=?", (session_id,)).fetchone()
+        return None if row is None else bytes(row[0])
 
     def intern_auxiliary(self, mac: str, essid: str) -> int:
         with self._lock:
@@ -260,12 +247,12 @@ class SqliteStorage:
         """Store a batch of rows as received, in one transaction, and return
         its row count. Each row is checked as its parameters are built
         (``StreamSpec.row_params``), all before the transaction begins, so a
-        malformed row raises :class:`codec.MalformedPayload` and writes nothing."""
+        malformed row raises :class:`codec.MalformedPayload` and writes nothing.
+        The session is not looked up again: decode found its key, and
+        sessions are never deleted."""
         batch = [(stream, list(map(STREAM_SPECS[stream].row_params, rows)))
                  for stream, rows in write_order(streams)]
         with self._lock:
-            if self.lookup_session_key(session_id) is None:
-                raise UnknownSessionId(session_id)
             self._db.execute("BEGIN IMMEDIATE")
             try:
                 for stream, values in batch:
@@ -288,40 +275,30 @@ class SqliteStorage:
         head = (sid, stream) if stream in MOTION_STREAMS else (sid,)
         return map(head.__add__, values)
 
-    def read_session_rows(self, session_id: int, streams: Iterable[str] | None = None,
-                          start_ts: int | None = None, end_ts: int | None = None
-                          ) -> dict[str, list[dict]]:
-        bounds = ""
-        args: list = []
-        if start_ts is not None:
-            bounds += " AND ts >= ?"
-            args.append(start_ts)
-        if end_ts is not None:
-            bounds += " AND ts < ?"
-            args.append(end_ts)
+    def read_session_rows(self, session_id: int) -> dict[str, list[dict]]:
+        """Every stored row of a session, per stream, in natural-key order."""
         out: dict[str, list[dict]] = {}
         with self._lock:
-            for stream in streams or STREAM_SPECS:
-                rows = self._read_stream(session_id, STREAM_SPECS[stream], bounds, args)
+            for spec in STREAM_SPECS.values():
+                rows = self._read_stream(session_id, spec)
                 if rows:
-                    out[stream] = rows
+                    out[spec.name] = rows
         return out
 
-    def _read_stream(self, sid: int, spec: codec.StreamSpec, bounds: str,
-                     args: list) -> list[dict]:
-        columns, source, where = spec.columns, spec.table, "session_id=?"
+    def _read_stream(self, sid: int, spec: codec.StreamSpec) -> list[dict]:
+        columns, source, where, args = spec.columns, spec.table, "session_id=?", (sid,)
         if spec.name in MOTION_STREAMS:
-            where, args = "session_id=? AND stream=?", [spec.name, *args]
+            where, args = "session_id=? AND stream=?", (sid, spec.name)
         elif spec.name == "wifi":
             columns += ("mac", "essid")
             source += " LEFT JOIN access_points USING (ap_id)"
         # absent ms and idx are stored as -1 and 0 (see codec.natural_key)
         query = (f"SELECT ts, NULLIF(ms, -1), NULLIF(idx, 0), {', '.join(columns)} "
-                 f"FROM {source} WHERE {where}{bounds} ORDER BY ts, ms, idx")
+                 f"FROM {source} WHERE {where} ORDER BY ts, ms, idx")
         names = ("ts", "ms", "idx", *columns)
         # a NULL is a field the row left out, or the pair of an ap_id never interned
         shaped = [{name: value for name, value in zip(names, values) if value is not None}
-                  for values in self._db.execute(query, (sid, *args))]
+                  for values in self._db.execute(query, args)]
         if spec.name in MOTION_STREAMS:
             for row in shaped:
                 del row["n"]

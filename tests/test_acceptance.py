@@ -90,7 +90,7 @@ def test_server_restarts_leave_no_trace_in_storage(test_keypair):
     workload = WorkloadConfig(duration_s=600)
     channel = ChannelConfig(loss_prob=0.2, latency_ms=100.0, jitter_ms=20.0,
                             seed=42)
-    plain, bounced = storage.MemoryStorage(), storage.MemoryStorage()
+    plain, bounced = storage.open_storage("memory"), storage.open_storage("memory")
     base = run_experiment(workload, channel, keypair=test_keypair,
                           mode="realtime", storage=plain)
     kicked = run_experiment(workload, channel, keypair=test_keypair,
@@ -121,7 +121,7 @@ def test_auth_completes_in_one_packet_each_way(default_run):
 
 
 def test_key_rotation_mid_session_converges(test_keypair):
-    core = IngestCore(test_keypair.private_part, storage.MemoryStorage())
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
     session = ClientSession(crypto.hash_user("rotation@example.com"), TS,
                             test_keypair.public_part)
     for kind, blob in session.begin(0.0):
@@ -147,7 +147,7 @@ def test_key_rotation_mid_session_converges(test_keypair):
 
 
 def test_hostile_traffic_changes_nothing(test_keypair):
-    store = storage.MemoryStorage()
+    store = storage.open_storage("memory")
     core = IngestCore(test_keypair.private_part, store)
     session = ClientSession(crypto.hash_user("fuzz@example.com"), TS,
                             test_keypair.public_part)
@@ -177,7 +177,7 @@ def test_hostile_traffic_changes_nothing(test_keypair):
     daemon = ServerDaemon(ServerConfig(auth_port=0, data_port=0,
                                        host="127.0.0.1"),
                           private_key=test_keypair.private_part,
-                          storage=storage.MemoryStorage())
+                          storage=storage.open_storage("memory"))
     daemon.start()
     try:
         out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

@@ -6,11 +6,12 @@ from collections import deque
 
 import pytest
 
-from senselink import codec, crypto, journal, storage
+from senselink import client, codec, crypto, journal
 from senselink.client import (AUTH, DATA, BASE_TIMEOUT, ClientError, BufferFull, TimeMismatch,
                               UnknownSeq, ClientSession, TcpTransport,
                               run_until_drained)
 from senselink.server import IngestCore
+from senselink.storage import open_storage
 
 TS = 1_400_000_000
 HASH = crypto.hash_user("rider@example.com")
@@ -18,7 +19,7 @@ HASH = crypto.hash_user("rider@example.com")
 
 @pytest.fixture
 def core(test_keypair):
-    return IngestCore(test_keypair.private_part, storage.MemoryStorage())
+    return IngestCore(test_keypair.private_part, open_storage("memory"))
 
 
 def make_session(test_keypair, **kwargs):
@@ -65,6 +66,18 @@ def test_auth_request_carries_session_fields(test_keypair):
     assert req.version == 3
     assert req.identifiers == {"hw": "rev-b"}
     assert req.key == session.key
+
+
+@pytest.mark.parametrize("identifiers", [{"hw": 3}, {"hw": None}, {"": "rev-b"}, {1: "x"}])
+def test_identifiers_the_server_refuses_are_refused_before_sending(test_keypair, core,
+                                                                   identifiers):
+    with pytest.raises(ValueError):
+        make_session(test_keypair, identifiers=identifiers).begin(0.0)
+    session = make_session(test_keypair)
+    authenticate(session, core)
+    with pytest.raises(ValueError):
+        session.update_session(1.0, new_identifiers=identifiers)
+    assert session.counters["auth_sent"] == 1
 
 
 def test_handshake_against_core(test_keypair, core):
@@ -116,8 +129,9 @@ def test_no_data_before_auth(test_keypair):
     assert all(kind == AUTH for kind, _ in emissions)
 
 
-def test_auth_retransmission_and_failure(test_keypair):
-    session = make_session(test_keypair, max_retries=3)
+def test_auth_retransmission_and_failure(test_keypair, monkeypatch):
+    monkeypatch.setattr(client, "MAX_RETRIES", 3)
+    session = make_session(test_keypair)
     _, first = session.begin(0.0)[0]
     session.enqueue_rows(pressure_batch(3))
     assert session.pump(0.4) == []  # before the 0.5 s timeout
@@ -157,11 +171,12 @@ def test_default_budget_packs_rows_together(test_keypair, core):
     assert len(emissions) == 1  # 500 small rows fit one packet comfortably
 
 
-def test_packet_split_when_over_byte_limit(test_keypair, core):
+def test_packet_split_when_over_byte_limit(test_keypair, core, monkeypatch):
     rng = random.Random(5)
     blobs = ["".join(chr(rng.randrange(0x21, 0x7F)) for _ in range(150))
              for _ in range(8)]
-    session = make_session(test_keypair, max_packet_bytes=400)
+    monkeypatch.setattr(codec, "MAX_PACKET_BYTES", 400)
+    session = make_session(test_keypair)
     authenticate(session, core)
     # 8 incompressible ~150 B rows cannot share one 400 B packet: the sender
     # must shrink the take until each emitted blob fits
@@ -175,10 +190,11 @@ def test_packet_split_when_over_byte_limit(test_keypair, core):
     assert total == 8
 
 
-def test_single_oversized_row_is_an_error(test_keypair, core):
+def test_single_oversized_row_is_an_error(test_keypair, core, monkeypatch):
     rng = random.Random(6)
     detail = "".join(chr(rng.randrange(0x21, 0x7F)) for _ in range(600))
-    session = make_session(test_keypair, max_packet_bytes=400)
+    monkeypatch.setattr(codec, "MAX_PACKET_BYTES", 400)
+    session = make_session(test_keypair)
     authenticate(session, core)
     session.enqueue_rows({"events": [{"ts": TS, "kind": "big", "detail": detail}]})
     with pytest.raises(ClientError):
@@ -210,9 +226,12 @@ def test_data_retransmit_same_bytes(test_keypair, core):
     assert session.counters["packets_sent"] == 2
 
 
-def test_backoff_doubles_until_cap(test_keypair, core):
-    # auth refresh off so the wakeup schedule is the data packet's alone
-    session = make_session(test_keypair, max_retries=20, auth_refresh_every=0)
+def test_backoff_doubles_until_cap(test_keypair, core, monkeypatch):
+    # no auth refresh within 8 retries, so the wakeup schedule is the data
+    # packet's alone
+    monkeypatch.setattr(client, "MAX_RETRIES", 20)
+    monkeypatch.setattr(client, "AUTH_REFRESH_EVERY", 100)
+    session = make_session(test_keypair)
     authenticate(session, core)
     session.enqueue_rows(pressure_batch(1))
     now = 1.0
@@ -226,9 +245,10 @@ def test_backoff_doubles_until_cap(test_keypair, core):
     assert waits == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]
 
 
-def test_retry_cap_fails_rows_without_release(test_keypair, core, tmp_path):
+def test_retry_cap_fails_rows_without_release(test_keypair, core, tmp_path, monkeypatch):
+    monkeypatch.setattr(client, "MAX_RETRIES", 2)
     j = journal.Journal(str(tmp_path / "j.bin"))
-    session = make_session(test_keypair, max_retries=2, journal=j)
+    session = make_session(test_keypair, journal=j)
     authenticate(session, core)
     session.enqueue_rows(pressure_batch(7))
     now = 1.0
@@ -387,8 +407,9 @@ def test_rotation_last_writer_wins(test_keypair, core):
     assert session.handle_wire(AUTH, reply_a, 1.4) is None
 
 
-def test_stubborn_packet_triggers_auth_refresh(test_keypair, core):
-    session = make_session(test_keypair, auth_refresh_every=2)
+def test_stubborn_packet_triggers_auth_refresh(test_keypair, core, monkeypatch):
+    monkeypatch.setattr(client, "AUTH_REFRESH_EVERY", 2)
+    session = make_session(test_keypair)
     authenticate(session, core)
     session.enqueue_rows(pressure_batch(3))
     now = 1.0
@@ -401,16 +422,17 @@ def test_stubborn_packet_triggers_auth_refresh(test_keypair, core):
     assert session.counters["auth_sent"] == 2
 
 
-def test_refresh_recovers_lost_server_state(test_keypair):
+def test_refresh_recovers_lost_server_state(test_keypair, monkeypatch):
     # server loses everything (fresh storage); the client's periodic re-auth
     # re-registers and delivery completes under a new session id
-    session = make_session(test_keypair, auth_refresh_every=2)
-    core_a = IngestCore(test_keypair.private_part, storage.MemoryStorage())
+    monkeypatch.setattr(client, "AUTH_REFRESH_EVERY", 2)
+    session = make_session(test_keypair)
+    core_a = IngestCore(test_keypair.private_part, open_storage("memory"))
     authenticate(session, core_a)
     old_sid = session.session_id
     session.enqueue_rows(pressure_batch(5))
 
-    core_b = IngestCore(test_keypair.private_part, storage.MemoryStorage())
+    core_b = IngestCore(test_keypair.private_part, open_storage("memory"))
     now = 1.0
     for _ in range(40):
         if session.is_done():
@@ -462,8 +484,9 @@ def test_journal_resume_after_crash(test_keypair, core, tmp_path):
 # guards
 
 
-def test_buffer_limit(test_keypair):
-    session = make_session(test_keypair, buffer_limit_bytes=100)
+def test_buffer_limit(test_keypair, monkeypatch):
+    monkeypatch.setattr(client, "BUFFER_LIMIT_BYTES", 100)
+    session = make_session(test_keypair)
     with pytest.raises(BufferFull):
         session.enqueue_rows(pressure_batch(10))
     assert session.counters["rows_enqueued"] == 0

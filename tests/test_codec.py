@@ -207,14 +207,16 @@ def test_compress_roundtrip():
     assert codec.decompress(packed) == data
 
 
-def test_decompress_rejects_oversized_output():
+def test_decompress_rejects_oversized_output(monkeypatch):
     bomb = codec.compress(b"\x00" * (codec.MAX_DECOMPRESSED_BYTES + 1))
     with pytest.raises(codec.OutputLimitExceeded):
         codec.decompress(bomb)
     small = codec.compress(b"x" * 100)
+    monkeypatch.setattr(codec, "MAX_DECOMPRESSED_BYTES", 99)
     with pytest.raises(codec.OutputLimitExceeded):
-        codec.decompress(small, max_out=99)
-    assert codec.decompress(small, max_out=100) == b"x" * 100
+        codec.decompress(small)
+    monkeypatch.setattr(codec, "MAX_DECOMPRESSED_BYTES", 100)
+    assert codec.decompress(small) == b"x" * 100
 
 
 def test_decompress_rejects_corruption():

@@ -133,16 +133,6 @@ def test_oversized_declared_record_rejected(tmp_path):
         journal.Journal(path)
 
 
-def test_no_fsync_mode(tmp_path):
-    path = str(tmp_path / "j.bin")
-    j = journal.Journal(path, fsync=False)
-    j.append(batch(2))
-    j.close()
-    j2 = journal.Journal(path)
-    assert j2.total_rows == 2
-    j2.close()
-
-
 def test_memory_journal_contract():
     j = journal.MemoryJournal()
     assert j.append(batch(3)) == range(0, 3)
@@ -155,5 +145,3 @@ def test_memory_journal_contract():
         j.ack_through(5)
     j.ack_through(4)
     assert j.watermark == 4
-    j.sync()
-    j.close()

@@ -439,14 +439,12 @@ class _StorageOracle:
                 self.rows.setdefault(key, fields)
         return sum(len(rows) for rows in streams.values())
 
-    def read_session_rows(self, sid, streams=None, start_ts=None, end_ts=None):
+    def read_session_rows(self, sid):
         pairs = {ap_id: pair for pair, ap_id in self.aps.items()}
         out: dict[str, list[dict]] = {}
         for key in sorted(self.rows, key=lambda k: k[2:]):
             row_sid, stream, ts, ms, idx = key
-            if (row_sid != sid or (streams and stream not in streams)
-                    or (start_ts is not None and ts < start_ts)
-                    or (end_ts is not None and ts >= end_ts)):
+            if row_sid != sid:
                 continue
             row = {"ts": ts, **({"ms": ms} if ms != -1 else {}),
                    **({"idx": idx} if idx else {}), **self.rows[key]}
@@ -474,8 +472,8 @@ _writes = st.lists(st.tuples(st.integers(0, 1), _colliding
 
 
 @settings(max_examples=50, deadline=None)
-@given(writes=_writes, lo=st.integers(0, 2**62 - 1), span=st.integers(0, 2**62))
-def test_sqlite_storage_matches_dict_model(writes, lo, span):
+@given(writes=_writes)
+def test_sqlite_storage_matches_dict_model(writes):
     sql = storage.SqliteStorage(":memory:")
     try:
         sids = [sql.upsert_session(f"{n:0>32}", TS, bytes(16)) for n in range(2)]
@@ -494,8 +492,6 @@ def test_sqlite_storage_matches_dict_model(writes, lo, span):
             assert sql.write_rows(sid, received) == model.write_rows(sid, streams)
         for sid in sids:
             assert sql.read_session_rows(sid) == model.read_session_rows(sid)
-            picked = (["wifi", "accel", "events"], lo, lo + span)
-            assert sql.read_session_rows(sid, *picked) == model.read_session_rows(sid, *picked)
         assert sql.storage_stats() == model.storage_stats()
     finally:
         sql.close()

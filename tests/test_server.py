@@ -50,7 +50,7 @@ def data_blob(key, session_id, seq, n=5, base_ts=TS):
 
 
 def test_auth_registers_session_and_replies(test_keypair):
-    core = IngestCore(test_keypair.private_part, storage.MemoryStorage())
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
     key = crypto.generate_session_key()
     reply = core.handle_auth_packet(auth_blob(test_keypair, key, seq=9))
     resp = codec.decode_auth_response(reply, key)
@@ -59,7 +59,7 @@ def test_auth_registers_session_and_replies(test_keypair):
 
 
 def test_auth_same_user_and_time_is_idempotent(test_keypair):
-    core = IngestCore(test_keypair.private_part, storage.MemoryStorage())
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
     key_a, key_b = crypto.generate_session_key(), crypto.generate_session_key()
     r1 = codec.decode_auth_response(
         core.handle_auth_packet(auth_blob(test_keypair, key_a, seq=1)), key_a)
@@ -74,7 +74,7 @@ def test_auth_same_user_and_time_is_idempotent(test_keypair):
 
 
 def test_undecodable_auth_is_silently_discarded(test_keypair):
-    st = storage.MemoryStorage()
+    st = storage.open_storage("memory")
     core = IngestCore(test_keypair.private_part, st)
     rng = random.Random(1)
     for _ in range(20):
@@ -87,7 +87,7 @@ def test_undecodable_auth_is_silently_discarded(test_keypair):
 
 
 def test_auth_under_wrong_public_key_discarded(test_keypair, small_keypair):
-    core = IngestCore(test_keypair.private_part, storage.MemoryStorage())
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
     key = crypto.generate_session_key()
     req = codec.AuthRequest(seq=1, user_hash=HASH, time=TS, key=key)
     blob = codec.encode_auth_request(req, small_keypair.public_part)
@@ -99,7 +99,7 @@ def test_auth_under_wrong_public_key_discarded(test_keypair, small_keypair):
 
 
 def test_data_flow_store_then_ack(test_keypair):
-    core = IngestCore(test_keypair.private_part, storage.MemoryStorage())
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
     key = crypto.generate_session_key()
     sid = codec.decode_auth_response(
         core.handle_auth_packet(auth_blob(test_keypair, key)), key).session_id
@@ -111,7 +111,7 @@ def test_data_flow_store_then_ack(test_keypair):
 
 
 def test_replayed_data_packet_acked_idempotently(test_keypair):
-    core = IngestCore(test_keypair.private_part, storage.MemoryStorage())
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
     key = crypto.generate_session_key()
     sid = codec.decode_auth_response(
         core.handle_auth_packet(auth_blob(test_keypair, key)), key).session_id
@@ -158,14 +158,14 @@ def test_text_without_a_utf8_form_is_discarded_not_raised(test_keypair):
 
 
 def test_data_for_unknown_session_discarded(test_keypair):
-    core = IngestCore(test_keypair.private_part, storage.MemoryStorage())
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
     key = crypto.generate_session_key()
     assert core.handle_data_packet(data_blob(key, 7, seq=1)) is None
     assert core.metrics["data_discard_unknown_session"] == 1
 
 
 def test_data_under_rotated_out_key_discarded(test_keypair):
-    core = IngestCore(test_keypair.private_part, storage.MemoryStorage())
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
     old_key = crypto.generate_session_key()
     sid = codec.decode_auth_response(
         core.handle_auth_packet(auth_blob(test_keypair, old_key, seq=1)), old_key).session_id
@@ -178,7 +178,7 @@ def test_data_under_rotated_out_key_discarded(test_keypair):
 
 
 def test_cross_session_key_isolation(test_keypair):
-    core = IngestCore(test_keypair.private_part, storage.MemoryStorage())
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
     key_a, key_b = crypto.generate_session_key(), crypto.generate_session_key()
     sid_a = codec.decode_auth_response(
         core.handle_auth_packet(auth_blob(test_keypair, key_a, seq=1)), key_a).session_id
@@ -190,7 +190,7 @@ def test_cross_session_key_isolation(test_keypair):
 
 
 def test_unknown_stream_rows_acked_not_stored(test_keypair):
-    core = IngestCore(test_keypair.private_part, storage.MemoryStorage())
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
     key = crypto.generate_session_key()
     sid = codec.decode_auth_response(
         core.handle_auth_packet(auth_blob(test_keypair, key)), key).session_id
@@ -296,7 +296,7 @@ def test_lru_cache_basics():
 
 
 def test_cache_warm_after_auth_cold_after_clear(test_keypair):
-    st = CountingStorage(storage.MemoryStorage())
+    st = CountingStorage(storage.open_storage("memory"))
     core = IngestCore(test_keypair.private_part, st)
     key = crypto.generate_session_key()
     sid = codec.decode_auth_response(
@@ -326,7 +326,7 @@ def test_one_key_lookup_per_data_packet(test_keypair):
 
 
 def test_metrics_text_shape(test_keypair):
-    core = IngestCore(test_keypair.private_part, storage.MemoryStorage())
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
     key = crypto.generate_session_key()
     core.handle_auth_packet(auth_blob(test_keypair, key))
     text = core.metrics_text()
@@ -360,7 +360,7 @@ def test_server_config_validation():
 def daemon(test_keypair):
     config = ServerConfig(auth_port=0, data_port=0, host="127.0.0.1")
     d = ServerDaemon(config, private_key=test_keypair.private_part,
-                     storage=storage.MemoryStorage())
+                     storage=storage.open_storage("memory"))
     d.start()
     yield d
     d.stop()
@@ -495,7 +495,7 @@ def _udp_handshake(keypair, daemon):
 
 
 def test_handler_exception_costs_one_packet_not_the_port(test_keypair, caplog):
-    st = storage.MemoryStorage()
+    st = storage.open_storage("memory")
     write_rows = st.write_rows
     failures = [sqlite3.OperationalError("disk I/O error")]
 
@@ -571,7 +571,7 @@ def test_tcp_peer_that_stops_reading_is_closed_between_frames(test_keypair, daem
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="the kernel reports UDP drops to the socket on Linux only")
 def test_udp_overflow_while_handling_is_counted_as_dropped(test_keypair):
-    st = storage.MemoryStorage()
+    st = storage.open_storage("memory")
     write_rows, release = st.write_rows, threading.Event()
 
     def wait_for_release(*args):
@@ -612,7 +612,7 @@ def test_daemon_port_conflict_raises(test_keypair):
     try:
         config = ServerConfig(auth_port=port, data_port=port + 1, host="127.0.0.1")
         d = ServerDaemon(config, private_key=test_keypair.private_part,
-                         storage=storage.MemoryStorage())
+                         storage=storage.open_storage("memory"))
         with pytest.raises(ConfigError):
             d.start()
     finally:
@@ -641,7 +641,7 @@ def test_metrics_endpoint(test_keypair):
     config = ServerConfig(auth_port=0, data_port=0, host="127.0.0.1",
                           metrics_port=_free_tcp_port())
     d = ServerDaemon(config, private_key=test_keypair.private_part,
-                     storage=storage.MemoryStorage())
+                     storage=storage.open_storage("memory"))
     before = set(threading.enumerate())
     d.start()
     started = set(threading.enumerate()) - before

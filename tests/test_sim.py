@@ -3,7 +3,7 @@ import sqlite3
 
 import pytest
 
-from senselink import codec, sim, storage
+from senselink import client, codec, sim, storage
 from senselink.sim import (ChannelConfig, EventLoop, ExperimentReport, SimError,
                            VerificationFailed, WorkloadConfig, MAX_RATE_WORKLOAD,
                            _Direction, flush_chunks, generate_session,
@@ -39,12 +39,13 @@ def test_event_loop_clamps_past_deadlines():
     assert seen == [("past", 2.0)]
 
 
-def test_event_loop_honours_limit():
+def test_event_loop_honours_limit(monkeypatch):
+    monkeypatch.setattr(sim, "MAX_VIRTUAL_S", 10.0)
     loop = EventLoop()
     seen = []
     loop.call_at(1.0, lambda: seen.append(1))
     loop.call_at(100.0, lambda: seen.append(2))
-    loop.run(limit_s=10.0)
+    loop.run()
     assert seen == [1]
 
 
@@ -173,7 +174,7 @@ def test_workload_validation():
 
 
 def test_verify_storage_detects_mutation(test_keypair):
-    st = storage.MemoryStorage()
+    st = storage.open_storage("memory")
     workload = WorkloadConfig(duration_s=30, seed=4)
     run_experiment(workload, ChannelConfig(), keypair=test_keypair, storage=st)
     generated = generate_session(workload)
@@ -262,13 +263,13 @@ def test_restarts_are_transparent(test_keypair):
     assert report.delivery_ratio == 1.0
 
 
-def test_dead_data_path_reports_total_failure(test_keypair):
+def test_dead_data_path_reports_total_failure(test_keypair, monkeypatch):
+    monkeypatch.setattr(client, "MAX_RETRIES", 3)
     report = run_experiment(
         WorkloadConfig(duration_s=20, seed=9),
         ChannelConfig(seed=6),                       # clean handshake path
         data_channel=ChannelConfig(loss_prob=1.0, seed=6),
-        keypair=test_keypair, verify=False,
-        client_options={"max_retries": 3})
+        keypair=test_keypair, verify=False)
     assert report.auth_responses >= 1   # the handshake itself succeeded
     assert report.rows_stored == 0
     assert report.rows_failed == report.rows_generated
@@ -276,13 +277,13 @@ def test_dead_data_path_reports_total_failure(test_keypair):
     assert report.retransmissions >= 3
 
 
-def test_dead_data_path_fails_verification(test_keypair):
+def test_dead_data_path_fails_verification(test_keypair, monkeypatch):
+    monkeypatch.setattr(client, "MAX_RETRIES", 2)
     with pytest.raises(VerificationFailed):
         run_experiment(WorkloadConfig(duration_s=10, seed=9),
                        ChannelConfig(seed=6),
                        data_channel=ChannelConfig(loss_prob=1.0, seed=6),
-                       keypair=test_keypair,
-                       client_options={"max_retries": 2})
+                       keypair=test_keypair)
 
 
 def test_experiment_against_sqlite_storage(test_keypair, tmp_path):
