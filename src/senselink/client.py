@@ -12,9 +12,10 @@ Reliability rules:
   at the ``now`` of the pump that encodes it; the drain loop pumps one new
   packet at a time with a fresh ``now``, so encoding a window never expires
   the timers of packets still waiting to be sent
-* each row is validated and serialized once, when it is buffered; a packet's
-  payload is joined from those bytes and kept until the packet is
-  acknowledged
+* each row is checked and serialized in one pass, when it is buffered
+  (``StreamSpec.row_json``); the journal record of its batch and each
+  packet's payload are joined from those bytes, and a payload is kept until
+  the packet is acknowledged
 * retransmission uses exponential backoff and re-emits identical bytes,
   unless the key or session id changed since the packet was sealed, in
   which case the kept payload is re-sealed under the current values
@@ -33,6 +34,7 @@ packet-size limit are module constants (the last is
 
 from __future__ import annotations
 
+import itertools
 import select
 import socket
 import time
@@ -40,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import codec, crypto
-from .journal import MemoryJournal, iter_batch_rows
+from .journal import MemoryJournal
 
 AUTH = "auth"
 DATA = "data"
@@ -77,7 +79,7 @@ class TimeMismatch(ClientError):
 class _BufferedRow:
     index: int  # journal index
     stream: str
-    json: bytes  # canonical JSON of the validated row
+    json: bytes  # canonical JSON of the row (StreamSpec.row_json)
 
     @property
     def json_size(self) -> int:
@@ -192,8 +194,7 @@ class ClientSession:
             "max_inflight": 0,
         }
         for index, stream, row in self.journal.pending_rows():
-            self._buffer_row(index, stream,
-                             codec.canonical_json(codec.validate_row(stream, row)))
+            self._buffer_row(index, stream, codec.STREAM_SPECS[stream].row_json(row))
 
     # -- helpers ------------------------------------------------------------
 
@@ -265,17 +266,22 @@ class ClientSession:
     # -- buffering ----------------------------------------------------------
 
     def enqueue_rows(self, streams: dict[str, list[dict]]) -> int:
-        known, unknown = codec.validate_streams(streams)
+        known, unknown = codec.split_streams(streams)
         if unknown:
             raise ValueError("cannot enqueue rows for unknown streams")
-        rows = [(stream, codec.canonical_json(row)) for stream, row in iter_batch_rows(known)]
-        if self._buffered_bytes + sum(len(data) + 1 for _, data in rows) > BUFFER_LIMIT_BYTES:
+        row_json = codec.rows_json(known)  # checks every row before anything is kept
+        count = codec.batch_row_count(row_json)
+        size = sum(map(len, itertools.chain.from_iterable(row_json.values()))) + count
+        if self._buffered_bytes + size > BUFFER_LIMIT_BYTES:
             raise BufferFull(f"buffer limit {BUFFER_LIMIT_BYTES} bytes exceeded")
-        indexes = self.journal.append(known)
-        for (stream, data), index in zip(rows, indexes):
-            self._buffer_row(index, stream, data)
-        self.counters["rows_enqueued"] += len(rows)
-        return len(rows)
+        index = self.journal.append(row_json).start
+        for stream, rows in row_json.items():  # in write order, the order of the indexes
+            self._buffer.extend(map(_BufferedRow, range(index, index + len(rows)),
+                                    itertools.repeat(stream), rows))
+            index += len(rows)
+        self._buffered_bytes += size
+        self.counters["rows_enqueued"] += count
+        return count
 
     # -- transmission -------------------------------------------------------
 

@@ -187,7 +187,9 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
 
 def canonical_json(obj: object) -> bytes:
     """Canonical bytes of a value already known to hold only string keys and
-    finite numbers (validated rows); ``allow_nan=False`` remains a backstop."""
+    finite numbers (a checked payload, rows read from storage);
+    ``allow_nan=False`` remains a backstop. Rows take ``StreamSpec.row_json``,
+    which writes the same bytes while it checks them."""
     return _CANONICAL.encode(obj).encode("utf-8")
 
 
@@ -261,63 +263,65 @@ def deserialize_payload(data: bytes, expected_kind: type):
 # ---------------------------------------------------------------------------
 # the stream table: row shape, ms rule, SQLite table and logical byte cost
 
-# A field is (name, check, default). check(row) reads the field from a row as
-# received and returns the value SQLite stores, or raises MalformedPayload; a
-# field a row may leave out stores its default instead. Each check first
-# tests the exact types JSON yields (int, float, str), then falls back to the
-# general test, so bool is refused and int and float subclasses are accepted.
+# A field is (name, check, default, text). check(value) takes the field's
+# value from a row as received and returns the value SQLite stores, or raises
+# MalformedPayload; text(value) is the canonical JSON of a checked value. A
+# row that leaves out a field whose default is not _REQUIRED stores the
+# default, and its absence costs only the dict lookup: check never sees it.
+# Each check first tests the exact types JSON yields (int, float, str), then
+# falls back to the general test, so bool is refused and int and float
+# subclasses are accepted, as the plain int or float of the same value.
 
 _REQUIRED = object()  # the default of a field every row must carry
 _INF = math.inf
+_json_string = json.encoder.encode_basestring  # strings as _CANONICAL writes them
 
 
-def _absent(name: str, default):
-    if default is _REQUIRED:
-        raise MalformedPayload(f"row missing field {name!r}")
-    return default
+def _missing(name: str):
+    return MalformedPayload(f"row missing field {name!r}")
 
 
 def _int(name: str, lo: int = 0, hi: int = I64_MAX, *, default=_REQUIRED):
-    def check(row):
-        value = row.get(name)
+    def check(value):
         if type(value) is int and lo <= value <= hi:
             return value
         if value is None:
-            return _absent(name, default)
+            raise _missing(name)
         if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
             raise MalformedPayload(f"row field {name!r} out of range")
-        return value
-    return name, check, default
+        return int.__int__(value)  # the plain int, whatever the subclass prints
+    return name, check, default, repr
 
 
 def _number(name: str, *, positive: bool = False):
-    def check(row):
-        value = row.get(name)
+    def check(value):
         kind = type(value)
         if not (kind is float and -_INF < value < _INF
                 or kind is int and I64_MIN <= value <= I64_MAX):
             if value is None:
-                raise MalformedPayload(f"row missing field {name!r}")
+                raise _missing(name)
             if isinstance(value, float):
                 if not math.isfinite(value):
                     raise MalformedPayload(f"row field {name!r} is not finite")
+                value = float.__float__(value)
             elif isinstance(value, bool) or not isinstance(value, int):
                 raise MalformedPayload(f"row field {name!r} is not a number")
             elif not I64_MIN <= value <= I64_MAX:
                 raise MalformedPayload(f"row field {name!r} out of range")
+            else:
+                value = int.__int__(value)
         if positive and value <= 0:
             raise MalformedPayload(f"{name} must be positive")
         return value
-    return name, check, _REQUIRED
+    return name, check, _REQUIRED, repr
 
 
 def _text(name: str, *, allow_empty: bool = True, default=_REQUIRED):
-    def check(row):
-        value = row.get(name)
+    def check(value):
         if type(value) is str and value.isascii() and (allow_empty or value):
             return value
         if value is None:
-            return _absent(name, default)
+            raise _missing(name)
         if not isinstance(value, str) or not (allow_empty or value):
             raise MalformedPayload(f"row field {name!r} is not a valid string")
         try:  # a JSON escape can carry a lone surrogate; UTF-8 (SQLite TEXT) cannot
@@ -325,16 +329,15 @@ def _text(name: str, *, allow_empty: bool = True, default=_REQUIRED):
         except UnicodeEncodeError:
             raise MalformedPayload(f"row field {name!r} is not valid UTF-8") from None
         return value
-    return name, check, default
+    return name, check, default, _json_string
 
 
 def _is_int16(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, int) and -32768 <= value <= 32767
 
 
-def _samples(row) -> bytes:
+def _samples(value) -> bytes:
     """A motion row's samples, packed as little-endian 16-bit triplets."""
-    value = row.get("samples")
     if not isinstance(value, list) or not value or len(value) > MAX_SAMPLES_PER_ROW:
         raise MalformedPayload("samples must be a non-empty bounded list")
     flat: list = []
@@ -352,13 +355,20 @@ def _samples(row) -> bytes:
         raise MalformedPayload("samples must be 16-bit [x, y, z] triplets") from None
 
 
+def _samples_json(packed: bytes) -> str:
+    """The canonical JSON of packed samples: a list of [x, y, z] triplets."""
+    flat = struct.unpack(f"<{len(packed) // 2}h", packed)
+    return "[" + ("[%d,%d,%d]," * (len(flat) // 3))[:-1] % flat + "]"
+
+
 class StreamSpec:
     """One sensor stream.
 
     ``columns`` name the SQLite columns of the stream's ``table`` after the
     natural key, in table order. ``row_params`` checks a row as received and
-    returns its values for them; ``normalize`` checks a row and returns the
-    row as validated. Both run the same field checks, which admit only what
+    returns its values for them; ``row_json`` checks a row the same way and
+    returns its canonical JSON, which leaves out unknown fields, an absent
+    ms, a zero idx and absent optional fields. The checks admit only what
     SQLite holds (https://www.sqlite.org/datatype3.html): integers in signed
     64 bits, so ``ts`` and ``device_ts`` end at ``I64_MAX``; number fields as
     finite floats or signed 64-bit integers, kept as sent on the wire but
@@ -373,13 +383,14 @@ class StreamSpec:
                  row_bytes: int, sample_bytes: int = 0, text_bytes: tuple[str, ...] = ()):
         self.name = name
         self.table = table
-        self.columns = tuple(field_name for field_name, _, _ in fields)
+        self.columns = tuple(field[0] for field in fields)
         # every row starts with its natural key (see natural_key)
         fields = (_int("ts"), _int("ms", hi=999, default=_REQUIRED if ms_required else -1),
                   _int("idx", hi=U32_MAX, default=0)) + fields
-        self.checks = tuple(check for _, check, _ in fields)
-        self._named_checks = tuple((field_name, check) for field_name, check, _ in fields)
-        self._optional = tuple(field_name for field_name, _, default in fields if default is None)
+        self._fields = tuple((name, check, default) for name, check, default, _ in fields)
+        # in key order; a checked value equal to its default (a zero idx) is left out
+        self._json_fields = tuple(sorted(
+            (name, f'"{name}":', check, default, text) for name, check, default, text in fields))
         self.row_bytes = row_bytes
         self.sample_bytes = sample_bytes
         self.text_bytes = text_bytes
@@ -394,22 +405,28 @@ class StreamSpec:
         """
         if not isinstance(row, dict):
             raise MalformedPayload("row is not an object")
-        return tuple([check(row) for check in self.checks])
+        get = row.get
+        params = []
+        for name, check, default in self._fields:
+            value = get(name)
+            params.append(check(value) if value is not None or default is _REQUIRED
+                          else default)
+        return tuple(params)
 
-    def normalize(self, row) -> dict:
-        """Check one row as ``row_params`` does; return it with unknown fields,
-        an absent ms, a zero idx and absent optional fields left out."""
+    def row_json(self, row) -> bytes:
+        """Check one row as ``row_params`` does; return its canonical JSON,
+        ``canonical_json`` of the row as validated, written field by field."""
         if not isinstance(row, dict):
             raise MalformedPayload("row is not an object")
-        out = {name: check(row) for name, check in self._named_checks}
-        if out["ms"] == -1:
-            del out["ms"]
-        if not out["idx"]:  # 0 means "the only row of this (ts, ms)", as absent does
-            del out["idx"]
-        for name in self._optional:
-            if out[name] is None:
-                del out[name]
-        return out
+        get = row.get
+        parts = []
+        for name, key, check, default, text in self._json_fields:
+            value = get(name)
+            if default is _REQUIRED:
+                parts.append(key + text(check(value)))
+            elif value is not None and (value := check(value)) != default:
+                parts.append(key + text(value))
+        return ("{" + ",".join(parts) + "}").encode()
 
 
 class _MotionSpec(StreamSpec):
@@ -418,7 +435,8 @@ class _MotionSpec(StreamSpec):
 
     def __init__(self, name: str):
         super().__init__(name, "motion_rows",
-                         (_number("rate", positive=True), ("samples", _samples, _REQUIRED)),
+                         (_number("rate", positive=True),
+                          ("samples", _samples, _REQUIRED, _samples_json)),
                          row_bytes=8, sample_bytes=6)
         self.columns = ("rate", "n", "samples")
 
@@ -426,31 +444,28 @@ class _MotionSpec(StreamSpec):
         ts, ms, idx, rate, samples = super().row_params(row)
         return ts, ms, idx, rate, len(samples) // 6, samples  # 3 x 2 bytes a sample
 
-    def normalize(self, row) -> dict:
-        out = super().normalize(row)
-        out["samples"] = [list(triple) for triple in row["samples"]]  # the checked triples
-        return out
-
 
 class _WifiSpec(StreamSpec):
-    """wifi: a row names its access point by ap_id or by (mac, essid)."""
+    """wifi: a row names its access point by ap_id or, without one, by
+    (mac, essid), which storage interns to an ap_id."""
 
     def __init__(self):
-        _, ap_id, _ = _int("ap_id", lo=1, hi=U32_MAX)
-        _, mac, _ = _text("mac", allow_empty=False)
-        _, essid, _ = _text("essid")  # hidden networks broadcast ""
-
-        def access_point(row):  # the ap_id, or else the pair that storage interns to one
-            return ap_id(row) if "ap_id" in row else (mac(row), essid(row))
-
-        super().__init__("wifi", "wifi_rows", (("ap_id", access_point, _REQUIRED), _RSSI),
+        super().__init__("wifi", "wifi_rows", (_int("ap_id", lo=1, hi=U32_MAX), _RSSI),
                          row_bytes=17)
+        self._by_pair = StreamSpec("wifi", "wifi_rows", (
+            _text("mac", allow_empty=False), _text("essid"), _RSSI),  # hidden networks: ""
+            row_bytes=17)
 
-    def normalize(self, row) -> dict:
-        out = super().normalize(row)
-        if isinstance(out["ap_id"], tuple):
-            out["mac"], out["essid"] = out.pop("ap_id")
-        return out
+    def row_params(self, row) -> tuple:
+        if isinstance(row, dict) and "ap_id" not in row:
+            ts, ms, idx, mac, essid, rssi = self._by_pair.row_params(row)
+            return ts, ms, idx, (mac, essid), rssi
+        return super().row_params(row)
+
+    def row_json(self, row) -> bytes:
+        if isinstance(row, dict) and "ap_id" not in row:
+            return self._by_pair.row_json(row)
+        return super().row_json(row)
 
 
 _RSSI = _int("rssi", lo=-127, hi=0)
@@ -475,10 +490,12 @@ MOTION_STREAMS = frozenset(s.name for s in STREAM_SPECS.values() if s.sample_byt
 
 
 def natural_key(row: dict) -> tuple[int, int, int]:
-    """(ts, ms, idx) of a normalized row: unique per session and stream, so
-    replayed writes are idempotent. Absent ms is -1 rather than NULL, which
-    would compare unequal and break idempotent replays; absent idx is 0."""
-    return row["ts"], row.get("ms", -1), row.get("idx", 0)
+    """(ts, ms, idx) of a valid row, as received or validated: unique per
+    session and stream, so replayed writes are idempotent. Absent ms is -1
+    rather than NULL, which would compare unequal and break idempotent
+    replays; absent idx is 0."""
+    ms = row.get("ms")
+    return row["ts"], -1 if ms is None else ms, row.get("idx") or 0
 
 
 def write_order(streams: dict[str, list]) -> list[tuple[str, list]]:
@@ -489,11 +506,12 @@ def write_order(streams: dict[str, list]) -> list[tuple[str, list]]:
 
 def validate_row(stream: str, row: dict) -> dict:
     """Normalize one row: check the schema, drop unknown fields and a zero
-    idx. Raises :class:`MalformedPayload` as ``StreamSpec.row_params`` does."""
+    idx; the row that ``StreamSpec.row_json`` serializes. Raises
+    :class:`MalformedPayload` as ``StreamSpec.row_params`` does."""
     spec = STREAM_SPECS.get(stream)
     if spec is None:
         raise MalformedPayload(f"unknown stream {stream!r}")
-    return spec.normalize(row)
+    return json.loads(spec.row_json(row))
 
 
 def split_streams(streams: object) -> tuple[dict[str, list], int]:
@@ -520,6 +538,13 @@ def validate_streams(streams: object) -> tuple[dict[str, list[dict]], int]:
     known, unknown = split_streams(streams)
     return {name: [validate_row(name, row) for row in rows]
             for name, rows in known.items()}, unknown
+
+
+def rows_json(known: dict[str, list]) -> dict[str, list[bytes]]:
+    """The canonical JSON of each row of known streams (``StreamSpec.row_json``),
+    by stream in write order, so the rows come in the order of their indexes."""
+    return {name: list(map(STREAM_SPECS[name].row_json, rows))
+            for name, rows in write_order(known)}
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +604,18 @@ def decode_auth_response(blob: bytes, key: bytes) -> AuthResponse:
     return resp
 
 
+def streams_json(row_json: dict[str, list[bytes]]) -> bytes:
+    """The canonical streams object ``{"name":[row,...],...}`` joined from the
+    canonical JSON of each row, so no row is serialized again; equal to
+    ``canonical_json(rows)`` for the validated rows."""
+    return b"{" + b",".join(canonical_json(name) + b":[" + b",".join(rows) + b"]"
+                            for name, rows in sorted(row_json.items())) + b"}"
+
+
 def data_payload(seq: int, row_json: dict[str, list[bytes]]) -> bytes:
-    """The canonical payload ``{"seq":N,"streams":{...}}`` assembled from the
-    canonical JSON of each validated row, so no row is serialized again;
-    equal to ``canonical_json({"seq": seq, "streams": rows})``."""
-    streams = b",".join(canonical_json(name) + b":[" + b",".join(rows) + b"]"
-                        for name, rows in sorted(row_json.items()))
-    return b'{"seq":' + canonical_json(seq) + b',"streams":{' + streams + b"}}"
+    """The canonical payload ``{"seq":N,"streams":{...}}`` of rows already in
+    canonical JSON (see :func:`streams_json`)."""
+    return b'{"seq":' + canonical_json(seq) + b',"streams":' + streams_json(row_json) + b"}"
 
 
 def seal_data_payload(session_id: int, payload: bytes, key: bytes, *,
@@ -594,12 +624,10 @@ def seal_data_payload(session_id: int, payload: bytes, key: bytes, *,
 
 
 def encode_data_packet(pkt: DataPacket, key: bytes, *, iv: bytes | None = None) -> bytes:
-    streams, unknown = validate_streams(pkt.streams)
+    known, unknown = split_streams(pkt.streams)
     if unknown:
         raise ValueError("cannot encode rows for unknown streams")
-    # validate_streams rebuilt every row with string keys and finite numbers
-    row_json = {name: [canonical_json(row) for row in rows] for name, rows in streams.items()}
-    return seal_data_payload(pkt.session_id, data_payload(pkt.seq, row_json), key, iv=iv)
+    return seal_data_payload(pkt.session_id, data_payload(pkt.seq, rows_json(known)), key, iv=iv)
 
 
 def decode_data_packet(blob: bytes, key_lookup: Callable[[int], bytes | None]) -> DataPacket:

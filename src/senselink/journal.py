@@ -2,7 +2,8 @@
 
 The upload engine must not lose rows across a client crash, and must never
 drop a row that was not positively acknowledged. The journal provides that:
-row batches are appended as length-prefixed canonical-JSON records, and a
+row batches are appended as length-prefixed canonical-JSON records, joined
+from the canonical JSON of each row the client has already built, and a
 separate "ack" record advances a watermark counting how many rows (in global
 append order) have been released by server feedback. On reopen, rows past
 the watermark are re-uploaded; duplicates are harmless because the server's
@@ -14,7 +15,9 @@ Record kinds:
   :func:`senselink.codec.write_order` (stream name, then list order)
 * ``{"kind": "ack", "through": N}`` — first N rows are released
 
-A torn final record (crash mid-append) is truncated away on open.
+A torn final record (crash mid-append) is truncated away on open. Records
+are UTF-8; replay reads records with ASCII escapes as well, the form older
+builds wrote.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ class MemoryJournal:
     def pending_rows(self):
         return iter(())
 
-    def append(self, streams: dict[str, list[dict]]) -> range:
+    def append(self, row_json: dict[str, list[bytes]]) -> range:
         first = self.total_rows
-        self.total_rows += codec.batch_row_count(streams)
+        self.total_rows += codec.batch_row_count(row_json)
         return range(first, self.total_rows)
 
     def ack_through(self, n: int):
@@ -124,26 +127,26 @@ class Journal:
         for offset, (stream, row) in enumerate(self._pending):
             yield base + offset, stream, row
 
-    def _write(self, record: dict):
-        body = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    def _write(self, body: bytes):
         if len(body) > MAX_RECORD_BYTES:
             raise JournalError("record too large")
         self._file.write(_LEN.pack(len(body)) + body)
         self._file.flush()
         os.fsync(self._file.fileno())
 
-    def append(self, streams: dict[str, list[dict]]) -> range:
+    def append(self, row_json: dict[str, list[bytes]]) -> range:
+        """Journal a batch given as the canonical JSON of each row, by stream
+        (``codec.rows_json``); returns the global indexes of its rows."""
         first = self.total_rows
-        count = codec.batch_row_count(streams)
-        self._write({"kind": "batch", "streams": streams})
-        self.total_rows += count
+        self._write(b'{"kind":"batch","streams":' + codec.streams_json(row_json) + b"}")
+        self.total_rows += codec.batch_row_count(row_json)
         return range(first, self.total_rows)
 
     def ack_through(self, n: int):
         if n < self.watermark or n > self.total_rows:
             raise JournalError(f"watermark {n} out of range")
         if n > self.watermark:
-            self._write({"kind": "ack", "through": n})
+            self._write(b'{"kind":"ack","through":%d}' % n)
             self.watermark = n
 
     def close(self):

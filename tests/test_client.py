@@ -1,3 +1,4 @@
+import json
 import random
 import socket
 import threading
@@ -6,7 +7,7 @@ from collections import deque
 
 import pytest
 
-from senselink import client, codec, crypto, journal
+from senselink import client, codec, crypto, journal, sim
 from senselink.client import (AUTH, DATA, BASE_TIMEOUT, ClientError, BufferFull, TimeMismatch,
                               UnknownSeq, ClientSession, TcpTransport,
                               run_until_drained)
@@ -480,6 +481,39 @@ def test_journal_resume_after_crash(test_keypair, core, tmp_path):
     j2.close()
 
 
+def test_client_path_serializes_each_row_once(test_keypair, core, monkeypatch, tmp_path):
+    # a default hour goes from enqueue through the journal and every packet
+    # to storage with no per-row validate_row and no row through the encoder
+    assert not hasattr(codec.StreamSpec, "normalize")
+    generated = sim.generate_session(sim.WorkloadConfig(seed=8))
+    encode = json.JSONEncoder.encode  # codec._CANONICAL's and json.dumps'
+
+    def tripwire(self, obj):
+        if isinstance(obj, dict) and ("ts" in obj or "streams" in obj):
+            raise AssertionError("a row went through the JSON encoder")
+        return encode(self, obj)
+
+    def no_validate_row(stream, row):
+        raise AssertionError("validate_row ran on the client path")
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", tripwire)
+    monkeypatch.setattr(codec, "validate_row", no_validate_row)
+    j = journal.Journal(str(tmp_path / "j.bin"))
+    session = make_session(test_keypair, journal=j)
+    authenticate(session, core)
+    assert session.enqueue_rows(generated) == codec.batch_row_count(generated)
+    now = 1.0
+    while not session.is_done():
+        for kind, blob in session.pump(now):
+            assert kind == DATA
+            session.handle_wire(DATA, core.handle_data_packet(blob), now)
+        now += 0.01
+    assert session.report().delivered_rows == codec.batch_row_count(generated)
+    assert j.watermark == j.total_rows
+    j.close()
+    sim.verify_storage(core.storage, session.session_id, generated)
+
+
 # ---------------------------------------------------------------------------
 # guards
 
@@ -494,8 +528,20 @@ def test_buffer_limit(test_keypair, monkeypatch):
 
 def test_unknown_stream_enqueue_rejected(test_keypair):
     session = make_session(test_keypair)
-    with pytest.raises(ValueError):
-        session.enqueue_rows({"heart_rate": [{"ts": TS, "bpm": 60}]})
+    with pytest.raises(ValueError):  # not MalformedPayload: refused before any row is checked
+        session.enqueue_rows({"heart_rate": [{"ts": TS, "bpm": 60}], "pressure": [{"ts": TS}]})
+
+
+def test_enqueue_keeps_nothing_of_a_batch_with_a_bad_row(test_keypair, tmp_path):
+    j = journal.Journal(str(tmp_path / "j.bin"))
+    session = make_session(test_keypair, journal=j)
+    bad = pressure_batch(3)
+    bad["pressure"][2]["hpa"] = float("nan")
+    with pytest.raises(codec.MalformedPayload):
+        session.enqueue_rows({**bad, "bt": [{"ts": TS, "device_id": "kb", "rssi": -9}]})
+    assert (j.total_rows, session.counters["rows_enqueued"], session._buffered_bytes) == (0, 0, 0)
+    assert not session._buffer
+    j.close()
 
 
 def test_constructor_validation(test_keypair):

@@ -1,15 +1,19 @@
+import json
 import os
 import struct
 
 import pytest
 
-from senselink import journal
+from senselink import codec, crypto, journal
+from senselink.client import ClientSession
 
 TS = 1_400_000_000
 
 
 def batch(n, base_ts=TS):
-    return {"pressure": [{"ts": base_ts + i, "hpa": 1000.0 + i} for i in range(n)]}
+    """n pressure rows as the client journals them: the JSON of each row."""
+    return codec.rows_json({"pressure": [{"ts": base_ts + i, "hpa": 1000.0 + i}
+                                         for i in range(n)]})
 
 
 def test_iter_batch_rows_global_order():
@@ -30,7 +34,7 @@ def test_replay_resumes_past_watermark(tmp_path):
     path = str(tmp_path / "j.bin")
     j = journal.Journal(path)
     j.append(batch(3))
-    j.append({"bt": [{"ts": TS, "device_id": "kb", "rssi": -9}]})
+    j.append(codec.rows_json({"bt": [{"ts": TS, "device_id": "kb", "rssi": -9}]}))
     j.ack_through(3)
     j.close()
 
@@ -145,3 +149,61 @@ def test_memory_journal_contract():
         j.ack_through(5)
     j.ack_through(4)
     assert j.watermark == 4
+
+
+# ---------------------------------------------------------------------------
+# the record forms: ASCII-escaped (earlier builds) and UTF-8
+
+_NON_ASCII = {"events": [{"ts": TS, "kind": "lap", "detail": "é \u2603 \U0001f6b2"}],
+              "bt": [{"ts": TS, "ms": 7, "device_id": "Kópavogur", "rssi": -9}],
+              "pressure": [{"ts": TS, "hpa": -0.0}, {"ts": TS + 1, "hpa": 1000.5}]}
+
+
+def _buffered(path, keypair):
+    """The row JSON a client resuming from the journal at path buffers."""
+    j = journal.Journal(path)
+    session = ClientSession(crypto.hash_user("j@example.org"), TS, keypair.public_part,
+                            journal=j)
+    out = [(entry.index, entry.stream, entry.json) for entry in session._buffer]
+    j.close()
+    return out
+
+
+def _expected_buffer(streams, first=0):
+    rows = [(stream, data) for stream, batch in codec.rows_json(streams).items()
+            for data in batch]
+    return [(first + i, stream, data) for i, (stream, data) in enumerate(rows)]
+
+
+def test_ascii_escaped_journal_reopens_with_the_same_rows(tmp_path, test_keypair):
+    path = str(tmp_path / "j.bin")
+    validated, _ = codec.validate_streams(_NON_ASCII)
+    with open(path, "wb") as f:  # json.dumps' defaults escape every non-ASCII character
+        for record in ({"kind": "batch", "streams": validated}, {"kind": "ack", "through": 1}):
+            body = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+            assert body.isascii()
+            f.write(struct.pack("!I", len(body)) + body)
+    j = journal.Journal(path)
+    assert (j.total_rows, j.watermark) == (4, 1)
+    assert list(j.pending_rows()) == [
+        (i, stream, row) for i, (stream, row) in enumerate(journal.iter_batch_rows(validated))
+    ][1:]
+    j.close()
+    assert _buffered(path, test_keypair) == _expected_buffer(_NON_ASCII)[1:]
+
+
+def test_non_ascii_rows_survive_a_crash_in_the_utf8_form(tmp_path, test_keypair):
+    path = str(tmp_path / "j.bin")
+    j = journal.Journal(path)
+    session = ClientSession(crypto.hash_user("j@example.org"), TS, test_keypair.public_part,
+                            journal=j)
+    session.enqueue_rows(_NON_ASCII)
+    before = [(entry.index, entry.stream, entry.json) for entry in session._buffer]
+    assert before == _expected_buffer(_NON_ASCII)
+    j.close()  # crash: nothing acknowledged
+    with open(path, "rb") as f:
+        record = f.read()[4:]
+    assert "Kópavogur".encode() in record and b"\\u" not in record
+    assert json.loads(record) == {"kind": "batch",
+                                  "streams": codec.validate_streams(_NON_ASCII)[0]}
+    assert _buffered(path, test_keypair) == before

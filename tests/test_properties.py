@@ -1,8 +1,9 @@
 """Property tests against reference implementations.
 
-The client serializes each row once and joins a packet's payload from those
-bytes (``codec.data_payload``), and ``encode_data_packet`` serializes rows
-that ``validate_streams`` has rebuilt without walking them again. Both must
+The client checks and serializes each row in one pass (``StreamSpec.row_json``)
+and joins a packet's payload from those bytes (``codec.data_payload``), as
+``encode_data_packet`` does. Each row's bytes must be the canonical JSON of
+the row a hand-written reference validator returns, and a payload must
 agree byte for byte with a plain serialization.
 
 Row validation is driven by the stream table in ``codec``; it must accept,
@@ -264,6 +265,23 @@ class _Str(str):
     pass
 
 
+class _LoudInt(int):
+    """Prints as something other than its value; JSON writes the value."""
+
+    def __repr__(self):
+        return "loud"
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        return "loud"
+
+
+class _LoudFloat(float):
+    __repr__ = __str__ = _LoudInt.__repr__
+    __format__ = _LoudInt.__format__
+
+
 _DROP = object()  # mutation: remove the key
 _FIELDS = ("ts", "ms", "idx", "lat", "lon", "alt", "speed", "accuracy", "device_ts", "rate",
            "samples", "rssi", "ap_id", "mac", "essid", "device_id", "hpa", "pid", "value",
@@ -276,7 +294,9 @@ _ODD_VALUES = (
     [[1, 2, 3]] * codec.MAX_SAMPLES_PER_ROW, [[1, 2, 3]] * (codec.MAX_SAMPLES_PER_ROW + 1),
     # subclasses are accepted where their base type is, bool nowhere
     _Int(0), _Int(7), _Int(2**63), _Float(2.5), _Float("inf"), _Str("x"), _Str("\ud800"),
-    [[_Int(-32768), 0, 0]], [[_Int(32768), 0, 0]])
+    [[_Int(-32768), 0, 0]], [[_Int(32768), 0, 0]],
+    # and serialize as the value, whatever the subclass prints
+    _LoudInt(7), _LoudFloat(-2.5), [[_LoudInt(5), 0, 0]])
 _mutations = st.lists(st.tuples(st.sampled_from(_FIELDS), st.sampled_from(_ODD_VALUES)),
                       max_size=3)
 
@@ -346,6 +366,36 @@ def test_validate_row_matches_reference(data, source, mutations, target, not_a_r
     stream = source if target is None else target  # mostly a row of its own stream
     expected = _outcome(_reference_validate_row, stream, row)
     assert _outcome(codec.validate_row, stream, row) == expected
+
+
+# ---------------------------------------------------------------------------
+# the one-pass serializer against validation followed by the encoder
+
+
+def _row_json(stream, row):
+    return codec.STREAM_SPECS[stream].row_json(row)
+
+
+def _reference_row_json(stream, row):
+    """The reference validator, then the canonical encoder."""
+    return codec.canonical_json(_reference_validate_row(stream, row))
+
+
+def test_row_json_matches_the_encoded_reference_under_each_single_mutation():
+    for row in _single_mutations():
+        for stream in codec.STREAMS:
+            expected = _outcome(_reference_row_json, stream, row)
+            assert _outcome(_row_json, stream, row) == expected, (stream, row)
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data(), source=st.sampled_from(codec.STREAMS), mutations=_mutations,
+       target=st.sampled_from(codec.STREAMS) | st.none(), not_a_row=_not_a_row)
+def test_row_json_matches_the_encoded_reference(data, source, mutations, target, not_a_row):
+    row = _draw_row(data, source, mutations, not_a_row)
+    stream = source if target is None else target
+    expected = _outcome(_reference_row_json, stream, row)
+    assert _outcome(_row_json, stream, row) == expected
 
 
 # ---------------------------------------------------------------------------

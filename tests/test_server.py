@@ -262,7 +262,7 @@ def test_server_stores_without_validate_row(test_keypair, monkeypatch):
         "obd": [{"ts": TS, "ms": 250, "pid": 12, "value": 870}],
         "events": [{"ts": TS, "kind": "lap", "detail": "é"}],
     }
-    expected = dict(sim.normalized_rows(streams), wifi=[  # read back with both names
+    expected = dict(codec.validate_streams(streams)[0], wifi=[  # read back with both names
         {"ts": TS, "ap_id": 1, "mac": "aa:bb", "essid": "net", "rssi": -40},
         {"ts": TS, "idx": 1, "ap_id": 1, "mac": "aa:bb", "essid": "net", "rssi": -45}])
     blob = codec.encode_data_packet(codec.DataPacket(session_id=sid, seq=2, streams=streams), key)

@@ -7,7 +7,7 @@ from senselink import client, codec, sim, storage
 from senselink.sim import (ChannelConfig, EventLoop, ExperimentReport, SimError,
                            VerificationFailed, WorkloadConfig, MAX_RATE_WORKLOAD,
                            _Direction, flush_chunks, generate_session,
-                           normalized_rows, parse_experiment_config,
+                           parse_experiment_config,
                            pipelining_benchmark, run_experiment, verify_storage)
 
 TS = 1_400_000_000
@@ -188,13 +188,17 @@ def test_verify_storage_detects_mutation(test_keypair):
         verify_storage(st, 1, tampered)
 
 
-def test_normalized_rows_sorts_by_natural_key():
-    rows = {"pressure": [{"ts": TS + 1, "hpa": 2.0},
-                         {"ts": TS, "hpa": 1.0, "idx": 1},
-                         {"ts": TS, "hpa": 0.5}]}
-    out = normalized_rows(rows)["pressure"]
-    assert [r.get("idx", 0) for r in out] == [0, 1, 0]
-    assert [r["ts"] for r in out] == [TS, TS, TS + 1]
+def test_verify_storage_sorts_generated_rows_by_natural_key():
+    st = storage.open_storage("memory")
+    sid = st.upsert_session("c" * 32, TS, bytes(16))
+    rows = [{"ts": TS + 1, "hpa": 2.0}, {"ts": TS, "hpa": 1.0, "idx": 1},
+            {"ts": TS, "ms": 3, "idx": 0, "hpa": 0.25}, {"ts": TS, "ms": None, "hpa": 0.5}]
+    st.write_rows(sid, {"pressure": rows})
+    assert [r["hpa"] for r in st.read_session_rows(sid)["pressure"]] == [0.5, 1.0, 0.25, 2.0]
+    verify_storage(st, sid, {"pressure": rows})  # rows as generated, out of key order
+    swapped = [dict(rows[0], hpa=1.0), dict(rows[1], hpa=2.0), *rows[2:]]
+    with pytest.raises(VerificationFailed, match=r"pressure\[1\]"):
+        verify_storage(st, sid, {"pressure": swapped})
 
 
 # ---------------------------------------------------------------------------
