@@ -12,10 +12,11 @@ Reliability rules:
   at the ``now`` of the pump that encodes it; the drain loop pumps one new
   packet at a time with a fresh ``now``, so encoding a window never expires
   the timers of packets still waiting to be sent
-* each row is checked and serialized in one pass, when it is buffered
-  (``StreamSpec.row_json``); the journal record of its batch and each
-  packet's payload are joined from those bytes, and a payload is kept until
-  the packet is acknowledged
+* the rows of a batch are checked and serialized a stream at a time when
+  they are buffered (``StreamSpec.rows_json``); the journal record of the
+  batch and each packet's payload are joined from those bytes, a packet of
+  ``PACK_JSON_BUDGET`` is sealed once, and a payload is kept until the
+  packet is acknowledged
 * retransmission uses exponential backoff and re-emits identical bytes,
   unless the key or session id changed since the packet was sealed, in
   which case the kept payload is re-sealed under the current values
@@ -40,6 +41,7 @@ import socket
 import time
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import codec, crypto
 from .journal import MemoryJournal
@@ -53,7 +55,12 @@ BACKOFF_FACTOR = 2.0
 MAX_TIMEOUT = 30.0
 MAX_RETRIES = 10
 BUFFER_LIMIT_BYTES = 64 * 1024 * 1024
-PACK_JSON_BUDGET = 240 * 1024  # JSON bytes per data packet before compression
+# JSON bytes per data packet before compression. Motion rows, the stream
+# that compresses worst, seal to about 0.29 of their JSON, so a full packet
+# seals under MAX_PACKET_BYTES at the first try; the shrink loop in
+# _send_new_packet guards anything less compressible. The server parses a
+# whole packet at once, so its peak memory grows with this budget.
+PACK_JSON_BUDGET = 160 * 1024
 AUTH_REFRESH_EVERY = 4  # data retries between self-healing re-auths
 CONNECT_TIMEOUT = 10.0  # seconds TcpTransport waits to connect
 SLEEP_QUANTUM = 0.2  # longest wait in run_until_drained between pumps
@@ -193,8 +200,11 @@ class ClientSession:
             "json_bytes": 0, "wire_bytes": 0, "wire_bytes_total": 0,
             "max_inflight": 0,
         }
-        for index, stream, row in self.journal.pending_rows():
-            self._buffer_row(index, stream, codec.STREAM_SPECS[stream].row_json(row))
+        # pending rows come in index order, a stream's rows next to each other
+        for stream, run in itertools.groupby(self.journal.pending_rows(), itemgetter(1)):
+            indexes, _, rows = zip(*run)
+            self._buffer_rows(indexes[0], stream,
+                              codec.STREAM_SPECS[stream].rows_json(list(rows)))
 
     # -- helpers ------------------------------------------------------------
 
@@ -210,10 +220,11 @@ class ClientSession:
     def _timeout_after(self, retries: int) -> float:
         return min(MAX_TIMEOUT, BASE_TIMEOUT * BACKOFF_FACTOR ** retries)
 
-    def _buffer_row(self, index: int, stream: str, row_json: bytes):
-        entry = _BufferedRow(index, stream, row_json)
-        self._buffer.append(entry)
-        self._buffered_bytes += entry.json_size
+    def _buffer_rows(self, index: int, stream: str, rows: list[bytes]):
+        """Buffer a stream's rows, given as canonical JSON, from journal index on."""
+        self._buffer.extend(map(_BufferedRow, range(index, index + len(rows)),
+                                itertools.repeat(stream), rows))
+        self._buffered_bytes += sum(map(len, rows)) + len(rows)
 
     # -- handshake ----------------------------------------------------------
 
@@ -276,10 +287,8 @@ class ClientSession:
             raise BufferFull(f"buffer limit {BUFFER_LIMIT_BYTES} bytes exceeded")
         index = self.journal.append(row_json).start
         for stream, rows in row_json.items():  # in write order, the order of the indexes
-            self._buffer.extend(map(_BufferedRow, range(index, index + len(rows)),
-                                    itertools.repeat(stream), rows))
+            self._buffer_rows(index, stream, rows)
             index += len(rows)
-        self._buffered_bytes += size
         self.counters["rows_enqueued"] += count
         return count
 

@@ -18,6 +18,7 @@ receivers treat all of them as "silently discard the packet".
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -188,7 +189,7 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
 def canonical_json(obj: object) -> bytes:
     """Canonical bytes of a value already known to hold only string keys and
     finite numbers (a checked payload, rows read from storage);
-    ``allow_nan=False`` remains a backstop. Rows take ``StreamSpec.row_json``,
+    ``allow_nan=False`` remains a backstop. Rows take ``StreamSpec.rows_json``,
     which writes the same bytes while it checks them."""
     return _CANONICAL.encode(obj).encode("utf-8")
 
@@ -263,18 +264,28 @@ def deserialize_payload(data: bytes, expected_kind: type):
 # ---------------------------------------------------------------------------
 # the stream table: row shape, ms rule, SQLite table and logical byte cost
 
-# A field is (name, check, default, text). check(value) takes the field's
-# value from a row as received and returns the value SQLite stores, or raises
-# MalformedPayload; text(value) is the canonical JSON of a checked value. A
-# row that leaves out a field whose default is not _REQUIRED stores the
+# A field is (name, check, default, text, column, form). check(value) takes the
+# field's value from a row as received and returns the value SQLite stores, or
+# raises MalformedPayload; text(value) is the canonical JSON of a checked value.
+# A row that leaves out a field whose default is not _REQUIRED stores the
 # default, and its absence costs only the dict lookup: check never sees it.
 # Each check first tests the exact types JSON yields (int, float, str), then
 # falls back to the general test, so bool is refused and int and float
 # subclasses are accepted, as the plain int or float of the same value.
+#
+# column(values) tests a non-empty column of present values at once, with
+# builtins that loop in C: it is true when every value is of that exact-type
+# fast case and passes check, which then returns each value unchanged, and
+# form, a %-format, writes each as text(value) does (text passes only when
+# no character of it needs escaping). It never raises; false sends the
+# stream's rows through check one row at a time. A field whose column is
+# None, a motion row's samples, has check mapped over its column instead,
+# and form writes text of the checked value.
 
 _REQUIRED = object()  # the default of a field every row must carry
 _INF = math.inf
 _json_string = json.encoder.encode_basestring  # strings as _CANONICAL writes them
+_INT, _FLOAT, _STR, _DICT = {int}, {float}, {str}, {dict}
 
 
 def _missing(name: str):
@@ -290,7 +301,10 @@ def _int(name: str, lo: int = 0, hi: int = I64_MAX, *, default=_REQUIRED):
         if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
             raise MalformedPayload(f"row field {name!r} out of range")
         return int.__int__(value)  # the plain int, whatever the subclass prints
-    return name, check, default, repr
+
+    def column(values):
+        return set(map(type, values)) == _INT and lo <= min(values) and max(values) <= hi
+    return name, check, default, repr, column, "%r"
 
 
 def _number(name: str, *, positive: bool = False):
@@ -313,7 +327,15 @@ def _number(name: str, *, positive: bool = False):
         if positive and value <= 0:
             raise MalformedPayload(f"{name} must be positive")
         return value
-    return name, check, _REQUIRED, repr
+
+    def column(values):
+        kinds = set(map(type, values))
+        if kinds == _FLOAT:  # an inf or a NaN anywhere makes the sum NaN or infinite
+            ok = math.isfinite(sum(values))
+        else:
+            ok = kinds == _INT and I64_MIN <= min(values) and max(values) <= I64_MAX
+        return ok and (not positive or min(values) > 0)
+    return name, check, _REQUIRED, repr, column, "%r"
 
 
 def _text(name: str, *, allow_empty: bool = True, default=_REQUIRED):
@@ -329,7 +351,14 @@ def _text(name: str, *, allow_empty: bool = True, default=_REQUIRED):
         except UnicodeEncodeError:
             raise MalformedPayload(f"row field {name!r} is not valid UTF-8") from None
         return value
-    return name, check, default, _json_string
+
+    def column(values):
+        if set(map(type, values)) != _STR:
+            return False
+        text = "".join(values)  # what JSON writes as it is, and UTF-8 holds
+        return (text.isprintable() and '"' not in text and "\\" not in text
+                and (allow_empty or all(values)))
+    return name, check, default, _json_string, column, '"%s"'
 
 
 def _is_int16(value) -> bool:
@@ -361,6 +390,18 @@ def _samples_json(packed: bytes) -> str:
     return "[" + ("[%d,%d,%d]," * (len(flat) // 3))[:-1] % flat + "]"
 
 
+# The stream kernels pay a few microseconds a field on every call, which a
+# list of rows checked one at a time outgrows at about 16 to 24 rows (one
+# realtime packet of an hour's default streams holds 27 rows in all).
+_KERNEL_MIN_ROWS = 32
+
+
+def _kernel_takes(rows) -> bool:
+    """Whether a stream kernel takes rows: at least _KERNEL_MIN_ROWS of them,
+    all exact dicts; other lists go through the row checks one at a time."""
+    return len(rows) >= _KERNEL_MIN_ROWS and set(map(type, rows)) == _DICT
+
+
 class StreamSpec:
     """One sensor stream.
 
@@ -373,6 +414,16 @@ class StreamSpec:
     64 bits, so ``ts`` and ``device_ts`` end at ``I64_MAX``; number fields as
     finite floats or signed 64-bit integers, kept as sent on the wire but
     read back from storage as floats; text as valid UTF-8.
+
+    ``rows_params`` and ``rows_json`` do the same for a stream's list of
+    rows. They check a list of at least ``_KERNEL_MIN_ROWS`` rows a column
+    at a time, each field's column test looping in C, and write every row's
+    JSON with one ``%`` template or its parameters with ``zip``. A shorter
+    list, or one where any column is not the exact-type fast case (a bool,
+    an int or float subclass, a required field left out, text that JSON
+    escapes or that is not printable, a row that is not a dict), goes
+    row by row through ``row_params`` or ``row_json``, which stay the one
+    statement of what a row may hold and of each error.
 
     A row's logical size, the unit of the storage-rate figures, is ``row_bytes``
     plus ``sample_bytes`` per motion sample plus the UTF-8 length of each
@@ -387,10 +438,19 @@ class StreamSpec:
         # every row starts with its natural key (see natural_key)
         fields = (_int("ts"), _int("ms", hi=999, default=_REQUIRED if ms_required else -1),
                   _int("idx", hi=U32_MAX, default=0)) + fields
-        self._fields = tuple((name, check, default) for name, check, default, _ in fields)
+        self._fields = tuple((name, check, default) for name, check, default, *_ in fields)
         # in key order; a checked value equal to its default (a zero idx) is left out
         self._json_fields = tuple(sorted(
-            (name, f'"{name}":', check, default, text) for name, check, default, text in fields))
+            (name, f'"{name}":', check, default, text) for name, check, default, text, *_ in fields))
+        # the stream kernels' view: per field, in table order
+        self._columns_of = tuple((itertools.repeat(name), check, default, column)
+                                 for name, check, default, _, column, _ in fields)
+        # as _json_fields, each with its position in the table order of _columns
+        self._json_columns = tuple(sorted(
+            (name, i, f'"{name}":', default, text, form, column is None)
+            for i, (name, _, default, text, column, form) in enumerate(fields)))
+        if self._json_columns[-1][3] is not _REQUIRED:
+            raise ValueError("a row template ends with a field every row carries")
         self.row_bytes = row_bytes
         self.sample_bytes = sample_bytes
         self.text_bytes = text_bytes
@@ -428,6 +488,74 @@ class StreamSpec:
                 parts.append(key + text(value))
         return ("{" + ",".join(parts) + "}").encode()
 
+    def _columns(self, rows: list[dict]) -> tuple[list, dict[int, int]] | None:
+        """Each field's values in rows, in table order (checked where the
+        field maps its check), and for each optional field some row leaves
+        out, how many do (their values are None); None unless every column
+        test passes, which a required None fails."""
+        columns, missing = [], {}
+        for i, (name, check, default, column) in enumerate(self._columns_of):
+            values = list(map(dict.get, rows, name))
+            if column is None:
+                try:
+                    values = list(map(check, values))
+                except MalformedPayload:
+                    return None  # row_params and row_json raise for the row they meet first
+            elif default is not _REQUIRED and (count := values.count(None)):
+                missing[i] = count
+                if count < len(rows) and not column([v for v in values if v is not None]):
+                    return None
+            elif not column(values):
+                return None
+            columns.append(values)
+        return columns, missing
+
+    def _param_columns(self, rows: list[dict]) -> list | None:
+        """The columns of ``row_params`` of rows, or None (see ``_columns``)."""
+        found = self._columns(rows)
+        if found is None:
+            return None
+        columns, missing = found
+        for i in missing:
+            default = self._columns_of[i][2]
+            columns[i] = [default if value is None else value for value in columns[i]]
+        return columns
+
+    def rows_params(self, rows: list) -> list[tuple]:
+        """``row_params`` of each row, a column at a time where every
+        column is the fast case; raises as ``row_params`` does."""
+        columns = self._param_columns(rows) if _kernel_takes(rows) else None
+        if columns is None:
+            return list(map(self.row_params, rows))
+        return list(zip(*columns))
+
+    def rows_json(self, rows: list) -> list[bytes]:
+        """``row_json`` of each row, from one template where every column is
+        the fast case; raises as ``row_json`` does."""
+        found = self._columns(rows) if _kernel_takes(rows) else None
+        if found is None:
+            return list(map(self.row_json, rows))
+        columns, missing = found
+        template, args = [], []
+        for _, i, key, default, text, form, mapped in self._json_columns:
+            values = columns[i]
+            if missing.get(i) == len(rows):
+                continue  # an optional field no row carries
+            if default is not _REQUIRED and (i in missing or default in values):
+                # written, with its comma, where present and not the default
+                pieces = {value: key + text(value) + ","
+                          for value in set(values) - {None, default}}
+                pieces[default] = pieces[None] = ""
+                template.append("%s")
+                values = list(map(pieces.__getitem__, values))
+            else:
+                template.append(key + form + ",")
+                if mapped:
+                    values = list(map(text, values))
+            args.append(values)
+        template = "{" + "".join(template)[:-1] + "}"
+        return list(map(str.encode, map(template.__mod__, zip(*args))))
+
 
 class _MotionSpec(StreamSpec):
     """accel, gyro and mag: one row holds a second of samples, stored as
@@ -436,7 +564,7 @@ class _MotionSpec(StreamSpec):
     def __init__(self, name: str):
         super().__init__(name, "motion_rows",
                          (_number("rate", positive=True),
-                          ("samples", _samples, _REQUIRED, _samples_json)),
+                          ("samples", _samples, _REQUIRED, _samples_json, None, "%s")),
                          row_bytes=8, sample_bytes=6)
         self.columns = ("rate", "n", "samples")
 
@@ -444,10 +572,18 @@ class _MotionSpec(StreamSpec):
         ts, ms, idx, rate, samples = super().row_params(row)
         return ts, ms, idx, rate, len(samples) // 6, samples  # 3 x 2 bytes a sample
 
+    def _param_columns(self, rows: list[dict]) -> list[list] | None:
+        columns = super()._param_columns(rows)
+        if columns is None:
+            return None
+        ts, ms, idx, rate, samples = columns
+        return [ts, ms, idx, rate, [len(packed) // 6 for packed in samples], samples]
+
 
 class _WifiSpec(StreamSpec):
     """wifi: a row names its access point by ap_id or, without one, by
-    (mac, essid), which storage interns to an ap_id."""
+    (mac, essid), which storage interns to an ap_id. The stream kernels take
+    a list of rows that all name it the same way."""
 
     def __init__(self):
         super().__init__("wifi", "wifi_rows", (_int("ap_id", lo=1, hi=U32_MAX), _RSSI),
@@ -466,6 +602,24 @@ class _WifiSpec(StreamSpec):
         if isinstance(row, dict) and "ap_id" not in row:
             return self._by_pair.row_json(row)
         return super().row_json(row)
+
+    @staticmethod
+    def _by_pair_only(rows: list) -> bool:
+        return _kernel_takes(rows) and not any(map(dict.__contains__, rows,
+                                                itertools.repeat("ap_id")))
+
+    def rows_params(self, rows: list) -> list[tuple]:
+        if self._by_pair_only(rows):
+            columns = self._by_pair._param_columns(rows)
+            if columns is not None:
+                ts, ms, idx, mac, essid, rssi = columns
+                return list(zip(ts, ms, idx, zip(mac, essid), rssi))
+        return super().rows_params(rows)
+
+    def rows_json(self, rows: list) -> list[bytes]:
+        if self._by_pair_only(rows):
+            return self._by_pair.rows_json(rows)
+        return super().rows_json(rows)
 
 
 _RSSI = _int("rssi", lo=-127, hi=0)
@@ -541,10 +695,9 @@ def validate_streams(streams: object) -> tuple[dict[str, list[dict]], int]:
 
 
 def rows_json(known: dict[str, list]) -> dict[str, list[bytes]]:
-    """The canonical JSON of each row of known streams (``StreamSpec.row_json``),
+    """The canonical JSON of each row of known streams (``StreamSpec.rows_json``),
     by stream in write order, so the rows come in the order of their indexes."""
-    return {name: list(map(STREAM_SPECS[name].row_json, rows))
-            for name, rows in write_order(known)}
+    return {name: STREAM_SPECS[name].rows_json(rows) for name, rows in write_order(known)}
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +785,7 @@ def encode_data_packet(pkt: DataPacket, key: bytes, *, iv: bytes | None = None) 
 
 def decode_data_packet(blob: bytes, key_lookup: Callable[[int], bytes | None]) -> DataPacket:
     """Decrypt and parse a data packet. Its rows stay as received: storage
-    checks each one as it builds its parameters (``StreamSpec.row_params``)."""
+    checks them as it builds their parameters (``StreamSpec.rows_params``)."""
     if len(blob) <= 4:
         raise MalformedPayload("data packet too short")
     session_id = _U32.unpack_from(blob)[0]

@@ -74,7 +74,11 @@ class Journal:
         exists = os.path.exists(path)
         self._file = open(path, "r+b" if exists else "w+b")
         if exists:
-            self._replay()
+            try:
+                self._replay()
+            except JournalError:
+                self._file.close()
+                raise
 
     def _replay(self):
         f = self._file

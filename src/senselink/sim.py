@@ -296,7 +296,7 @@ def generate_session(cfg: WorkloadConfig) -> dict[str, list[dict]]:
 def verify_storage(storage, session_id: int, generated: dict[str, list[dict]]):
     """Byte-field equality between generated rows and stored rows: each
     stream's stored rows serialize to the canonical JSON of its generated
-    rows (``StreamSpec.row_json``) in natural-key order."""
+    rows (``StreamSpec.rows_json``) in natural-key order."""
     actual = storage.read_session_rows(session_id)
     for rows in actual.values():
         for row in rows:
@@ -305,8 +305,7 @@ def verify_storage(storage, session_id: int, generated: dict[str, list[dict]]):
         raise VerificationFailed(
             f"stream sets differ: {sorted(generated)} vs {sorted(actual)}")
     for stream, rows in generated.items():
-        row_json = codec.STREAM_SPECS[stream].row_json
-        want = [row_json(row) for row in sorted(rows, key=codec.natural_key)]
+        want = codec.STREAM_SPECS[stream].rows_json(sorted(rows, key=codec.natural_key))
         got = actual[stream]
         if len(want) != len(got):
             raise VerificationFailed(

@@ -4,11 +4,13 @@
 for tests and simulations (``open_storage("memory")``). The stream table in
 :mod:`senselink.codec` (``STREAM_SPECS``) defines each stream's fields, its
 row table and columns, and its logical byte cost. ``write_rows`` takes rows
-as they were received: ``StreamSpec.row_params`` checks each row and returns
-its INSERT parameters in one walk, admitting only values SQLite holds
-(signed 64-bit integers, numbers that read back as floats, valid UTF-8), and
-every row of a batch is checked before its transaction begins, so a
-malformed row writes nothing. Schema rules:
+as they were received: ``StreamSpec.rows_params`` checks a stream's rows a
+column at a time and returns their INSERT parameters (``row_params``, one
+row at a time, for short lists and for any list it cannot check by column),
+admitting only values SQLite holds (signed 64-bit integers, numbers that
+read back as floats, valid UTF-8), and every row of a batch is checked
+before its transaction begins, so a malformed row writes nothing. Schema
+rules:
 
 * every row is timestamped in unix seconds; asynchronous sensors add a
   milliseconds column (required where the stream table says so)
@@ -64,7 +66,8 @@ def _unpack_samples(blob: bytes) -> list[list[int]]:
 
 def _insert_sql(spec: codec.StreamSpec) -> str:
     """The INSERT of one row of a stream, its parameters in the order
-    ``(session_id, [stream,] *spec.row_params(row))``."""
+    ``(session_id, [stream,] *spec.row_params(row))``, as ``rows_params``
+    gives them too."""
     columns = ("session_id", *(("stream",) if spec.name in MOTION_STREAMS else ()),
                "ts", "ms", "idx", *spec.columns)
     return (f"INSERT OR IGNORE INTO {spec.table}({', '.join(columns)}) "
@@ -246,11 +249,11 @@ class SqliteStorage:
     def write_rows(self, session_id: int, streams: dict[str, list[dict]]) -> int:
         """Store a batch of rows as received, in one transaction, and return
         its row count. Each row is checked as its parameters are built
-        (``StreamSpec.row_params``), all before the transaction begins, so a
+        (``StreamSpec.rows_params``), all before the transaction begins, so a
         malformed row raises :class:`codec.MalformedPayload` and writes nothing.
         The session is not looked up again: decode found its key, and
         sessions are never deleted."""
-        batch = [(stream, list(map(STREAM_SPECS[stream].row_params, rows)))
+        batch = [(stream, STREAM_SPECS[stream].rows_params(rows))
                  for stream, rows in write_order(streams)]
         with self._lock:
             self._db.execute("BEGIN IMMEDIATE")

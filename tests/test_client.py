@@ -481,9 +481,40 @@ def test_journal_resume_after_crash(test_keypair, core, tmp_path):
     j2.close()
 
 
+def test_journal_replay_buffers_what_enqueue_did(test_keypair, tmp_path):
+    # replayed rows come back parsed from the journal (a zero idx left out,
+    # numbers as JSON reads them) and go through the stream kernels again
+    path = str(tmp_path / "j.bin")
+    j = journal.Journal(path)
+    session = make_session(test_keypair, journal=j)
+    session.enqueue_rows(sim.generate_session(sim.WorkloadConfig(duration_s=300, seed=4)))
+    j.close()
+    j2 = journal.Journal(path)
+    resumed = make_session(test_keypair, journal=j2)
+    j2.close()
+
+    def buffered(s):
+        return [(entry.index, entry.stream, entry.json) for entry in s._buffer]
+    assert buffered(resumed) == buffered(session)
+    assert resumed._buffered_bytes == session._buffered_bytes
+
+
+def _drain_in_process(session, core):
+    """Pump the session against the core until done, feedback in step."""
+    now = 1.0
+    while not session.is_done():
+        for kind, blob in session.pump(now):
+            assert kind == DATA
+            session.handle_wire(DATA, core.handle_data_packet(blob), now)
+        now += 0.01
+
+
 def test_client_path_serializes_each_row_once(test_keypair, core, monkeypatch, tmp_path):
     # a default hour goes from enqueue through the journal and every packet
-    # to storage with no per-row validate_row and no row through the encoder
+    # to storage with no per-row validate_row and no row through the encoder;
+    # the stream kernels check and convert every list of rows long enough for
+    # them, on both ends and in verification, without handing one back to the
+    # per-row checks
     assert not hasattr(codec.StreamSpec, "normalize")
     generated = sim.generate_session(sim.WorkloadConfig(seed=8))
     encode = json.JSONEncoder.encode  # codec._CANONICAL's and json.dumps'
@@ -496,22 +527,66 @@ def test_client_path_serializes_each_row_once(test_keypair, core, monkeypatch, t
     def no_validate_row(stream, row):
         raise AssertionError("validate_row ran on the client path")
 
+    lists = []  # the length of each list a stream kernel is given, innermost last
+    taken = set()  # the kernels given a list long enough for them
+
+    def kernel(convert):
+        def watched(self, rows):
+            lists.append(len(rows))
+            if len(rows) >= codec._KERNEL_MIN_ROWS:
+                taken.add(convert.__name__)
+            try:
+                return convert(self, rows)
+            finally:
+                lists.pop()
+        return watched
+
+    def per_row(check):
+        def watched(self, row):
+            if lists[-1] >= codec._KERNEL_MIN_ROWS:
+                raise AssertionError(f"a list of {self.name} rows fell back to per-row checks")
+            return check(self, row)
+        return watched
+
     monkeypatch.setattr(json.JSONEncoder, "encode", tripwire)
     monkeypatch.setattr(codec, "validate_row", no_validate_row)
+    for cls in {codec.StreamSpec, *map(type, codec.STREAM_SPECS.values())}:
+        for name, wrap in (("rows_json", kernel), ("rows_params", kernel),
+                           ("row_json", per_row), ("row_params", per_row)):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, wrap(vars(cls)[name]))
     j = journal.Journal(str(tmp_path / "j.bin"))
     session = make_session(test_keypair, journal=j)
     authenticate(session, core)
     assert session.enqueue_rows(generated) == codec.batch_row_count(generated)
-    now = 1.0
-    while not session.is_done():
-        for kind, blob in session.pump(now):
-            assert kind == DATA
-            session.handle_wire(DATA, core.handle_data_packet(blob), now)
-        now += 0.01
+    _drain_in_process(session, core)
     assert session.report().delivered_rows == codec.batch_row_count(generated)
     assert j.watermark == j.total_rows
     j.close()
     sim.verify_storage(core.storage, session.session_id, generated)
+    assert taken == {"rows_json", "rows_params"}
+
+
+def test_default_hour_seals_each_packet_once(test_keypair, core, monkeypatch):
+    # the default JSON budget fills a packet that seals under the size limit
+    # at the first try, so the shrink loop never compresses a payload twice
+    seal = codec.seal_data_payload
+    seals = []
+
+    def counting_seal(*args, **kwargs):
+        seals.append(len(args[1]))
+        return seal(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "seal_data_payload", counting_seal)
+    for seed in (1, 2):
+        seals.clear()
+        session = make_session(test_keypair)
+        authenticate(session, core)
+        session.enqueue_rows(sim.generate_session(sim.WorkloadConfig(seed=seed)))
+        _drain_in_process(session, core)
+        report = session.report()
+        assert report.complete and report.retransmissions == 0
+        assert len(seals) == report.packets_sent > 1
 
 
 # ---------------------------------------------------------------------------

@@ -289,7 +289,8 @@ _FIELDS = ("ts", "ms", "idx", "lat", "lon", "alt", "speed", "accuracy", "device_
 _ODD_VALUES = (
     _DROP, None, True, False, float("nan"), float("inf"), float("-inf"), -0.0, 0.5, -1.5,
     -1, 0, 1, 5, 999, 1000, -127, -128, 32767, 32768, codec.U32_MAX, codec.U32_MAX + 1,
-    2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64, "", "x", "é", "\ud800", "a\udfff", [], {},
+    2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64, "", "x", "é", "\ud800", "a\udfff",
+    'a"b', "a\\b", "a\nb", "\x7f", [], {},
     [[1, 2, 3]], [[1, 2]], [[1, 2, 3, 4]], [[0, 0, 32768]], [[True, 0, 0]], [[1.0, 2, 3]],
     [[1, 2, 3]] * codec.MAX_SAMPLES_PER_ROW, [[1, 2, 3]] * (codec.MAX_SAMPLES_PER_ROW + 1),
     # subclasses are accepted where their base type is, bool nowhere
@@ -327,14 +328,15 @@ def _mutated(row: dict, mutations) -> dict:
 
 
 def _single_mutations():
-    for _, base in _EXAMPLE_ROWS:
+    """(stream, row) for each example row with one field set or dropped."""
+    for stream, base in _EXAMPLE_ROWS:
         for key in _FIELDS:
             for value in _ODD_VALUES:
-                yield _mutated(base, [(key, value)])
+                yield stream, _mutated(base, [(key, value)])
 
 
 def test_validate_row_matches_reference_under_each_single_mutation():
-    for row in _single_mutations():
+    for _, row in _single_mutations():
         for stream in codec.STREAMS + ("heart_rate",):
             expected = _outcome(_reference_validate_row, stream, row)
             assert _outcome(codec.validate_row, stream, row) == expected, (stream, row)
@@ -382,7 +384,7 @@ def _reference_row_json(stream, row):
 
 
 def test_row_json_matches_the_encoded_reference_under_each_single_mutation():
-    for row in _single_mutations():
+    for _, row in _single_mutations():
         for stream in codec.STREAMS:
             expected = _outcome(_reference_row_json, stream, row)
             assert _outcome(_row_json, stream, row) == expected, (stream, row)
@@ -433,7 +435,7 @@ def _typed(outcome):
 
 
 def test_row_params_match_the_two_pass_model_under_each_single_mutation():
-    for row in _single_mutations():
+    for _, row in _single_mutations():
         for stream in codec.STREAMS:
             expected = _typed(_outcome(_reference_row_params, stream, row))
             assert _typed(_outcome(_row_params, stream, row)) == expected, (stream, row)
@@ -575,3 +577,55 @@ def test_validation_admits_only_what_sqlite_holds(data, stream, beyond):
         assert sql.write_rows(sid, {stream: [accepted]}) == 1
     finally:
         sql.close()
+
+
+# ---------------------------------------------------------------------------
+# the stream kernels against the per-row checks they stand in for
+
+
+def _listed(convert, rows):
+    """What converting a list of rows gives: the list, or the error message."""
+    try:
+        return convert(rows)
+    except codec.MalformedPayload as exc:
+        return "malformed", str(exc)
+
+
+def _assert_kernels_match_the_row_checks(stream, rows):
+    spec = codec.STREAM_SPECS[stream]
+    expected = _listed(lambda rows: [spec.row_json(row) for row in rows], rows)
+    assert _listed(spec.rows_json, rows) == expected, (stream, rows)
+    expected = _listed(lambda rows: [_typed(spec.row_params(row)) for row in rows], rows)
+    assert _listed(lambda rows: list(map(_typed, spec.rows_params(rows))), rows) == expected, (
+        stream, rows)
+
+
+def _padded(rows, fill):
+    """rows among copies of fill, enough for the stream kernels to take the list."""
+    pad = [fill] * (codec._KERNEL_MIN_ROWS - len(rows) // 2)
+    return pad + rows + pad
+
+
+def test_stream_kernels_match_the_row_checks_under_each_single_mutation():
+    # one odd row among rows of the fast case; a wifi row among rows that
+    # name their access point the other way
+    fast = {stream: dict(row, alt=0.5) if stream == "gps" else row  # numbers all floats
+            for stream, row in _EXAMPLE_ROWS}
+    for stream, row in _single_mutations():
+        _assert_kernels_match_the_row_checks(stream, _padded([row], fast[stream]))
+    for stream, row in _EXAMPLE_ROWS:
+        _assert_kernels_match_the_row_checks(stream, [])
+        _assert_kernels_match_the_row_checks(stream, _padded([row], fast[stream]))
+        _assert_kernels_match_the_row_checks(stream, _padded([], row))
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data(), stream=st.sampled_from(codec.STREAMS), size=st.integers(1, 5))
+def test_stream_kernels_match_the_row_checks(data, stream, size):
+    examples = [row for name, row in _EXAMPLE_ROWS if name == stream]  # wifi: both kinds
+    rows = [data.draw(st.sampled_from(examples)) for _ in range(size)]
+    for i in data.draw(st.lists(st.integers(0, size - 1), max_size=size)):
+        rows[i] = _mutated(rows[i], data.draw(_mutations))
+    if data.draw(st.integers(0, 9)) == 0:
+        rows[data.draw(st.integers(0, size - 1))] = data.draw(_not_a_row)
+    _assert_kernels_match_the_row_checks(stream, _padded(rows, rows[0]))
