@@ -263,11 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     _arg(p, "seed", type=int, default=1, help="workload generator seed")
     _arg(p, "flush-period", type=float, default=5.0, help="realtime flush period, seconds")
     _arg(p, "timeout", type=float, default=600.0, help="overall drain timeout, seconds")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--realtime", action="store_true",
-                      help="pack rows in small per-flush batches")
-    mode.add_argument("--batch", action="store_true",
-                      help="pack rows into maximal packets (default)")
+    p.add_argument("--realtime", action="store_true",
+                   help="pack rows in small per-flush batches (default: maximal packets)")
     p.set_defaults(fn=cmd_upload)
 
     p = sub.add_parser("bench", help="pipelining throughput benchmark")

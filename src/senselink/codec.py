@@ -123,19 +123,6 @@ def batch_row_count(streams: dict[str, list[dict]]) -> int:
 # canonical serialization
 
 
-def _check_json_value(value: object) -> None:
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"non-representable number: {value!r}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise ValueError("object keys must be strings")
-            _check_json_value(item)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _check_json_value(item)
-
-
 def _is_identifiers(value: object) -> bool:
     """Whether an auth request's identifiers map non-empty strings to strings."""
     return isinstance(value, dict) and all(
@@ -143,7 +130,9 @@ def _is_identifiers(value: object) -> bool:
 
 
 def payload_dict(value: object) -> dict:
-    """The canonical JSON object for one of the four payload types."""
+    """The canonical JSON object of an auth request, auth response or
+    feedback packet, its fields range-checked. Data packets are joined from
+    the canonical JSON of their rows (:func:`data_payload`)."""
     if isinstance(value, AuthRequest):
         if not (0 <= value.seq <= U32_MAX):
             raise ValueError("seq out of range")
@@ -171,14 +160,10 @@ def payload_dict(value: object) -> dict:
         if value.session_id <= 0 or value.session_id > U32_MAX:
             raise ValueError("session_id must be a positive 32-bit integer")
         return {"seq": value.seq, "time": value.time, "session_id": value.session_id}
-    if isinstance(value, DataPacket):
-        return {"seq": value.seq, "streams": value.streams}
     if isinstance(value, FeedbackPacket):
         if value.stored < 0:
             raise ValueError("stored count cannot be negative")
         return {"seq": value.seq, "stored": value.stored}
-    if isinstance(value, dict):
-        return value
     raise ValueError(f"cannot serialize {type(value).__name__}")
 
 
@@ -195,9 +180,7 @@ def canonical_json(obj: object) -> bytes:
 
 
 def serialize_payload(value: object) -> bytes:
-    obj = payload_dict(value)
-    _check_json_value(obj)
-    return canonical_json(obj)
+    return canonical_json(payload_dict(value))
 
 
 def _parse_json(data: bytes) -> dict:
@@ -658,16 +641,6 @@ def write_order(streams: dict[str, list]) -> list[tuple[str, list]]:
     return sorted(streams.items())  # names are unique, so rows are never compared
 
 
-def validate_row(stream: str, row: dict) -> dict:
-    """Normalize one row: check the schema, drop unknown fields and a zero
-    idx; the row that ``StreamSpec.row_json`` serializes. Raises
-    :class:`MalformedPayload` as ``StreamSpec.row_params`` does."""
-    spec = STREAM_SPECS.get(stream)
-    if spec is None:
-        raise MalformedPayload(f"unknown stream {stream!r}")
-    return json.loads(spec.row_json(row))
-
-
 def split_streams(streams: object) -> tuple[dict[str, list], int]:
     """Check a streams map's shape, not its rows; returns (the rows of known
     streams, unknown row count). An empty batch is malformed."""
@@ -688,9 +661,11 @@ def split_streams(streams: object) -> tuple[dict[str, list], int]:
 
 
 def validate_streams(streams: object) -> tuple[dict[str, list[dict]], int]:
-    """Validate a streams map; returns (known streams, unknown row count)."""
+    """Validate a streams map; returns (known streams, unknown row count).
+    Each row is normalized as ``StreamSpec.row_json`` writes it: unknown
+    fields and a zero idx dropped."""
     known, unknown = split_streams(streams)
-    return {name: [validate_row(name, row) for row in rows]
+    return {name: [json.loads(STREAM_SPECS[name].row_json(row)) for row in rows]
             for name, rows in known.items()}, unknown
 
 
@@ -729,11 +704,8 @@ def decompress(data: bytes) -> bytes:
 # packet encode/decode
 
 
-def encode_auth_request(req: AuthRequest, server_public, *, oaep_seed: bytes | None = None) -> bytes:
-    plaintext = compress(serialize_payload(req))
-    if oaep_seed is not None:
-        return crypto.deterministic_asym_encrypt(server_public, plaintext, oaep_seed)
-    return crypto.asym_encrypt(server_public, plaintext)
+def encode_auth_request(req: AuthRequest, server_public) -> bytes:
+    return crypto.asym_encrypt(server_public, compress(serialize_payload(req)))
 
 
 def decode_auth_request(blob: bytes, server_private) -> AuthRequest:

@@ -100,40 +100,6 @@ def asym_decrypt(private_key: rsa.RSAPrivateKey, ciphertext: bytes) -> bytes:
         raise DecryptFailed("asymmetric decryption failed") from exc
 
 
-def _mgf1(seed: bytes, length: int) -> bytes:
-    out = bytearray()
-    for counter in range((length + 31) // 32):
-        out += hashlib.sha256(seed + counter.to_bytes(4, "big")).digest()
-    return bytes(out[:length])
-
-
-def deterministic_asym_encrypt(
-    public_key: rsa.RSAPublicKey, plaintext: bytes, seed: bytes
-) -> bytes:
-    """OAEP encryption with an explicit 32-byte seed (RFC 8017 EME-OAEP).
-
-    Standard OAEP draws its seed internally, which makes ciphertexts
-    non-reproducible. This variant exists so committed wire vectors can be
-    re-derived bit-exactly; it is interchangeable with :func:`asym_encrypt`
-    and decrypts through the normal path. Do not reuse seeds outside tests.
-    """
-    if len(seed) != _OAEP_HASH_LEN:
-        raise ValueError("seed must be 32 bytes")
-    k = public_key.key_size // 8
-    limit = max_plaintext_len(public_key)
-    if len(plaintext) > limit:
-        raise PlaintextTooLong(len(plaintext), limit)
-    lhash = hashlib.sha256(b"").digest()
-    ps = b"\x00" * (k - len(plaintext) - 2 * _OAEP_HASH_LEN - 2)
-    db = lhash + ps + b"\x01" + plaintext
-    masked_db = bytes(a ^ b for a, b in zip(db, _mgf1(seed, k - _OAEP_HASH_LEN - 1)))
-    masked_seed = bytes(a ^ b for a, b in zip(seed, _mgf1(masked_db, _OAEP_HASH_LEN)))
-    em = b"\x00" + masked_seed + masked_db
-    numbers = public_key.public_numbers()
-    c = pow(int.from_bytes(em, "big"), numbers.e, numbers.n)
-    return c.to_bytes(k, "big")
-
-
 def sym_encrypt(key: bytes, plaintext: bytes, iv: bytes | None = None) -> bytes:
     """AES-128-CBC encrypt; output is IV || ciphertext (PKCS#7 padded).
 

@@ -37,13 +37,6 @@ class JournalError(Exception):
     pass
 
 
-def iter_batch_rows(streams: dict[str, list[dict]]):
-    """Rows of one batch in global index order, the write order of storage."""
-    for stream, rows in codec.write_order(streams):
-        for row in rows:
-            yield stream, row
-
-
 class MemoryJournal:
     """Same contract as Journal with no persistence; used by simulations."""
 
@@ -76,7 +69,7 @@ class Journal:
         if exists:
             try:
                 self._replay()
-            except JournalError:
+            except BaseException:
                 self._file.close()
                 raise
 
@@ -105,14 +98,19 @@ class Journal:
             record = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise JournalError("corrupt journal record") from exc
+        if not isinstance(record, dict):
+            raise JournalError("journal record is not an object")
         kind = record.get("kind")
         if kind == "batch":
             streams = record.get("streams")
             if not isinstance(streams, dict):
                 raise JournalError("batch record without streams")
-            for stream, row in iter_batch_rows(streams):
-                self._pending.append((stream, row))
-                self.total_rows += 1
+            # rows in global index order, the write order of storage
+            for stream, rows in codec.write_order(streams):
+                if stream not in codec.STREAM_SPECS or not isinstance(rows, list):
+                    raise JournalError(f"batch record with a bad stream {stream!r}")
+                self._pending += [(stream, row) for row in rows]
+                self.total_rows += len(rows)
         elif kind == "ack":
             through = record.get("through")
             if not isinstance(through, int) or not 0 <= through <= self.total_rows:

@@ -4,18 +4,22 @@ Run from the repository root:
 
     python3 tests/data/gen_vectors.py
 
-Uses the committed test keypair and fixed IVs / OAEP seed so that every
-encoded blob is reproducible bit for bit.  Only rerun this when the wire
+Uses the committed test keypair and fixed IVs, and seals the auth request
+with a fixed OAEP seed through tests/_oaep_oracle.py, so that every encoded
+blob is reproducible bit for bit.  Only rerun this when the wire
 format intentionally changes; the diff of golden_vectors.json then documents
 exactly what moved.
 """
 
 import json
 import pathlib
+import sys
 
 from senselink import codec, crypto
 
 HERE = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+from _oaep_oracle import deterministic_asym_encrypt  # noqa: E402
 
 SESSION_KEY = bytes(range(16))
 OAEP_SEED = bytes(range(32))
@@ -74,8 +78,9 @@ def main():
         "auth_request": {
             "oaep_seed_hex": OAEP_SEED.hex(),
             "payload_hex": codec.serialize_payload(auth_req).hex(),
-            "wire_hex": codec.encode_auth_request(
-                auth_req, public_key, oaep_seed=OAEP_SEED).hex(),
+            "wire_hex": deterministic_asym_encrypt(
+                public_key, codec.compress(codec.serialize_payload(auth_req)),
+                OAEP_SEED).hex(),
         },
         "auth_response": {
             "iv_hex": IV_AUTH.hex(),
@@ -85,7 +90,7 @@ def main():
         },
         "data_packet": {
             "iv_hex": IV_DATA.hex(),
-            "payload_hex": codec.serialize_payload(data).hex(),
+            "payload_hex": codec.data_payload(data.seq, codec.rows_json(data.streams)).hex(),
             "wire_hex": codec.encode_data_packet(data, SESSION_KEY, iv=IV_DATA).hex(),
         },
         "feedback": {

@@ -190,9 +190,11 @@ def test_hostile_traffic_changes_nothing(test_keypair):
                              test_keypair.public_part)
         live.begin(time.monotonic())
         live.enqueue_rows({"pressure": [{"ts": TS, "hpa": 1013.2}]})
-        report = run_until_drained(
-            live, UdpTransport("127.0.0.1", daemon.auth_port,
-                               daemon.data_port), timeout=20.0)
+        transport = UdpTransport("127.0.0.1", daemon.auth_port, daemon.data_port)
+        try:
+            report = run_until_drained(live, transport, timeout=20.0)
+        finally:
+            transport.close()
         survived = (report.complete
                     and daemon.core.storage.storage_stats()["sessions"] == 1)
     finally:

@@ -46,8 +46,8 @@ def test_keygen_writes_keypair(tmp_path, capsys):
     assert os.path.exists(pub_path)
     mode = stat.S_IMODE(os.stat(out).st_mode)
     assert mode == 0o600  # private key unreadable to others
-    private = crypto.load_private_key(open(out, "rb").read())
-    public = crypto.load_public_key(open(pub_path, "rb").read())
+    private = crypto.load_private_key(pathlib.Path(out).read_bytes())
+    public = crypto.load_public_key(pathlib.Path(pub_path).read_bytes())
     assert private.key_size == 2048
     blob = crypto.asym_encrypt(public, b"self test")
     assert crypto.asym_decrypt(private, blob) == b"self test"
@@ -56,18 +56,18 @@ def test_keygen_writes_keypair(tmp_path, capsys):
 def test_keygen_refuses_overwrite(tmp_path, capsys):
     out = str(tmp_path / "k.pem")
     assert cli.main(["keygen", "--out", out, "--bits", "2048"]) == 0
-    original = open(out, "rb").read()
+    original = pathlib.Path(out).read_bytes()
     assert cli.main(["keygen", "--out", out, "--bits", "2048"]) == 2
-    assert open(out, "rb").read() == original
+    assert pathlib.Path(out).read_bytes() == original
     assert cli.main(["keygen", "--out", out, "--bits", "2048", "--force"]) == 0
-    assert open(out, "rb").read() != original
+    assert pathlib.Path(out).read_bytes() != original
 
 
 def test_keygen_env_override(tmp_path, monkeypatch):
     out = str(tmp_path / "k.pem")
     monkeypatch.setenv("SENSELINK_BITS", "2048")
     assert cli.main(["keygen", "--out", out]) == 0
-    assert crypto.load_private_key(open(out, "rb").read()).key_size == 2048
+    assert crypto.load_private_key(pathlib.Path(out).read_bytes()).key_size == 2048
 
 
 def test_keygen_rejects_bad_bits(tmp_path):

@@ -19,6 +19,14 @@ HASH = crypto.hash_user("rider@example.com")
 
 
 @pytest.fixture
+def j(tmp_path):
+    """A journal in a fresh file, closed after the test."""
+    opened = journal.Journal(str(tmp_path / "j.bin"))
+    yield opened
+    opened.close()
+
+
+@pytest.fixture
 def core(test_keypair):
     return IngestCore(test_keypair.private_part, open_storage("memory"))
 
@@ -246,9 +254,8 @@ def test_backoff_doubles_until_cap(test_keypair, core, monkeypatch):
     assert waits == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]
 
 
-def test_retry_cap_fails_rows_without_release(test_keypair, core, tmp_path, monkeypatch):
+def test_retry_cap_fails_rows_without_release(test_keypair, core, j, monkeypatch):
     monkeypatch.setattr(client, "MAX_RETRIES", 2)
-    j = journal.Journal(str(tmp_path / "j.bin"))
     session = make_session(test_keypair, journal=j)
     authenticate(session, core)
     session.enqueue_rows(pressure_batch(7))
@@ -267,8 +274,7 @@ def test_retry_cap_fails_rows_without_release(test_keypair, core, tmp_path, monk
 # feedback and release
 
 
-def test_feedback_releases_rows_and_advances_watermark(test_keypair, core, tmp_path):
-    j = journal.Journal(str(tmp_path / "j.bin"))
+def test_feedback_releases_rows_and_advances_watermark(test_keypair, core, j):
     session = make_session(test_keypair, journal=j)
     authenticate(session, core)
     session.enqueue_rows(pressure_batch(20))
@@ -305,8 +311,7 @@ def test_feedback_for_wrong_session_ignored(test_keypair, core):
     assert session.counters["rows_delivered"] == 0
 
 
-def test_partial_store_reenqueues_shortfall_first(test_keypair, core, tmp_path):
-    j = journal.Journal(str(tmp_path / "j.bin"))
+def test_partial_store_reenqueues_shortfall_first(test_keypair, core, j):
     session = make_session(test_keypair, journal=j)
     authenticate(session, core)
     session.enqueue_rows(pressure_batch(120))
@@ -328,8 +333,7 @@ def test_partial_store_reenqueues_shortfall_first(test_keypair, core, tmp_path):
     assert session.is_done()
 
 
-def test_partial_ack_releases_the_write_order_prefix(test_keypair, core, tmp_path):
-    j = journal.Journal(str(tmp_path / "j.bin"))
+def test_partial_ack_releases_the_write_order_prefix(test_keypair, core, j):
     session = make_session(test_keypair, journal=j)
     authenticate(session, core)
     for base in (TS, TS + 10):  # journal indexes: events 0, pressure 1-3, events 4, pressure 5-7
@@ -337,7 +341,8 @@ def test_partial_ack_releases_the_write_order_prefix(test_keypair, core, tmp_pat
                               "events": [{"ts": base, "kind": "lap"}]})
     [(_, blob)] = session.pump(1.0)
     pkt = codec.decode_data_packet(blob, core.lookup_key)
-    written = list(journal.iter_batch_rows(pkt.streams))  # the order storage writes them in
+    written = [(stream, row) for stream, rows in codec.write_order(pkt.streams)
+               for row in rows]  # the order storage writes them in
     assert [stream for stream, _ in written] == ["events"] * 2 + ["pressure"] * 6
     session.handle_feedback(codec.FeedbackPacket(session.session_id, pkt.seq, stored=4), 1.1)
     # released: both events (0, 4) and the first two pressure rows (1, 2)
@@ -349,8 +354,7 @@ def test_partial_ack_releases_the_write_order_prefix(test_keypair, core, tmp_pat
     assert [r["ts"] for r in resent.streams["pressure"]] == [TS + 2, TS + 10, TS + 11, TS + 12]
 
 
-def test_rows_kept_until_acked(test_keypair, core, tmp_path):
-    j = journal.Journal(str(tmp_path / "j.bin"))
+def test_rows_kept_until_acked(test_keypair, core, j):
     session = make_session(test_keypair, journal=j)
     authenticate(session, core)
     session.enqueue_rows(pressure_batch(10))
@@ -511,7 +515,7 @@ def _drain_in_process(session, core):
 
 def test_client_path_serializes_each_row_once(test_keypair, core, monkeypatch, tmp_path):
     # a default hour goes from enqueue through the journal and every packet
-    # to storage with no per-row validate_row and no row through the encoder;
+    # to storage with no validate_streams and no row through the encoder;
     # the stream kernels check and convert every list of rows long enough for
     # them, on both ends and in verification, without handing one back to the
     # per-row checks
@@ -524,8 +528,8 @@ def test_client_path_serializes_each_row_once(test_keypair, core, monkeypatch, t
             raise AssertionError("a row went through the JSON encoder")
         return encode(self, obj)
 
-    def no_validate_row(stream, row):
-        raise AssertionError("validate_row ran on the client path")
+    def no_validate_streams(streams):
+        raise AssertionError("validate_streams ran on the client path")
 
     lists = []  # the length of each list a stream kernel is given, innermost last
     taken = set()  # the kernels given a list long enough for them
@@ -549,7 +553,7 @@ def test_client_path_serializes_each_row_once(test_keypair, core, monkeypatch, t
         return watched
 
     monkeypatch.setattr(json.JSONEncoder, "encode", tripwire)
-    monkeypatch.setattr(codec, "validate_row", no_validate_row)
+    monkeypatch.setattr(codec, "validate_streams", no_validate_streams)
     for cls in {codec.StreamSpec, *map(type, codec.STREAM_SPECS.values())}:
         for name, wrap in (("rows_json", kernel), ("rows_params", kernel),
                            ("row_json", per_row), ("row_params", per_row)):

@@ -29,10 +29,9 @@ def test_canonical_feedback_bytes():
 
 
 def test_canonical_form_is_sorted_compact_utf8():
-    pkt = codec.DataPacket(session_id=1, seq=3, streams={
+    data = codec.data_payload(3, codec.rows_json({
         "events": [{"ts": TS, "kind": "marker", "detail": "café"}],
-    })
-    data = codec.serialize_payload(pkt)
+    }))
     assert b" " not in data
     assert "café".encode("utf-8") in data  # ensure_ascii off: raw UTF-8
     keys = list(json.loads(data)["streams"]["events"][0])
@@ -41,16 +40,16 @@ def test_canonical_form_is_sorted_compact_utf8():
 
 def test_serialization_is_deterministic():
     streams = {"pressure": [{"ts": TS + i, "hpa": 990.0 + i} for i in range(50)]}
-    a = codec.serialize_payload(codec.DataPacket(session_id=1, seq=1, streams=streams))
-    b = codec.serialize_payload(codec.DataPacket(session_id=1, seq=1, streams=streams))
+    a = codec.data_payload(1, codec.rows_json(streams))
+    b = codec.data_payload(1, codec.rows_json(streams))
     assert a == b
 
 
 def test_serialize_rejects_non_finite_numbers():
     with pytest.raises(ValueError):
-        codec.serialize_payload({"x": float("nan")})
+        codec.canonical_json({"x": float("nan")})
     with pytest.raises(ValueError):
-        codec.serialize_payload({"x": float("inf")})
+        codec.canonical_json({"x": float("inf")})
 
 
 def test_auth_time_ends_at_signed_64_bits():
@@ -117,43 +116,48 @@ def test_deserialize_rejects_bad_values():
 # row validation
 
 
+def checked_row(stream, row):
+    """A row as checked and normalized by the stream table, as a dict."""
+    return json.loads(codec.STREAM_SPECS[stream].row_json(row))
+
+
 def test_validate_row_gps_requires_ms():
     row = {"ts": TS, "lat": 1.0, "lon": 2.0, "alt": 3.0, "speed": 0.0,
            "accuracy": 5.0, "device_ts": TS}
     with pytest.raises(codec.MalformedPayload):
-        codec.validate_row("gps", row)
-    out = codec.validate_row("gps", dict(row, ms=17))
+        checked_row("gps", row)
+    out = checked_row("gps", dict(row, ms=17))
     assert out["ms"] == 17
 
 
 def test_validate_row_obd_requires_ms():
     with pytest.raises(codec.MalformedPayload):
-        codec.validate_row("obd", {"ts": TS, "pid": 12, "value": 900})
-    out = codec.validate_row("obd", {"ts": TS, "ms": 0, "pid": 12, "value": 900})
+        checked_row("obd", {"ts": TS, "pid": 12, "value": 900})
+    out = checked_row("obd", {"ts": TS, "ms": 0, "pid": 12, "value": 900})
     assert out == {"ts": TS, "ms": 0, "pid": 12, "value": 900}
 
 
 def test_validate_row_zero_idx_normalized_away():
     base = {"ts": TS, "hpa": 1000.0}
-    assert "idx" not in codec.validate_row("pressure", dict(base, idx=0))
-    assert codec.validate_row("pressure", dict(base, idx=3))["idx"] == 3
+    assert "idx" not in checked_row("pressure", dict(base, idx=0))
+    assert checked_row("pressure", dict(base, idx=3))["idx"] == 3
 
 
 def test_validate_row_drops_unknown_fields():
-    out = codec.validate_row("pressure", {"ts": TS, "hpa": 1000.0, "junk": 1})
+    out = checked_row("pressure", {"ts": TS, "hpa": 1000.0, "junk": 1})
     assert "junk" not in out
 
 
 def test_validate_row_rejects_bool_masquerading_as_int():
     with pytest.raises(codec.MalformedPayload):
-        codec.validate_row("pressure", {"ts": True, "hpa": 1000.0})
+        checked_row("pressure", {"ts": True, "hpa": 1000.0})
 
 
 def test_validate_row_wifi_shapes():
-    by_pair = codec.validate_row(
+    by_pair = checked_row(
         "wifi", {"ts": TS, "mac": "aa:bb", "essid": "", "rssi": -30})
     assert by_pair["essid"] == ""  # hidden network
-    by_id = codec.validate_row("wifi", {"ts": TS, "ap_id": 5, "rssi": -30})
+    by_id = checked_row("wifi", {"ts": TS, "ap_id": 5, "rssi": -30})
     assert by_id["ap_id"] == 5 and "mac" not in by_id
     for bad in (
         {"ts": TS, "rssi": -30},                         # neither form
@@ -162,19 +166,19 @@ def test_validate_row_wifi_shapes():
         {"ts": TS, "ap_id": 5, "rssi": -200},
     ):
         with pytest.raises(codec.MalformedPayload):
-            codec.validate_row("wifi", bad)
+            checked_row("wifi", bad)
 
 
 def test_validate_row_motion_samples():
     row = {"ts": TS, "rate": 5, "samples": [[1, -2, 3], [-32768, 32767, 0]]}
-    out = codec.validate_row("accel", row)
+    out = checked_row("accel", row)
     assert out["samples"] == [[1, -2, 3], [-32768, 32767, 0]]
     for bad_samples in ([], [[1, 2]], [[1, 2, 32768]], [[1, 2, True]],
                         [[1.5, 2, 3]], [[1, 2, 3]] * (codec.MAX_SAMPLES_PER_ROW + 1)):
         with pytest.raises(codec.MalformedPayload):
-            codec.validate_row("gyro", {"ts": TS, "rate": 5, "samples": bad_samples})
+            checked_row("gyro", {"ts": TS, "rate": 5, "samples": bad_samples})
     with pytest.raises(codec.MalformedPayload):
-        codec.validate_row("mag", {"ts": TS, "rate": 0, "samples": [[1, 2, 3]]})
+        checked_row("mag", {"ts": TS, "rate": 0, "samples": [[1, 2, 3]]})
 
 
 def test_validate_streams_counts_unknown_and_rejects_empty():
@@ -254,8 +258,7 @@ def test_repetitive_telemetry_compresses_below_one_fifth():
     rows = [{"ts": TS + i, "ms": (i * 37) % 1000, "lat": 48.85 + i * 1e-6,
              "lon": 2.29 + i * 1e-6, "alt": 35.0, "speed": 1.5, "accuracy": 4.0,
              "device_ts": TS + i} for i in range(2000)]
-    data = codec.serialize_payload(
-        codec.DataPacket(session_id=1, seq=1, streams={"gps": rows}))
+    data = codec.data_payload(1, codec.rows_json({"gps": rows}))
     assert len(codec.compress(data)) < len(data) / 5
 
 
@@ -328,7 +331,7 @@ def test_data_packet_roundtrip_with_key_lookup():
 
 def test_data_packet_unknown_stream_rows_counted_not_encoded():
     key = make_key()
-    payload = codec.serialize_payload({"seq": 1, "streams": {
+    payload = codec.canonical_json({"seq": 1, "streams": {
         "pressure": [{"ts": TS, "hpa": 1000.0}],
         "heart_rate": [{"ts": TS, "bpm": 60}],
     }})

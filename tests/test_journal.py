@@ -1,6 +1,8 @@
+import gc
 import json
 import os
 import struct
+import warnings
 
 import pytest
 
@@ -16,10 +18,21 @@ def batch(n, base_ts=TS):
                                          for i in range(n)]})
 
 
-def test_iter_batch_rows_global_order():
-    streams = {"pressure": [{"ts": 2}], "bt": [{"ts": 1}, {"ts": 3}]}
-    assert list(journal.iter_batch_rows(streams)) == [
-        ("bt", {"ts": 1}), ("bt", {"ts": 3}), ("pressure", {"ts": 2})]
+def _write_records(path, *records):
+    with open(path, "wb") as f:
+        for body in records:
+            f.write(struct.pack("!I", len(body)) + body)
+
+
+def test_iter_batch_rows_global_order(tmp_path):
+    # replay indexes a batch's rows in write order: stream name, then list order
+    path = str(tmp_path / "j.bin")
+    _write_records(path, b'{"kind":"batch","streams":{"pressure":[{"ts":2}],'
+                         b'"bt":[{"ts":1},{"ts":3}]}}')
+    j = journal.Journal(path)
+    assert list(j.pending_rows()) == [
+        (0, "bt", {"ts": 1}), (1, "bt", {"ts": 3}), (2, "pressure", {"ts": 2})]
+    j.close()
 
 
 def test_append_returns_global_index_ranges(tmp_path):
@@ -129,6 +142,22 @@ def test_unknown_record_kind_rejected(tmp_path):
         journal.Journal(path)
 
 
+@pytest.mark.parametrize("body", [
+    b"[1]",  # not an object
+    b'{"kind":"batch","streams":{"heart":[{"ts":1}]}}',  # a stream this build lacks
+    b'{"kind":"batch","streams":{"pressure":5}}',  # rows that are not a list
+], ids=["not-an-object", "unknown-stream", "not-a-list"])
+def test_malformed_record_rejected_and_file_closed(tmp_path, body):
+    path = str(tmp_path / "j.bin")
+    _write_records(path, b'{"kind":"batch","streams":{"pressure":[]}}', body)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(journal.JournalError):
+            journal.Journal(path)
+        gc.collect()  # a file left open warns as it is collected
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_oversized_declared_record_rejected(tmp_path):
     path = str(tmp_path / "j.bin")
     with open(path, "wb") as f:
@@ -185,9 +214,8 @@ def test_ascii_escaped_journal_reopens_with_the_same_rows(tmp_path, test_keypair
             f.write(struct.pack("!I", len(body)) + body)
     j = journal.Journal(path)
     assert (j.total_rows, j.watermark) == (4, 1)
-    assert list(j.pending_rows()) == [
-        (i, stream, row) for i, (stream, row) in enumerate(journal.iter_batch_rows(validated))
-    ][1:]
+    written = [(stream, row) for stream, rows in codec.write_order(validated) for row in rows]
+    assert list(j.pending_rows()) == [(i, *pair) for i, pair in enumerate(written)][1:]
     j.close()
     assert _buffered(path, test_keypair) == _expected_buffer(_NON_ASCII)[1:]
 

@@ -24,7 +24,6 @@ from hypothesis import given, settings, strategies as st
 
 from senselink import codec, crypto, storage
 from senselink.client import ClientSession
-from senselink.journal import iter_batch_rows
 
 TS = 1_400_000_000
 HASH = crypto.hash_user("props@example.com")
@@ -85,13 +84,14 @@ def test_client_json_size_is_the_payload_length(test_keypair, batch, seq_gap):
     session.enqueue_rows(batch)
     session.pump(1.0)
     assert session._flight
-    by_index = [row for _, row in iter_batch_rows(codec.validate_streams(batch)[0])]
+    by_index = [row for _, rows in codec.write_order(codec.validate_streams(batch)[0])
+                for row in rows]
     for pkt in session._flight.values():
         streams = {}
         for entry in pkt.entries:
             streams.setdefault(entry.stream, []).append(by_index[entry.index])
         payload = codec.decompress(crypto.sym_decrypt(session.key, pkt.blob[4:]))
-        assert payload == codec.serialize_payload({"seq": pkt.seq, "streams": streams})
+        assert payload == codec.canonical_json({"seq": pkt.seq, "streams": streams})
         assert pkt.json_size == len(payload)
     assert session.counters["json_bytes"] == sum(p.json_size for p in session._flight.values())
 
@@ -141,14 +141,18 @@ _poisoned = st.recursive(
 @settings(max_examples=100, deadline=None)
 @given(value=_poisoned)
 def test_serialize_rejects_non_finite_numbers_and_non_string_keys(value):
-    with pytest.raises(ValueError):
-        codec.serialize_payload({"x": value})
+    # an auth request's identifiers are the one free-form map in a payload
+    # the program serializes; payload_dict checks them before the encoder
+    for identifiers in ({"x": value}, value):
+        req = codec.AuthRequest(seq=1, user_hash=HASH, time=TS, key=bytes(16),
+                                identifiers=identifiers)
+        with pytest.raises(ValueError):
+            codec.serialize_payload(req)
 
 
 # ---------------------------------------------------------------------------
 # row validation against a reference copy of the per-stream if-chain
 
-_REF_STREAMS = ("gps", "accel", "gyro", "mag", "wifi", "bt", "pressure", "obd", "events")
 _REF_MOTION = frozenset({"accel", "gyro", "mag"})
 _REF_MS_REQUIRED = frozenset({"gps", "obd"})
 _REF_MAX_SAMPLES = 1024
@@ -195,8 +199,6 @@ def _ref_str(row, key, *, required=True, allow_empty=True):
 
 def _reference_validate_row(stream, row):
     """Reference validator: one hand-written branch per stream."""
-    if stream not in _REF_STREAMS:
-        raise codec.MalformedPayload(f"unknown stream {stream!r}")
     if not isinstance(row, dict):
         raise codec.MalformedPayload("row is not an object")
     out = {"ts": _ref_int(row, "ts")}
@@ -335,13 +337,6 @@ def _single_mutations():
                 yield stream, _mutated(base, [(key, value)])
 
 
-def test_validate_row_matches_reference_under_each_single_mutation():
-    for _, row in _single_mutations():
-        for stream in codec.STREAMS + ("heart_rate",):
-            expected = _outcome(_reference_validate_row, stream, row)
-            assert _outcome(codec.validate_row, stream, row) == expected, (stream, row)
-
-
 def _outcome(validate, stream, row):
     try:
         return validate(stream, row)
@@ -357,17 +352,6 @@ def _draw_row(data, source, mutations, not_a_row):
     if not_a_row is not None and data.draw(st.integers(0, 9)) == 0:
         return not_a_row
     return row
-
-
-@settings(max_examples=600, deadline=None)
-@given(data=st.data(), source=st.sampled_from(codec.STREAMS), mutations=_mutations,
-       target=st.sampled_from(codec.STREAMS + ("heart_rate",)) | st.none(),
-       not_a_row=_not_a_row)
-def test_validate_row_matches_reference(data, source, mutations, target, not_a_row):
-    row = _draw_row(data, source, mutations, not_a_row)
-    stream = source if target is None else target  # mostly a row of its own stream
-    expected = _outcome(_reference_validate_row, stream, row)
-    assert _outcome(codec.validate_row, stream, row) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +544,7 @@ def test_validation_admits_only_what_sqlite_holds(data, stream, beyond):
     row = data.draw(_rows[stream])
     numeric = sorted(name for name, v in row.items() if type(v) in (int, float))
     with pytest.raises(codec.MalformedPayload):
-        codec.validate_row(stream, {**row, data.draw(st.sampled_from(numeric)): beyond})
+        _row_json(stream, {**row, data.draw(st.sampled_from(numeric)): beyond})
     for key in data.draw(st.lists(st.sampled_from(sorted(row)), max_size=3)):
         value = data.draw(_wild)
         if value is _DROP:
@@ -568,7 +552,7 @@ def test_validation_admits_only_what_sqlite_holds(data, stream, beyond):
         else:
             row[key] = value
     try:
-        accepted = codec.validate_row(stream, row)
+        accepted = json.loads(_row_json(stream, row))
     except codec.MalformedPayload:
         return
     sql = storage.SqliteStorage(":memory:")

@@ -194,7 +194,7 @@ def test_unknown_stream_rows_acked_not_stored(test_keypair):
     key = crypto.generate_session_key()
     sid = codec.decode_auth_response(
         core.handle_auth_packet(auth_blob(test_keypair, key)), key).session_id
-    payload = codec.serialize_payload({"seq": 2, "streams": {
+    payload = codec.canonical_json({"seq": 2, "streams": {
         "pressure": [{"ts": TS, "hpa": 1000.0}],
         "heart_rate": [{"ts": TS, "bpm": 60}, {"ts": TS, "bpm": 61}],
     }})
@@ -246,9 +246,9 @@ def test_bad_last_row_discards_the_whole_packet(test_keypair):
     assert core.metrics["data_packets"] == core.metrics["data_ok"] + _discards(core.metrics)
 
 
-def test_server_stores_without_validate_row(test_keypair, monkeypatch):
-    # storage checks the rows it stores in one pass; validate_row is the
-    # client's and the simulator's, and must not run again on the server
+def test_server_stores_without_validate_streams(test_keypair, monkeypatch):
+    # storage checks the rows it stores in one pass; validate_streams must
+    # not check them again on the server
     core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
     key, sid = _session(core, test_keypair)
     streams = {
@@ -267,10 +267,10 @@ def test_server_stores_without_validate_row(test_keypair, monkeypatch):
         {"ts": TS, "idx": 1, "ap_id": 1, "mac": "aa:bb", "essid": "net", "rssi": -45}])
     blob = codec.encode_data_packet(codec.DataPacket(session_id=sid, seq=2, streams=streams), key)
 
-    def tripwire(stream, row):
-        raise AssertionError("validate_row ran on the server")
+    def tripwire(streams):
+        raise AssertionError("validate_streams ran on the server")
 
-    monkeypatch.setattr(codec, "validate_row", tripwire)
+    monkeypatch.setattr(codec, "validate_streams", tripwire)
     fb = codec.decode_feedback(core.handle_data_packet(blob), key)
     assert (fb.seq, fb.stored) == (2, 8)
     assert core.storage.read_session_rows(sid) == expected

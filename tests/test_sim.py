@@ -342,8 +342,8 @@ def test_flush_chunks_partition_input():
             assert all(row["ts"] - TS < offset for row in rows)
             merged.setdefault(stream, []).extend(rows)
     for stream, rows in generated.items():
-        assert sorted(map(codec.serialize_payload, merged[stream]), key=bytes) == \
-            sorted(map(codec.serialize_payload, rows), key=bytes)
+        assert sorted(map(codec.canonical_json, merged[stream])) == \
+            sorted(map(codec.canonical_json, rows))
 
 
 def test_pipelining_benchmark_speedup(test_keypair):
