@@ -22,10 +22,9 @@ import time
 
 from . import crypto, sim
 from .client import DEFAULT_WINDOW, ClientSession, TcpTransport, UdpTransport, run_until_drained
-from .journal import Journal
-from .server import (DEFAULT_AUTH_PORT, DEFAULT_CACHE_CAPACITY, DEFAULT_DATA_PORT, ConfigError,
-                     ServerConfig, ServerDaemon)
-from .storage import open_storage
+from .journal import Journal, JournalError
+from .server import DEFAULT_AUTH_PORT, DEFAULT_DATA_PORT, ConfigError, ServerConfig, ServerDaemon
+from .storage import StorageError, open_storage
 
 ENV_PREFIX = "SENSELINK_"
 
@@ -98,7 +97,7 @@ def cmd_serve(args) -> int:
     config = ServerConfig(
         auth_port=args.auth_port, data_port=args.data_port, host=args.host,
         transports=tuple(args.transport.split(",")), storage=args.storage,
-        cache_capacity=args.cache, metrics_port=args.metrics_port)
+        metrics_port=args.metrics_port)
     daemon = ServerDaemon(config, private_key=private_key)
     daemon.run_forever()
     return EXIT_OK
@@ -113,38 +112,40 @@ def cmd_upload(args) -> int:
         server_public = crypto.load_public_key(f.read())
     start_time = args.time if args.time else int(time.time())
     journal = Journal(args.journal) if args.journal else None
-    if journal is not None and journal.total_rows and not args.time:
-        # session identity is (user hash, start time); resuming under "now"
-        # starts a fresh server-side session for whatever is still pending
-        print("warning: resuming a used journal without --time begins a new "
-              "session; pass the original start time to continue the old one",
-              file=sys.stderr)
-    session = ClientSession(
-        crypto.hash_user(args.email), start_time, server_public,
-        window=args.window, journal=journal)
-
-    if args.duration:
-        workload = sim.WorkloadConfig(duration_s=args.duration, seed=args.seed,
-                                      start_ts=start_time)
-        generated = sim.generate_session(workload)
-        if args.realtime:
-            for _, chunk in sim.flush_chunks(generated, start_time, args.flush_period):
-                session.enqueue_rows(chunk)
-        elif generated:
-            session.enqueue_rows(generated)
-
-    transport_cls = TcpTransport if args.transport == "tcp" else UdpTransport
+    transport = None
     try:
-        transport = transport_cls(args.server, args.auth_port, args.data_port)
-    except OSError as exc:
-        print(f"cannot reach {args.server}: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    try:
+        if journal is not None and journal.total_rows and not args.time:
+            # session identity is (user hash, start time); resuming under "now"
+            # starts a fresh server-side session for whatever is still pending
+            print("warning: resuming a used journal without --time begins a new "
+                  "session; pass the original start time to continue the old one",
+                  file=sys.stderr)
+        session = ClientSession(
+            crypto.hash_user(args.email), start_time, server_public,
+            window=args.window, journal=journal)
+
+        if args.duration:
+            workload = sim.WorkloadConfig(duration_s=args.duration, seed=args.seed,
+                                          start_ts=start_time)
+            generated = sim.generate_session(workload)
+            if args.realtime:
+                for _, chunk in sim.flush_chunks(generated, start_time, args.flush_period):
+                    session.enqueue_rows(chunk)
+            elif generated:
+                session.enqueue_rows(generated)
+
+        transport_cls = TcpTransport if args.transport == "tcp" else UdpTransport
+        try:
+            transport = transport_cls(args.server, args.auth_port, args.data_port)
+        except OSError as exc:
+            print(f"cannot reach {args.server}: {exc}", file=sys.stderr)
+            return EXIT_TRANSPORT
         for kind, blob in session.begin(time.monotonic()):
             transport.send(kind, blob)
         report = run_until_drained(session, transport, timeout=args.timeout)
     finally:
-        transport.close()
+        if transport is not None:
+            transport.close()
         if journal is not None:
             journal.close()
     _print_kv(sorted(report.__dict__.items()))
@@ -243,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     _arg(p, "data-port", type=int, default=DEFAULT_DATA_PORT, help="data port")
     _arg(p, "transport", default="udp,tcp", help="comma list of udp,tcp")
     _arg(p, "storage", default="senselink.db", help="'memory', 'sqlite:PATH' or a path")
-    _arg(p, "cache", type=int, default=DEFAULT_CACHE_CAPACITY,
-         help="session key cache entries")
     _arg(p, "metrics-port", type=int, default=0, help="plain-text metrics port (0=off)")
     _arg(p, "log-level", default="info", help="debug|info|warning|error")
     p.set_defaults(fn=cmd_serve)
@@ -290,7 +289,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, FileNotFoundError, JournalError, StorageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConnectionError, socket.gaierror, TimeoutError) as exc:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import codec, crypto
-from .journal import MemoryJournal
+from .journal import JournalError, MemoryJournal
 
 AUTH = "auth"
 DATA = "data"
@@ -203,8 +203,11 @@ class ClientSession:
         # pending rows come in index order, a stream's rows next to each other
         for stream, run in itertools.groupby(self.journal.pending_rows(), itemgetter(1)):
             indexes, _, rows = zip(*run)
-            self._buffer_rows(indexes[0], stream,
-                              codec.STREAM_SPECS[stream].rows_json(list(rows)))
+            try:  # the journal checks a record's shape, its rows are checked here
+                row_json = codec.STREAM_SPECS[stream].rows_json(list(rows))
+            except codec.MalformedPayload as exc:
+                raise JournalError(f"journal row of {stream!r}: {exc}") from exc
+            self._buffer_rows(indexes[0], stream, row_json)
 
     # -- helpers ------------------------------------------------------------
 

@@ -622,7 +622,6 @@ STREAM_SPECS: dict[str, StreamSpec] = {spec.name: spec for spec in (
         row_bytes=8, text_bytes=("kind", "detail")),
 )}
 
-STREAMS = tuple(STREAM_SPECS)
 MOTION_STREAMS = frozenset(s.name for s in STREAM_SPECS.values() if s.sample_bytes)
 
 

@@ -1,9 +1,10 @@
 """Stateless ingest server.
 
 :class:`IngestCore` holds the entire packet-handling logic with no I/O or
-threads: every arriving blob is self-describing, so the core can be thrown
-away and rebuilt around the same storage at any time and handle the next
-packet identically. The simulator and the fuzz tests drive it directly.
+threads. Every arriving blob is self-describing and every session key lives
+only in storage, read once per data packet, so any number of cores over the
+same storage, or a core rebuilt at any time, handle the next packet
+identically. The simulator and the fuzz tests drive it directly.
 
 :class:`ServerDaemon` wraps the core in two port workers, one thread per
 listening port. Each selects on its port's UDP socket, TCP listener and TCP
@@ -30,7 +31,6 @@ import socket
 import sys
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import codec, crypto
@@ -40,7 +40,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_AUTH_PORT = 7401
 DEFAULT_DATA_PORT = 7402
-DEFAULT_CACHE_CAPACITY = 10_000
 UDP_RCVBUF_BYTES = 4 * 1024 * 1024  # a window of 16 batch packets is ~0.6 MB
 TCP_SNDBUF_BYTES = 16 * 1024  # a peer that reads keeps its window of replies itself
 
@@ -64,7 +63,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     transports: tuple[str, ...] = ("udp", "tcp")
     storage: str = "memory"
-    cache_capacity: int = DEFAULT_CACHE_CAPACITY
     metrics_port: int = 0  # 0 disables the metrics listener
 
     def __post_init__(self):
@@ -74,46 +72,14 @@ class ServerConfig:
         if not transports or not set(transports) <= {"udp", "tcp"}:
             raise ConfigError("transports must be a non-empty subset of {udp, tcp}")
         self.transports = transports
-        if self.cache_capacity < 1:
-            raise ConfigError("cache capacity must be positive")
-
-
-class _LruCache:
-    def __init__(self, capacity: int):
-        self._capacity = capacity
-        self._entries: OrderedDict[int, bytes] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, session_id: int) -> bytes | None:
-        with self._lock:
-            key = self._entries.get(session_id)
-            if key is not None:
-                self._entries.move_to_end(session_id)
-            return key
-
-    def put(self, session_id: int, key: bytes):
-        with self._lock:
-            self._entries[session_id] = key
-            self._entries.move_to_end(session_id)
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self):
-        return len(self._entries)
 
 
 class IngestCore:
     """Pure packet handlers; storage is the only state that matters."""
 
-    def __init__(self, private_key, storage, *,
-                 cache_capacity: int = DEFAULT_CACHE_CAPACITY):
+    def __init__(self, private_key, storage):
         self._private = private_key
         self.storage = storage
-        self.cache = _LruCache(cache_capacity)
         self._metrics_lock = threading.Lock()
         self.metrics: dict[str, int] = {}
 
@@ -146,7 +112,6 @@ class IngestCore:
             log.exception("auth upsert failed")
             self.bump("auth_discard_storage")
             return None
-        self.cache.put(session_id, req.key)
         self.bump("auth_ok")
         log.info("auth_ok session_id=%d seq=%d version=%d",
                  session_id, req.seq, req.version)
@@ -156,15 +121,9 @@ class IngestCore:
     # -- data path ----------------------------------------------------------
 
     def lookup_key(self, session_id: int) -> bytes | None:
-        key = self.cache.get(session_id)
-        if key is not None:
-            self.bump("cache_hits")
-            return key
-        self.bump("cache_misses")
-        key = self.storage.lookup_session_key(session_id)
-        if key is not None:
-            self.cache.put(session_id, key)
-        return key
+        """The session's key, read from storage for every data packet (a
+        method of its own so that perfbench's tracer can wrap it)."""
+        return self.storage.lookup_session_key(session_id)
 
     def decode_data_packet(self, blob: bytes) -> codec.DataPacket:
         return codec.decode_data_packet(blob, self.lookup_key)
@@ -373,8 +332,7 @@ class ServerDaemon:
         self.config = config
         self._storage = storage if storage is not None else open_storage(config.storage)
         self._owns_storage = storage is None
-        self.core = IngestCore(private_key, self._storage,
-                               cache_capacity=config.cache_capacity)
+        self.core = IngestCore(private_key, self._storage)
         self._stop = threading.Event()
         self._workers: list[_PortWorker] = []
 

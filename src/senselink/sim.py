@@ -168,10 +168,6 @@ class WorkloadConfig:
             raise ValueError("wifi scan interval bounds are inverted")
 
 
-MAX_RATE_WORKLOAD = dict(accel_hz=200, gyro_hz=200, mag_hz=200, obd_hz=12,
-                         wifi_scan_min_s=2.0, wifi_scan_max_s=2.0)
-
-
 def _motion_rows(rng: random.Random, cfg: WorkloadConfig, hz: int, phase: float) -> list[dict]:
     rows = []
     rate = float(hz)
@@ -359,7 +355,7 @@ class ExperimentReport:
 
 class _ServerBox:
     """Replaceable ingest core around durable storage: a restart throws the
-    core (and its cache) away, the storage object survives."""
+    core and its counters away, the storage object survives."""
 
     def __init__(self, private_key, storage):
         self._private = private_key

@@ -156,29 +156,42 @@ class SqliteStorage:
     def __init__(self, path: str):
         self._lock = threading.RLock()
         self._path = path
-        self._db = sqlite3.connect(path, check_same_thread=False, isolation_level=None)
-        self._db.execute("PRAGMA journal_mode=WAL")
-        self._db.execute("PRAGMA synchronous=NORMAL")
-        self._db.execute("PRAGMA foreign_keys=ON")
         # (mac, essid) -> ap_id; forgotten on ROLLBACK, where SQLite may hand a
         # rolled-back ap_id to the next access point
         self._ap_ids: dict[tuple[str, str], int] = {}
-        with self._lock:
-            self._db.executescript(_SCHEMA)
-            self._db.execute("BEGIN IMMEDIATE")
-            try:
-                row = self._db.execute(
-                    "SELECT value FROM meta WHERE key='schema_version'").fetchone()
-                if row is None:
-                    self._db.execute(
-                        "INSERT INTO meta VALUES('schema_version', ?)", (str(SCHEMA_VERSION),))
-                    self._db.execute("INSERT INTO meta VALUES('next_session_id', '1')")
-                elif int(row[0]) != SCHEMA_VERSION:
-                    raise StorageError(f"unsupported schema version {row[0]}")
-                self._db.execute("COMMIT")
-            except BaseException:
-                self._db.execute("ROLLBACK")
-                raise
+        try:
+            self._db = sqlite3.connect(path, check_same_thread=False, isolation_level=None)
+        except sqlite3.Error as exc:
+            raise StorageError(f"cannot open {path}: {exc}") from exc
+        try:
+            self._open()
+        except sqlite3.Error as exc:  # e.g. a file that is not a database
+            self._db.close()
+            raise StorageError(f"cannot open {path}: {exc}") from exc
+        except BaseException:
+            self._db.close()
+            raise
+
+    def _open(self):
+        """Set the connection up and create or check the schema."""
+        self._db.execute("PRAGMA journal_mode=WAL")
+        self._db.execute("PRAGMA synchronous=NORMAL")
+        self._db.execute("PRAGMA foreign_keys=ON")
+        self._db.executescript(_SCHEMA)
+        self._db.execute("BEGIN IMMEDIATE")
+        try:
+            row = self._db.execute(
+                "SELECT value FROM meta WHERE key='schema_version'").fetchone()
+            if row is None:
+                self._db.execute(
+                    "INSERT INTO meta VALUES('schema_version', ?)", (str(SCHEMA_VERSION),))
+                self._db.execute("INSERT INTO meta VALUES('next_session_id', '1')")
+            elif int(row[0]) != SCHEMA_VERSION:
+                raise StorageError(f"unsupported schema version {row[0]}")
+            self._db.execute("COMMIT")
+        except BaseException:
+            self._db.execute("ROLLBACK")
+            raise
 
     def _next_session_id(self) -> int:
         sid = int(self._db.execute(

@@ -6,6 +6,10 @@ from senselink import crypto
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 
+# every sensor at the ceiling WorkloadConfig admits
+MAX_RATE_WORKLOAD = dict(accel_hz=200, gyro_hz=200, mag_hz=200, obd_hz=12,
+                         wifi_scan_min_s=2.0, wifi_scan_max_s=2.0)
+
 # Filled in by tests/test_acceptance.py; printed as a summary block so every
 # criterion gets exactly one PASS/FAIL line regardless of pytest verbosity.
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []

@@ -12,15 +12,14 @@ import time
 
 import pytest
 
-from conftest import ACCEPTANCE_RESULTS, DATA_DIR
+from conftest import ACCEPTANCE_RESULTS, DATA_DIR, MAX_RATE_WORKLOAD
 from test_golden import check_golden_vectors
 
 from senselink import crypto, storage
 from senselink.client import (AUTH, DATA, ClientSession, UdpTransport,
                               run_until_drained)
 from senselink.server import IngestCore, ServerConfig, ServerDaemon
-from senselink.sim import (MAX_RATE_WORKLOAD, ChannelConfig, WorkloadConfig,
-                           pipelining_benchmark, run_experiment)
+from senselink.sim import ChannelConfig, WorkloadConfig, pipelining_benchmark, run_experiment
 
 TS = 1_400_000_000
 

@@ -176,6 +176,20 @@ def test_upload_missing_pubkey(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("body, message", [
+    (b'{"kind":"nope"}', "unknown record kind 'nope'"),
+    (b'{"kind":"batch","streams":{"pressure":[5]}}', "row is not an object"),
+], ids=["unknown-kind", "bad-row"])
+def test_upload_corrupt_journal_is_config_error(keyfiles, tmp_path, capsys, body, message):
+    jpath = tmp_path / "bad.journal"
+    jpath.write_bytes(len(body).to_bytes(4, "big") + body)
+    code = cli.main(["upload", "--pubkey", keyfiles[1], "--time", str(TS),
+                     "--journal", str(jpath), "--auth-port", "1", "--data-port", "2"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
 # ---------------------------------------------------------------------------
 # serve
 
@@ -192,6 +206,13 @@ def test_serve_missing_key_is_config_error(tmp_path):
 def test_serve_bad_transport_is_config_error(keyfiles):
     assert cli.main(["serve", "--key", keyfiles[0],
                      "--transport", "smoke-signals"]) == 2
+
+
+def test_serve_has_no_cache_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["serve", "--cache", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
@@ -288,3 +309,11 @@ def test_stats_after_upload(daemon, keyfiles, capsys):
 
 def test_stats_missing_db(tmp_path):
     assert cli.main(["stats", "--storage", str(tmp_path / "absent.db")]) == 2
+
+
+def test_stats_on_a_file_that_is_not_a_database(tmp_path, capsys):
+    junk = tmp_path / "junk.db"
+    junk.write_bytes(b"not a database, not even close" * 100)
+    assert cli.main(["stats", "--storage", str(junk)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "not a database" in err[0]

@@ -158,6 +158,20 @@ def test_malformed_record_rejected_and_file_closed(tmp_path, body):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+def test_bad_row_is_a_journal_error_on_resume(tmp_path, test_keypair):
+    # replay checks a record's shape; the resuming session checks its rows
+    path = str(tmp_path / "j.bin")
+    _write_records(path, b'{"kind":"batch","streams":{"pressure":[5]}}')
+    j = journal.Journal(path)
+    try:
+        assert j.total_rows == 1
+        with pytest.raises(journal.JournalError, match="row is not an object"):
+            ClientSession(crypto.hash_user("j@example.org"), TS, test_keypair.public_part,
+                          journal=j)
+    finally:
+        j.close()
+
+
 def test_oversized_declared_record_rejected(tmp_path):
     path = str(tmp_path / "j.bin")
     with open(path, "wb") as f:

@@ -27,6 +27,7 @@ from senselink.client import ClientSession
 
 TS = 1_400_000_000
 HASH = crypto.hash_user("props@example.com")
+STREAMS = tuple(codec.STREAM_SPECS)
 
 _text = st.text(max_size=12)  # includes non-ASCII, which costs several UTF-8 bytes
 _i64 = st.integers(-(2**63), 2**63 - 1)
@@ -369,14 +370,14 @@ def _reference_row_json(stream, row):
 
 def test_row_json_matches_the_encoded_reference_under_each_single_mutation():
     for _, row in _single_mutations():
-        for stream in codec.STREAMS:
+        for stream in STREAMS:
             expected = _outcome(_reference_row_json, stream, row)
             assert _outcome(_row_json, stream, row) == expected, (stream, row)
 
 
 @settings(max_examples=600, deadline=None)
-@given(data=st.data(), source=st.sampled_from(codec.STREAMS), mutations=_mutations,
-       target=st.sampled_from(codec.STREAMS) | st.none(), not_a_row=_not_a_row)
+@given(data=st.data(), source=st.sampled_from(STREAMS), mutations=_mutations,
+       target=st.sampled_from(STREAMS) | st.none(), not_a_row=_not_a_row)
 def test_row_json_matches_the_encoded_reference(data, source, mutations, target, not_a_row):
     row = _draw_row(data, source, mutations, not_a_row)
     stream = source if target is None else target
@@ -420,14 +421,14 @@ def _typed(outcome):
 
 def test_row_params_match_the_two_pass_model_under_each_single_mutation():
     for _, row in _single_mutations():
-        for stream in codec.STREAMS:
+        for stream in STREAMS:
             expected = _typed(_outcome(_reference_row_params, stream, row))
             assert _typed(_outcome(_row_params, stream, row)) == expected, (stream, row)
 
 
 @settings(max_examples=600, deadline=None)
-@given(data=st.data(), source=st.sampled_from(codec.STREAMS), mutations=_mutations,
-       target=st.sampled_from(codec.STREAMS) | st.none(), not_a_row=_not_a_row)
+@given(data=st.data(), source=st.sampled_from(STREAMS), mutations=_mutations,
+       target=st.sampled_from(STREAMS) | st.none(), not_a_row=_not_a_row)
 def test_row_params_match_the_two_pass_model(data, source, mutations, target, not_a_row):
     row = _draw_row(data, source, mutations, not_a_row)
     stream = source if target is None else target
@@ -538,7 +539,7 @@ _wild = (st.sampled_from(_ODD_VALUES) | st.integers()
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), stream=st.sampled_from(codec.STREAMS),
+@given(data=st.data(), stream=st.sampled_from(STREAMS),
        beyond=st.sampled_from([2**63, -(2**63) - 1]))
 def test_validation_admits_only_what_sqlite_holds(data, stream, beyond):
     row = data.draw(_rows[stream])
@@ -604,7 +605,7 @@ def test_stream_kernels_match_the_row_checks_under_each_single_mutation():
 
 
 @settings(max_examples=600, deadline=None)
-@given(data=st.data(), stream=st.sampled_from(codec.STREAMS), size=st.integers(1, 5))
+@given(data=st.data(), stream=st.sampled_from(STREAMS), size=st.integers(1, 5))
 def test_stream_kernels_match_the_row_checks(data, stream, size):
     examples = [row for name, row in _EXAMPLE_ROWS if name == stream]  # wifi: both kinds
     rows = [data.draw(st.sampled_from(examples)) for _ in range(size)]

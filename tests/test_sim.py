@@ -3,9 +3,11 @@ import sqlite3
 
 import pytest
 
+from conftest import MAX_RATE_WORKLOAD
+
 from senselink import client, codec, sim, storage
 from senselink.sim import (ChannelConfig, EventLoop, ExperimentReport, SimError,
-                           VerificationFailed, WorkloadConfig, MAX_RATE_WORKLOAD,
+                           VerificationFailed, WorkloadConfig,
                            _Direction, flush_chunks, generate_session,
                            parse_experiment_config,
                            pipelining_benchmark, run_experiment, verify_storage)
