@@ -369,6 +369,10 @@ class ServerDaemon:
                  self.auth_port, self.data_port, ",".join(cfg.transports), cfg.storage)
 
     def stop(self):
+        """Stop the workers, close their sockets and any storage this daemon
+        opened; a second call does nothing."""
+        if self._stop.is_set():
+            return
         self._stop.set()
         for worker in self._workers:  # start() started every worker it kept
             worker.join()

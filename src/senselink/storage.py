@@ -9,8 +9,15 @@ column at a time and returns their INSERT parameters (``row_params``, one
 row at a time, for short lists and for any list it cannot check by column),
 admitting only values SQLite holds (signed 64-bit integers, numbers that
 read back as floats, valid UTF-8), and every row of a batch is checked
-before its transaction begins, so a malformed row writes nothing. Schema
-rules:
+before its transaction begins, so a malformed row writes nothing. Inside
+the transaction each stream's parameters go to SQLite in chunks: every full
+chunk of ``_ROWS_PER_INSERT`` rows is one execution of one multi-row
+``INSERT OR IGNORE ... VALUES(...),(...),...`` statement, its parameters
+flattened a chunk at a time, and the fewer rows left over go through one
+single-row ``executemany``, as a realtime packet's short streams do whole.
+The rows are stored in the same order either way, and ``OR IGNORE`` still
+skips each duplicate row alone (https://www.sqlite.org/lang_insert.html).
+Schema rules:
 
 * every row is timestamped in unix seconds; asynchronous sensors add a
   milliseconds column (required where the stream table says so)
@@ -27,6 +34,7 @@ rules:
 
 from __future__ import annotations
 
+import itertools
 import json
 import sqlite3
 import struct
@@ -38,6 +46,9 @@ from .codec import MOTION_STREAMS, STREAM_SPECS, write_order
 
 SCHEMA_VERSION = 1
 _AP_CACHE_LIMIT = 100_000  # interned access points SqliteStorage remembers
+# rows one multi-row INSERT stores: at most 64 x 10 (gps) = 640 parameters, under
+# the 999 that SQLite builds before 3.32 allow a statement
+_ROWS_PER_INSERT = 64
 
 
 class StorageError(Exception):
@@ -64,17 +75,19 @@ def _unpack_samples(blob: bytes) -> list[list[int]]:
     return [list(flat[i:i + 3]) for i in range(0, len(flat), 3)]
 
 
-def _insert_sql(spec: codec.StreamSpec) -> str:
-    """The INSERT of one row of a stream, its parameters in the order
-    ``(session_id, [stream,] *spec.row_params(row))``, as ``rows_params``
+def _insert_sql(spec: codec.StreamSpec, rows: int = 1) -> str:
+    """The INSERT of ``rows`` rows of a stream, each row's parameters in the
+    order ``(session_id, [stream,] *spec.row_params(row))``, as ``rows_params``
     gives them too."""
     columns = ("session_id", *(("stream",) if spec.name in MOTION_STREAMS else ()),
                "ts", "ms", "idx", *spec.columns)
+    row = f"(?{', ?' * (len(columns) - 1)})"
     return (f"INSERT OR IGNORE INTO {spec.table}({', '.join(columns)}) "
-            f"VALUES(?{', ?' * (len(columns) - 1)})")
+            f"VALUES{', '.join([row] * rows)}")
 
 
-_INSERTS = {name: _insert_sql(spec) for name, spec in STREAM_SPECS.items()}
+_INSERTS = {name: (_insert_sql(spec), _insert_sql(spec, _ROWS_PER_INSERT))
+            for name, spec in STREAM_SPECS.items()}
 
 
 _SCHEMA = """
@@ -272,8 +285,12 @@ class SqliteStorage:
             self._db.execute("BEGIN IMMEDIATE")
             try:
                 for stream, values in batch:
-                    self._db.executemany(_INSERTS[stream],
-                                         self._params(session_id, stream, values))
+                    insert_one, insert_chunk = _INSERTS[stream]
+                    params = iter(self._params(session_id, stream, values))
+                    for _ in range(len(values) // _ROWS_PER_INSERT):
+                        self._db.execute(insert_chunk, tuple(itertools.chain.from_iterable(
+                            itertools.islice(params, _ROWS_PER_INSERT))))
+                    self._db.executemany(insert_one, params)  # the rows left over
                 self._db.execute("COMMIT")
                 return codec.batch_row_count(streams)
             except BaseException:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from senselink import codec, crypto, sim, storage
+from senselink import codec, crypto, server, sim, storage
 from senselink.client import (AUTH, DATA, ClientSession, TcpTransport,
                               UdpTransport, run_until_drained)
 from senselink.server import ConfigError, IngestCore, ServerConfig, ServerDaemon
@@ -675,3 +675,24 @@ def test_metrics_endpoint(test_keypair):
     finally:
         d.stop()
     assert not [t for t in started if t.is_alive()]
+
+
+def test_second_stop_is_quiet_and_closes_owned_storage_once(test_keypair, tmp_path,
+                                                            monkeypatch):
+    closes = []
+
+    def counting_open(selector):
+        st = storage.open_storage(selector)
+        close = st.close
+        st.close = lambda: (closes.append(selector), close())
+        return st
+
+    monkeypatch.setattr(server, "open_storage", counting_open)
+    path = str(tmp_path / "d.db")
+    d = ServerDaemon(ServerConfig(auth_port=0, data_port=0, host="127.0.0.1",
+                                  storage=f"sqlite:{path}"),
+                     private_key=test_keypair.private_part)
+    d.start()
+    d.stop()
+    d.stop()  # must not touch the closed selector or flush the closed storage
+    assert closes == [f"sqlite:{path}"]

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from senselink import codec, storage
+from senselink import codec, sim, storage
 from test_properties import logical_row_bytes  # the cost function of the dict model
 
 TS = 1_400_000_000
@@ -103,6 +103,105 @@ def test_write_rows_counts_and_idempotency(store):
     mixed = pressure_rows(40, base_ts=TS + 100)
     assert store.write_rows(sid, mixed) == 40
     assert store.storage_stats()["rows"]["pressure"] == 140
+
+
+def _chunk_batch(n: int) -> dict[str, list[dict]]:
+    """n rows each of gps, accel, gyro, wifi named by (mac, essid) and
+    pressure; every 11th row from the 5th on repeats the natural key of the
+    row two before it with other values, so the first one must win."""
+    def key(i):
+        return TS + (i - 2 if i % 11 == 5 else i)
+
+    return {
+        "gps": [{"ts": key(i), "ms": 7, "lat": 41.0 + i, "lon": -8.0, "alt": 90.5,
+                 "speed": 1.0, "accuracy": 5.0, "device_ts": TS + i} for i in range(n)],
+        "accel": [{"ts": key(i), "rate": 5.0, "samples": [[i, -i, 1000]]} for i in range(n)],
+        "gyro": [{"ts": key(i), "rate": 1.0, "samples": [[1, 2, i]]} for i in range(n)],
+        # a new pair every few rows, and pairs seen before in between
+        "wifi": [{"ts": key(i), "ms": 1, "mac": f"m{i * 7 % 13}", "essid": f"e{i % 3}",
+                  "rssi": -40 - i % 50} for i in range(n)],
+        "pressure": [{"ts": key(i), "hpa": 1000.0 + i} for i in range(n)],
+    }
+
+
+def _write_one_row_per_statement(path: str, sid: int, batch: dict):
+    """The reference writer: each row checked alone and stored by its own
+    positional INSERT, wifi pairs interned as their rows come."""
+    db = sqlite3.connect(path)
+    try:
+        for stream, rows in codec.write_order(batch):
+            spec = codec.STREAM_SPECS[stream]
+            for row in rows:
+                values = list(spec.row_params(row))
+                if stream == "wifi":
+                    db.execute("INSERT OR IGNORE INTO access_points(mac, essid) VALUES(?, ?)",
+                               values[3])
+                    values[3] = db.execute("SELECT ap_id FROM access_points "
+                                           "WHERE mac=? AND essid=?", values[3]).fetchone()[0]
+                head = (sid, stream) if stream in codec.MOTION_STREAMS else (sid,)
+                params = head + tuple(values)
+                db.execute(f"INSERT OR IGNORE INTO {spec.table} "
+                           f"VALUES({', '.join('?' * len(params))})", params)
+        db.commit()
+    finally:
+        db.close()
+
+
+def _tables(path: str) -> dict[str, list[tuple]]:
+    db = sqlite3.connect(path)
+    try:
+        return {t: db.execute(f"SELECT rowid, * FROM {t} ORDER BY rowid").fetchall()
+                for t in ("gps_rows", "motion_rows", "wifi_rows", "pressure_rows",
+                          "access_points")}
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+                         ids=["1", "R-1", "R", "R+1", "2R+3"])
+def test_chunked_insert_matches_one_row_per_statement(tmp_path, chunks, extra):
+    r = storage._ROWS_PER_INSERT
+    n = chunks * r + extra
+    batch, later = _chunk_batch(n), _chunk_batch(n + 5)  # later: its first n rows replay
+    ref = storage.SqliteStorage(str(tmp_path / "ref.db"))
+    sid = new_session(ref)
+    ref.close()
+    for written in (batch, batch, later):
+        _write_one_row_per_statement(str(tmp_path / "ref.db"), sid, written)
+
+    st = storage.SqliteStorage(str(tmp_path / "t.db"))
+    assert new_session(st) == sid
+    statements = []
+    st._db.set_trace_callback(statements.append)
+    assert st.write_rows(sid, batch) == 5 * n
+    # each full chunk is one statement, each row left over one more
+    assert sum(s.startswith("INSERT OR IGNORE INTO pressure_rows") for s in statements) \
+        == n // r + n % r
+    assert st.write_rows(sid, batch) == 5 * n
+    assert st.write_rows(sid, later) == 5 * (n + 5)
+    st.close()
+    assert _tables(str(tmp_path / "t.db")) == _tables(str(tmp_path / "ref.db"))
+
+
+def test_no_multi_row_insert_binds_more_than_999_parameters(tmp_path):
+    """999 is the default limit of SQLite builds before 3.32, which Python
+    3.10 may still link."""
+    r = storage._ROWS_PER_INSERT
+    for one, chunk in storage._INSERTS.values():
+        assert chunk.count("?") == r * one.count("?") <= 999
+    if not hasattr(sqlite3, "SQLITE_LIMIT_VARIABLE_NUMBER"):  # Python 3.10
+        return
+    st = storage.SqliteStorage(str(tmp_path / "t.db"))
+    st._db.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
+    cfg = sim.WorkloadConfig(duration_s=2 * r, gyro_hz=1, mag_hz=1, obd_hz=1,
+                             bt_scan_period_s=1.0, pressure_period_s=1.0, event_period_s=1.0)
+    batch = sim.generate_session(cfg)
+    assert set(batch) == set(codec.STREAM_SPECS)
+    assert min(map(len, batch.values())) >= r
+    sid = new_session(st)
+    assert st.write_rows(sid, batch) == st.storage_stats()["total_rows"] \
+        == codec.batch_row_count(batch)
+    st.close()
 
 
 def test_rows_isolated_between_sessions(store):
@@ -245,6 +344,37 @@ def test_sqlite_ap_cache_forgets_ids_a_rollback_gave_back(tmp_path):
     rows = st.read_session_rows(sid)["wifi"]
     assert [(r["ts"], r["mac"], r["essid"]) for r in rows] == [
         (TS + 1, "m2", "two"), (TS + 2, "m1", "one")]
+    st.close()
+    db = sqlite3.connect(path)
+    try:
+        orphans = db.execute("SELECT COUNT(*) FROM wifi_rows WHERE ap_id NOT IN "
+                             "(SELECT ap_id FROM access_points)").fetchone()[0]
+    finally:
+        db.close()
+    assert orphans == 0
+
+
+def test_sqlite_ap_cache_forgets_ids_a_rollback_inside_a_chunk_gave_back(tmp_path):
+    """As above, with the refused row inside the first multi-row INSERT and
+    rows of another stream stored before it in the same transaction."""
+    r = storage._ROWS_PER_INSERT
+    path = str(tmp_path / "t.db")
+    st = storage.SqliteStorage(path)
+    sid = new_session(st)
+    db = sqlite3.connect(path)
+    db.execute("CREATE TRIGGER refuse BEFORE INSERT ON wifi_rows WHEN NEW.rssi = -1 "
+               "BEGIN SELECT RAISE(ABORT, 'refused'); END")
+    db.close()
+    wifi = [{"ts": TS + i, "rssi": -50, "mac": f"m{i}", "essid": "one"} for i in range(r + 5)]
+    wifi[10]["rssi"] = -1
+    with pytest.raises(sqlite3.IntegrityError):
+        st.write_rows(sid, {"wifi": wifi, **pressure_rows(r + 1)})
+    assert st._ap_ids == {}
+    assert st.storage_stats()["total_rows"] == st.storage_stats()["access_points"] == 0
+    st.write_rows(sid, {"wifi": [{"ts": TS + 1, "rssi": -60, "mac": "n1", "essid": "two"}]})
+    st.write_rows(sid, {"wifi": [{"ts": TS + 2, "rssi": -70, "mac": "m0", "essid": "one"}]})
+    rows = st.read_session_rows(sid)["wifi"]
+    assert [(r["ts"], r["ap_id"], r["mac"]) for r in rows] == [(TS + 1, 1, "n1"), (TS + 2, 2, "m0")]
     st.close()
     db = sqlite3.connect(path)
     try:
