@@ -74,9 +74,10 @@ def cmd_keygen(args) -> int:
                            crypto.asym_encrypt(keypair.public_part, probe)) != probe:
         print("generated keypair failed its round-trip self-test", file=sys.stderr)
         return EXIT_CONFIG
-    with open(args.out, "wb") as f:
+    private_mode = stat.S_IRUSR | stat.S_IWUSR
+    with open(os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, private_mode), "wb") as f:
+        os.fchmod(f.fileno(), private_mode)  # a file --force overwrites keeps its mode
         f.write(crypto.private_key_pem(keypair.private_part))
-    os.chmod(args.out, stat.S_IRUSR | stat.S_IWUSR)
     with open(public_path, "wb") as f:
         f.write(crypto.public_key_pem(keypair.public_part))
     _print_kv([("private_key", args.out), ("public_key", public_path),

@@ -27,10 +27,10 @@ Reliability rules:
   an authentication packet, so a server that lost or rotated the session
   key converges back instead of discarding packets forever
 
-A session sets its window, journal, JSON bytes per packet, protocol version
-and identifiers; the retry limit, backoff, re-auth interval, buffer limit and
-packet-size limit are module constants (the last is
-``codec.MAX_PACKET_BYTES``, which the server enforces too).
+A session sets its window, journal, JSON bytes per packet and identifiers,
+and always sends ``codec.PROTOCOL_VERSION``; the retry limit, backoff,
+re-auth interval, buffer limit and packet-size limit are module constants
+(the last is ``codec.MAX_PACKET_BYTES``, which the server enforces too).
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ class ClientSession:
     """One recording session: handshake, windowed upload, buffer release."""
 
     def __init__(self, user_hash: str, start_time: int, server_public, *,
-                 version: int = 1, identifiers: dict | None = None,
+                 identifiers: dict | None = None,
                  window: int = DEFAULT_WINDOW, journal=None,
                  pack_json_budget: int = PACK_JSON_BUDGET):
         if not crypto.is_user_hash(user_hash):
@@ -174,7 +174,6 @@ class ClientSession:
             raise ValueError("window must be at least 1")
         self.user_hash = user_hash
         self.start_time = start_time
-        self.version = version
         self.identifiers = dict(identifiers) if identifiers else None
         self.server_public = server_public
         self.window = window
@@ -234,8 +233,7 @@ class ClientSession:
     def _make_auth(self, now: float, key: bytes, identifiers: dict | None) -> tuple[str, bytes]:
         seq = self.take_seq()
         req = codec.AuthRequest(seq=seq, user_hash=self.user_hash,
-                                time=self.start_time, key=key,
-                                version=self.version, identifiers=identifiers)
+                                time=self.start_time, key=key, identifiers=identifiers)
         blob = codec.encode_auth_request(req, self.server_public)
         self._pending_auths[seq] = PendingAuth(
             seq=seq, key=key, identifiers=identifiers, blob=blob,
@@ -521,8 +519,13 @@ class TcpTransport:
     def __init__(self, host: str, auth_port: int, data_port: int):
         self._socks = {}
         self._buffers = {AUTH: codec.FrameBuffer(), DATA: codec.FrameBuffer()}
-        for kind, port in ((AUTH, auth_port), (DATA, data_port)):
-            self._socks[kind] = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT)
+        try:
+            for kind, port in ((AUTH, auth_port), (DATA, data_port)):
+                self._socks[kind] = socket.create_connection((host, port),
+                                                             timeout=CONNECT_TIMEOUT)
+        except BaseException:  # close the auth connection if the data one failed
+            self.close()
+            raise
 
     def send(self, kind: str, blob: bytes):
         self._socks[kind].sendall(codec.frame(blob))

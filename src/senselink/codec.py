@@ -247,7 +247,7 @@ def deserialize_payload(data: bytes, expected_kind: type):
 # ---------------------------------------------------------------------------
 # the stream table: row shape, ms rule, SQLite table and logical byte cost
 
-# A field is (name, check, default, text, column, form). check(value) takes the
+# A field is (name, check, default, text, column, form, sql). check(value) takes the
 # field's value from a row as received and returns the value SQLite stores, or
 # raises MalformedPayload; text(value) is the canonical JSON of a checked value.
 # A row that leaves out a field whose default is not _REQUIRED stores the
@@ -263,7 +263,8 @@ def deserialize_payload(data: bytes, expected_kind: type):
 # no character of it needs escaping). It never raises; false sends the
 # stream's rows through check one row at a time. A field whose column is
 # None, a motion row's samples, has check mapped over its column instead,
-# and form writes text of the checked value.
+# and form writes text of the checked value. sql is the SQLite type of the
+# field's column, declared NOT NULL unless the default is None.
 
 _REQUIRED = object()  # the default of a field every row must carry
 _INF = math.inf
@@ -287,7 +288,7 @@ def _int(name: str, lo: int = 0, hi: int = I64_MAX, *, default=_REQUIRED):
 
     def column(values):
         return set(map(type, values)) == _INT and lo <= min(values) and max(values) <= hi
-    return name, check, default, repr, column, "%r"
+    return name, check, default, repr, column, "%r", "INTEGER"
 
 
 def _number(name: str, *, positive: bool = False):
@@ -318,7 +319,7 @@ def _number(name: str, *, positive: bool = False):
         else:
             ok = kinds == _INT and I64_MIN <= min(values) and max(values) <= I64_MAX
         return ok and (not positive or min(values) > 0)
-    return name, check, _REQUIRED, repr, column, "%r"
+    return name, check, _REQUIRED, repr, column, "%r", "REAL"
 
 
 def _text(name: str, *, allow_empty: bool = True, default=_REQUIRED):
@@ -341,7 +342,7 @@ def _text(name: str, *, allow_empty: bool = True, default=_REQUIRED):
         text = "".join(values)  # what JSON writes as it is, and UTF-8 holds
         return (text.isprintable() and '"' not in text and "\\" not in text
                 and (allow_empty or all(values)))
-    return name, check, default, _json_string, column, '"%s"'
+    return name, check, default, _json_string, column, '"%s"', "TEXT"
 
 
 def _is_int16(value) -> bool:
@@ -389,7 +390,9 @@ class StreamSpec:
     """One sensor stream.
 
     ``columns`` name the SQLite columns of the stream's ``table`` after the
-    natural key, in table order. ``row_params`` checks a row as received and
+    natural key, in table order, and ``declarations`` map the natural key's
+    and each column's name to its SQLite type and constraint, from which
+    storage creates the table. ``row_params`` checks a row as received and
     returns its values for them; ``row_json`` checks a row the same way and
     returns its canonical JSON, which leaves out unknown fields, an absent
     ms, a zero idx and absent optional fields. The checks admit only what
@@ -422,16 +425,18 @@ class StreamSpec:
         fields = (_int("ts"), _int("ms", hi=999, default=_REQUIRED if ms_required else -1),
                   _int("idx", hi=U32_MAX, default=0)) + fields
         self._fields = tuple((name, check, default) for name, check, default, *_ in fields)
+        self.declarations = {name: sql if default is None else sql + " NOT NULL"
+                             for name, _, default, *_, sql in fields}
         # in key order; a checked value equal to its default (a zero idx) is left out
         self._json_fields = tuple(sorted(
             (name, f'"{name}":', check, default, text) for name, check, default, text, *_ in fields))
         # the stream kernels' view: per field, in table order
         self._columns_of = tuple((itertools.repeat(name), check, default, column)
-                                 for name, check, default, _, column, _ in fields)
+                                 for name, check, default, _, column, *_ in fields)
         # as _json_fields, each with its position in the table order of _columns
         self._json_columns = tuple(sorted(
             (name, i, f'"{name}":', default, text, form, column is None)
-            for i, (name, _, default, text, column, form) in enumerate(fields)))
+            for i, (name, _, default, text, column, form, _) in enumerate(fields)))
         if self._json_columns[-1][3] is not _REQUIRED:
             raise ValueError("a row template ends with a field every row carries")
         self.row_bytes = row_bytes
@@ -547,9 +552,10 @@ class _MotionSpec(StreamSpec):
     def __init__(self, name: str):
         super().__init__(name, "motion_rows",
                          (_number("rate", positive=True),
-                          ("samples", _samples, _REQUIRED, _samples_json, None, "%s")),
+                          ("samples", _samples, _REQUIRED, _samples_json, None, "%s", "BLOB")),
                          row_bytes=8, sample_bytes=6)
         self.columns = ("rate", "n", "samples")
+        self.declarations["n"] = "INTEGER NOT NULL"
 
     def row_params(self, row) -> tuple:
         ts, ms, idx, rate, samples = super().row_params(row)

@@ -128,18 +128,12 @@ class IngestCore:
     def decode_data_packet(self, blob: bytes) -> codec.DataPacket:
         return codec.decode_data_packet(blob, self.lookup_key)
 
-    def store_and_ack(self, pkt: codec.DataPacket) -> bytes | None:
+    def store_and_ack(self, pkt: codec.DataPacket) -> bytes:
         """Store a decoded packet's rows; its feedback goes out under the key
-        that decrypted it, so the key is looked up once per packet."""
-        try:
-            stored = self.storage.write_rows(pkt.session_id, pkt.streams)
-        except codec.MalformedPayload:  # storage checks each row as it builds its parameters
-            self.bump("data_discard_malformed")
-            return None
-        except StorageError:
-            log.exception("row write failed session_id=%d seq=%d", pkt.session_id, pkt.seq)
-            self.bump("data_discard_storage")
-            return None
+        that decrypted it, so the key is looked up once per packet. Storage
+        checks each row as it builds its parameters, so a malformed row
+        raises :class:`codec.MalformedPayload` here."""
+        stored = self.storage.write_rows(pkt.session_id, pkt.streams)
         # rows under stream names this build does not know are acknowledged
         # (not stored) so a newer client is not wedged into retransmitting
         stored += pkt.unknown_rows
@@ -155,11 +149,13 @@ class IngestCore:
         """Decode, store, then acknowledge one data packet."""
         self.bump("data_packets")
         try:
-            pkt = self.decode_data_packet(blob)
+            return self.store_and_ack(self.decode_data_packet(blob))
         except codec.DECODE_ERRORS as exc:
             self.bump("data_discard_" + _DISCARD_KEYS[type(exc)])
-            return None
-        return self.store_and_ack(pkt)
+        except StorageError:  # the key lookup or the row write
+            log.exception("data packet storage failed")
+            self.bump("data_discard_storage")
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 from . import codec, crypto
 from .client import AUTH, DATA, DEFAULT_WINDOW, ClientSession
@@ -547,13 +547,9 @@ def pipelining_benchmark(*, rtt_ms: float = 50.0, packets: int = 250,
 # ---------------------------------------------------------------------------
 # experiment config files (key=value, # comments)
 
-_WORKLOAD_KEYS = {f.name for f in WorkloadConfig.__dataclass_fields__.values()}
-_CHANNEL_KEYS = {f.name for f in ChannelConfig.__dataclass_fields__.values()}
-
-_FLOAT_FIELDS = {"wifi_scan_min_s", "wifi_scan_max_s", "bt_scan_period_s",
-                 "pressure_period_s", "event_period_s", "loss_prob",
-                 "latency_ms", "jitter_ms", "reorder_prob", "duplicate_prob",
-                 "flush_period_s"}
+# each key's type is that of its field's default
+_WORKLOAD_TYPES = {f.name: type(f.default) for f in fields(WorkloadConfig)}
+_CHANNEL_TYPES = {f.name: type(f.default) for f in fields(ChannelConfig)}
 
 
 def parse_experiment_config(text: str) -> dict:
@@ -571,10 +567,10 @@ def parse_experiment_config(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if key == "channel_seed":  # "seed" alone names the workload seed
             channel["seed"] = int(value)
-        elif key in _WORKLOAD_KEYS:
-            workload[key] = float(value) if key in _FLOAT_FIELDS else int(value)
-        elif key in _CHANNEL_KEYS:
-            channel[key] = float(value) if key in _FLOAT_FIELDS else int(value)
+        elif key in _WORKLOAD_TYPES:
+            workload[key] = _WORKLOAD_TYPES[key](value)
+        elif key in _CHANNEL_TYPES:
+            channel[key] = _CHANNEL_TYPES[key](value)
         elif key == "restart_at":
             run[key] = tuple(int(v) for v in value.split(",") if v)
         elif key == "verify":

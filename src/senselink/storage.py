@@ -17,7 +17,12 @@ flattened a chunk at a time, and the fewer rows left over go through one
 single-row ``executemany``, as a realtime packet's short streams do whole.
 The rows are stored in the same order either way, and ``OR IGNORE`` still
 skips each duplicate row alone (https://www.sqlite.org/lang_insert.html).
-Schema rules:
+The stream table also declares each row table: ``_table_sql`` builds its
+``CREATE TABLE IF NOT EXISTS`` from the spec's columns and their SQLite
+types (``StreamSpec.declarations``), so only the tables that are not per
+stream are written out below, and the tables built are those of schema v1.
+A failing SQLite call of ``upsert_session``, ``lookup_session_key`` or
+``write_rows`` raises :class:`StorageError`. Schema rules:
 
 * every row is timestamped in unix seconds; asynchronous sensors add a
   milliseconds column (required where the stream table says so)
@@ -34,6 +39,7 @@ Schema rules:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import sqlite3
@@ -53,6 +59,19 @@ _ROWS_PER_INSERT = 64
 
 class StorageError(Exception):
     pass
+
+
+def _storage_errors(method):
+    """Re-raise the ``sqlite3.Error`` of an ingest call (a locked database, a
+    closed connection, a full disk) as :class:`StorageError`, which the
+    ingest core counts as a storage discard."""
+    @functools.wraps(method)
+    def call(*args, **kwargs):
+        try:
+            return method(*args, **kwargs)
+        except sqlite3.Error as exc:
+            raise StorageError(f"{method.__name__}: {exc}") from exc
+    return call
 
 
 def _logical_bytes_sql(spec: codec.StreamSpec) -> str:
@@ -75,12 +94,28 @@ def _unpack_samples(blob: bytes) -> list[list[int]]:
     return [list(flat[i:i + 3]) for i in range(0, len(flat), 3)]
 
 
+def _key(spec: codec.StreamSpec) -> tuple[str, ...]:
+    """The primary key of a stream's row table: the session, the stream in
+    the shared motion table, and the natural key (see codec.natural_key)."""
+    return ("session_id", *(("stream",) if spec.name in MOTION_STREAMS else ()),
+            "ts", "ms", "idx")
+
+
+def _table_sql(spec: codec.StreamSpec) -> str:
+    """The CREATE TABLE of a stream's row table, its columns declared by the
+    stream table (``StreamSpec.declarations``)."""
+    declared = {"session_id": "INTEGER NOT NULL", "stream": "TEXT NOT NULL",
+                **spec.declarations}
+    key = _key(spec)
+    columns = "".join(f"{name} {declared[name]}, " for name in (*key, *spec.columns))
+    return f"CREATE TABLE IF NOT EXISTS {spec.table}({columns}PRIMARY KEY({', '.join(key)}));"
+
+
 def _insert_sql(spec: codec.StreamSpec, rows: int = 1) -> str:
     """The INSERT of ``rows`` rows of a stream, each row's parameters in the
     order ``(session_id, [stream,] *spec.row_params(row))``, as ``rows_params``
     gives them too."""
-    columns = ("session_id", *(("stream",) if spec.name in MOTION_STREAMS else ()),
-               "ts", "ms", "idx", *spec.columns)
+    columns = (*_key(spec), *spec.columns)
     row = f"(?{', ?' * (len(columns) - 1)})"
     return (f"INSERT OR IGNORE INTO {spec.table}({', '.join(columns)}) "
             f"VALUES{', '.join([row] * rows)}")
@@ -115,50 +150,7 @@ CREATE TABLE IF NOT EXISTS access_points(
     essid TEXT NOT NULL,
     UNIQUE(mac, essid)
 );
-CREATE TABLE IF NOT EXISTS gps_rows(
-    session_id INTEGER NOT NULL, ts INTEGER NOT NULL,
-    ms INTEGER NOT NULL, idx INTEGER NOT NULL,
-    lat REAL NOT NULL, lon REAL NOT NULL, alt REAL NOT NULL,
-    speed REAL NOT NULL, accuracy REAL NOT NULL, device_ts INTEGER NOT NULL,
-    PRIMARY KEY(session_id, ts, ms, idx)
-);
-CREATE TABLE IF NOT EXISTS motion_rows(
-    session_id INTEGER NOT NULL, stream TEXT NOT NULL, ts INTEGER NOT NULL,
-    ms INTEGER NOT NULL, idx INTEGER NOT NULL,
-    rate REAL NOT NULL, n INTEGER NOT NULL, samples BLOB NOT NULL,
-    PRIMARY KEY(session_id, stream, ts, ms, idx)
-);
-CREATE TABLE IF NOT EXISTS wifi_rows(
-    session_id INTEGER NOT NULL, ts INTEGER NOT NULL,
-    ms INTEGER NOT NULL, idx INTEGER NOT NULL,
-    ap_id INTEGER NOT NULL, rssi INTEGER NOT NULL,
-    PRIMARY KEY(session_id, ts, ms, idx)
-);
-CREATE TABLE IF NOT EXISTS bt_rows(
-    session_id INTEGER NOT NULL, ts INTEGER NOT NULL,
-    ms INTEGER NOT NULL, idx INTEGER NOT NULL,
-    device_id TEXT NOT NULL, rssi INTEGER NOT NULL,
-    PRIMARY KEY(session_id, ts, ms, idx)
-);
-CREATE TABLE IF NOT EXISTS pressure_rows(
-    session_id INTEGER NOT NULL, ts INTEGER NOT NULL,
-    ms INTEGER NOT NULL, idx INTEGER NOT NULL,
-    hpa REAL NOT NULL,
-    PRIMARY KEY(session_id, ts, ms, idx)
-);
-CREATE TABLE IF NOT EXISTS obd_rows(
-    session_id INTEGER NOT NULL, ts INTEGER NOT NULL,
-    ms INTEGER NOT NULL, idx INTEGER NOT NULL,
-    pid INTEGER NOT NULL, value REAL NOT NULL,
-    PRIMARY KEY(session_id, ts, ms, idx)
-);
-CREATE TABLE IF NOT EXISTS event_rows(
-    session_id INTEGER NOT NULL, ts INTEGER NOT NULL,
-    ms INTEGER NOT NULL, idx INTEGER NOT NULL,
-    kind TEXT NOT NULL, detail TEXT,
-    PRIMARY KEY(session_id, ts, ms, idx)
-);
-"""
+""" + "\n".join({spec.table: _table_sql(spec) for spec in STREAM_SPECS.values()}.values())
 
 
 class SqliteStorage:
@@ -213,6 +205,7 @@ class SqliteStorage:
             "UPDATE meta SET value=? WHERE key='next_session_id'", (str(sid + 1),))
         return sid
 
+    @_storage_errors
     def upsert_session(self, user_hash: str, start_time: int, key: bytes,
                        version: int = 1, identifiers: dict | None = None) -> int:
         with self._lock:
@@ -248,6 +241,7 @@ class SqliteStorage:
                 self._db.execute("ROLLBACK")
                 raise
 
+    @_storage_errors
     def lookup_session_key(self, session_id: int) -> bytes | None:
         with self._lock:
             row = self._db.execute(
@@ -272,6 +266,7 @@ class SqliteStorage:
             self._ap_ids[(mac, essid)] = ap_id
             return ap_id
 
+    @_storage_errors
     def write_rows(self, session_id: int, streams: dict[str, list[dict]]) -> int:
         """Store a batch of rows as received, in one transaction, and return
         its row count. Each row is checked as its parameters are built

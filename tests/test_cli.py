@@ -70,6 +70,22 @@ def test_keygen_env_override(tmp_path, monkeypatch):
     assert crypto.load_private_key(pathlib.Path(out).read_bytes()).key_size == 2048
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_keygen_restricts_the_private_key_before_writing_it(tmp_path, monkeypatch,
+                                                             small_keypair, existing):
+    """With os.chmod out of the way, the key file's mode is the one it had
+    when the key was written into it."""
+    out = tmp_path / "k.pem"
+    if existing:  # --force over a file others may read
+        out.write_bytes(b"old")
+        os.chmod(out, 0o644)
+    monkeypatch.setattr(cli.crypto, "generate_server_keypair", lambda bits: small_keypair)
+    monkeypatch.setattr(os, "chmod", lambda *args, **kwargs: None)
+    assert cli.main(["keygen", "--out", str(out), "--bits", "2048", "--force"]) == 0
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o600
+    assert crypto.load_private_key(out.read_bytes()).key_size == 2048
+
+
 def test_keygen_rejects_bad_bits(tmp_path):
     assert cli.main(["keygen", "--out", str(tmp_path / "k.pem"), "--bits", "1024"]) == 2
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import socket
@@ -67,12 +68,14 @@ def test_begin_emits_single_auth_block(test_keypair):
 
 
 def test_auth_request_carries_session_fields(test_keypair):
-    session = make_session(test_keypair, identifiers={"hw": "rev-b"}, version=3)
+    session = make_session(test_keypair, identifiers={"hw": "rev-b"})
     _, blob = session.begin(0.0)[0]
     req = codec.decode_auth_request(blob, test_keypair.private_part)
     assert req.user_hash == HASH
     assert req.time == TS
-    assert req.version == 3
+    assert req.version == codec.PROTOCOL_VERSION
+    with pytest.raises(TypeError):  # a session speaks the version of its build
+        make_session(test_keypair, version=3)
     assert req.identifiers == {"hw": "rev-b"}
     assert req.key == session.key
 
@@ -751,3 +754,18 @@ def test_tcp_poll_raises_once_the_server_closes(test_keypair):
         assert time.monotonic() - started < 1.0
     finally:
         transport.close()
+
+
+def test_tcp_transport_closes_the_auth_connection_when_the_data_one_fails():
+    auth_l = _listener()
+    closed = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    closed.bind(("127.0.0.1", 0))
+    data_port = closed.getsockname()[1]
+    closed.close()  # nothing listens there: the data connection is refused
+    try:
+        with pytest.raises(ConnectionRefusedError):
+            TcpTransport("127.0.0.1", auth_l.getsockname()[1], data_port)
+        # an auth socket left open warns as it is collected, which the suite makes an error
+        gc.collect()
+    finally:
+        auth_l.close()

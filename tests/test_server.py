@@ -245,6 +245,62 @@ def test_bad_last_row_discards_the_whole_packet(test_keypair):
     assert core.metrics["data_packets"] == core.metrics["data_ok"] + _discards(core.metrics)
 
 
+def _fail_storage(st, path, how):
+    """Make every SQLite write of st fail: close its connection, or hold the
+    file's write lock on a second connection, which st waits no time for.
+    Returns the second connection, or None."""
+    if how == "closed":
+        st.close()
+        return None
+    st._db.execute("PRAGMA busy_timeout=0")
+    holder = sqlite3.connect(path, isolation_level=None)
+    holder.execute("BEGIN IMMEDIATE")
+    return holder
+
+
+def _accounted(metrics, kind):
+    """Whether every packet of a kind is counted as ok or as one discard."""
+    discards = sum(v for k, v in metrics.items() if k.startswith(f"{kind}_discard_"))
+    return metrics[f"{kind}_packets"] == metrics.get(f"{kind}_ok", 0) + discards
+
+
+@pytest.mark.parametrize("how", ["closed", "locked"])
+def test_a_failing_session_write_is_an_auth_storage_discard(test_keypair, tmp_path, how):
+    path = str(tmp_path / "t.db")
+    st = storage.SqliteStorage(path)
+    core = IngestCore(test_keypair.private_part, st)
+    holder = _fail_storage(st, path, how)
+    try:
+        assert core.handle_auth_packet(
+            auth_blob(test_keypair, crypto.generate_session_key())) is None
+    finally:
+        if holder is not None:
+            holder.close()
+        st.close()
+    assert core.metrics["auth_discard_storage"] == 1
+    assert _accounted(core.metrics, "auth")
+
+
+@pytest.mark.parametrize("how", ["closed", "locked"])
+def test_a_failing_key_lookup_or_row_write_is_a_data_storage_discard(test_keypair, tmp_path,
+                                                                     how):
+    path = str(tmp_path / "t.db")
+    st = storage.SqliteStorage(path)
+    core = IngestCore(test_keypair.private_part, st)
+    key, sid = _session(core, test_keypair)
+    blob = data_blob(key, sid, seq=1)
+    holder = _fail_storage(st, path, how)  # closed fails the key lookup, locked the write
+    try:
+        assert core.handle_data_packet(blob) is None
+        if holder is not None:
+            holder.close()  # with the lock gone, the retransmitted packet is stored
+            assert codec.decode_feedback(core.handle_data_packet(blob), key).stored == 5
+    finally:
+        st.close()
+    assert core.metrics["data_discard_storage"] == 1
+    assert _accounted(core.metrics, "data")
+
+
 def test_server_stores_without_validate_streams(test_keypair, monkeypatch):
     # storage checks the rows it stores in one pass; validate_streams must
     # not check them again on the server

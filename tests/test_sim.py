@@ -404,6 +404,19 @@ def test_parse_experiment_config_defaults_and_errors():
         parse_experiment_config("loss_prob = high")
 
 
+def test_parse_experiment_config_types_each_key_as_its_default():
+    """A float field takes "2" as 2.0 and an int field refuses "2.5"."""
+    for name, config in (("workload", WorkloadConfig()), ("channel", ChannelConfig())):
+        for field, default in vars(config).items():
+            key = "channel_seed" if (name, field) == ("channel", "seed") else field
+            line = f"{key} = {int(default)}"
+            value = getattr(parse_experiment_config(line)[name], field)
+            assert type(value) is type(default) and value == default
+            if type(default) is int:
+                with pytest.raises(ValueError):
+                    parse_experiment_config(line + ".5")
+
+
 def test_config_roundtrip_into_experiment(test_keypair):
     kwargs = parse_experiment_config("duration_s = 15\nlatency_ms = 10")
     report = run_experiment(kwargs.pop("workload"), kwargs.pop("channel"),

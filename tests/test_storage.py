@@ -336,9 +336,10 @@ def test_sqlite_ap_cache_forgets_ids_a_rollback_gave_back(tmp_path):
     db.execute("CREATE TRIGGER refuse BEFORE INSERT ON wifi_rows WHEN NEW.rssi = -1 "
                "BEGIN SELECT RAISE(ABORT, 'refused'); END")
     db.close()
-    with pytest.raises(sqlite3.IntegrityError):  # the write rolls back
+    with pytest.raises(storage.StorageError) as failed:  # the write rolls back
         st.write_rows(sid, {"wifi": [{"ts": TS, "rssi": -50, "mac": "m1", "essid": "one"},
                                      {"ts": TS + 9, "rssi": -1, "mac": "m1", "essid": "one"}]})
+    assert isinstance(failed.value.__cause__, sqlite3.IntegrityError)
     st.write_rows(sid, {"wifi": [{"ts": TS + 1, "rssi": -60, "mac": "m2", "essid": "two"}]})
     st.write_rows(sid, {"wifi": [{"ts": TS + 2, "rssi": -70, "mac": "m1", "essid": "one"}]})
     rows = st.read_session_rows(sid)["wifi"]
@@ -367,8 +368,9 @@ def test_sqlite_ap_cache_forgets_ids_a_rollback_inside_a_chunk_gave_back(tmp_pat
     db.close()
     wifi = [{"ts": TS + i, "rssi": -50, "mac": f"m{i}", "essid": "one"} for i in range(r + 5)]
     wifi[10]["rssi"] = -1
-    with pytest.raises(sqlite3.IntegrityError):
+    with pytest.raises(storage.StorageError) as failed:
         st.write_rows(sid, {"wifi": wifi, **pressure_rows(r + 1)})
+    assert isinstance(failed.value.__cause__, sqlite3.IntegrityError)
     assert st._ap_ids == {}
     assert st.storage_stats()["total_rows"] == st.storage_stats()["access_points"] == 0
     st.write_rows(sid, {"wifi": [{"ts": TS + 1, "rssi": -60, "mac": "n1", "essid": "two"}]})
