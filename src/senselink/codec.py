@@ -123,6 +123,20 @@ def batch_row_count(streams: dict[str, list[dict]]) -> int:
 # canonical serialization
 
 
+# Each payload's integer fields as (name, lo, hi), which the encoder and the
+# decoder both check; a data packet has only its seq, and rows.
+_SEQ = ("seq", 0, U32_MAX)
+_INT_FIELDS = {
+    AuthRequest: (_SEQ, ("time", 0, I64_MAX), ("version", 1, U16_MAX)),
+    AuthResponse: (_SEQ, ("time", 0, I64_MAX), ("session_id", 1, U32_MAX)),
+    FeedbackPacket: (_SEQ, ("stored", 0, U32_MAX)),
+}
+
+
+def _in_range(value: object, lo: int, hi: int) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int) and lo <= value <= hi
+
+
 def _is_identifiers(value: object) -> bool:
     """Whether an auth request's identifiers map non-empty strings to strings."""
     return isinstance(value, dict) and all(
@@ -133,38 +147,24 @@ def payload_dict(value: object) -> dict:
     """The canonical JSON object of an auth request, auth response or
     feedback packet, its fields range-checked. Data packets are joined from
     the canonical JSON of their rows (:func:`data_payload`)."""
+    if type(value) not in _INT_FIELDS:
+        raise ValueError(f"cannot serialize {type(value).__name__}")
+    obj: dict = {}
+    for name, lo, hi in _INT_FIELDS[type(value)]:
+        obj[name] = getattr(value, name)
+        if not _in_range(obj[name], lo, hi):
+            raise ValueError(f"{name} out of range")
     if isinstance(value, AuthRequest):
-        if not (0 <= value.seq <= U32_MAX):
-            raise ValueError("seq out of range")
-        if not (0 <= value.time <= I64_MAX):
-            raise ValueError("time out of range")
-        if not (1 <= value.version <= U16_MAX):
-            raise ValueError("version out of range")
         if not crypto.is_user_hash(value.user_hash):
             raise ValueError("user hash must be 32 lowercase hex characters")
         if len(value.key) != crypto.SESSION_KEY_LEN:
             raise ValueError("session key must be 16 bytes")
-        obj: dict = {
-            "seq": value.seq,
-            "hash": value.user_hash,
-            "time": value.time,
-            "key": value.key.hex(),
-            "version": value.version,
-        }
+        obj["hash"], obj["key"] = value.user_hash, value.key.hex()
         if value.identifiers:
             if not _is_identifiers(value.identifiers):
                 raise ValueError("identifiers must map non-empty strings to strings")
             obj["identifiers"] = dict(value.identifiers)
-        return obj
-    if isinstance(value, AuthResponse):
-        if value.session_id <= 0 or value.session_id > U32_MAX:
-            raise ValueError("session_id must be a positive 32-bit integer")
-        return {"seq": value.seq, "time": value.time, "session_id": value.session_id}
-    if isinstance(value, FeedbackPacket):
-        if value.stored < 0:
-            raise ValueError("stored count cannot be negative")
-        return {"seq": value.seq, "stored": value.stored}
-    raise ValueError(f"cannot serialize {type(value).__name__}")
+    return obj
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
@@ -175,7 +175,7 @@ def canonical_json(obj: object) -> bytes:
     """Canonical bytes of a value already known to hold only string keys and
     finite numbers (a checked payload, rows read from storage);
     ``allow_nan=False`` remains a backstop. Rows take ``StreamSpec.rows_json``,
-    which writes the same bytes while it checks them."""
+    which writes the same bytes from the values it checked."""
     return _CANONICAL.encode(obj).encode("utf-8")
 
 
@@ -184,64 +184,56 @@ def serialize_payload(value: object) -> bytes:
 
 
 def _parse_json(data: bytes) -> dict:
+    # ValueError covers bad UTF-8, bad JSON and an integer beyond Python's
+    # digit limit; RecursionError, nesting deeper than the parser's stack
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedPayload("payload is not valid JSON") from exc
     if not isinstance(obj, dict):
         raise MalformedPayload("payload is not a JSON object")
     return obj
 
 
-def _uint(obj: dict, key: str, limit: int, *, minimum: int = 0):
-    value = obj.get(key)
-    if value is None:
-        raise MalformedPayload(f"missing field {key!r}")
-    if isinstance(value, bool) or not isinstance(value, int) or not (minimum <= value <= limit):
-        raise MalformedPayload(f"field {key!r} out of range")
-    return value
+def _ints(obj: dict, fields: tuple) -> dict[str, int]:
+    """The integer fields of a parsed payload, each range-checked."""
+    out = {}
+    for name, lo, hi in fields:
+        value = obj.get(name)
+        if value is None:
+            raise MalformedPayload(f"missing field {name!r}")
+        if not _in_range(value, lo, hi):
+            raise MalformedPayload(f"field {name!r} out of range")
+        out[name] = value
+    return out
 
 
 def deserialize_payload(data: bytes, expected_kind: type):
     """Inverse of :func:`serialize_payload`. Unknown object keys are ignored."""
     obj = _parse_json(data)
-    if expected_kind is AuthRequest:
-        user_hash = obj.get("hash")
-        if not crypto.is_user_hash(user_hash):
-            raise MalformedPayload("bad user hash")
-        key_hex = obj.get("key")
-        if not isinstance(key_hex, str):
-            raise MalformedPayload("missing session key")
-        try:
-            key = bytes.fromhex(key_hex)
-        except ValueError as exc:
-            raise MalformedPayload("session key is not hex") from exc
-        if len(key) != crypto.SESSION_KEY_LEN:
-            raise MalformedPayload("session key must be 16 bytes")
-        identifiers = obj.get("identifiers")
-        if identifiers is not None and not _is_identifiers(identifiers):
-            raise MalformedPayload("identifiers must map non-empty strings to strings")
-        return AuthRequest(
-            seq=_uint(obj, "seq", U32_MAX),
-            user_hash=user_hash,
-            time=_uint(obj, "time", I64_MAX),
-            key=key,
-            version=_uint(obj, "version", U16_MAX, minimum=1),
-            identifiers=identifiers,
-        )
-    if expected_kind is AuthResponse:
-        return AuthResponse(
-            seq=_uint(obj, "seq", U32_MAX),
-            time=_uint(obj, "time", I64_MAX),
-            session_id=_uint(obj, "session_id", U32_MAX, minimum=1),
-        )
+    if expected_kind not in _INT_FIELDS:
+        raise ValueError(f"unsupported payload kind {expected_kind!r}")
+    ints = _ints(obj, _INT_FIELDS[expected_kind])
     if expected_kind is FeedbackPacket:
-        return FeedbackPacket(
-            session_id=0,  # carried in the plaintext prefix, not the payload
-            seq=_uint(obj, "seq", U32_MAX),
-            stored=_uint(obj, "stored", U32_MAX),
-        )
-    raise ValueError(f"unsupported payload kind {expected_kind!r}")
+        return FeedbackPacket(session_id=0, **ints)  # session_id: the plaintext prefix
+    if expected_kind is AuthResponse:
+        return AuthResponse(**ints)
+    user_hash = obj.get("hash")
+    if not crypto.is_user_hash(user_hash):
+        raise MalformedPayload("bad user hash")
+    key_hex = obj.get("key")
+    if not isinstance(key_hex, str):
+        raise MalformedPayload("missing session key")
+    try:
+        key = bytes.fromhex(key_hex)
+    except ValueError as exc:
+        raise MalformedPayload("session key is not hex") from exc
+    if len(key) != crypto.SESSION_KEY_LEN:
+        raise MalformedPayload("session key must be 16 bytes")
+    identifiers = obj.get("identifiers")
+    if identifiers is not None and not _is_identifiers(identifiers):
+        raise MalformedPayload("identifiers must map non-empty strings to strings")
+    return AuthRequest(user_hash=user_hash, key=key, identifiers=identifiers, **ints)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +241,13 @@ def deserialize_payload(data: bytes, expected_kind: type):
 
 # A field is (name, check, default, text, column, form, sql). check(value) takes the
 # field's value from a row as received and returns the value SQLite stores, or
-# raises MalformedPayload; text(value) is the canonical JSON of a checked value.
-# A row that leaves out a field whose default is not _REQUIRED stores the
-# default, and its absence costs only the dict lookup: check never sees it.
-# Each check first tests the exact types JSON yields (int, float, str), then
-# falls back to the general test, so bool is refused and int and float
-# subclasses are accepted, as the plain int or float of the same value.
+# raises MalformedPayload. A row that leaves out a field whose default is not
+# _REQUIRED stores the default, and its absence costs only the dict lookup:
+# check never sees it. Each check first tests the exact types JSON yields
+# (int, float, str), then falls back to the general test, so bool is refused
+# and int and float subclasses are accepted, as the plain int or float of the
+# same value. text(value) is the canonical JSON of a checked value; a row's
+# JSON leaves out each field whose checked value is its default.
 #
 # column(values) tests a non-empty column of present values at once, with
 # builtins that loop in C: it is true when every value is of that exact-type
@@ -392,24 +385,25 @@ class StreamSpec:
     ``columns`` name the SQLite columns of the stream's ``table`` after the
     natural key, in table order, and ``declarations`` map the natural key's
     and each column's name to its SQLite type and constraint, from which
-    storage creates the table. ``row_params`` checks a row as received and
-    returns its values for them; ``row_json`` checks a row the same way and
-    returns its canonical JSON, which leaves out unknown fields, an absent
-    ms, a zero idx and absent optional fields. The checks admit only what
-    SQLite holds (https://www.sqlite.org/datatype3.html): integers in signed
-    64 bits, so ``ts`` and ``device_ts`` end at ``I64_MAX``; number fields as
-    finite floats or signed 64-bit integers, kept as sent on the wire but
-    read back from storage as floats; text as valid UTF-8.
+    storage creates the table. ``row_params`` is the one statement of what a
+    row may hold: it checks a row as received and returns its values for
+    them. ``row_json`` writes the canonical JSON of those values, which
+    leaves out unknown fields and a field whose value is its default (an
+    absent ms, a zero idx, an absent optional field). The checks admit only
+    what SQLite holds (https://www.sqlite.org/datatype3.html): integers in
+    signed 64 bits, so ``ts`` and ``device_ts`` end at ``I64_MAX``; number
+    fields as finite floats or signed 64-bit integers, kept as sent on the
+    wire but read back from storage as floats; text as valid UTF-8.
 
     ``rows_params`` and ``rows_json`` do the same for a stream's list of
-    rows. They check a list of at least ``_KERNEL_MIN_ROWS`` rows a column
-    at a time, each field's column test looping in C, and write every row's
-    JSON with one ``%`` template or its parameters with ``zip``. A shorter
-    list, or one where any column is not the exact-type fast case (a bool,
-    an int or float subclass, a required field left out, text that JSON
-    escapes or that is not printable, a row that is not a dict), goes
-    row by row through ``row_params`` or ``row_json``, which stay the one
-    statement of what a row may hold and of each error.
+    rows. They take the values of a list of at least ``_KERNEL_MIN_ROWS``
+    rows a column at a time from ``_columns``, each field's column test
+    looping in C, and write every row's JSON with one ``%`` template or its
+    parameters with ``zip``. A shorter list, or one where any column is not
+    the exact-type fast case (a bool, an int or float subclass, a required
+    field left out, text that JSON escapes or that is not printable, a row
+    that is not a dict), goes row by row through ``row_params`` or
+    ``row_json``, so each error is the one ``row_params`` raises.
 
     A row's logical size, the unit of the storage-rate figures, is ``row_bytes``
     plus ``sample_bytes`` per motion sample plus the UTF-8 length of each
@@ -417,27 +411,27 @@ class StreamSpec:
     """
 
     def __init__(self, name: str, table: str, fields: tuple, *, ms_required: bool = False,
-                 row_bytes: int, sample_bytes: int = 0, text_bytes: tuple[str, ...] = ()):
+                 columns: tuple[str, ...] = (), row_bytes: int, sample_bytes: int = 0,
+                 text_bytes: tuple[str, ...] = ()):
         self.name = name
         self.table = table
-        self.columns = tuple(field[0] for field in fields)
+        self.columns = columns or tuple(field[0] for field in fields)
         # every row starts with its natural key (see natural_key)
         fields = (_int("ts"), _int("ms", hi=999, default=_REQUIRED if ms_required else -1),
                   _int("idx", hi=U32_MAX, default=0)) + fields
         self._fields = tuple((name, check, default) for name, check, default, *_ in fields)
         self.declarations = {name: sql if default is None else sql + " NOT NULL"
                              for name, _, default, *_, sql in fields}
-        # in key order; a checked value equal to its default (a zero idx) is left out
-        self._json_fields = tuple(sorted(
-            (name, f'"{name}":', check, default, text) for name, check, default, text, *_ in fields))
         # the stream kernels' view: per field, in table order
         self._columns_of = tuple((itertools.repeat(name), check, default, column)
                                  for name, check, default, _, column, *_ in fields)
-        # as _json_fields, each with its position in the table order of _columns
-        self._json_columns = tuple(sorted(
-            (name, i, f'"{name}":', default, text, form, column is None)
-            for i, (name, _, default, text, column, form, _) in enumerate(fields)))
-        if self._json_columns[-1][3] is not _REQUIRED:
+        # the JSON of row_params's values: per field in key order, its
+        # position in them, and the default whose value is left out
+        position = ("ts", "ms", "idx", *self.columns).index
+        self._json_columns = tuple(layout[1:] for layout in sorted(
+            (name, position(name), f'"{name}":', default, text, form, column is None)
+            for name, _, default, text, column, form, _ in fields))
+        if self._json_columns[-1][2] is not _REQUIRED:
             raise ValueError("a row template ends with a field every row carries")
         self.row_bytes = row_bytes
         self.sample_bytes = sample_bytes
@@ -462,78 +456,63 @@ class StreamSpec:
         return tuple(params)
 
     def row_json(self, row) -> bytes:
-        """Check one row as ``row_params`` does; return its canonical JSON,
-        ``canonical_json`` of the row as validated, written field by field."""
-        if not isinstance(row, dict):
-            raise MalformedPayload("row is not an object")
-        get = row.get
+        """The canonical JSON of the values ``row_params`` returns for row,
+        in key order, less each value that is its field's default."""
+        params = self.row_params(row)
         parts = []
-        for name, key, check, default, text in self._json_fields:
-            value = get(name)
-            if default is _REQUIRED:
-                parts.append(key + text(check(value)))
-            elif value is not None and (value := check(value)) != default:
+        for i, key, default, text, _, _ in self._json_columns:
+            value = params[i]
+            if default is _REQUIRED or value != default:
                 parts.append(key + text(value))
         return ("{" + ",".join(parts) + "}").encode()
 
-    def _columns(self, rows: list[dict]) -> tuple[list, dict[int, int]] | None:
-        """Each field's values in rows, in table order (checked where the
-        field maps its check), and for each optional field some row leaves
-        out, how many do (their values are None); None unless every column
-        test passes, which a required None fails."""
-        columns, missing = [], {}
-        for i, (name, check, default, column) in enumerate(self._columns_of):
+    def _columns(self, rows: list[dict]) -> list[list] | None:
+        """The columns of ``row_params`` of rows, in its order, defaults
+        filled in; None unless every column test passes, which a required
+        None fails."""
+        columns = []
+        for name, check, default, column in self._columns_of:
             values = list(map(dict.get, rows, name))
             if column is None:
                 try:
                     values = list(map(check, values))
                 except MalformedPayload:
-                    return None  # row_params and row_json raise for the row they meet first
-            elif default is not _REQUIRED and (count := values.count(None)):
-                missing[i] = count
-                if count < len(rows) and not column([v for v in values if v is not None]):
+                    return None  # row_params raises for the row it meets first
+            elif default is not _REQUIRED and (absent := values.count(None)):
+                if absent == len(values):
+                    values = [default] * absent
+                elif column([value for value in values if value is not None]):
+                    values = [default if value is None else value for value in values]
+                else:
                     return None
             elif not column(values):
                 return None
             columns.append(values)
-        return columns, missing
-
-    def _param_columns(self, rows: list[dict]) -> list | None:
-        """The columns of ``row_params`` of rows, or None (see ``_columns``)."""
-        found = self._columns(rows)
-        if found is None:
-            return None
-        columns, missing = found
-        for i in missing:
-            default = self._columns_of[i][2]
-            columns[i] = [default if value is None else value for value in columns[i]]
         return columns
 
     def rows_params(self, rows: list) -> list[tuple]:
         """``row_params`` of each row, a column at a time where every
         column is the fast case; raises as ``row_params`` does."""
-        columns = self._param_columns(rows) if _kernel_takes(rows) else None
+        columns = self._columns(rows) if _kernel_takes(rows) else None
         if columns is None:
             return list(map(self.row_params, rows))
         return list(zip(*columns))
 
     def rows_json(self, rows: list) -> list[bytes]:
         """``row_json`` of each row, from one template where every column is
-        the fast case; raises as ``row_json`` does."""
-        found = self._columns(rows) if _kernel_takes(rows) else None
-        if found is None:
+        the fast case; raises as ``row_params`` does."""
+        columns = self._columns(rows) if _kernel_takes(rows) else None
+        if columns is None:
             return list(map(self.row_json, rows))
-        columns, missing = found
         template, args = [], []
-        for _, i, key, default, text, form, mapped in self._json_columns:
+        for i, key, default, text, form, mapped in self._json_columns:
             values = columns[i]
-            if missing.get(i) == len(rows):
-                continue  # an optional field no row carries
-            if default is not _REQUIRED and (i in missing or default in values):
-                # written, with its comma, where present and not the default
-                pieces = {value: key + text(value) + ","
-                          for value in set(values) - {None, default}}
-                pieces[default] = pieces[None] = ""
+            if default is not _REQUIRED and default in values:
+                if values.count(default) == len(values):
+                    continue  # no row's value differs from the default
+                # written, with its comma, where it is not the default
+                pieces = {value: key + text(value) + "," for value in set(values) - {default}}
+                pieces[default] = ""
                 template.append("%s")
                 values = list(map(pieces.__getitem__, values))
             else:
@@ -553,20 +532,18 @@ class _MotionSpec(StreamSpec):
         super().__init__(name, "motion_rows",
                          (_number("rate", positive=True),
                           ("samples", _samples, _REQUIRED, _samples_json, None, "%s", "BLOB")),
-                         row_bytes=8, sample_bytes=6)
-        self.columns = ("rate", "n", "samples")
+                         columns=("rate", "n", "samples"), row_bytes=8, sample_bytes=6)
         self.declarations["n"] = "INTEGER NOT NULL"
 
     def row_params(self, row) -> tuple:
         ts, ms, idx, rate, samples = super().row_params(row)
         return ts, ms, idx, rate, len(samples) // 6, samples  # 3 x 2 bytes a sample
 
-    def _param_columns(self, rows: list[dict]) -> list[list] | None:
-        columns = super()._param_columns(rows)
-        if columns is None:
-            return None
-        ts, ms, idx, rate, samples = columns
-        return [ts, ms, idx, rate, [len(packed) // 6 for packed in samples], samples]
+    def _columns(self, rows: list[dict]) -> list[list] | None:
+        columns = super()._columns(rows)
+        if columns is not None:
+            columns.insert(4, [len(packed) // 6 for packed in columns[4]])
+        return columns
 
 
 class _WifiSpec(StreamSpec):
@@ -599,7 +576,7 @@ class _WifiSpec(StreamSpec):
 
     def rows_params(self, rows: list) -> list[tuple]:
         if self._by_pair_only(rows):
-            columns = self._by_pair._param_columns(rows)
+            columns = self._by_pair._columns(rows)
             if columns is not None:
                 ts, ms, idx, mac, essid, rssi = columns
                 return list(zip(ts, ms, idx, zip(mac, essid), rssi))
@@ -770,7 +747,7 @@ def decode_data_packet(blob: bytes, key_lookup: Callable[[int], bytes | None]) -
     if key is None:
         raise UnknownSession(f"no key for session {session_id}")
     obj = _parse_json(decompress(crypto.sym_decrypt(key, blob[4:])))
-    seq = _uint(obj, "seq", U32_MAX)
+    seq = _ints(obj, (_SEQ,))["seq"]
     streams, unknown = split_streams(obj.get("streams"))
     return DataPacket(session_id=session_id, seq=seq, streams=streams, unknown_rows=unknown,
                       key=key)

@@ -15,9 +15,10 @@ Record kinds:
   :func:`senselink.codec.write_order` (stream name, then list order)
 * ``{"kind": "ack", "through": N}`` — first N rows are released
 
-A torn final record (crash mid-append) is truncated away on open. Records
-are UTF-8; replay reads records with ASCII escapes as well, the form older
-builds wrote.
+A torn final record (crash mid-append) is truncated away on open, and an
+append that fails part way cuts the file back to where the record began, so
+a later append never follows a torn one. Records are UTF-8; replay reads
+records with ASCII escapes as well, the form older builds wrote.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ _LEN = struct.Struct("!I")
 
 class JournalError(Exception):
     pass
+
+
+def _fsync_directory(path: str):
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class MemoryJournal:
@@ -65,38 +74,40 @@ class Journal:
         self.watermark = 0
         self._pending: list[tuple[str, dict]] = []
         exists = os.path.exists(path)
-        self._file = open(path, "r+b" if exists else "w+b")
-        if exists:
-            try:
+        # unbuffered: a failed append leaves nothing behind to be written later
+        self._file = open(path, "r+b" if exists else "w+b", buffering=0)
+        try:
+            if exists:
                 self._replay()
-            except BaseException:
-                self._file.close()
-                raise
+            else:  # the new name must survive a crash as well as the records
+                _fsync_directory(path)
+        except BaseException:
+            self._file.close()
+            raise
 
     def _replay(self):
-        f = self._file
-        f.seek(0)
         good = 0
-        while True:
-            header = f.read(4)
-            if len(header) < 4:
-                break
-            length = _LEN.unpack(header)[0]
-            if length > MAX_RECORD_BYTES:
-                raise JournalError(f"record of {length} bytes exceeds limit")
-            body = f.read(length)
-            if len(body) < length:
-                break
-            self._apply(body)
-            good += 4 + length
-        f.truncate(good)  # drop a torn trailing record, if any
-        f.seek(good)
+        with open(self._path, "rb") as f:  # buffered, unlike the file appends go to
+            while True:
+                header = f.read(4)
+                if len(header) < 4:
+                    break
+                length = _LEN.unpack(header)[0]
+                if length > MAX_RECORD_BYTES:
+                    raise JournalError(f"record of {length} bytes exceeds limit")
+                body = f.read(length)
+                if len(body) < length:
+                    break
+                self._apply(body)
+                good += 4 + length
+        self._file.truncate(good)  # drop a torn trailing record, if any
+        self._file.seek(good)
         del self._pending[:self.watermark]
 
     def _apply(self, body: bytes):
         try:
             record = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # as in codec._parse_json
             raise JournalError("corrupt journal record") from exc
         if not isinstance(record, dict):
             raise JournalError("journal record is not an object")
@@ -132,9 +143,17 @@ class Journal:
     def _write(self, body: bytes):
         if len(body) > MAX_RECORD_BYTES:
             raise JournalError("record too large")
-        self._file.write(_LEN.pack(len(body)) + body)
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        f = self._file
+        start = f.tell()
+        record = memoryview(_LEN.pack(len(body)) + body)
+        try:
+            while record:
+                record = record[f.write(record):]
+            os.fsync(f.fileno())
+        except BaseException:
+            f.truncate(start)
+            f.seek(start)
+            raise
 
     def append(self, row_json: dict[str, list[bytes]]) -> range:
         """Journal a batch given as the canonical JSON of each row, by stream

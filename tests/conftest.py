@@ -10,6 +10,12 @@ DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 MAX_RATE_WORKLOAD = dict(accel_hz=200, gyro_hz=200, mag_hz=200, obd_hz=12,
                          wifi_scan_min_s=2.0, wifi_scan_max_s=2.0)
 
+# JSON that json.loads refuses with an error other than JSONDecodeError:
+# nesting deeper than its stack (RecursionError) and an integer beyond
+# Python's 4300-digit limit (ValueError)
+PARSER_LIMITS = {"deep-nesting": b"[" * 5000 + b"]" * 5000,
+                 "huge-integer": b'{"seq":' + b"1" * 5000 + b"}"}
+
 # Filled in by tests/test_acceptance.py; printed as a summary block so every
 # criterion gets exactly one PASS/FAIL line regardless of pytest verbosity.
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []

@@ -8,6 +8,8 @@ from collections import deque
 
 import pytest
 
+from conftest import PARSER_LIMITS
+
 from senselink import client, codec, crypto, journal, sim
 from senselink.client import (AUTH, DATA, BASE_TIMEOUT, ClientError, BufferFull, TimeMismatch,
                               UnknownSeq, ClientSession, TcpTransport,
@@ -130,6 +132,20 @@ def test_garbage_wire_input_ignored(test_keypair, core):
     authenticate(session, core)
     assert session.handle_wire(AUTH, b"\x00\x00\x00\x01garbage") is None
     assert session.handle_wire(DATA, b"nonsense") is None
+    assert session.counters["feedback_ignored"] == 1
+
+
+@pytest.mark.parametrize("body", PARSER_LIMITS.values(), ids=PARSER_LIMITS)
+def test_json_the_parser_cannot_take_is_ignored(test_keypair, core, body):
+    session = make_session(test_keypair)
+    _, blob = session.begin(0.0)[0]
+    seq = codec.decode_auth_request(blob, test_keypair.private_part).seq
+    sealed = crypto.sym_encrypt(session.key, codec.compress(body))
+    assert session.handle_wire(AUTH, seq.to_bytes(4, "big") + sealed) is None
+    assert session.counters["auth_ignored"] == 1
+    session.handle_wire(AUTH, core.handle_auth_packet(blob))
+    assert session.authenticated
+    assert session.handle_wire(DATA, session.session_id.to_bytes(4, "big") + sealed) is None
     assert session.counters["feedback_ignored"] == 1
 
 

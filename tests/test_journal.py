@@ -1,10 +1,14 @@
+import errno
 import gc
 import json
 import os
+import stat
 import struct
 import warnings
 
 import pytest
+
+from conftest import PARSER_LIMITS
 
 from senselink import codec, crypto, journal
 from senselink.client import ClientSession
@@ -146,7 +150,8 @@ def test_unknown_record_kind_rejected(tmp_path):
     b"[1]",  # not an object
     b'{"kind":"batch","streams":{"heart":[{"ts":1}]}}',  # a stream this build lacks
     b'{"kind":"batch","streams":{"pressure":5}}',  # rows that are not a list
-], ids=["not-an-object", "unknown-stream", "not-a-list"])
+    *PARSER_LIMITS.values(),
+], ids=["not-an-object", "unknown-stream", "not-a-list", *PARSER_LIMITS])
 def test_malformed_record_rejected_and_file_closed(tmp_path, body):
     path = str(tmp_path / "j.bin")
     _write_records(path, b'{"kind":"batch","streams":{"pressure":[]}}', body)
@@ -249,3 +254,100 @@ def test_non_ascii_rows_survive_a_crash_in_the_utf8_form(tmp_path, test_keypair)
     assert json.loads(record) == {"kind": "batch",
                                   "streams": codec.validate_streams(_NON_ASCII)[0]}
     assert _buffered(path, test_keypair) == before
+
+
+# ---------------------------------------------------------------------------
+# crashes, full disks and hostile files
+
+
+def test_journal_cut_at_every_byte_reopens_at_the_last_whole_record(tmp_path):
+    # a crash can stop the file anywhere; each cut must reopen with exactly
+    # the state after the last complete record, and drop the rest
+    path = str(tmp_path / "j.bin")
+    j = journal.Journal(path)
+    written = []  # (stream, row) by global index
+
+    def append(row_json):
+        j.append(row_json)
+        written.extend((stream, json.loads(row)) for stream, rows in row_json.items()
+                       for row in rows)
+
+    steps = [lambda: append(batch(2)), lambda: j.ack_through(1),
+             lambda: append(codec.rows_json({"bt": [{"ts": TS, "device_id": "kb",
+                                                     "rssi": -9}]})),
+             lambda: j.ack_through(3), lambda: append(batch(3, base_ts=TS + 5)),
+             lambda: j.ack_through(4)]
+    ends = [(0, (0, 0, []))]
+    for step in steps:
+        step()
+        pending = [(i, *written[i]) for i in range(j.watermark, len(written))]
+        ends.append((os.path.getsize(path), (j.total_rows, j.watermark, pending)))
+    j.close()
+    with open(path, "rb") as f:
+        data = f.read()
+    assert len(data) == ends[-1][0]
+
+    cut = str(tmp_path / "cut.bin")
+    for size in range(len(data) + 1):
+        with open(cut, "wb") as f:
+            f.write(data[:size])
+        end, state = max(e for e in ends if e[0] <= size)
+        reopened = journal.Journal(cut)
+        try:
+            assert (reopened.total_rows, reopened.watermark,
+                    list(reopened.pending_rows())) == state, size
+        finally:
+            reopened.close()
+        assert os.path.getsize(cut) == end, size
+
+
+class _FullDisk:
+    """A journal file whose next write stores half its bytes, then fails."""
+
+    def __init__(self, f):
+        self.inner = f
+
+    def write(self, data):
+        self.inner.write(bytes(data[:len(data) // 2]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_failed_append_leaves_no_torn_record(tmp_path):
+    path = str(tmp_path / "j.bin")
+    j = journal.Journal(path)
+    j.append(batch(2))
+    size = os.path.getsize(path)
+    j._file = _FullDisk(j._file)
+    with pytest.raises(OSError):
+        j.append(batch(3, base_ts=TS + 10))
+    j._file = j._file.inner
+    assert os.path.getsize(path) == size
+    assert j.append(batch(1, base_ts=TS + 20)) == range(2, 3)
+    j.close()
+
+    reopened = journal.Journal(path)  # raised "corrupt journal record" before
+    assert [row["ts"] for _, _, row in reopened.pending_rows()] == [TS, TS + 1, TS + 20]
+    reopened.close()
+
+
+def test_new_journal_syncs_its_directory_once(tmp_path, monkeypatch):
+    synced = []
+    fsync = os.fsync
+
+    def spy(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    path = str(tmp_path / "j.bin")
+    journal.Journal(path).close()
+    assert synced == [True]
+    synced.clear()
+    j = journal.Journal(path)
+    j.append(batch(1))
+    j.close()
+    assert synced == [False]  # the record itself, and no directory
+

@@ -1,17 +1,18 @@
 """Property tests against reference implementations.
 
-The client checks and serializes each row in one pass (``StreamSpec.row_json``)
-and joins a packet's payload from those bytes (``codec.data_payload``), as
-``encode_data_packet`` does. Each row's bytes must be the canonical JSON of
-the row a hand-written reference validator returns, and a payload must
-agree byte for byte with a plain serialization.
-
-Row validation is driven by the stream table in ``codec``; it must accept,
-reject and normalize exactly as a hand-written branch per stream does, and
-admit only what SQLite holds. The one pass from a received row to its SQLite
-parameters (``StreamSpec.row_params``) must accept the same rows and build
-what validation followed by a walk over the validated dict did. SQLite
-storage must store and report what a dict model of it does.
+``StreamSpec.row_params`` is the one check of what a row may hold: it
+checks a received row and returns its SQLite parameters, and it must
+accept, reject and normalize exactly as a hand-written branch per stream
+does, build what validation followed by a walk over the validated dict
+did, and admit only what SQLite holds. The client writes each row's JSON
+from those values (``StreamSpec.row_json``) and joins a packet's payload
+from those bytes (``codec.data_payload``), as ``encode_data_packet`` does.
+Each row's bytes must be the canonical JSON of the row the reference
+validator returns, and a payload must agree byte for byte with a plain
+serialization. The stream kernels must agree with the row checks, SQLite
+storage must store and report what a dict model of it does, and the
+ingest core must store or count as one discard every mutation of a valid
+blob, without raising.
 """
 
 import json
@@ -22,7 +23,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from senselink import codec, crypto, storage
+from senselink import codec, crypto, server as ingest, storage
 from senselink.client import ClientSession
 
 TS = 1_400_000_000
@@ -356,7 +357,7 @@ def _draw_row(data, source, mutations, not_a_row):
 
 
 # ---------------------------------------------------------------------------
-# the one-pass serializer against validation followed by the encoder
+# row_json against validation followed by the encoder
 
 
 def _row_json(stream, row):
@@ -614,3 +615,65 @@ def test_stream_kernels_match_the_row_checks(data, stream, size):
     if data.draw(st.integers(0, 9)) == 0:
         rows[data.draw(st.integers(0, size - 1))] = data.draw(_not_a_row)
     _assert_kernels_match_the_row_checks(stream, _padded(rows, rows[0]))
+
+
+# ---------------------------------------------------------------------------
+# mutated blobs against the ingest core
+
+_edits = st.lists(st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(0, 7)),
+    st.tuples(st.just("cut"), st.integers(0, 2**16)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=32)),
+    # a prefix of another valid blob, then the rest of this one
+    st.tuples(st.just("splice"), st.integers(0, 2**16), st.sampled_from(["auth", "data"]))),
+    min_size=1, max_size=3)
+
+
+def _edited(blob: bytes, edits, donors: dict[str, bytes]) -> bytes:
+    for edit in edits:
+        if edit[0] == "flip" and blob:
+            at = edit[1] % len(blob)
+            blob = blob[:at] + bytes([blob[at] ^ 1 << edit[2]]) + blob[at + 1:]
+        elif edit[0] == "cut":
+            blob = blob[:edit[1] % (len(blob) + 1)]
+        elif edit[0] == "extend":
+            blob += edit[1]
+        elif edit[0] == "splice":
+            donor = donors[edit[2]]
+            at = edit[1] % (len(donor) + 1)
+            blob = donor[:at] + blob[at:]
+    return blob
+
+
+def _snapshot(st_, sids):
+    return (st_.storage_stats(), [st_.lookup_session_key(sid) for sid in sids],
+            [st_.read_session_rows(sid) for sid in sids])
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["auth", "data"]), edits=_edits, batch=_batches)
+def test_mutated_blobs_never_raise_and_are_each_accounted_for(small_keypair, kind, edits,
+                                                              batch):
+    st_ = storage.open_storage("memory")
+    core = ingest.IngestCore(small_keypair.private_part, st_)
+    keys = [bytes([n]) * 16 for n in (1, 2)]
+    sids = []
+    for n, key in enumerate(keys):
+        req = codec.AuthRequest(seq=n, user_hash=crypto.hash_user(f"{n}@example.com"),
+                                time=TS, key=key)
+        reply = core.handle_auth_packet(codec.encode_auth_request(req, small_keypair.public_part))
+        sids.append(codec.decode_auth_response(reply, key).session_id)
+    donors = {  # valid, never delivered: each would change storage
+        "auth": codec.encode_auth_request(
+            codec.AuthRequest(seq=7, user_hash=HASH, time=TS, key=bytes(16)),
+            small_keypair.public_part),
+        "data": codec.encode_data_packet(
+            codec.DataPacket(session_id=sids[0], seq=3, streams=batch), keys[0])}
+    before = _snapshot(st_, sids)
+    handle = core.handle_auth_packet if kind == "auth" else core.handle_data_packet
+    if handle(_edited(donors[kind], edits, donors)) is None:
+        assert _snapshot(st_, sids) == before
+    for name in ("auth", "data"):
+        count = core.metrics.get
+        discards = sum(v for k, v in core.metrics.items() if k.startswith(f"{name}_discard_"))
+        assert count(f"{name}_packets", 0) == count(f"{name}_ok", 0) + discards

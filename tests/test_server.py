@@ -9,6 +9,8 @@ import time
 
 import pytest
 
+from conftest import PARSER_LIMITS
+
 from senselink import codec, crypto, server, sim, storage
 from senselink.client import (AUTH, DATA, ClientSession, TcpTransport,
                               UdpTransport, run_until_drained)
@@ -243,6 +245,19 @@ def test_bad_last_row_discards_the_whole_packet(test_keypair):
     assert [(r["ap_id"], r["mac"], r["essid"]) for r in rows] == [
         (1, "aa:03", "other"), (2, "aa:01", "first-seen")]
     assert core.metrics["data_packets"] == core.metrics["data_ok"] + _discards(core.metrics)
+
+
+@pytest.mark.parametrize("body", PARSER_LIMITS.values(), ids=PARSER_LIMITS)
+def test_json_the_parser_cannot_take_is_a_malformed_discard(test_keypair, body):
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
+    key, sid = _session(core, test_keypair)
+    # a few dozen compressed bytes: anyone with the public key can send one
+    auth = crypto.asym_encrypt(test_keypair.public_part, codec.compress(body))
+    assert core.handle_auth_packet(auth) is None
+    assert core.handle_data_packet(codec.seal_data_payload(sid, body, key)) is None
+    assert core.metrics["auth_discard_malformed"] == 1
+    assert core.metrics["data_discard_malformed"] == 1
+    assert _accounted(core.metrics, "auth") and _accounted(core.metrics, "data")
 
 
 def _fail_storage(st, path, how):

@@ -249,6 +249,23 @@ def test_lossy_channel_run_is_deterministic(test_keypair):
     assert first["verified"]
 
 
+def test_benchmark_hour_counters_are_pinned(test_keypair):
+    # perfbench's sim-hour at seed 5: a change to the codec, the client or
+    # the simulator that moves one packet, retry or row shows up here. Only
+    # counters that do not depend on zlib's output are compared.
+    report = run_experiment(
+        WorkloadConfig(seed=5),
+        ChannelConfig(loss_prob=0.2, latency_ms=100.0, jitter_ms=20.0, seed=5),
+        keypair=test_keypair, mode="realtime", restart_at=(5, 20, 40, 60, 80))
+    counters = ("packets_sent", "retransmissions", "packets_lost", "feedback_received",
+                "auth_sent", "auth_responses", "json_bytes", "rows_stored", "rows_failed")
+    assert {name: getattr(report, name) for name in counters} == {
+        "packets_sent": 1113, "retransmissions": 393, "packets_lost": 397,
+        "feedback_received": 720, "auth_sent": 16, "auth_responses": 12,
+        "json_bytes": 1961176, "rows_stored": 19626, "rows_failed": 0}
+    assert report.verified
+
+
 def test_duplicating_channel_stores_no_duplicates(test_keypair):
     report = run_experiment(
         WorkloadConfig(duration_s=60, seed=8),
