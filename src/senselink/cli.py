@@ -5,7 +5,8 @@ also be set through an environment variable named SENSELINK_<FLAG> (dashes
 become underscores, uppercased); explicit flags win.
 
 Machine-readable results go to stdout, diagnostics and logs to stderr.
-Exit codes: 0 success, 1 partial delivery, 2 configuration error,
+Exit codes: 0 success, 1 partial delivery, 2 configuration or local file
+error (a key, journal or database that cannot be read or written),
 3 transport failure.
 """
 
@@ -290,12 +291,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, FileNotFoundError, JournalError, StorageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConnectionError, socket.gaierror, TimeoutError) as exc:
+    except (ConnectionError, socket.gaierror, TimeoutError) as exc:  # OSError subclasses
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    except (ConfigError, ValueError, OSError, JournalError, StorageError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -5,6 +5,12 @@ wire blobs, and emits ``(kind, blob)`` pairs the caller must transmit (kind
 routes to the auth or data socket). That keeps the whole state machine
 testable under a virtual clock; real-socket helpers live at the bottom.
 
+Rows wait in a buffer of runs. A run is one stream's rows with consecutive
+journal indexes: its first index, its stream, the rows' canonical JSON
+joined by commas, and where each row's JSON ends (an ``array('I')``). A
+batch adds one run per stream, as does each stream of a batch replayed from
+the journal; no Python object is kept per row.
+
 Reliability rules:
 
 * a row leaves the buffer only after feedback whose stored count covers it
@@ -17,12 +23,16 @@ Reliability rules:
   batch and each packet's payload are joined from those bytes, a packet of
   ``PACK_JSON_BUDGET`` is sealed once, and a payload is kept until the
   packet is acknowledged
+* a new packet takes whole runs from the front of the buffer and splits at
+  most one, where a bisection of its row ends finds the JSON budget
 * retransmission uses exponential backoff and re-emits identical bytes,
   unless the key or session id changed since the packet was sealed, in
   which case the kept payload is re-sealed under the current values
 * feedback reporting stored < sent releases the stored prefix (server-side
   write order: stream name, then batch order) and re-enqueues the shortfall
-  at the front of the buffer under a fresh sequence number
+  at the front of the buffer under a fresh sequence number; released rows
+  are kept as a few disjoint index ranges above the journal's watermark,
+  which moves when the range at its end is released
 * after every few fruitless retries of the same packet the engine re-sends
   an authentication packet, so a server that lost or rotated the session
   key converges back instead of discarding packets forever
@@ -39,9 +49,11 @@ import itertools
 import select
 import socket
 import time
+from array import array
+from bisect import bisect, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, attrgetter, itemgetter
 
 from . import codec, crypto
 from .journal import JournalError, MemoryJournal
@@ -54,6 +66,10 @@ BASE_TIMEOUT = 0.5
 BACKOFF_FACTOR = 2.0
 MAX_TIMEOUT = 30.0
 MAX_RETRIES = 10
+# Counts what the buffer's runs hold (_Run.size): their rows' joined JSON,
+# 4 bytes of row end per row and _RUN_BYTES per run. Rows in flight are not
+# counted; the window bounds them to about window x PACK_JSON_BUDGET bytes
+# of payload, kept with their runs.
 BUFFER_LIMIT_BYTES = 64 * 1024 * 1024
 # JSON bytes per data packet before compression. Motion rows, the stream
 # that compresses worst, seal to about 0.29 of their JSON, so a full packet
@@ -82,22 +98,54 @@ class TimeMismatch(ClientError):
     pass
 
 
+# The Python objects of one run besides its JSON and row ends (the run, the
+# bytes and array headers, its first index, its slot in the buffer), as
+# tracemalloc measures them on CPython 3.11
+_RUN_BYTES = 230
+
+
 @dataclass(slots=True)
-class _BufferedRow:
-    index: int  # journal index
+class _Run:
+    """Rows of one stream with consecutive journal indexes from ``start``:
+    their canonical JSON joined by commas in ``data``, and in ``ends`` where
+    each row's JSON ends, counted from ``base`` bytes before ``data`` (the
+    offsets of a split run stay those of the run it was cut from)."""
+
+    start: int
     stream: str
-    json: bytes  # canonical JSON of the row (StreamSpec.row_json)
+    data: bytes
+    ends: array
+    base: int = 0
+
+    @classmethod
+    def of_rows(cls, start: int, stream: str, rows: list[bytes]) -> _Run:
+        # row k ends after the lengths of rows 0..k and k commas
+        ends = array("I", map(add, itertools.accumulate(map(len, rows)), itertools.count()))
+        return cls(start, stream, b",".join(rows), ends)
+
+    def __len__(self) -> int:
+        return len(self.ends)
 
     @property
-    def json_size(self) -> int:
-        return len(self.json) + 1  # plus one list separator
+    def size(self) -> int:
+        """Bytes counted against ``BUFFER_LIMIT_BYTES``."""
+        return len(self.data) + self.ends.itemsize * len(self.ends) + _RUN_BYTES
 
+    def fit(self, budget: int) -> int:
+        """How many leading rows fit in budget bytes of JSON, each row's
+        with one list separator."""
+        return bisect_right(self.ends, self.base + budget - 1)
 
-def _data_payload(seq: int, entries: list[_BufferedRow]) -> bytes:
-    row_json: dict[str, list[bytes]] = {}
-    for entry in entries:
-        row_json.setdefault(entry.stream, []).append(entry.json)
-    return codec.data_payload(seq, row_json)
+    def head(self, n: int) -> _Run:
+        """The run's first n rows."""
+        return _Run(self.start, self.stream, self.data[:self.ends[n - 1] - self.base],
+                    self.ends[:n], self.base)
+
+    def tail(self, n: int) -> _Run:
+        """The run without its first n rows."""
+        cut = self.ends[n - 1] - self.base + 1
+        return _Run(self.start + n, self.stream, self.data[cut:], self.ends[n:],
+                    self.base + cut)
 
 
 @dataclass
@@ -113,7 +161,8 @@ class PendingAuth:
 @dataclass
 class OutstandingPacket:
     seq: int
-    entries: list[_BufferedRow]
+    runs: list[_Run]  # in buffer order
+    row_count: int
     payload: bytes  # canonical JSON, sealed again after a key or session change
     blob: bytes
     key_used: bytes
@@ -121,10 +170,6 @@ class OutstandingPacket:
     first_sent_at: float
     retries: int = 0
     next_retry_at: float = 0.0
-
-    @property
-    def row_count(self) -> int:
-        return len(self.entries)
 
     @property
     def json_size(self) -> int:
@@ -184,11 +229,13 @@ class ClientSession:
         self.session_id: int | None = None
         self.auth_failed = False
         self._next_seq = 1
-        self._buffer: deque[_BufferedRow] = deque()
-        self._buffered_bytes = 0
+        self._buffer: deque[_Run] = deque()
+        self._buffered_bytes = 0  # the sizes of the buffer's runs
         self._flight: dict[int, OutstandingPacket] = {}
         self._pending_auths: dict[int, PendingAuth] = {}
-        self._released: set[int] = set()
+        # released journal indexes above the watermark: sorted, disjoint and
+        # apart, as (start, stop) pairs
+        self._released: list[tuple[int, int]] = []
         self._watermark = self.journal.watermark
         self._failed_rows = 0
         self.counters = {
@@ -206,7 +253,7 @@ class ClientSession:
                 row_json = codec.STREAM_SPECS[stream].rows_json(list(rows))
             except codec.MalformedPayload as exc:
                 raise JournalError(f"journal row of {stream!r}: {exc}") from exc
-            self._buffer_rows(indexes[0], stream, row_json)
+            self._buffer_run(_Run.of_rows(indexes[0], stream, row_json))
 
     # -- helpers ------------------------------------------------------------
 
@@ -222,11 +269,9 @@ class ClientSession:
     def _timeout_after(self, retries: int) -> float:
         return min(MAX_TIMEOUT, BASE_TIMEOUT * BACKOFF_FACTOR ** retries)
 
-    def _buffer_rows(self, index: int, stream: str, rows: list[bytes]):
-        """Buffer a stream's rows, given as canonical JSON, from journal index on."""
-        self._buffer.extend(map(_BufferedRow, range(index, index + len(rows)),
-                                itertools.repeat(stream), rows))
-        self._buffered_bytes += sum(map(len, rows)) + len(rows)
+    def _buffer_run(self, run: _Run):
+        self._buffer.append(run)
+        self._buffered_bytes += run.size
 
     # -- handshake ----------------------------------------------------------
 
@@ -282,14 +327,17 @@ class ClientSession:
         if unknown:
             raise ValueError("cannot enqueue rows for unknown streams")
         row_json = codec.rows_json(known)  # checks every row before anything is kept
-        count = codec.batch_row_count(row_json)
-        size = sum(map(len, itertools.chain.from_iterable(row_json.values()))) + count
-        if self._buffered_bytes + size > BUFFER_LIMIT_BYTES:
+        # in write order, the order of the indexes; indexes are set once journaled
+        runs = [_Run.of_rows(0, stream, rows) for stream, rows in row_json.items()]
+        count = sum(map(len, runs))
+        if self._buffered_bytes + sum(run.size for run in runs) > BUFFER_LIMIT_BYTES:
             raise BufferFull(f"buffer limit {BUFFER_LIMIT_BYTES} bytes exceeded")
-        index = self.journal.append(row_json).start
-        for stream, rows in row_json.items():  # in write order, the order of the indexes
-            self._buffer_rows(index, stream, rows)
-            index += len(rows)
+        index = self.journal.append({run.stream: [run.data] for run in runs}, count).start
+        for run in runs:
+            run.start = index
+            index += len(run)
+            if run:
+                self._buffer_run(run)
         self.counters["rows_enqueued"] += count
         return count
 
@@ -351,30 +399,57 @@ class ClientSession:
             if not self._pending_auths and pkt.retries % AUTH_REFRESH_EVERY == 0:
                 out.append(self._make_auth(now, self.key, self.identifiers))
 
-    def _send_new_packet(self, now: float) -> tuple[str, bytes]:
-        take: list[_BufferedRow] = []
-        total = 0
-        for entry in self._buffer:
-            if take and total + entry.json_size > self.pack_json_budget:
+    def _rows_in_budget(self) -> int:
+        """How many rows from the front of the buffer a new packet takes: the
+        longest prefix within the JSON budget, and at least one row."""
+        count = total = 0
+        for run in self._buffer:
+            n = run.fit(self.pack_json_budget - total)
+            count += n
+            if n < len(run):
                 break
-            take.append(entry)
-            total += entry.json_size
+            total += len(run.data) + 1
+        return max(count, 1)
+
+    def _front(self, count: int) -> list[_Run]:
+        """The first count rows of the buffer as runs, the last one possibly
+        cut short; the buffer is unchanged."""
+        runs = []
+        for run in self._buffer:
+            if count < len(run):
+                runs.append(run.head(count))
+                break
+            runs.append(run)
+            count -= len(run)
+            if not count:
+                break
+        return runs
+
+    def _send_new_packet(self, now: float) -> tuple[str, bytes]:
+        count = self._rows_in_budget()
         seq = self.take_seq()
         while True:
-            payload = _data_payload(seq, take)
+            take = self._front(count)
+            row_json: dict[str, list[bytes]] = {}
+            for run in take:
+                row_json.setdefault(run.stream, []).append(run.data)
+            payload = codec.data_payload(seq, row_json)
             blob = codec.seal_data_payload(self.session_id, payload, self.key)
             if len(blob) <= codec.MAX_PACKET_BYTES:
                 break
-            if len(take) == 1:
+            if count == 1:
                 raise ClientError("single row exceeds the packet size limit")
             # shrink in proportion to the overshoot, with 10% headroom
-            keep = int(len(take) * codec.MAX_PACKET_BYTES * 0.9 // len(blob))
-            take = take[:min(max(keep, 1), len(take) - 1)]
+            keep = int(count * codec.MAX_PACKET_BYTES * 0.9 // len(blob))
+            count = min(max(keep, 1), count - 1)
         for _ in take:
-            entry = self._buffer.popleft()
-            self._buffered_bytes -= entry.json_size
+            run = self._buffer.popleft()
+            self._buffered_bytes -= run.size
+        if len(run) > len(take[-1]):  # the last run was split
+            self._buffer.appendleft(run.tail(len(take[-1])))
+            self._buffered_bytes += self._buffer[0].size
         pkt = OutstandingPacket(
-            seq=seq, entries=take, payload=payload, blob=blob,
+            seq=seq, runs=take, row_count=count, payload=payload, blob=blob,
             key_used=self.key, session_id_used=self.session_id,
             first_sent_at=now, next_retry_at=now + self._timeout_after(0))
         self._flight[seq] = pkt
@@ -402,26 +477,39 @@ class ClientSession:
         self.counters["feedback_received"] += 1
         stored = min(fb.stored, pkt.row_count)
         # storage's write order (codec.write_order): stream name, then packet order
-        ordered = sorted(pkt.entries, key=lambda entry: entry.stream)
-        for entry in ordered[:stored]:
-            self._released.add(entry.index)
-        self._advance_watermark()
-        self.counters["rows_delivered"] += stored
-        shortfall = ordered[stored:]
-        if shortfall:
-            shortfall.sort(key=lambda e: e.index)
-            for entry in reversed(shortfall):
-                self._buffer.appendleft(entry)
-                self._buffered_bytes += entry.json_size
-            self.counters["rows_reenqueued"] += len(shortfall)
-        return AckResult(seq=fb.seq, sent_rows=pkt.row_count, stored_rows=stored)
-
-    def _advance_watermark(self):
-        while self._watermark in self._released:
-            self._released.discard(self._watermark)
-            self._watermark += 1
+        left = stored
+        shortfall = []
+        for run in sorted(pkt.runs, key=attrgetter("stream")):
+            n = min(left, len(run))
+            if n:
+                self._release(run.start, run.start + n)
+                left -= n
+            if n < len(run):
+                shortfall.append(run.tail(n) if n else run)
         if self._watermark > self.journal.watermark:
             self.journal.ack_through(self._watermark)
+        self.counters["rows_delivered"] += stored
+        if shortfall:
+            shortfall.sort(key=attrgetter("start"))
+            self._buffer.extendleft(reversed(shortfall))
+            self._buffered_bytes += sum(run.size for run in shortfall)
+            self.counters["rows_reenqueued"] += pkt.row_count - stored
+        return AckResult(seq=fb.seq, sent_rows=pkt.row_count, stored_rows=stored)
+
+    def _release(self, start: int, stop: int):
+        """Mark journal indexes [start, stop) acknowledged, and move the
+        watermark over the released range it reaches."""
+        ranges = self._released
+        i = bisect(ranges, (start,))
+        if i < len(ranges) and ranges[i][0] == stop:
+            stop = ranges.pop(i)[1]
+        if i and ranges[i - 1][1] == start:
+            i -= 1
+            start = ranges.pop(i)[0]
+        if start == self._watermark:
+            self._watermark = stop
+        else:
+            ranges.insert(i, (start, stop))
 
     # -- wire dispatch ------------------------------------------------------
 
@@ -458,7 +546,8 @@ class ClientSession:
 
     def report(self) -> DeliveryReport:
         c = self.counters
-        pending = len(self._buffer) + sum(p.row_count for p in self._flight.values())
+        pending = (sum(map(len, self._buffer))
+                   + sum(p.row_count for p in self._flight.values()))
         failed = self._failed_rows
         if self.auth_failed:
             failed += pending

@@ -56,9 +56,9 @@ class MemoryJournal:
     def pending_rows(self):
         return iter(())
 
-    def append(self, row_json: dict[str, list[bytes]]) -> range:
+    def append(self, row_json: dict[str, list[bytes]], count: int) -> range:
         first = self.total_rows
-        self.total_rows += codec.batch_row_count(row_json)
+        self.total_rows += count
         return range(first, self.total_rows)
 
     def ack_through(self, n: int):
@@ -155,12 +155,13 @@ class Journal:
             f.seek(start)
             raise
 
-    def append(self, row_json: dict[str, list[bytes]]) -> range:
-        """Journal a batch given as the canonical JSON of each row, by stream
-        (``codec.rows_json``); returns the global indexes of its rows."""
+    def append(self, row_json: dict[str, list[bytes]], count: int) -> range:
+        """Journal a batch of count rows given as their canonical JSON by
+        stream, each piece one row or several joined by commas; returns the
+        global indexes of its rows."""
         first = self.total_rows
         self._write(b'{"kind":"batch","streams":' + codec.streams_json(row_json) + b"}")
-        self.total_rows += codec.batch_row_count(row_json)
+        self.total_rows += count
         return range(first, self.total_rows)
 
     def ack_through(self, n: int):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import pathlib
@@ -204,6 +205,29 @@ def test_upload_corrupt_journal_is_config_error(keyfiles, tmp_path, capsys, body
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+def _full_disk(*args):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("case", ["journal-is-a-directory", "journal-under-a-file",
+                                  "key-is-a-directory", "journal-disk-full"])
+def test_local_file_error_is_config_error(keyfiles, tmp_path, capsys, monkeypatch, case):
+    # exit code 1 means partial delivery, so a file that cannot be opened or
+    # written ends the command as an error, without a traceback
+    (tmp_path / "file").write_bytes(b"")
+    upload = ["upload", "--pubkey", keyfiles[1], "--time", str(TS),
+              "--auth-port", "1", "--data-port", "2"]
+    argv = {"journal-is-a-directory": [*upload, "--journal", str(tmp_path)],
+            "journal-under-a-file": [*upload, "--journal", str(tmp_path / "file" / "j.bin")],
+            "key-is-a-directory": ["serve", "--key", str(tmp_path)],
+            "journal-disk-full": [*upload, "--duration", "5",
+                                  "--journal", str(tmp_path / "j.bin")]}[case]
+    monkeypatch.setattr(journal.Journal, "append", _full_disk)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

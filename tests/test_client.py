@@ -1,9 +1,11 @@
 import gc
+import hashlib
 import json
 import random
 import socket
 import threading
 import time
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -366,11 +368,47 @@ def test_partial_ack_releases_the_write_order_prefix(test_keypair, core, j):
     session.handle_feedback(codec.FeedbackPacket(session.session_id, pkt.seq, stored=4), 1.1)
     # released: both events (0, 4) and the first two pressure rows (1, 2)
     assert j.watermark == 3
-    assert session._released == {4}
+    assert session._released == [(4, 5)]
     [(_, blob2)] = session.pump(2.0)
     resent = codec.decode_data_packet(blob2, core.lookup_key)
     assert resent.streams == {"pressure": [row for _, row in written[4:]]}
     assert [r["ts"] for r in resent.streams["pressure"]] == [TS + 2, TS + 10, TS + 11, TS + 12]
+
+
+def test_given_up_packet_keeps_release_bookkeeping_bounded(test_keypair, core, j,
+                                                           monkeypatch):
+    # a realtime recording whose second packet is given up after MAX_RETRIES:
+    # the watermark stays before its rows, and the rows acknowledged after it
+    # are kept as one released range, not one entry per row
+    monkeypatch.setattr(client, "MAX_RETRIES", 2)
+    session = make_session(test_keypair, journal=j)
+    authenticate(session, core)
+    generated = sim.generate_session(sim.WorkloadConfig(duration_s=600, seed=3))
+    sent = []  # seqs of the data packets in the order first sent
+    first_rows = 0
+
+    def pump(now):
+        nonlocal first_rows
+        for kind, blob in session.pump(now):
+            pkt = codec.decode_data_packet(blob, core.lookup_key)
+            if pkt.seq not in sent:
+                sent.append(pkt.seq)
+            if pkt.seq == sent[0]:
+                first_rows = codec.batch_row_count(pkt.streams)
+            if pkt.seq not in sent[1:2]:
+                session.handle_wire(DATA, core.handle_data_packet(blob), now)
+
+    for now, chunk in sim.flush_chunks(generated, TS, 5.0):
+        session.enqueue_rows(chunk)
+        pump(now)
+    assert session.is_done()
+    report = session.report()
+    assert report.packets_failed == 1 and report.pending_rows == 0
+    assert report.delivered_rows + report.failed_rows == codec.batch_row_count(generated)
+    assert report.delivered_rows > 100 * first_rows > 0
+    assert j.watermark == first_rows  # before the given-up rows
+    assert len(session._released) <= 2
+    assert sum(b - a for a, b in session._released) == report.delivered_rows - first_rows
 
 
 def test_rows_kept_until_acked(test_keypair, core, j):
@@ -510,15 +548,17 @@ def test_journal_replay_buffers_what_enqueue_did(test_keypair, tmp_path):
     path = str(tmp_path / "j.bin")
     j = journal.Journal(path)
     session = make_session(test_keypair, journal=j)
-    session.enqueue_rows(sim.generate_session(sim.WorkloadConfig(duration_s=300, seed=4)))
+    session_rows = sim.generate_session(sim.WorkloadConfig(duration_s=300, seed=4))
+    session.enqueue_rows(session_rows)
     j.close()
     j2 = journal.Journal(path)
     resumed = make_session(test_keypair, journal=j2)
     j2.close()
 
-    def buffered(s):
-        return [(entry.index, entry.stream, entry.json) for entry in s._buffer]
-    assert buffered(resumed) == buffered(session)
+    def runs(s):  # one run per stream, each row's JSON as enqueue wrote it
+        return [(run.start, run.stream, run.data, run.ends, run.base) for run in s._buffer]
+    assert runs(resumed) == runs(session)
+    assert len(runs(session)) == len(codec.STREAM_SPECS.keys() & session_rows.keys())
     assert resumed._buffered_bytes == session._buffered_bytes
 
 
@@ -612,8 +652,72 @@ def test_default_hour_seals_each_packet_once(test_keypair, core, monkeypatch):
         assert len(seals) == report.packets_sent > 1
 
 
+# SHA-256 of the payload and row count of each packet of the default hour in
+# batch mode at the default JSON budget
+_BATCH_HOUR_PACKETS = [
+    (1343, "06b06280dd0fe892a281e0b67b25c5a2db8dfad2eeb009c10913dffac1e294a6"),
+    (1344, "aacd93a8a684b158968a203a0b1e42df17845cb2b8b025b20e69146b25e58591"),
+    (1619, "ed4ff9df51ddfe2588724a6b50725158ac68a48c40168732aaed961fc1b8c812"),
+    (1359, "1797005d8fa6b0fbb7d807cd0530cda7f7971d703f5f169b9868753b60b640eb"),
+    (1359, "44486de1af171731bc0f1b672ecb4ca23db5a317c0e5e286e20dde9dbb59aa1e"),
+    (1833, "fe83f6c9d010995dae355ac4b6177e4bb6cc66322999c961db3d4c835a68cebe"),
+    (1886, "df264ddf3b0aa872c45d5cbae09df3226e7ff9ea2c4b8e202bd77c52a216f80e"),
+    (1886, "f858954f61c30731d6ad6d1e4c115d46520aee1b3cd29c0b4136b1bb7d8f5f02"),
+    (1885, "a92f6366bcdc9d8dd7bc312222eda871dba40241f856f9c60d453f388d60be56"),
+    (1885, "769b80ea35f437fb7aaf673a5862a5b7ccbbd49ad7528595b35e71508eeee796"),
+    (1885, "a1f9d0a247381562bb09de23bad7f48b2bdc169f92cd7e65144a3f130569e757"),
+    (1389, "a7f39cedfc4d1dc42b68eb590324ae3002db1268ba7bcec5c536bd222aa23cfb"),
+]
+
+
+def test_batch_hour_packets_are_pinned(test_keypair, core):
+    # the packet boundaries and payload bytes of a batch upload; each sealed
+    # blob holds exactly the rows its packet counts, so the server's stored
+    # count matches the rows sent
+    session = make_session(test_keypair)
+    authenticate(session, core)
+    session.enqueue_rows(sim.generate_session(sim.WorkloadConfig()))
+    packets = []
+    now = 1.0
+    while not session.is_done():
+        for kind, blob in session.pump(now):
+            payload = codec.decompress(crypto.sym_decrypt(session.key, blob[4:]))
+            seq = json.loads(payload)["seq"]
+            pkt = session._flight[seq]
+            assert payload == pkt.payload
+            assert codec.batch_row_count(json.loads(payload)["streams"]) == pkt.row_count
+            packets.append((pkt.row_count, hashlib.sha256(pkt.payload).hexdigest()))
+            ack = session.handle_wire(DATA, core.handle_data_packet(blob), now)
+            assert ack.stored_rows == ack.sent_rows == pkt.row_count
+        now += 0.01
+    assert packets == _BATCH_HOUR_PACKETS
+
+
 # ---------------------------------------------------------------------------
 # guards
+
+
+@pytest.mark.parametrize("mode", ["batch", "realtime"])
+def test_buffered_heap_is_what_the_limit_counts(test_keypair, mode):
+    # the buffer limit counts the bytes the buffer's runs hold, and the
+    # Python heap of buffered rows stays close to that count: two hours in
+    # batch mode, or an hour flushed every 5 s (about five rows a run)
+    hours = [sim.generate_session(sim.WorkloadConfig(seed=seed)) for seed in (1, 2)]
+    batches = (hours if mode == "batch"
+               else [chunk for _, chunk in sim.flush_chunks(hours[0], TS, 5.0)])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        session = make_session(test_keypair)
+        for batch in batches:
+            session.enqueue_rows(batch)
+        gc.collect()
+        heap = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert session._buffered_bytes == sum(run.size for run in session._buffer)
+    assert heap <= 1.2 * session._buffered_bytes
 
 
 def test_buffer_limit(test_keypair, monkeypatch):

@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+from _buffer_oracle import buffered_rows
 from conftest import PARSER_LIMITS
 
 from senselink import codec, crypto, journal
@@ -41,8 +42,8 @@ def test_iter_batch_rows_global_order(tmp_path):
 
 def test_append_returns_global_index_ranges(tmp_path):
     j = journal.Journal(str(tmp_path / "j.bin"))
-    assert j.append(batch(3)) == range(0, 3)
-    assert j.append(batch(2, base_ts=TS + 10)) == range(3, 5)
+    assert j.append(batch(3), 3) == range(0, 3)
+    assert j.append(batch(2, base_ts=TS + 10), 2) == range(3, 5)
     assert j.total_rows == 5
     j.close()
 
@@ -50,8 +51,8 @@ def test_append_returns_global_index_ranges(tmp_path):
 def test_replay_resumes_past_watermark(tmp_path):
     path = str(tmp_path / "j.bin")
     j = journal.Journal(path)
-    j.append(batch(3))
-    j.append(codec.rows_json({"bt": [{"ts": TS, "device_id": "kb", "rssi": -9}]}))
+    j.append(batch(3), 3)
+    j.append(codec.rows_json({"bt": [{"ts": TS, "device_id": "kb", "rssi": -9}]}), 1)
     j.ack_through(3)
     j.close()
 
@@ -60,7 +61,7 @@ def test_replay_resumes_past_watermark(tmp_path):
     pending = list(j2.pending_rows())
     assert pending == [(3, "bt", {"ts": TS, "device_id": "kb", "rssi": -9})]
     # appends continue the global numbering
-    assert j2.append(batch(2, base_ts=TS + 50)) == range(4, 6)
+    assert j2.append(batch(2, base_ts=TS + 50), 2) == range(4, 6)
     j2.close()
 
     j3 = journal.Journal(path)
@@ -72,7 +73,7 @@ def test_replay_resumes_past_watermark(tmp_path):
 def test_fully_acked_journal_reopens_empty(tmp_path):
     path = str(tmp_path / "j.bin")
     j = journal.Journal(path)
-    j.append(batch(4))
+    j.append(batch(4), 4)
     j.ack_through(4)
     j.close()
     j2 = journal.Journal(path)
@@ -83,7 +84,7 @@ def test_fully_acked_journal_reopens_empty(tmp_path):
 
 def test_ack_watermark_rules(tmp_path):
     j = journal.Journal(str(tmp_path / "j.bin"))
-    j.append(batch(5))
+    j.append(batch(5), 5)
     j.ack_through(3)
     with pytest.raises(journal.JournalError):
         j.ack_through(2)  # regression
@@ -98,7 +99,7 @@ def test_ack_watermark_rules(tmp_path):
 def test_torn_trailing_record_truncated(tmp_path):
     path = str(tmp_path / "j.bin")
     j = journal.Journal(path)
-    j.append(batch(3))
+    j.append(batch(3), 3)
     j.close()
     good_size = os.path.getsize(path)
 
@@ -108,7 +109,7 @@ def test_torn_trailing_record_truncated(tmp_path):
     j2 = journal.Journal(path)
     assert j2.total_rows == 3
     assert os.path.getsize(path) == good_size
-    j2.append(batch(1, base_ts=TS + 99))
+    j2.append(batch(1, base_ts=TS + 99), 1)
     j2.close()
 
     j3 = journal.Journal(path)
@@ -119,7 +120,7 @@ def test_torn_trailing_record_truncated(tmp_path):
 def test_torn_header_truncated(tmp_path):
     path = str(tmp_path / "j.bin")
     j = journal.Journal(path)
-    j.append(batch(2))
+    j.append(batch(2), 2)
     j.close()
     with open(path, "ab") as f:
         f.write(b"\x00\x00")
@@ -187,8 +188,8 @@ def test_oversized_declared_record_rejected(tmp_path):
 
 def test_memory_journal_contract():
     j = journal.MemoryJournal()
-    assert j.append(batch(3)) == range(0, 3)
-    assert j.append(batch(1)) == range(3, 4)
+    assert j.append(batch(3), 3) == range(0, 3)
+    assert j.append(batch(1), 1) == range(3, 4)
     assert list(j.pending_rows()) == []
     j.ack_through(2)
     with pytest.raises(journal.JournalError):
@@ -212,7 +213,7 @@ def _buffered(path, keypair):
     j = journal.Journal(path)
     session = ClientSession(crypto.hash_user("j@example.org"), TS, keypair.public_part,
                             journal=j)
-    out = [(entry.index, entry.stream, entry.json) for entry in session._buffer]
+    out = buffered_rows(session)
     j.close()
     return out
 
@@ -245,7 +246,7 @@ def test_non_ascii_rows_survive_a_crash_in_the_utf8_form(tmp_path, test_keypair)
     session = ClientSession(crypto.hash_user("j@example.org"), TS, test_keypair.public_part,
                             journal=j)
     session.enqueue_rows(_NON_ASCII)
-    before = [(entry.index, entry.stream, entry.json) for entry in session._buffer]
+    before = buffered_rows(session)
     assert before == _expected_buffer(_NON_ASCII)
     j.close()  # crash: nothing acknowledged
     with open(path, "rb") as f:
@@ -268,7 +269,7 @@ def test_journal_cut_at_every_byte_reopens_at_the_last_whole_record(tmp_path):
     written = []  # (stream, row) by global index
 
     def append(row_json):
-        j.append(row_json)
+        j.append(row_json, codec.batch_row_count(row_json))
         written.extend((stream, json.loads(row)) for stream, rows in row_json.items()
                        for row in rows)
 
@@ -318,14 +319,14 @@ class _FullDisk:
 def test_failed_append_leaves_no_torn_record(tmp_path):
     path = str(tmp_path / "j.bin")
     j = journal.Journal(path)
-    j.append(batch(2))
+    j.append(batch(2), 2)
     size = os.path.getsize(path)
     j._file = _FullDisk(j._file)
     with pytest.raises(OSError):
-        j.append(batch(3, base_ts=TS + 10))
+        j.append(batch(3, base_ts=TS + 10), 3)
     j._file = j._file.inner
     assert os.path.getsize(path) == size
-    assert j.append(batch(1, base_ts=TS + 20)) == range(2, 3)
+    assert j.append(batch(1, base_ts=TS + 20), 1) == range(2, 3)
     j.close()
 
     reopened = journal.Journal(path)  # raised "corrupt journal record" before
@@ -347,7 +348,7 @@ def test_new_journal_syncs_its_directory_once(tmp_path, monkeypatch):
     assert synced == [True]
     synced.clear()
     j = journal.Journal(path)
-    j.append(batch(1))
+    j.append(batch(1), 1)
     j.close()
     assert synced == [False]  # the record itself, and no directory
 

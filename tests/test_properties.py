@@ -17,7 +17,9 @@ blob, without raising.
 
 import json
 import math
+import os
 import struct
+import tempfile
 import zlib
 
 import pytest
@@ -25,6 +27,9 @@ from hypothesis import given, settings, strategies as st
 
 from senselink import codec, crypto, server as ingest, storage
 from senselink.client import ClientSession
+from senselink.journal import Journal
+
+from _buffer_oracle import RowBuffer, buffered_rows, run_rows
 
 TS = 1_400_000_000
 HASH = crypto.hash_user("props@example.com")
@@ -90,12 +95,105 @@ def test_client_json_size_is_the_payload_length(test_keypair, batch, seq_gap):
                 for row in rows]
     for pkt in session._flight.values():
         streams = {}
-        for entry in pkt.entries:
-            streams.setdefault(entry.stream, []).append(by_index[entry.index])
+        for index, stream, _ in (row for run in pkt.runs for row in run_rows(run)):
+            streams.setdefault(stream, []).append(by_index[index])
         payload = codec.decompress(crypto.sym_decrypt(session.key, pkt.blob[4:]))
         assert payload == codec.canonical_json({"seq": pkt.seq, "streams": streams})
         assert pkt.json_size == len(payload)
     assert session.counters["json_bytes"] == sum(p.json_size for p in session._flight.values())
+
+
+# rounds of: batches to enqueue; a budget the JSON of the next k buffered
+# rows, each with one separator, fills to the byte or misses by one (or
+# none); new packets to pump; acks of in-flight packets, each picked by its
+# place in seq order and storing its rows modulo their count + 1 (None: all);
+# and a packet given up, or a crash and a resume from the journal
+_rounds = st.lists(st.tuples(
+    st.lists(_batches, max_size=2),
+    st.none() | st.tuples(st.integers(1, 12), st.integers(-1, 1)),
+    st.integers(0, 4),
+    st.lists(st.tuples(st.integers(0, 15), st.none() | st.integers(0, 3) | st.integers(0, 2000)),
+             max_size=4),
+    st.none() | st.just("resume") | st.integers(0, 15)), min_size=1, max_size=6)
+
+
+def _started(keypair, j, budget, window):
+    session = ClientSession(HASH, TS, keypair.public_part, journal=j,
+                            pack_json_budget=budget, window=window)
+    session.begin(0.0)
+    session.handle_auth_response(codec.AuthResponse(seq=1, time=TS, session_id=7))
+    return session
+
+
+def _agree(session, model, j):
+    assert buffered_rows(session) == list(model.buffer)
+    assert session._buffered_bytes == sum(run.size for run in session._buffer)
+    assert j.watermark == model.watermark
+    released = session._released
+    assert all(a < b < c for (_, a), (b, c) in zip(released, released[1:]))
+    assert all(j.watermark < a < b for a, b in released)
+    assert {i for a, b in released for i in range(a, b)} == model.released
+    assert session.report().pending_rows == len(model.buffer) + sum(
+        map(len, model.flight.values()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(budget=st.integers(1, 700), window=st.integers(1, 4), rounds=_rounds)
+def test_run_buffer_packs_and_releases_as_the_row_buffer(test_keypair, budget, window,
+                                                         rounds):
+    # the per-row buffer of tests/_buffer_oracle.py as the reference: every
+    # packet's payload and row count, the buffered rows, the released indexes
+    # and the journal's watermark agree after each step, across random batches,
+    # budgets, partial and reordered acks, given-up packets and journal resumes
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "j.bin")
+        j = Journal(path)
+        session = _started(test_keypair, j, budget, window)
+        model = RowBuffer(budget)
+        journaled = []  # (stream, JSON) by journal index
+        try:
+            for batches, fill, new, acks, end in rounds:
+                for batch in batches:
+                    row_json = codec.rows_json(codec.split_streams(batch)[0])
+                    model.enqueue(j.total_rows, row_json)
+                    session.enqueue_rows(batch)
+                    journaled += [(stream, data) for stream, rows in row_json.items()
+                                  for data in rows]
+                if fill is not None:
+                    rows = list(model.buffer)[:fill[0]]
+                    model.budget = session.pack_json_budget = max(
+                        sum(len(data) + 1 for _, _, data in rows) + fill[1], 1)
+                before = set(session._flight)
+                session.pump(1.0, max_new=new)
+                for seq in sorted(set(session._flight) - before):
+                    pkt = session._flight[seq]
+                    assert pkt.payload == model.take(seq)
+                    assert pkt.row_count == len(model.flight[seq])
+                _agree(session, model, j)
+                for pick, stored in acks:
+                    if not session._flight:
+                        break
+                    seq = sorted(session._flight)[pick % len(session._flight)]
+                    sent = session._flight[seq].row_count
+                    stored = sent if stored is None else stored % (sent + 1)
+                    ack = session.handle_feedback(codec.FeedbackPacket(7, seq, stored))
+                    assert (ack.sent_rows, ack.stored_rows) == (sent, stored)
+                    model.feedback(seq, stored)
+                    _agree(session, model, j)
+                if end == "resume":  # a crash: what is in flight is lost
+                    j.close()
+                    j = Journal(path)
+                    session = _started(test_keypair, j, model.budget, window)
+                    model = RowBuffer(model.budget, [(i, *journaled[i]) for i in
+                                                     range(j.watermark, len(journaled))],
+                                      watermark=j.watermark)
+                elif end is not None and session._flight:
+                    seq = sorted(session._flight)[end % len(session._flight)]
+                    session._fail_packet(session._flight[seq])
+                    model.give_up(seq)
+                _agree(session, model, j)
+        finally:
+            j.close()
 
 
 @settings(max_examples=100, deadline=None)
