@@ -257,6 +257,10 @@ class _PortWorker(threading.Thread):
             return
         conn.setblocking(False)
         conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, TCP_SNDBUF_BYTES)
+        # each reply is sent as one whole frame; Nagle's algorithm would hold
+        # it until the peer acknowledged the reply before, which a peer that
+        # is only reading does late (delayed ACK)
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         buf = codec.FrameBuffer()
         self._selector.register(conn, selectors.EVENT_READ,
                                 lambda sock, _buf=buf, _peer=peer: self._on_tcp(sock, _buf, _peer))

@@ -466,6 +466,25 @@ def test_tcp_roundtrip(test_keypair, daemon):
     assert report.complete and report.delivered_rows == 25
 
 
+def test_tcp_replies_are_sent_without_waiting_for_an_ack(test_keypair, daemon):
+    # a reply is one whole frame: with Nagle's algorithm a feedback frame
+    # waited for the client's delayed acknowledgment of the one before it
+    transport = TcpTransport("127.0.0.1", daemon.auth_port, daemon.data_port)
+    try:
+        session = ClientSession(HASH, TS, test_keypair.public_part)
+        session.begin(time.monotonic())
+        session.enqueue_rows({"pressure": [{"ts": TS + i, "hpa": 990.0} for i in range(5)]})
+        assert run_until_drained(session, transport, timeout=20.0).complete
+        conns = [key.fileobj for worker in daemon._workers
+                 for key in list(worker._selector.get_map().values())
+                 if key.fileobj.type == socket.SOCK_STREAM
+                 and key.fileobj not in (worker.tcp_sock, worker.metrics_sock)]
+        assert len(conns) == 2  # the client's auth and data connections
+        assert all(conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) for conn in conns)
+    finally:
+        transport.close()
+
+
 def test_udp_and_tcp_carry_identical_payloads(test_keypair, daemon):
     """Same blobs over either transport must produce the same stored rows."""
     rows = {"obd": [{"ts": TS + i, "ms": 0, "pid": 12, "value": 800 + i}
