@@ -15,8 +15,10 @@ slowed by their window and memory stays bounded by the socket buffers. The
 UDP receive buffer asks for room for several clients' windows (the kernel
 caps it at net.core.rmem_max); datagrams beyond it are dropped, counted as
 ``<port>_udp_dropped`` on Linux, and retransmitted by the client. A TCP
-reply is one non-blocking send of the whole frame into a small send buffer;
-a peer that cannot take it is closed, so no frame follows a cut one.
+reply is one non-blocking send of the whole frame into a small send buffer,
+with Nagle's algorithm off so that it does not wait for the peer to
+acknowledge the reply before; a peer that cannot take it is closed, so no
+frame follows a cut one.
 
 Anything that fails decryption, decompression, or validation is silently
 discarded; per-kind counters are the only trace.
