@@ -5,9 +5,9 @@ also be set through an environment variable named SENSELINK_<FLAG> (dashes
 become underscores, uppercased); explicit flags win.
 
 Machine-readable results go to stdout, diagnostics and logs to stderr.
-Exit codes: 0 success, 1 partial delivery, 2 configuration or local file
-error (a key, journal or database that cannot be read or written),
-3 transport failure.
+Exit codes: 0 success, 1 partial delivery (also a simulation whose stored
+rows fail verification), 2 configuration or local file error (a key,
+journal or database that cannot be read or written), 3 transport failure.
 """
 
 from __future__ import annotations
@@ -297,6 +297,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError, JournalError, StorageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except sim.SimError as exc:  # a simulation whose stored rows fail verification
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARTIAL
 
 
 if __name__ == "__main__":

@@ -102,7 +102,6 @@ class Journal:
                 good += 4 + length
         self._file.truncate(good)  # drop a torn trailing record, if any
         self._file.seek(good)
-        del self._pending[:self.watermark]
 
     def _apply(self, body: bytes):
         try:
@@ -126,7 +125,9 @@ class Journal:
             through = record.get("through")
             if not isinstance(through, int) or not 0 <= through <= self.total_rows:
                 raise JournalError("ack record out of range")
-            self.watermark = max(self.watermark, through)
+            if through > self.watermark:  # _pending starts at the watermark's row
+                del self._pending[:through - self.watermark]
+                self.watermark = through
         else:
             raise JournalError(f"unknown record kind {kind!r}")
 

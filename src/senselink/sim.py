@@ -292,25 +292,33 @@ def generate_session(cfg: WorkloadConfig) -> dict[str, list[dict]]:
 def verify_storage(storage, session_id: int, generated: dict[str, list[dict]]):
     """Byte-field equality between generated rows and stored rows: each
     stream's stored rows serialize to the canonical JSON of its generated
-    rows (``StreamSpec.rows_json``) in natural-key order."""
-    actual = storage.read_session_rows(session_id)
-    for rows in actual.values():
-        for row in rows:
-            row.pop("ap_id", None)  # surrogate id, not a client-visible field
-    if sorted(generated) != sorted(actual):
+    rows (``StreamSpec.rows_json``) in natural-key order.
+
+    The stream sets and each stream's row count are compared first. Then
+    the stored rows are read back a chunk at a time
+    (``SqliteStorage.read_stream_chunks``), and each chunk is compared with
+    the same slice of the generated rows, so only one chunk of stored rows
+    is held at a time. A differing row is named by its index in the whole
+    stream."""
+    counts = storage.session_row_counts(session_id)
+    if sorted(generated) != sorted(counts):
         raise VerificationFailed(
-            f"stream sets differ: {sorted(generated)} vs {sorted(actual)}")
+            f"stream sets differ: {sorted(generated)} vs {sorted(counts)}")
     for stream, rows in generated.items():
-        want = codec.STREAM_SPECS[stream].rows_json(sorted(rows, key=codec.natural_key))
-        got = actual[stream]
-        if len(want) != len(got):
+        if counts[stream] != len(rows):
             raise VerificationFailed(
-                f"{stream}: {len(got)} stored rows, {len(want)} generated")
-        if codec.canonical_json(got) == b"[" + b",".join(want) + b"]":
-            continue
-        for i, (w, g) in enumerate(zip(want, got)):  # name the first row that differs
-            if codec.canonical_json(g) != w:
-                raise VerificationFailed(f"{stream}[{i}]: stored {g!r} != generated {w.decode()}")
+                f"{stream}: {counts[stream]} stored rows, {len(rows)} generated")
+        spec, rows, start = codec.STREAM_SPECS[stream], sorted(rows, key=codec.natural_key), 0
+        for got in storage.read_stream_chunks(session_id, stream):
+            for row in got:
+                row.pop("ap_id", None)  # surrogate id, not a client-visible field
+            want = spec.rows_json(rows[start:start + len(got)])
+            if codec.canonical_json(got) != b"[" + b",".join(want) + b"]":
+                for i, (w, g) in enumerate(zip(want, got), start):  # the first that differs
+                    if codec.canonical_json(g) != w:
+                        raise VerificationFailed(
+                            f"{stream}[{i}]: stored {g!r} != generated {w.decode()}")
+            start += len(got)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,16 @@ The stream table also declares each row table: ``_table_sql`` builds its
 ``CREATE TABLE IF NOT EXISTS`` from the spec's columns and their SQLite
 types (``StreamSpec.declarations``), so only the tables that are not per
 stream are written out below, and the tables built are those of schema v1.
-A failing SQLite call of ``upsert_session``, ``lookup_session_key`` or
-``write_rows`` raises :class:`StorageError`. Schema rules:
+Rows are read back one stream of one session at a time, in natural-key
+order, by ``read_stream_chunks``: lists of at most ``_ROWS_PER_READ`` rows,
+each from its own keyset query that resumes after the ``(ts, ms, idx)`` of
+the last row read, a row-value comparison that the primary key's index
+serves (https://www.sqlite.org/rowvalue.html, SQLite 3.15 and later). No
+statement or lock is held between lists, so a reader holds one list of rows
+at a time; ``read_session_rows`` drains them all under the lock, one
+snapshot. A failing SQLite call of ``upsert_session``,
+``lookup_session_key`` or ``write_rows`` raises :class:`StorageError`.
+Schema rules:
 
 * every row is timestamped in unix seconds; asynchronous sensors add a
   milliseconds column (required where the stream table says so)
@@ -46,6 +54,7 @@ import sqlite3
 import struct
 import threading
 import time
+from collections.abc import Iterator
 
 from . import codec
 from .codec import MOTION_STREAMS, STREAM_SPECS, write_order
@@ -55,6 +64,7 @@ _AP_CACHE_LIMIT = 100_000  # interned access points SqliteStorage remembers
 # rows one multi-row INSERT stores: at most 64 x 10 (gps) = 640 parameters, under
 # the 999 that SQLite builds before 3.32 allow a statement
 _ROWS_PER_INSERT = 64
+_ROWS_PER_READ = 1024  # rows one query of read_stream_chunks returns
 
 
 class StorageError(Exception):
@@ -99,6 +109,14 @@ def _key(spec: codec.StreamSpec) -> tuple[str, ...]:
     the shared motion table, and the natural key (see codec.natural_key)."""
     return ("session_id", *(("stream",) if spec.name in MOTION_STREAMS else ()),
             "ts", "ms", "idx")
+
+
+def _stream_rows(sid: int, spec: codec.StreamSpec) -> tuple[str, tuple]:
+    """The WHERE clause, and its arguments, that picks one stream of a
+    session from the stream's row table."""
+    if spec.name in MOTION_STREAMS:
+        return "session_id=? AND stream=?", (sid, spec.name)
+    return "session_id=?", (sid,)
 
 
 def _table_sql(spec: codec.StreamSpec) -> str:
@@ -304,25 +322,56 @@ class SqliteStorage:
         return map(head.__add__, values)
 
     def read_session_rows(self, session_id: int) -> dict[str, list[dict]]:
-        """Every stored row of a session, per stream, in natural-key order."""
+        """Every stored row of a session, per stream, in natural-key order,
+        read under one hold of the lock, so no write lands between streams."""
         out: dict[str, list[dict]] = {}
         with self._lock:
-            for spec in STREAM_SPECS.values():
-                rows = self._read_stream(session_id, spec)
+            for stream in STREAM_SPECS:
+                rows = [row for chunk in self.read_stream_chunks(session_id, stream)
+                        for row in chunk]
                 if rows:
-                    out[spec.name] = rows
+                    out[stream] = rows
         return out
 
-    def _read_stream(self, sid: int, spec: codec.StreamSpec) -> list[dict]:
-        columns, source, where, args = spec.columns, spec.table, "session_id=?", (sid,)
-        if spec.name in MOTION_STREAMS:
-            where, args = "session_id=? AND stream=?", (sid, spec.name)
-        elif spec.name == "wifi":
+    def read_stream_chunks(self, session_id: int, stream: str) -> Iterator[list[dict]]:
+        """The stored rows of one stream of a session in natural-key order, as
+        lists of at most ``_ROWS_PER_READ`` rows, one keyset query each."""
+        spec, after = STREAM_SPECS[stream], None
+        while True:
+            with self._lock:
+                chunk = self._read_stream(session_id, spec, after)
+            if chunk:
+                yield chunk
+            if len(chunk) < _ROWS_PER_READ:
+                return
+            after = codec.natural_key(chunk[-1])
+
+    def session_row_counts(self, session_id: int) -> dict[str, int]:
+        """The number of stored rows of each stream a session has rows in."""
+        counts = {}
+        with self._lock:
+            for spec in STREAM_SPECS.values():
+                where, args = _stream_rows(session_id, spec)
+                n = self._db.execute(f"SELECT COUNT(*) FROM {spec.table} WHERE {where}",
+                                     args).fetchone()[0]
+                if n:
+                    counts[spec.name] = n
+        return counts
+
+    def _read_stream(self, sid: int, spec: codec.StreamSpec,
+                     after: tuple[int, int, int] | None) -> list[dict]:
+        """At most ``_ROWS_PER_READ`` rows of a stream of a session, in
+        natural-key order, those after the natural key ``after`` if given."""
+        columns, source = spec.columns, spec.table
+        where, args = _stream_rows(sid, spec)
+        if after is not None:  # a row value, which the primary key's index serves
+            where, args = f"{where} AND (ts, ms, idx) > (?, ?, ?)", (*args, *after)
+        if spec.name == "wifi":
             columns += ("mac", "essid")
             source += " LEFT JOIN access_points USING (ap_id)"
         # absent ms and idx are stored as -1 and 0 (see codec.natural_key)
         query = (f"SELECT ts, NULLIF(ms, -1), NULLIF(idx, 0), {', '.join(columns)} "
-                 f"FROM {source} WHERE {where} ORDER BY ts, ms, idx")
+                 f"FROM {source} WHERE {where} ORDER BY ts, ms, idx LIMIT {_ROWS_PER_READ}")
         names = ("ts", "ms", "idx", *columns)
         # a NULL is a field the row left out, or the pair of an ap_id never interned
         shaped = [{name: value for name, value in zip(names, values) if value is not None}

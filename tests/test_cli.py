@@ -322,6 +322,16 @@ def test_simulate_stdout_report(tmp_path, capsys):
     assert report["delivery_ratio"] == 1.0
 
 
+def test_simulate_failed_verification_is_partial(tmp_path, capsys):
+    # nothing reaches the server, so the stored stream set is empty
+    conf = tmp_path / "exp.conf"
+    conf.write_text("duration_s = 20\nloss_prob = 1.0\n")
+    assert cli.main(["simulate", "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stream sets differ: ") and err.endswith(" vs []\n")
+    assert "Traceback" not in err
+
+
 def test_simulate_missing_config(tmp_path):
     assert cli.main(["simulate", "--config", str(tmp_path / "absent.conf")]) == 2
 

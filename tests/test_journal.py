@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import struct
+import tracemalloc
 import warnings
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from _buffer_oracle import buffered_rows
 from conftest import PARSER_LIMITS
 
-from senselink import codec, crypto, journal
+from senselink import codec, crypto, journal, sim
 from senselink.client import ClientSession
 
 TS = 1_400_000_000
@@ -80,6 +81,32 @@ def test_fully_acked_journal_reopens_empty(tmp_path):
     assert list(j2.pending_rows()) == []
     assert (j2.total_rows, j2.watermark) == (4, 4)
     j2.close()
+
+
+def test_replay_holds_only_unacknowledged_rows(tmp_path):
+    # each ack record releases its rows as replay meets it: reopening four
+    # acknowledged hours peaks within 1.3x of reopening one, where holding
+    # every row until the end of the file peaked at about 3.5x
+    hour = codec.rows_json(sim.generate_session(sim.WorkloadConfig(seed=2)))
+    count = sum(len(rows) for rows in hour.values())
+    peaks = []
+    for hours in (1, 4):
+        path = str(tmp_path / f"{hours}h.bin")
+        j = journal.Journal(path)
+        for _ in range(hours):
+            j.append(hour, count)
+            j.ack_through(j.total_rows)
+        j.append(batch(2), 2)  # two rows left pending
+        j.close()
+        tracemalloc.start()
+        try:
+            j = journal.Journal(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [i for i, _, _ in j.pending_rows()] == [hours * count, hours * count + 1]
+        j.close()
+    assert peaks[1] <= 1.3 * peaks[0], peaks
 
 
 def test_ack_watermark_rules(tmp_path):

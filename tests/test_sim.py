@@ -1,5 +1,6 @@
 import random
 import sqlite3
+import tracemalloc
 
 import pytest
 
@@ -201,6 +202,101 @@ def test_verify_storage_sorts_generated_rows_by_natural_key():
     swapped = [dict(rows[0], hpa=1.0), dict(rows[1], hpa=2.0), *rows[2:]]
     with pytest.raises(VerificationFailed, match=r"pressure\[1\]"):
         verify_storage(st, sid, {"pressure": swapped})
+
+
+CHUNK = storage._ROWS_PER_READ  # rows verify_storage reads back at a time
+BT = [{"ts": TS, "device_id": "kb", "rssi": -9}]
+
+
+def _pressure(n, skip=()):
+    return [{"ts": TS + i, "hpa": 1000.0 + i} for i in range(n) if i not in skip]
+
+
+def _stored(streams):
+    st = storage.open_storage("memory")
+    sid = st.upsert_session("c" * 32, TS, bytes(16))
+    st.write_rows(sid, streams)
+    return st, sid
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, 2 * CHUNK, 2 * CHUNK + 5])
+def test_verify_storage_passes_honest_copies_across_chunks(n):
+    rows = _pressure(n)
+    st, sid = _stored({"pressure": rows, "bt": BT})
+    verify_storage(st, sid, {"bt": BT, "pressure": rows[::-1]})  # out of key order
+
+
+@pytest.mark.parametrize("i", [CHUNK - 1, CHUNK, CHUNK + 7, 2 * CHUNK + 4])
+def test_verify_storage_names_a_changed_field_by_its_index_in_the_stream(i):
+    rows = _pressure(2 * CHUNK + 5)
+    st, sid = _stored({"pressure": rows})
+    tampered = [dict(row) for row in rows]
+    tampered[i]["hpa"] += 0.5
+    message = (f"pressure[{i}]: stored {rows[i]!r} != generated "
+               f"{codec.canonical_json(tampered[i]).decode()}")
+    with pytest.raises(VerificationFailed) as failed:
+        verify_storage(st, sid, {"pressure": tampered})
+    assert str(failed.value) == message
+
+
+def test_verify_storage_counts_a_row_missing_at_a_chunk_boundary():
+    n = 2 * CHUNK + 5
+    for missing in (CHUNK - 1, CHUNK):
+        st, sid = _stored({"pressure": _pressure(n, skip={missing})})
+        with pytest.raises(VerificationFailed,
+                           match=rf"^pressure: {n - 1} stored rows, {n} generated$"):
+            verify_storage(st, sid, {"pressure": _pressure(n)})
+        # a row stored past the end makes the counts equal: the rows from the
+        # missing one on are one off, and the first of them is named
+        extra = {"ts": TS + n, "hpa": 1000.0 + n}
+        st.write_rows(sid, {"pressure": [extra]})
+        with pytest.raises(VerificationFailed, match=rf"^pressure\[{missing}\]: stored "):
+            verify_storage(st, sid, {"pressure": _pressure(n)})
+
+
+def test_verify_storage_counts_an_extra_row_at_a_chunk_boundary():
+    n = 2 * CHUNK
+    extra = {"ts": TS + CHUNK - 1, "ms": 500, "hpa": 0.5}  # between rows CHUNK-1 and CHUNK
+    st, sid = _stored({"pressure": [*_pressure(n), extra]})
+    with pytest.raises(VerificationFailed,
+                       match=rf"^pressure: {n + 1} stored rows, {n} generated$"):
+        verify_storage(st, sid, {"pressure": _pressure(n)})
+    # with one more row generated the counts are equal and the extra row is named
+    with pytest.raises(VerificationFailed, match=rf"^pressure\[{CHUNK}\]: stored "):
+        verify_storage(st, sid, {"pressure": _pressure(n + 1)})
+
+
+@pytest.mark.parametrize("stored, generated, authenticated, message", [
+    ({"pressure": _pressure(3), "bt": BT}, {"pressure": _pressure(3)}, True,
+     "stream sets differ: ['pressure'] vs ['bt', 'pressure']"),
+    ({"pressure": _pressure(3)}, {"pressure": _pressure(3), "bt": BT}, True,
+     "stream sets differ: ['bt', 'pressure'] vs ['pressure']"),
+    # a session that never authenticated has no session id
+    ({"pressure": _pressure(3)}, {"pressure": _pressure(3)}, False,
+     "stream sets differ: ['pressure'] vs []"),
+], ids=["only-stored", "only-generated", "no-session"])
+def test_verify_storage_compares_stream_sets(stored, generated, authenticated, message):
+    st, sid = _stored(stored)
+    with pytest.raises(VerificationFailed) as failed:
+        verify_storage(st, sid if authenticated else None, generated)
+    assert str(failed.value) == message
+
+
+def test_verify_storage_memory_does_not_grow_with_the_session():
+    # the stored rows are read back a chunk at a time: four hours peak within
+    # 1.3x of one, where reading them all at once peaked at about 4x
+    peaks = []
+    for hours in (1, 4):
+        generated = generate_session(WorkloadConfig(duration_s=3600 * hours, seed=3))
+        st, sid = _stored(generated)
+        tracemalloc.start()
+        try:
+            verify_storage(st, sid, generated)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+            st.close()
+    assert peaks[1] <= 1.3 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------
