@@ -300,7 +300,7 @@ def verify_storage(storage, session_id: int, generated: dict[str, list[dict]]):
     the same slice of the generated rows, so only one chunk of stored rows
     is held at a time. A differing row is named by its index in the whole
     stream."""
-    counts = storage.session_row_counts(session_id)
+    counts = {stream: n for stream, (n, _) in storage.session_tally(session_id).items()}
     if sorted(generated) != sorted(counts):
         raise VerificationFailed(
             f"stream sets differ: {sorted(generated)} vs {sorted(counts)}")
@@ -327,6 +327,11 @@ def verify_storage(storage, session_id: int, generated: dict[str, list[dict]]):
 
 @dataclass
 class ExperimentReport:
+    """What one ``run_experiment`` measured. The storage figures
+    (``rows_stored``, ``duplicate_rows``, ``stored_bytes``,
+    ``storage_rate_bps``) count the run's own session only, whatever else
+    the storage holds, and are 0 if the session never authenticated."""
+
     rows_generated: int = 0
     rows_stored: int = 0
     rows_failed: int = 0
@@ -389,7 +394,9 @@ def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
     time, the way a live recorder does.  data_channel, when given, applies
     to the data-port directions only (channel then covers the handshake).
     storage is a storage object, left open, or an ``open_storage`` selector
-    (None is "memory"), whose storage is closed before returning.
+    (None is "memory"), whose storage is closed before returning. The
+    report's storage figures belong to this run's session, so runs may share
+    one storage.
     """
     if mode not in ("batch", "realtime"):
         raise ValueError("mode must be 'batch' or 'realtime'")
@@ -475,8 +482,9 @@ def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
         loop.run(until_idle=lambda: pending_enqueues[0] == 0 and session.is_done())
         report_in = session.report()
 
-        stats = storage.storage_stats()
-        stored_rows = stats["total_rows"]
+        tally = storage.session_tally(session.session_id)  # none if never authenticated
+        stored_rows = sum(n for n, _ in tally.values())
+        stored_bytes = sum(total for _, total in tally.values())
         report = ExperimentReport(
             rows_generated=rows_generated,
             rows_stored=stored_rows,
@@ -494,8 +502,8 @@ def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
             json_bytes=report_in.json_bytes,
             wire_bytes=report_in.wire_bytes,
             wire_bytes_total=report_in.wire_bytes_total,
-            stored_bytes=stats["total_logical_bytes"],
-            storage_rate_bps=stats["total_logical_bytes"] / workload.duration_s,
+            stored_bytes=stored_bytes,
+            storage_rate_bps=stored_bytes / workload.duration_s,
             compression_ratio=(report_in.wire_bytes / report_in.json_bytes
                                if report_in.json_bytes else 0.0),
             delivery_ratio=(report_in.delivered_rows / rows_generated
@@ -507,10 +515,6 @@ def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
         )
         if verify:
             verify_storage(storage, session.session_id, generated)
-            expected_rows = rows_generated
-            if stored_rows != expected_rows:
-                raise VerificationFailed(
-                    f"{stored_rows} rows stored, {expected_rows} generated")
             report.verified = True
         report.duplicate_rows = max(0, stored_rows - rows_generated)
         report.wall_time_s = round(time.monotonic() - started, 3)

@@ -28,7 +28,9 @@ the last row read, a row-value comparison that the primary key's index
 serves (https://www.sqlite.org/rowvalue.html, SQLite 3.15 and later). No
 statement or lock is held between lists, so a reader holds one list of rows
 at a time; ``read_session_rows`` drains them all under the lock, one
-snapshot. A failing SQLite call of ``upsert_session``,
+snapshot. One tally counts each stream's rows and logical bytes, of a
+session (``session_tally``) or of the whole store (``storage_stats``).
+A failing SQLite call of ``upsert_session``,
 ``lookup_session_key`` or ``write_rows`` raises :class:`StorageError`.
 Schema rules:
 
@@ -40,7 +42,11 @@ Schema rules:
   partial stored count refers to
 * accel/gyro/mag rows pack one second of samples each, as 16-bit triplets
 * wifi rows intern their (mac, essid) pair into a shared auxiliary table
-  and store only the surrogate ap_id
+  and store only the surrogate ap_id. ``write_rows`` interns inside its
+  own transaction: it looks up each distinct pair of the batch in the
+  order the pair first appears, and inserts it if it is missing, so a
+  rollback takes the new access points with it and nothing outside
+  SQLite holds an ap_id
 * the users table is written only through the auth path (upsert_session)
   and is never exposed by row reads or stats
 """
@@ -60,7 +66,6 @@ from . import codec
 from .codec import MOTION_STREAMS, STREAM_SPECS, write_order
 
 SCHEMA_VERSION = 1
-_AP_CACHE_LIMIT = 100_000  # interned access points SqliteStorage remembers
 # rows one multi-row INSERT stores: at most 64 x 10 (gps) = 640 parameters, under
 # the 999 that SQLite builds before 3.32 allow a statement
 _ROWS_PER_INSERT = 64
@@ -111,12 +116,16 @@ def _key(spec: codec.StreamSpec) -> tuple[str, ...]:
             "ts", "ms", "idx")
 
 
-def _stream_rows(sid: int, spec: codec.StreamSpec) -> tuple[str, tuple]:
-    """The WHERE clause, and its arguments, that picks one stream of a
-    session from the stream's row table."""
+def _stream_rows(spec: codec.StreamSpec, *session: int | None) -> tuple[str, tuple]:
+    """The WHERE clause, and its arguments, that picks one stream from the
+    stream's row table: of the session given, or of the whole store if none
+    is. A session id of None (a client that never authenticated) picks no
+    row, as SQL's ``NULL`` equals nothing."""
+    terms = ["session_id=?"] * len(session)
     if spec.name in MOTION_STREAMS:
-        return "session_id=? AND stream=?", (sid, spec.name)
-    return "session_id=?", (sid,)
+        terms.append("stream=?")
+        session += (spec.name,)
+    return " AND ".join(terms) or "1", session
 
 
 def _table_sql(spec: codec.StreamSpec) -> str:
@@ -178,10 +187,6 @@ class SqliteStorage:
 
     def __init__(self, path: str):
         self._lock = threading.RLock()
-        self._path = path
-        # (mac, essid) -> ap_id; forgotten on ROLLBACK, where SQLite may hand a
-        # rolled-back ap_id to the next access point
-        self._ap_ids: dict[tuple[str, str], int] = {}
         try:
             self._db = sqlite3.connect(path, check_same_thread=False, isolation_level=None)
         except sqlite3.Error as exc:
@@ -266,24 +271,6 @@ class SqliteStorage:
                 "SELECT key FROM sessions WHERE session_id=?", (session_id,)).fetchone()
         return None if row is None else bytes(row[0])
 
-    def intern_auxiliary(self, mac: str, essid: str) -> int:
-        with self._lock:
-            ap_id = self._ap_ids.get((mac, essid))
-            if ap_id is not None:
-                return ap_id
-            row = self._db.execute(
-                "SELECT ap_id FROM access_points WHERE mac=? AND essid=?",
-                (mac, essid)).fetchone()
-            if row is not None:
-                ap_id = row[0]
-            else:
-                ap_id = self._db.execute(
-                    "INSERT INTO access_points(mac, essid) VALUES(?,?)", (mac, essid)).lastrowid
-            if len(self._ap_ids) >= _AP_CACHE_LIMIT:
-                self._ap_ids.clear()
-            self._ap_ids[(mac, essid)] = ap_id
-            return ap_id
-
     @_storage_errors
     def write_rows(self, session_id: int, streams: dict[str, list[dict]]) -> int:
         """Store a batch of rows as received, in one transaction, and return
@@ -307,16 +294,20 @@ class SqliteStorage:
                 self._db.execute("COMMIT")
                 return codec.batch_row_count(streams)
             except BaseException:
-                self._ap_ids.clear()
                 self._db.execute("ROLLBACK")
                 raise
 
     def _params(self, sid: int, stream: str, values: list[tuple]):
-        """The INSERT parameters of one stream's checked rows."""
+        """The INSERT parameters of one stream's checked rows, inside the
+        write's transaction."""
         if stream == "wifi":  # interned in row order, so each ap_id keeps its value
-            ap_ids = self._ap_ids
-            return [(sid, ts, ms, idx, ap if not isinstance(ap, tuple)
-                     else ap_ids.get(ap) or self.intern_auxiliary(*ap), rssi)
+            ap_ids = dict.fromkeys(ap for _, _, _, ap, _ in values if isinstance(ap, tuple))
+            for pair in ap_ids:
+                row = self._db.execute(
+                    "SELECT ap_id FROM access_points WHERE mac=? AND essid=?", pair).fetchone()
+                ap_ids[pair] = row[0] if row is not None else self._db.execute(
+                    "INSERT INTO access_points(mac, essid) VALUES(?,?)", pair).lastrowid
+            return [(sid, ts, ms, idx, ap_ids.get(ap, ap), rssi)
                     for ts, ms, idx, ap, rssi in values]
         head = (sid, stream) if stream in MOTION_STREAMS else (sid,)
         return map(head.__add__, values)
@@ -346,24 +337,31 @@ class SqliteStorage:
                 return
             after = codec.natural_key(chunk[-1])
 
-    def session_row_counts(self, session_id: int) -> dict[str, int]:
-        """The number of stored rows of each stream a session has rows in."""
-        counts = {}
+    def session_tally(self, session_id: int | None) -> dict[str, tuple[int, int]]:
+        """The stored rows and logical bytes of each stream a session has rows
+        in; none for a session id of None."""
+        return self._tally(session_id)
+
+    def _tally(self, *session: int | None) -> dict[str, tuple[int, int]]:
+        """The stored rows and logical bytes (see codec.StreamSpec) of each
+        stream with rows, of the session given or of the whole store."""
+        tally = {}
         with self._lock:
             for spec in STREAM_SPECS.values():
-                where, args = _stream_rows(session_id, spec)
-                n = self._db.execute(f"SELECT COUNT(*) FROM {spec.table} WHERE {where}",
-                                     args).fetchone()[0]
+                where, args = _stream_rows(spec, *session)
+                n, total = self._db.execute(
+                    f"SELECT COUNT(*), {_logical_bytes_sql(spec)} FROM {spec.table} "
+                    f"WHERE {where}", args).fetchone()
                 if n:
-                    counts[spec.name] = n
-        return counts
+                    tally[spec.name] = n, int(total)
+        return tally
 
     def _read_stream(self, sid: int, spec: codec.StreamSpec,
                      after: tuple[int, int, int] | None) -> list[dict]:
         """At most ``_ROWS_PER_READ`` rows of a stream of a session, in
         natural-key order, those after the natural key ``after`` if given."""
         columns, source = spec.columns, spec.table
-        where, args = _stream_rows(sid, spec)
+        where, args = _stream_rows(spec, sid)
         if after is not None:  # a row value, which the primary key's index serves
             where, args = f"{where} AND (ts, ms, idx) > (?, ?, ?)", (*args, *after)
         if spec.name == "wifi":
@@ -383,19 +381,12 @@ class SqliteStorage:
         return shaped
 
     def storage_stats(self) -> dict:
-        rows: dict[str, int] = {}
-        logical: dict[str, int] = {}
-        with self._lock:
-            for spec in STREAM_SPECS.values():
-                where = " WHERE stream=?" if spec.name in MOTION_STREAMS else ""
-                n, total = self._db.execute(
-                    f"SELECT COUNT(*), {_logical_bytes_sql(spec)} FROM {spec.table}{where}",
-                    (spec.name,) if where else ()).fetchone()
-                if n:
-                    rows[spec.name] = n
-                    logical[spec.name] = int(total)
+        with self._lock:  # one snapshot
+            tally = self._tally()
             sessions = self._db.execute("SELECT COUNT(*) FROM sessions").fetchone()[0]
             aps = self._db.execute("SELECT COUNT(*) FROM access_points").fetchone()[0]
+        rows = {stream: n for stream, (n, _) in tally.items()}
+        logical = {stream: total for stream, (_, total) in tally.items()}
         return {
             "sessions": sessions,
             "access_points": aps,

@@ -589,6 +589,14 @@ class _StorageOracle:
             out.setdefault(stream, []).append(row)
         return out
 
+    def session_tally(self, sid: int) -> dict[str, tuple[int, int]]:
+        tally: dict[str, tuple[int, int]] = {}
+        for (row_sid, stream, *_), fields in self.rows.items():
+            if row_sid == sid:
+                n, total = tally.get(stream, (0, 0))
+                tally[stream] = n + 1, total + logical_row_bytes(stream, fields)
+        return tally
+
     def storage_stats(self) -> dict:
         rows: dict[str, int] = {}
         logical: dict[str, int] = {}
@@ -628,7 +636,17 @@ def test_sqlite_storage_matches_dict_model(writes):
             assert sql.write_rows(sid, received) == model.write_rows(sid, streams)
         for sid in sids:
             assert sql.read_session_rows(sid) == model.read_session_rows(sid)
-        assert sql.storage_stats() == model.storage_stats()
+        stats = sql.storage_stats()
+        assert stats == model.storage_stats()
+        summed: dict[str, tuple[int, int]] = {}
+        for sid in sids:  # each session's tally, and all of them add up to the store's
+            tally = sql.session_tally(sid)
+            assert tally == model.session_tally(sid)
+            for stream, (n, total) in tally.items():
+                rows, logical = summed.get(stream, (0, 0))
+                summed[stream] = rows + n, logical + total
+        assert summed == {stream: (n, stats["logical_bytes"][stream])
+                          for stream, n in stats["rows"].items()}
     finally:
         sql.close()
 

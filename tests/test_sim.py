@@ -362,6 +362,27 @@ def test_benchmark_hour_counters_are_pinned(test_keypair):
     assert report.verified
 
 
+def test_runs_sharing_a_storage_report_their_own_session(test_keypair):
+    # two sessions (two start times) on one storage, and each on fresh storage
+    workloads = [WorkloadConfig(duration_s=30, seed=4, start_ts=TS + 3600 * n)
+                 for n in range(2)]
+    channel = ChannelConfig(latency_ms=20, seed=2)
+
+    def run(workload, store):
+        d = run_experiment(workload, channel, keypair=test_keypair, storage=store).to_dict()
+        d.pop("wall_time_s")
+        return d
+
+    fresh = [run(workload, None) for workload in workloads]
+    shared = storage.open_storage("memory")
+    try:
+        assert [run(workload, shared) for workload in workloads] == fresh
+        assert shared.storage_stats()["total_rows"] == sum(d["rows_stored"] for d in fresh)
+    finally:
+        shared.close()
+    assert all(d["verified"] and d["duplicate_rows"] == 0 for d in fresh)
+
+
 def test_duplicating_channel_stores_no_duplicates(test_keypair):
     report = run_experiment(
         WorkloadConfig(duration_s=60, seed=8),

@@ -287,25 +287,35 @@ def test_wifi_interning_shares_ids(store):
     assert back[2]["ap_id"] != back[0]["ap_id"]
 
 
-def test_intern_auxiliary_idempotent(store):
-    a = store.intern_auxiliary("mac1", "net")
-    assert store.intern_auxiliary("mac1", "net") == a
-    assert store.intern_auxiliary("mac1", "other") != a
+def test_write_rows_interns_each_pair_once(store):
+    sid = new_session(store)
+    row = {"ts": TS, "mac": "mac1", "essid": "net", "rssi": -50}
+    store.write_rows(sid, {"wifi": [row, dict(row, ts=TS + 1)]})
+    store.write_rows(sid, {"wifi": [dict(row, ts=TS + 2), dict(row, ts=TS + 3, essid="other")]})
+    back = store.read_session_rows(sid)["wifi"]
+    assert [(r["ap_id"], r["essid"]) for r in back] == [(1, "net")] * 3 + [(2, "other")]
+    assert store.storage_stats()["access_points"] == 2
 
 
 def test_concurrent_interning_single_id(store):
-    out = [[] for _ in range(4)]
+    # each thread writes its own session's rows, all naming one new pair
+    sids = [new_session(store, tag) for tag in "abcd"]
+    row = {"mac": "aa:bb", "essid": "shared", "rssi": -50}
 
-    def worker(slot):
-        for _ in range(100):
-            out[slot].append(store.intern_auxiliary("aa:bb", "shared"))
+    def worker(sid):
+        for i in range(25):
+            store.write_rows(sid, {"wifi": [dict(row, ts=TS + i)]})
 
-    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+    threads = [threading.Thread(target=worker, args=(sid,)) for sid in sids]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert len({i for chunk in out for i in chunk}) == 1
+    assert store.storage_stats()["access_points"] == 1
+    for sid in sids:
+        back = store.read_session_rows(sid)["wifi"]
+        assert len(back) == 25
+        assert {(r["ap_id"], r["mac"], r["essid"]) for r in back} == {(1, "aa:bb", "shared")}
 
 
 def test_ap_ids_shared_across_sessions(store):
@@ -371,7 +381,6 @@ def test_sqlite_ap_cache_forgets_ids_a_rollback_inside_a_chunk_gave_back(tmp_pat
     with pytest.raises(storage.StorageError) as failed:
         st.write_rows(sid, {"wifi": wifi, **pressure_rows(r + 1)})
     assert isinstance(failed.value.__cause__, sqlite3.IntegrityError)
-    assert st._ap_ids == {}
     assert st.storage_stats()["total_rows"] == st.storage_stats()["access_points"] == 0
     st.write_rows(sid, {"wifi": [{"ts": TS + 1, "rssi": -60, "mac": "n1", "essid": "two"}]})
     st.write_rows(sid, {"wifi": [{"ts": TS + 2, "rssi": -70, "mac": "m0", "essid": "one"}]})
@@ -387,14 +396,46 @@ def test_sqlite_ap_cache_forgets_ids_a_rollback_inside_a_chunk_gave_back(tmp_pat
     assert orphans == 0
 
 
-def test_sqlite_ap_cache_stays_bounded(tmp_path, monkeypatch):
-    monkeypatch.setattr(storage, "_AP_CACHE_LIMIT", 3)
-    st = storage.SqliteStorage(str(tmp_path / "t.db"))
-    pairs = [(f"m{i}", "net") for i in range(10)]
-    ids = [st.intern_auxiliary(*pair) for pair in pairs]
-    assert len(st._ap_ids) <= 3
-    assert [st.intern_auxiliary(*pair) for pair in pairs] == ids == list(range(1, 11))
-    st.close()
+def test_storages_over_one_file_intern_alike_after_a_rollback(tmp_path):
+    """A write of one storage object rolls back after interning a pair;
+    then both objects over the file write that pair and a new one."""
+    path = str(tmp_path / "t.db")
+    first, second = storage.SqliteStorage(path), storage.SqliteStorage(path)
+    try:
+        sids = [new_session(first, "a"), new_session(second, "b")]
+        db = sqlite3.connect(path)
+        db.execute("CREATE TRIGGER refuse BEFORE INSERT ON wifi_rows WHEN NEW.rssi = -1 "
+                   "BEGIN SELECT RAISE(ABORT, 'refused'); END")
+        db.close()
+        with pytest.raises(storage.StorageError):
+            first.write_rows(sids[0], {"wifi": [
+                {"ts": TS, "rssi": -50, "mac": "m1", "essid": "one"},
+                {"ts": TS + 9, "rssi": -1, "mac": "m1", "essid": "one"}]})
+        written = {}
+        for st, sid, new in ((second, sids[1], "m2"), (first, sids[0], "m3")):
+            written[sid] = [("m1", "one"), (new, "two")]
+            st.write_rows(sid, {"wifi": [
+                {"ts": TS + i, "rssi": -60, "mac": mac, "essid": essid}
+                for i, (mac, essid) in enumerate(written[sid])]})
+        ap_ids = {}
+        for st in (first, second):
+            for sid in sids:
+                back = st.read_session_rows(sid)["wifi"]
+                assert [(r["mac"], r["essid"]) for r in back] == written[sid]
+                for r in back:
+                    assert ap_ids.setdefault((r["mac"], r["essid"]), r["ap_id"]) == r["ap_id"]
+        assert sorted(ap_ids.values()) == [1, 2, 3]
+        assert first.storage_stats()["access_points"] == 3
+    finally:
+        first.close()
+        second.close()
+    db = sqlite3.connect(path)
+    try:
+        orphans = db.execute("SELECT COUNT(*) FROM wifi_rows WHERE ap_id NOT IN "
+                             "(SELECT ap_id FROM access_points)").fetchone()[0]
+    finally:
+        db.close()
+    assert orphans == 0
 
 
 def test_logical_row_bytes_constants():
