@@ -310,7 +310,8 @@ def test_concurrent_interning_single_id(store):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+        assert not t.is_alive()
     assert store.storage_stats()["access_points"] == 1
     for sid in sids:
         back = store.read_session_rows(sid)["wifi"]
