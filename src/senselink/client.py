@@ -25,9 +25,15 @@ Reliability rules:
   packet is acknowledged
 * a new packet takes whole runs from the front of the buffer and splits at
   most one, where a bisection of its row ends finds the JSON budget
-* retransmission uses exponential backoff and re-emits identical bytes,
-  unless the key or session id changed since the packet was sealed, in
-  which case the kept payload is re-sealed under the current values
+* one retry timer serves handshakes and data packets alike: one not
+  answered by its deadline is sent again, its timeout growing by
+  ``BACKOFF_FACTOR`` from ``BASE_TIMEOUT`` up to ``MAX_TIMEOUT``; after
+  ``MAX_RETRIES`` retries it is given up (a data packet's rows count as
+  failed; the last handshake given up before a session id arrives fails
+  the session)
+* a retransmission re-emits identical bytes, unless the key or session id
+  changed since the packet was sealed, in which case the kept payload is
+  re-sealed under the current values
 * feedback reporting stored < sent releases the stored prefix (server-side
   write order: stream name, then batch order) and re-enqueues the shortfall
   at the front of the buffer under a fresh sequence number; released rows
@@ -52,7 +58,7 @@ import time
 from array import array
 from bisect import bisect, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import add, attrgetter, itemgetter
 
 from . import codec, crypto
@@ -171,10 +177,6 @@ class OutstandingPacket:
     retries: int = 0
     next_retry_at: float = 0.0
 
-    @property
-    def json_size(self) -> int:
-        return len(self.payload)
-
 
 @dataclass(frozen=True)
 class AckResult:
@@ -238,8 +240,9 @@ class ClientSession:
         self._released: list[tuple[int, int]] = []
         self._watermark = self.journal.watermark
         self._failed_rows = 0
+        # a count DeliveryReport reports is kept under its field name
         self.counters = {
-            "rows_enqueued": 0, "rows_delivered": 0, "rows_reenqueued": 0,
+            "rows_enqueued": 0, "delivered_rows": 0, "rows_reenqueued": 0,
             "packets_sent": 0, "retransmissions": 0, "packets_failed": 0,
             "auth_sent": 0, "auth_responses": 0, "auth_ignored": 0,
             "feedback_received": 0, "feedback_ignored": 0,
@@ -273,6 +276,26 @@ class ClientSession:
         self._buffer.append(run)
         self._buffered_bytes += run.size
 
+    def _count_sent(self, kind: str, blob: bytes) -> tuple[str, bytes]:
+        """Count one handshake or data packet handed to the transport."""
+        self.counters["auth_sent" if kind == AUTH else "packets_sent"] += 1
+        self.counters["wire_bytes_total"] += len(blob)
+        return (kind, blob)
+
+    def _due(self, entries: dict, now: float, give_up):
+        """The entries of a dict (seq to pending handshake or packet) whose
+        retry timer has expired, each re-armed for its next retry; an entry
+        out of retries goes to ``give_up``, which removes it."""
+        for entry in list(entries.values()):
+            if now < entry.next_retry_at:
+                continue
+            if entry.retries >= MAX_RETRIES:
+                give_up(entry)
+                continue
+            entry.retries += 1
+            entry.next_retry_at = now + self._timeout_after(entry.retries)
+            yield entry
+
     # -- handshake ----------------------------------------------------------
 
     def _make_auth(self, now: float, key: bytes, identifiers: dict | None) -> tuple[str, bytes]:
@@ -283,9 +306,7 @@ class ClientSession:
         self._pending_auths[seq] = PendingAuth(
             seq=seq, key=key, identifiers=identifiers, blob=blob,
             next_retry_at=now + self._timeout_after(0))
-        self.counters["auth_sent"] += 1
-        self.counters["wire_bytes_total"] += len(blob)
-        return (AUTH, blob)
+        return self._count_sent(AUTH, blob)
 
     def begin(self, now: float = 0.0) -> list[tuple[str, bytes]]:
         """First authentication request; generates the session key."""
@@ -349,13 +370,22 @@ class ClientSession:
         return self.authenticated and bool(self._buffer) and len(self._flight) < self.window
 
     def pump(self, now: float, max_new: int | None = None) -> list[tuple[str, bytes]]:
-        """Due retransmissions, then new data packets until the window is
-        full or ``max_new`` are encoded; each new packet's retry timer starts
-        at ``now``."""
-        out: list[tuple[str, bytes]] = []
-        self._pump_auth(now, out)
+        """Due handshake retries, due data retries in flight order (each
+        followed by a re-auth every ``AUTH_REFRESH_EVERY`` retries), then new
+        data packets until the window is full or ``max_new`` are encoded;
+        each new packet's retry timer starts at ``now``."""
+        out = [self._count_sent(AUTH, pending.blob)
+               for pending in self._due(self._pending_auths, now, self._give_up_auth)]
         if self.authenticated:
-            self._pump_retries(now, out)
+            for pkt in self._due(self._flight, now, self._fail_packet):
+                if pkt.key_used != self.key or pkt.session_id_used != self.session_id:
+                    pkt.blob = codec.seal_data_payload(self.session_id, pkt.payload, self.key)
+                    pkt.key_used = self.key
+                    pkt.session_id_used = self.session_id
+                out.append(self._count_sent(DATA, pkt.blob))
+                self.counters["retransmissions"] += 1
+                if not self._pending_auths and pkt.retries % AUTH_REFRESH_EVERY == 0:
+                    out.append(self._make_auth(now, self.key, self.identifiers))
             new = 0
             while self.can_send_new and (max_new is None or new < max_new):
                 out.append(self._send_new_packet(now))
@@ -364,40 +394,10 @@ class ClientSession:
                                             len(self._flight))
         return out
 
-    def _pump_auth(self, now: float, out: list):
-        for pending in list(self._pending_auths.values()):
-            if now < pending.next_retry_at:
-                continue
-            if pending.retries >= MAX_RETRIES:
-                del self._pending_auths[pending.seq]
-                if not self.authenticated and not self._pending_auths:
-                    self.auth_failed = True
-                continue
-            pending.retries += 1
-            pending.next_retry_at = now + self._timeout_after(pending.retries)
-            out.append((AUTH, pending.blob))
-            self.counters["auth_sent"] += 1
-            self.counters["wire_bytes_total"] += len(pending.blob)
-
-    def _pump_retries(self, now: float, out: list):
-        for pkt in list(self._flight.values()):
-            if now < pkt.next_retry_at:
-                continue
-            if pkt.retries >= MAX_RETRIES:
-                self._fail_packet(pkt)
-                continue
-            if pkt.key_used != self.key or pkt.session_id_used != self.session_id:
-                pkt.blob = codec.seal_data_payload(self.session_id, pkt.payload, self.key)
-                pkt.key_used = self.key
-                pkt.session_id_used = self.session_id
-            pkt.retries += 1
-            pkt.next_retry_at = now + self._timeout_after(pkt.retries)
-            out.append((DATA, pkt.blob))
-            self.counters["retransmissions"] += 1
-            self.counters["packets_sent"] += 1
-            self.counters["wire_bytes_total"] += len(pkt.blob)
-            if not self._pending_auths and pkt.retries % AUTH_REFRESH_EVERY == 0:
-                out.append(self._make_auth(now, self.key, self.identifiers))
+    def _give_up_auth(self, pending: PendingAuth):
+        del self._pending_auths[pending.seq]
+        if not self.authenticated and not self._pending_auths:
+            self.auth_failed = True
 
     def _rows_in_budget(self) -> int:
         """How many rows from the front of the buffer a new packet takes: the
@@ -453,11 +453,9 @@ class ClientSession:
             key_used=self.key, session_id_used=self.session_id,
             first_sent_at=now, next_retry_at=now + self._timeout_after(0))
         self._flight[seq] = pkt
-        self.counters["packets_sent"] += 1
         self.counters["json_bytes"] += len(payload)
         self.counters["wire_bytes"] += len(blob)
-        self.counters["wire_bytes_total"] += len(blob)
-        return (DATA, blob)
+        return self._count_sent(DATA, blob)
 
     def _fail_packet(self, pkt: OutstandingPacket):
         del self._flight[pkt.seq]
@@ -488,7 +486,7 @@ class ClientSession:
                 shortfall.append(run.tail(n) if n else run)
         if self._watermark > self.journal.watermark:
             self.journal.ack_through(self._watermark)
-        self.counters["rows_delivered"] += stored
+        self.counters["delivered_rows"] += stored
         if shortfall:
             shortfall.sort(key=attrgetter("start"))
             self._buffer.extendleft(reversed(shortfall))
@@ -545,21 +543,17 @@ class ClientSession:
         return min(times) if times else None
 
     def report(self) -> DeliveryReport:
-        c = self.counters
+        """The counters DeliveryReport names, and the rows failed and
+        pending: once authentication has failed, every row not delivered."""
         pending = (sum(map(len, self._buffer))
                    + sum(p.row_count for p in self._flight.values()))
         failed = self._failed_rows
         if self.auth_failed:
             failed += pending
             pending = 0
-        return DeliveryReport(
-            delivered_rows=c["rows_delivered"], failed_rows=failed,
-            pending_rows=pending, retransmissions=c["retransmissions"],
-            packets_sent=c["packets_sent"], packets_failed=c["packets_failed"],
-            auth_sent=c["auth_sent"], auth_responses=c["auth_responses"],
-            feedback_received=c["feedback_received"], json_bytes=c["json_bytes"],
-            wire_bytes=c["wire_bytes"], wire_bytes_total=c["wire_bytes_total"],
-            max_inflight=c["max_inflight"])
+        counts = {f.name: self.counters[f.name] for f in fields(DeliveryReport)
+                  if f.name in self.counters}
+        return DeliveryReport(failed_rows=failed, pending_rows=pending, **counts)
 
 
 # ---------------------------------------------------------------------------

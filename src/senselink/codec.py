@@ -701,10 +701,16 @@ def encode_auth_response(resp: AuthResponse, key: bytes, *, iv: bytes | None = N
     return _U32.pack(resp.seq) + crypto.sym_encrypt(key, compress(serialize_payload(resp)), iv=iv)
 
 
-def decode_auth_response(blob: bytes, key: bytes) -> AuthResponse:
+def peek_u32(blob: bytes) -> int:
+    """The 4-byte plaintext prefix of a sealed blob (seq or session_id) as an
+    unsigned int; a blob of 4 bytes or fewer holds no ciphertext."""
     if len(blob) <= 4:
-        raise MalformedPayload("auth response too short")
-    seq = _U32.unpack_from(blob)[0]
+        raise MalformedPayload("blob too short to hold a prefix and ciphertext")
+    return _U32.unpack_from(blob)[0]
+
+
+def decode_auth_response(blob: bytes, key: bytes) -> AuthResponse:
+    seq = peek_u32(blob)
     resp = deserialize_payload(decompress(crypto.sym_decrypt(key, blob[4:])), AuthResponse)
     if resp.seq != seq:
         raise MalformedPayload("payload seq does not match prefix")
@@ -741,9 +747,7 @@ def encode_data_packet(pkt: DataPacket, key: bytes, *, iv: bytes | None = None) 
 def decode_data_packet(blob: bytes, key_lookup: Callable[[int], bytes | None]) -> DataPacket:
     """Decrypt and parse a data packet. Its rows stay as received: storage
     checks them as it builds their parameters (``StreamSpec.rows_params``)."""
-    if len(blob) <= 4:
-        raise MalformedPayload("data packet too short")
-    session_id = _U32.unpack_from(blob)[0]
+    session_id = peek_u32(blob)
     key = key_lookup(session_id)
     if key is None:
         raise UnknownSession(f"no key for session {session_id}")
@@ -759,18 +763,9 @@ def encode_feedback(fb: FeedbackPacket, key: bytes, *, iv: bytes | None = None) 
 
 
 def decode_feedback(blob: bytes, key: bytes) -> FeedbackPacket:
-    if len(blob) <= 4:
-        raise MalformedPayload("feedback packet too short")
-    session_id = _U32.unpack_from(blob)[0]
+    session_id = peek_u32(blob)
     fb = deserialize_payload(decompress(crypto.sym_decrypt(key, blob[4:])), FeedbackPacket)
     return FeedbackPacket(session_id=session_id, seq=fb.seq, stored=fb.stored)
-
-
-def peek_u32(blob: bytes) -> int:
-    """First 4 wire bytes as an unsigned int (seq or session_id prefix)."""
-    if len(blob) < 4:
-        raise MalformedPayload("blob shorter than 4 bytes")
-    return _U32.unpack_from(blob)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 
 from . import codec, crypto
-from .client import AUTH, DATA, DEFAULT_WINDOW, ClientSession
+from .client import AUTH, DATA, DEFAULT_WINDOW, ClientSession, DeliveryReport
 from .server import IngestCore
 from .storage import open_storage
 
@@ -99,15 +99,11 @@ class _Direction:
         self._rng = rng
         self._cfg = cfg
         self._deliver = deliver
-        self.sent = 0
         self.delivered = 0
         self.dropped = 0
         self.duplicated = 0
-        self.bytes_sent = 0
 
     def send(self, blob: bytes):
-        self.sent += 1
-        self.bytes_sent += len(blob)
         copies = 1
         if self._rng.random() < self._cfg.duplicate_prob:
             copies = 2
@@ -327,7 +323,11 @@ def verify_storage(storage, session_id: int, generated: dict[str, list[dict]]):
 
 @dataclass
 class ExperimentReport:
-    """What one ``run_experiment`` measured. The storage figures
+    """What one ``run_experiment`` measured. The client's counts
+    (``retransmissions``, ``packets_sent``, ``feedback_received``,
+    ``auth_sent``, ``auth_responses``, ``json_bytes``, ``wire_bytes``,
+    ``wire_bytes_total``) are the fields of its ``DeliveryReport`` of the
+    same names, the ones ``upload`` prints. The storage figures
     (``rows_stored``, ``duplicate_rows``, ``stored_bytes``,
     ``storage_rate_bps``) count the run's own session only, whatever else
     the storage holds, and are 0 if the session never authenticated."""
@@ -366,19 +366,9 @@ class ExperimentReport:
         return [f"{k.ljust(width)}  {v}" for k, v in d.items()]
 
 
-class _ServerBox:
-    """Replaceable ingest core around durable storage: a restart throws the
-    core and its counters away, the storage object survives."""
-
-    def __init__(self, private_key, storage):
-        self._private = private_key
-        self.storage = storage
-        self.restarts = 0
-        self.core = IngestCore(private_key, storage)
-
-    def restart(self):
-        self.core = IngestCore(self._private, self.storage)
-        self.restarts += 1
+# the counts an ExperimentReport takes by name from the client's DeliveryReport
+_CLIENT_COUNTS = ({f.name for f in fields(ExperimentReport)}
+                  & {f.name for f in fields(DeliveryReport)})
 
 
 def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
@@ -412,7 +402,8 @@ def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
 
         loop = EventLoop()
         rng = random.Random(channel.seed)
-        box = _ServerBox(keypair.private_part, storage)
+        core = IngestCore(keypair.private_part, storage)
+        restarts = 0
         session = ClientSession(crypto.hash_user(DEFAULT_EMAIL), workload.start_ts,
                                 keypair.public_part, window=window,
                                 **(client_options or {}))
@@ -421,14 +412,16 @@ def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
         arrivals = itertools.count(1)
 
         def on_auth_arrival(blob: bytes):
-            resp = box.core.handle_auth_packet(blob)
+            resp = core.handle_auth_packet(blob)
             if resp is not None:
                 s2c_auth.send(resp)
 
         def on_data_arrival(blob: bytes):
-            if next(arrivals) in restart_set:
-                box.restart()
-            resp = box.core.handle_data_packet(blob)
+            nonlocal core, restarts
+            if next(arrivals) in restart_set:  # the core and its counters go, storage stays
+                core = IngestCore(keypair.private_part, storage)
+                restarts += 1
+            resp = core.handle_data_packet(blob)
             if resp is not None:
                 s2c_data.send(resp)
 
@@ -490,18 +483,10 @@ def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
             rows_stored=stored_rows,
             rows_failed=report_in.failed_rows + report_in.pending_rows,
             duplicate_rows=0,
-            retransmissions=report_in.retransmissions,
-            packets_sent=report_in.packets_sent,
             packets_lost=(c2s_auth.dropped + c2s_data.dropped
                           + s2c_auth.dropped + s2c_data.dropped),
             packets_duplicated=(c2s_auth.duplicated + c2s_data.duplicated
                                 + s2c_auth.duplicated + s2c_data.duplicated),
-            feedback_received=report_in.feedback_received,
-            auth_sent=report_in.auth_sent,
-            auth_responses=report_in.auth_responses,
-            json_bytes=report_in.json_bytes,
-            wire_bytes=report_in.wire_bytes,
-            wire_bytes_total=report_in.wire_bytes_total,
             stored_bytes=stored_bytes,
             storage_rate_bps=stored_bytes / workload.duration_s,
             compression_ratio=(report_in.wire_bytes / report_in.json_bytes
@@ -510,8 +495,9 @@ def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
                             if rows_generated else 1.0),
             throughput_rows_s=(report_in.delivered_rows / loop.now if loop.now else 0.0),
             virtual_time_s=loop.now,
-            restarts=box.restarts,
+            restarts=restarts,
             window=window,
+            **{name: getattr(report_in, name) for name in _CLIENT_COUNTS},
         )
         if verify:
             verify_storage(storage, session.session_id, generated)

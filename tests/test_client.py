@@ -318,7 +318,7 @@ def test_duplicate_feedback_is_noop(test_keypair, core):
     reply = core.handle_data_packet(blob)
     assert session.handle_wire(DATA, reply, 1.1) is not None
     assert session.handle_wire(DATA, reply, 1.2) is None
-    assert session.counters["rows_delivered"] == 4
+    assert session.counters["delivered_rows"] == 4
     assert session.counters["feedback_ignored"] == 1
 
 
@@ -329,7 +329,7 @@ def test_feedback_for_wrong_session_ignored(test_keypair, core):
     session.pump(1.0)
     forged = codec.FeedbackPacket(session_id=session.session_id + 1, seq=2, stored=2)
     assert session.handle_feedback(forged) is None
-    assert session.counters["rows_delivered"] == 0
+    assert session.counters["delivered_rows"] == 0
 
 
 def test_partial_store_reenqueues_shortfall_first(test_keypair, core, j):

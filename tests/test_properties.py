@@ -99,8 +99,8 @@ def test_client_json_size_is_the_payload_length(test_keypair, batch, seq_gap):
             streams.setdefault(stream, []).append(by_index[index])
         payload = codec.decompress(crypto.sym_decrypt(session.key, pkt.blob[4:]))
         assert payload == codec.canonical_json({"seq": pkt.seq, "streams": streams})
-        assert pkt.json_size == len(payload)
-    assert session.counters["json_bytes"] == sum(p.json_size for p in session._flight.values())
+        assert pkt.payload == payload  # the kept payload is what was sealed
+    assert session.counters["json_bytes"] == sum(len(p.payload) for p in session._flight.values())
 
 
 # rounds of: batches to enqueue; a budget the JSON of the next k buffered

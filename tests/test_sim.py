@@ -1,6 +1,7 @@
 import random
 import sqlite3
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
@@ -354,12 +355,25 @@ def test_benchmark_hour_counters_are_pinned(test_keypair):
         ChannelConfig(loss_prob=0.2, latency_ms=100.0, jitter_ms=20.0, seed=5),
         keypair=test_keypair, mode="realtime", restart_at=(5, 20, 40, 60, 80))
     counters = ("packets_sent", "retransmissions", "packets_lost", "feedback_received",
-                "auth_sent", "auth_responses", "json_bytes", "rows_stored", "rows_failed")
+                "auth_sent", "auth_responses", "json_bytes", "rows_stored", "rows_failed",
+                "restarts", "stored_bytes", "packets_duplicated", "duplicate_rows",
+                "delivery_ratio")
     assert {name: getattr(report, name) for name in counters} == {
         "packets_sent": 1113, "retransmissions": 393, "packets_lost": 397,
         "feedback_received": 720, "auth_sent": 16, "auth_responses": 12,
-        "json_bytes": 1961176, "rows_stored": 19626, "rows_failed": 0}
+        "json_bytes": 1961176, "rows_stored": 19626, "rows_failed": 0,
+        "restarts": 5, "stored_bytes": 514955, "packets_duplicated": 0,
+        "duplicate_rows": 0, "delivery_ratio": 1.0}
     assert report.verified
+
+
+def test_experiment_report_shares_the_client_counts_by_name():
+    # run_experiment copies these DeliveryReport fields by name: a field
+    # renamed on either side would drop out of simulate's report unnoticed
+    shared = ({f.name for f in fields(ExperimentReport)}
+              & {f.name for f in fields(client.DeliveryReport)})
+    assert shared == {"retransmissions", "packets_sent", "feedback_received", "auth_sent",
+                      "auth_responses", "json_bytes", "wire_bytes", "wire_bytes_total"}
 
 
 def test_runs_sharing_a_storage_report_their_own_session(test_keypair):
