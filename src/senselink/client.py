@@ -196,6 +196,9 @@ class DeliveryReport:
     auth_sent: int
     auth_responses: int
     feedback_received: int
+    auth_ignored: int
+    feedback_ignored: int
+    rows_reenqueued: int
     json_bytes: int
     wire_bytes: int
     wire_bytes_total: int
@@ -242,7 +245,7 @@ class ClientSession:
         self._failed_rows = 0
         # a count DeliveryReport reports is kept under its field name
         self.counters = {
-            "rows_enqueued": 0, "delivered_rows": 0, "rows_reenqueued": 0,
+            "delivered_rows": 0, "rows_reenqueued": 0,
             "packets_sent": 0, "retransmissions": 0, "packets_failed": 0,
             "auth_sent": 0, "auth_responses": 0, "auth_ignored": 0,
             "feedback_received": 0, "feedback_ignored": 0,
@@ -359,7 +362,6 @@ class ClientSession:
             index += len(run)
             if run:
                 self._buffer_run(run)
-        self.counters["rows_enqueued"] += count
         return count
 
     # -- transmission -------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 from . import codec, crypto
 from .client import AUTH, DATA, DEFAULT_WINDOW, ClientSession, DeliveryReport
 from .server import IngestCore
-from .storage import open_storage
+from .storage import open_storage, row_dict
 
 DEFAULT_EMAIL = "unit@example.org"
 MAX_VIRTUAL_S = 36_000.0  # hard stop for runaway retransmission loops
@@ -172,11 +172,10 @@ def _motion_rows(rng: random.Random, cfg: WorkloadConfig, hz: int, phase: float)
         for i in range(hz):
             angle = 2.0 * math.pi * 0.2 * (t + i / hz) + phase
             base = int(2048 * math.sin(angle))
-            samples.append([
-                max(-32768, min(32767, base + rng.randrange(-64, 65))),
-                max(-32768, min(32767, -base // 2 + rng.randrange(-64, 65))),
-                max(-32768, min(32767, 1000 + rng.randrange(-64, 65))),
-            ])
+            # every value is within 2048 + 64 of zero, so it fits 16 bits
+            samples.append([base + rng.randrange(-64, 65),
+                            -base // 2 + rng.randrange(-64, 65),
+                            1000 + rng.randrange(-64, 65)])
         rows.append({"ts": cfg.start_ts + t, "samples": samples, "rate": rate})
     return rows
 
@@ -217,7 +216,8 @@ def generate_session(cfg: WorkloadConfig) -> dict[str, list[dict]]:
         # dominate the scans, the tail shows up rarely
         pool = [(f"02:00:00:00:{i >> 8:02x}:{i & 0xff:02x}",
                  "" if i % 9 == 8 else f"net-{i}") for i in range(cfg.wifi_ap_pool)]
-        weights = [1.0 / (rank + 1) ** 1.2 for rank in range(cfg.wifi_ap_pool)]
+        cum_weights = list(itertools.accumulate(
+            1.0 / (rank + 1) ** 1.2 for rank in range(cfg.wifi_ap_pool)))
         rows = []
         t = rng.uniform(cfg.wifi_scan_min_s, cfg.wifi_scan_max_s)
         while t < cfg.duration_s:
@@ -225,7 +225,7 @@ def generate_session(cfg: WorkloadConfig) -> dict[str, list[dict]]:
             ms = rng.randrange(1000)
             seen: set[int] = set()
             for idx in range(cfg.wifi_aps_per_scan):
-                choice = rng.choices(range(cfg.wifi_ap_pool), weights)[0]
+                choice = rng.choices(range(cfg.wifi_ap_pool), cum_weights=cum_weights)[0]
                 while choice in seen:
                     choice = (choice + 1) % cfg.wifi_ap_pool
                 seen.add(choice)
@@ -286,16 +286,19 @@ def generate_session(cfg: WorkloadConfig) -> dict[str, list[dict]]:
 
 
 def verify_storage(storage, session_id: int, generated: dict[str, list[dict]]):
-    """Byte-field equality between generated rows and stored rows: each
-    stream's stored rows serialize to the canonical JSON of its generated
-    rows (``StreamSpec.rows_json``) in natural-key order.
+    """Field equality between generated rows and stored rows, compared in
+    the form SQLite holds them: each stream's stored rows, in natural-key
+    order, equal the INSERT parameters of its generated rows
+    (``StreamSpec.rows_params``) in that order.
 
     The stream sets and each stream's row count are compared first. Then
     the stored rows are read back a chunk at a time
     (``SqliteStorage.read_stream_chunks``), and each chunk is compared with
-    the same slice of the generated rows, so only one chunk of stored rows
-    is held at a time. A differing row is named by its index in the whole
-    stream."""
+    the parameters of the same slice of the generated rows, so only one
+    chunk of each is held at a time. Generated rows are compared in the
+    order given; only a stream that differs and is out of natural-key order
+    is sorted and compared again. A differing row is named by its index in
+    the whole stream and printed as ``storage.row_dict`` shapes it."""
     counts = {stream: n for stream, (n, _) in storage.session_tally(session_id).items()}
     if sorted(generated) != sorted(counts):
         raise VerificationFailed(
@@ -304,17 +307,31 @@ def verify_storage(storage, session_id: int, generated: dict[str, list[dict]]):
         if counts[stream] != len(rows):
             raise VerificationFailed(
                 f"{stream}: {counts[stream]} stored rows, {len(rows)} generated")
-        spec, rows, start = codec.STREAM_SPECS[stream], sorted(rows, key=codec.natural_key), 0
-        for got in storage.read_stream_chunks(session_id, stream):
-            for row in got:
-                row.pop("ap_id", None)  # surrogate id, not a client-visible field
-            want = spec.rows_json(rows[start:start + len(got)])
-            if codec.canonical_json(got) != b"[" + b",".join(want) + b"]":
-                for i, (w, g) in enumerate(zip(want, got), start):  # the first that differs
-                    if codec.canonical_json(g) != w:
-                        raise VerificationFailed(
-                            f"{stream}[{i}]: stored {g!r} != generated {w.decode()}")
-            start += len(got)
+        differs = _first_difference(storage, session_id, stream, rows)
+        if differs is not None and not all(
+                a <= b for a, b in itertools.pairwise(map(codec.natural_key, rows))):
+            rows = sorted(rows, key=codec.natural_key)
+            differs = _first_difference(storage, session_id, stream, rows)
+        if differs is not None:
+            i, stored = differs
+            raise VerificationFailed(
+                f"{stream}[{i}]: stored {row_dict(stream, stored)!r} != generated "
+                f"{codec.STREAM_SPECS[stream].row_json(rows[i]).decode()}")
+
+
+def _first_difference(storage, session_id: int, stream: str,
+                      rows: list[dict]) -> tuple[int, tuple] | None:
+    """The index and the stored row of the first stored row of a stream
+    that differs from the row params of rows at its index, or None."""
+    spec, start = codec.STREAM_SPECS[stream], 0
+    for got in storage.read_stream_chunks(session_id, stream):
+        want = spec.rows_params(rows[start:start + len(got)])
+        if got != want:
+            for i, (w, g) in enumerate(zip(want, got), start):
+                if w != g:
+                    return i, g
+        start += len(got)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +342,8 @@ def verify_storage(storage, session_id: int, generated: dict[str, list[dict]]):
 class ExperimentReport:
     """What one ``run_experiment`` measured. The client's counts
     (``retransmissions``, ``packets_sent``, ``feedback_received``,
-    ``auth_sent``, ``auth_responses``, ``json_bytes``, ``wire_bytes``,
+    ``feedback_ignored``, ``auth_sent``, ``auth_responses``,
+    ``auth_ignored``, ``rows_reenqueued``, ``json_bytes``, ``wire_bytes``,
     ``wire_bytes_total``) are the fields of its ``DeliveryReport`` of the
     same names, the ones ``upload`` prints. The storage figures
     (``rows_stored``, ``duplicate_rows``, ``stored_bytes``,
@@ -341,8 +359,11 @@ class ExperimentReport:
     packets_lost: int = 0
     packets_duplicated: int = 0
     feedback_received: int = 0
+    feedback_ignored: int = 0
     auth_sent: int = 0
     auth_responses: int = 0
+    auth_ignored: int = 0
+    rows_reenqueued: int = 0
     json_bytes: int = 0
     wire_bytes: int = 0        # unique data packets, client to server
     wire_bytes_total: int = 0  # everything the client transmitted

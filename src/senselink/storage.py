@@ -27,11 +27,17 @@ each from its own keyset query that resumes after the ``(ts, ms, idx)`` of
 the last row read, a row-value comparison that the primary key's index
 serves (https://www.sqlite.org/rowvalue.html, SQLite 3.15 and later). No
 statement or lock is held between lists, so a reader holds one list of rows
-at a time; ``read_session_rows`` drains them all under the lock, one
-snapshot. One tally counts each stream's rows and logical bytes, of a
-session (``session_tally``) or of the whole store (``storage_stats``).
-A failing SQLite call of ``upsert_session``,
-``lookup_session_key`` or ``write_rows`` raises :class:`StorageError`.
+at a time. A row is read in the form it is stored, the tuple
+``StreamSpec.rows_params`` gives the row as sent (a wifi row's ap_id joined
+back to its ``(mac, essid)`` pair), so the simulator compares stored and
+generated rows chunk by chunk without writing either as JSON.
+``read_session_rows`` drains every stream under one hold of the lock, one
+snapshot, and shapes each row with ``row_dict``, the one place a stored row
+becomes a dict of the fields a client sends. One tally counts each
+stream's rows and logical bytes, of a session (``session_tally``) or of the
+whole store (``storage_stats``). A failing SQLite call of
+``upsert_session``, ``lookup_session_key`` or ``write_rows`` raises
+:class:`StorageError`.
 Schema rules:
 
 * every row is timestamped in unix seconds; asynchronous sensors add a
@@ -107,6 +113,26 @@ def _identifiers_text(identifiers: dict | None) -> str | None:
 def _unpack_samples(blob: bytes) -> list[list[int]]:
     flat = struct.unpack(f"<{len(blob) // 2}h", blob)
     return [list(flat[i:i + 3]) for i in range(0, len(flat), 3)]
+
+
+def row_dict(stream: str, stored: tuple) -> dict:
+    """A stored row as ``read_stream_chunks`` reads it, as a dict of the
+    fields a client sends: less an absent ms or idx (stored as -1 and 0),
+    an optional field left out (NULL) and a motion row's sample count, with
+    the samples unpacked, and a wifi row's access point as its mac and
+    essid, or as its ap_id if no access point has it."""
+    names = ("ts", "ms", "idx", *STREAM_SPECS[stream].columns)
+    row = {name: value for name, value in zip(names, stored) if value is not None}
+    if row["ms"] == -1:
+        del row["ms"]
+    if not row["idx"]:
+        del row["idx"]
+    if stream in MOTION_STREAMS:
+        del row["n"]
+        row["samples"] = _unpack_samples(row["samples"])
+    elif isinstance(row.get("ap_id"), tuple):
+        row["mac"], row["essid"] = row.pop("ap_id")
+    return row
 
 
 def _key(spec: codec.StreamSpec) -> tuple[str, ...]:
@@ -313,20 +339,32 @@ class SqliteStorage:
         return map(head.__add__, values)
 
     def read_session_rows(self, session_id: int) -> dict[str, list[dict]]:
-        """Every stored row of a session, per stream, in natural-key order,
-        read under one hold of the lock, so no write lands between streams."""
+        """Every stored row of a session, per stream, in natural-key order, as
+        ``row_dict`` shapes it, a wifi row that names its access point with
+        the access point's ``ap_id`` too; read under one hold of the lock, so
+        no write lands between streams."""
         out: dict[str, list[dict]] = {}
         with self._lock:
+            ap_ids = {(mac, essid): ap_id for ap_id, mac, essid in
+                      self._db.execute("SELECT ap_id, mac, essid FROM access_points")}
             for stream in STREAM_SPECS:
-                rows = [row for chunk in self.read_stream_chunks(session_id, stream)
-                        for row in chunk]
+                rows = [row_dict(stream, row)
+                        for chunk in self.read_stream_chunks(session_id, stream) for row in chunk]
+                for row in rows:  # only a wifi row that names an access point has a mac
+                    if "mac" in row:
+                        row["ap_id"] = ap_ids[row["mac"], row["essid"]]
                 if rows:
                     out[stream] = rows
         return out
 
-    def read_stream_chunks(self, session_id: int, stream: str) -> Iterator[list[dict]]:
+    def read_stream_chunks(self, session_id: int, stream: str) -> Iterator[list[tuple]]:
         """The stored rows of one stream of a session in natural-key order, as
-        lists of at most ``_ROWS_PER_READ`` rows, one keyset query each."""
+        lists of at most ``_ROWS_PER_READ`` rows, one keyset query each. A row
+        is read as it is stored: ``(ts, ms, idx, *spec.columns)``, an absent
+        ms as -1 and an absent idx as 0, so it equals what
+        ``StreamSpec.rows_params`` gives the row as sent. A wifi row's ap_id
+        reads as its access point's ``(mac, essid)`` pair, and as the ap_id
+        itself if no access point has it."""
         spec, after = STREAM_SPECS[stream], None
         while True:
             with self._lock:
@@ -335,7 +373,7 @@ class SqliteStorage:
                 yield chunk
             if len(chunk) < _ROWS_PER_READ:
                 return
-            after = codec.natural_key(chunk[-1])
+            after = chunk[-1][:3]
 
     def session_tally(self, session_id: int | None) -> dict[str, tuple[int, int]]:
         """The stored rows and logical bytes of each stream a session has rows
@@ -357,9 +395,10 @@ class SqliteStorage:
         return tally
 
     def _read_stream(self, sid: int, spec: codec.StreamSpec,
-                     after: tuple[int, int, int] | None) -> list[dict]:
-        """At most ``_ROWS_PER_READ`` rows of a stream of a session, in
-        natural-key order, those after the natural key ``after`` if given."""
+                     after: tuple[int, int, int] | None) -> list[tuple]:
+        """At most ``_ROWS_PER_READ`` stored rows of a stream of a session
+        (see ``read_stream_chunks``), in natural-key order, those after the
+        natural key ``after`` if given."""
         columns, source = spec.columns, spec.table
         where, args = _stream_rows(spec, sid)
         if after is not None:  # a row value, which the primary key's index serves
@@ -367,18 +406,13 @@ class SqliteStorage:
         if spec.name == "wifi":
             columns += ("mac", "essid")
             source += " LEFT JOIN access_points USING (ap_id)"
-        # absent ms and idx are stored as -1 and 0 (see codec.natural_key)
-        query = (f"SELECT ts, NULLIF(ms, -1), NULLIF(idx, 0), {', '.join(columns)} "
-                 f"FROM {source} WHERE {where} ORDER BY ts, ms, idx LIMIT {_ROWS_PER_READ}")
-        names = ("ts", "ms", "idx", *columns)
-        # a NULL is a field the row left out, or the pair of an ap_id never interned
-        shaped = [{name: value for name, value in zip(names, values) if value is not None}
-                  for values in self._db.execute(query, args)]
-        if spec.name in MOTION_STREAMS:
-            for row in shaped:
-                del row["n"]
-                row["samples"] = _unpack_samples(row["samples"])
-        return shaped
+        rows = self._db.execute(
+            f"SELECT ts, ms, idx, {', '.join(columns)} FROM {source} WHERE {where} "
+            f"ORDER BY ts, ms, idx LIMIT {_ROWS_PER_READ}", args).fetchall()
+        if spec.name == "wifi":  # mac is NULL only for an ap_id no access point has
+            return [(ts, ms, idx, ap_id if mac is None else (mac, essid), rssi)
+                    for ts, ms, idx, ap_id, rssi, mac, essid in rows]
+        return rows
 
     def storage_stats(self) -> dict:
         with self._lock:  # one snapshot

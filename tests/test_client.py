@@ -725,7 +725,10 @@ def test_buffer_limit(test_keypair, monkeypatch):
     session = make_session(test_keypair)
     with pytest.raises(BufferFull):
         session.enqueue_rows(pressure_batch(10))
-    assert session.counters["rows_enqueued"] == 0
+    assert session.report().pending_rows == 0
+    # under a limit it fits, the same batch is taken whole: its count is all that is pending
+    monkeypatch.setattr(client, "BUFFER_LIMIT_BYTES", 10_000)
+    assert session.enqueue_rows(pressure_batch(10)) == session.report().pending_rows == 10
 
 
 def test_unknown_stream_enqueue_rejected(test_keypair):
@@ -741,8 +744,10 @@ def test_enqueue_keeps_nothing_of_a_batch_with_a_bad_row(test_keypair, tmp_path)
     bad["pressure"][2]["hpa"] = float("nan")
     with pytest.raises(codec.MalformedPayload):
         session.enqueue_rows({**bad, "bt": [{"ts": TS, "device_id": "kb", "rssi": -9}]})
-    assert (j.total_rows, session.counters["rows_enqueued"], session._buffered_bytes) == (0, 0, 0)
+    assert (j.total_rows, session._buffered_bytes) == (0, 0)
     assert not session._buffer
+    assert session.enqueue_rows(pressure_batch(2)) == j.total_rows == 2
+    assert session.report().pending_rows == 2
     j.close()
 
 

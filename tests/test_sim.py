@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 import sqlite3
 import tracemalloc
@@ -145,6 +147,20 @@ def test_generate_session_is_deterministic():
     assert a != c
 
 
+@pytest.mark.parametrize("cfg, digest", [
+    (WorkloadConfig(seed=5),
+     "ec505ce0e0265d2e83489b9de0ee56f29269331dd0805e28582c0a7a6ba32e15"),
+    (WorkloadConfig(duration_s=600, seed=5, gyro_hz=50, mag_hz=50, obd_hz=12),
+     "7023ef43f051f80eaa55d94edc097ac63d61fb80b69e8e5adcd287e4f4b72a59"),
+    (WorkloadConfig(duration_s=600, seed=5, wifi_ap_pool=200),
+     "772a2c2de140863c67257e7b77448a023428e6bc1580bdfda193002db3dde777"),
+], ids=["default-hour", "fast-motion-obd", "wifi-pool-200"])
+def test_generate_session_output_is_pinned(cfg, digest):
+    # every row of the generator, as canonical JSON: a change to the draws,
+    # their order or their rounding moves the digest
+    assert hashlib.sha256(codec.canonical_json(generate_session(cfg))).hexdigest() == digest
+
+
 def test_generate_session_rows_pass_validation():
     rows = generate_session(WorkloadConfig(duration_s=60, seed=3, obd_hz=4))
     validated, unknown = codec.validate_streams(rows)
@@ -283,6 +299,50 @@ def test_verify_storage_compares_stream_sets(stored, generated, authenticated, m
     assert str(failed.value) == message
 
 
+CORRUPT = WorkloadConfig(duration_s=1800, seed=11)
+
+
+def _next_ulp(st, where, args):
+    (lat,), = st._db.execute(f"SELECT lat FROM gps_rows WHERE {where}", args)
+    return "lat=?", (math.nextafter(lat, math.inf),)
+
+
+def _flip_sample_byte(st, where, args):
+    (blob,), = st._db.execute(f"SELECT samples FROM motion_rows WHERE {where}", args)
+    return "samples=?", (bytes([blob[0] ^ 1]) + blob[1:],)
+
+
+@pytest.mark.parametrize("stream, i, change", [
+    ("gps", CHUNK + 476, _next_ulp),
+    ("accel", CHUNK + 76, _flip_sample_byte),
+    ("wifi", 2 * CHUNK + 3, lambda st, where, args: (
+        "ap_id=(SELECT MIN(ap_id) FROM access_points WHERE ap_id != wifi_rows.ap_id)", ())),
+    ("wifi", 17, lambda st, where, args: (
+        "ap_id=(SELECT MAX(ap_id) + 1 FROM access_points)", ())),
+    ("pressure", 100, lambda st, where, args: ("ms=0", ())),  # absent, stored as -1
+    ("events", 1, lambda st, where, args: ("detail=?", ("auto marker 9",))),
+], ids=["gps-lat-ulp", "accel-sample-byte", "wifi-other-ap", "wifi-no-ap", "absent-ms-0",
+        "event-detail"])
+def test_verify_storage_names_a_corrupted_stored_column(stream, i, change):
+    generated = generate_session(CORRUPT)
+    st, sid = _stored(generated)
+    try:
+        verify_storage(st, sid, generated)  # the honest copy passes
+        spec = codec.STREAM_SPECS[stream]
+        where = "session_id=? AND ts=? AND ms=? AND idx=?"
+        args = (sid, *codec.natural_key(generated[stream][i]))
+        if stream in codec.MOTION_STREAMS:
+            where, args = f"{where} AND stream=?", (*args, stream)
+        assignment, values = change(st, where, args)
+        cur = st._db.execute(f"UPDATE {spec.table} SET {assignment} WHERE {where}",
+                             (*values, *args))
+        assert cur.rowcount == 1
+        with pytest.raises(VerificationFailed, match=rf"^{stream}\[{i}\]: stored "):
+            verify_storage(st, sid, generated)
+    finally:
+        st.close()
+
+
 def test_verify_storage_memory_does_not_grow_with_the_session():
     # the stored rows are read back a chunk at a time: four hours peak within
     # 1.3x of one, where reading them all at once peaked at about 4x
@@ -372,8 +432,9 @@ def test_experiment_report_shares_the_client_counts_by_name():
     # renamed on either side would drop out of simulate's report unnoticed
     shared = ({f.name for f in fields(ExperimentReport)}
               & {f.name for f in fields(client.DeliveryReport)})
-    assert shared == {"retransmissions", "packets_sent", "feedback_received", "auth_sent",
-                      "auth_responses", "json_bytes", "wire_bytes", "wire_bytes_total"}
+    assert shared == {"retransmissions", "packets_sent", "feedback_received", "feedback_ignored",
+                      "auth_sent", "auth_responses", "auth_ignored", "rows_reenqueued",
+                      "json_bytes", "wire_bytes", "wire_bytes_total"}
 
 
 def test_runs_sharing_a_storage_report_their_own_session(test_keypair):
