@@ -239,25 +239,28 @@ def deserialize_payload(data: bytes, expected_kind: type):
 # ---------------------------------------------------------------------------
 # the stream table: row shape, ms rule, SQLite table and logical byte cost
 
-# A field is (name, check, default, text, column, form, sql). check(value) takes the
-# field's value from a row as received and returns the value SQLite stores, or
-# raises MalformedPayload. A row that leaves out a field whose default is not
-# _REQUIRED stores the default, and its absence costs only the dict lookup:
-# check never sees it. Each check first tests the exact types JSON yields
-# (int, float, str), then falls back to the general test, so bool is refused
-# and int and float subclasses are accepted, as the plain int or float of the
-# same value. text(value) is the canonical JSON of a checked value; a row's
+# A field is (name, check, fast, default, text, column, form, sql).
+# check(value) takes the field's value from a row as received and returns the
+# value SQLite stores, or raises MalformedPayload: bool is refused, and int
+# and float subclasses are accepted, as the plain int or float of the same
+# value. A row that leaves out a field whose default is not _REQUIRED stores
+# the default, and its absence costs only the dict lookup: check never sees
+# it. fast(v) is the source of an expression over the variable named v, true
+# when v holds one of the exact types JSON yields (int, float, str) and
+# passes check, which would return it unchanged; the compiled row checks
+# (StreamSpec) test it inline and call check only for a row it refuses. A
+# field whose fast is None, a motion row's samples, has check called on
+# every row. text(value) is the canonical JSON of a checked value; a row's
 # JSON leaves out each field whose checked value is its default.
 #
 # column(values) tests a non-empty column of present values at once, with
-# builtins that loop in C: it is true when every value is of that exact-type
-# fast case and passes check, which then returns each value unchanged, and
-# form, a %-format, writes each as text(value) does (text passes only when
-# no character of it needs escaping). It never raises; false sends the
-# stream's rows through check one row at a time. A field whose column is
-# None, a motion row's samples, has check mapped over its column instead,
-# and form writes text of the checked value. sql is the SQLite type of the
-# field's column, declared NOT NULL unless the default is None.
+# builtins that loop in C: it is true when every value is of the fast case,
+# and form, a %-format, writes each as text(value) does (text passes only
+# when no character of it needs escaping). It never raises; false sends the
+# stream's rows to the compiled row checks. A field whose column is None has
+# check mapped over its column instead, and form writes text of the checked
+# value. sql is the SQLite type of the field's column, declared NOT NULL
+# unless the default is None.
 
 _REQUIRED = object()  # the default of a field every row must carry
 _INF = math.inf
@@ -271,39 +274,42 @@ def _missing(name: str):
 
 def _int(name: str, lo: int = 0, hi: int = I64_MAX, *, default=_REQUIRED):
     def check(value):
-        if type(value) is int and lo <= value <= hi:
-            return value
         if value is None:
             raise _missing(name)
         if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
             raise MalformedPayload(f"row field {name!r} out of range")
         return int.__int__(value)  # the plain int, whatever the subclass prints
 
+    def fast(v):
+        return f"type({v}) is int and {lo} <= {v} <= {hi}"
+
     def column(values):
         return set(map(type, values)) == _INT and lo <= min(values) and max(values) <= hi
-    return name, check, default, repr, column, "%r", "INTEGER"
+    return name, check, fast, default, repr, column, "%r", "INTEGER"
 
 
 def _number(name: str, *, positive: bool = False):
     def check(value):
-        kind = type(value)
-        if not (kind is float and -_INF < value < _INF
-                or kind is int and I64_MIN <= value <= I64_MAX):
-            if value is None:
-                raise _missing(name)
-            if isinstance(value, float):
-                if not math.isfinite(value):
-                    raise MalformedPayload(f"row field {name!r} is not finite")
-                value = float.__float__(value)
-            elif isinstance(value, bool) or not isinstance(value, int):
-                raise MalformedPayload(f"row field {name!r} is not a number")
-            elif not I64_MIN <= value <= I64_MAX:
-                raise MalformedPayload(f"row field {name!r} out of range")
-            else:
-                value = int.__int__(value)
+        if value is None:
+            raise _missing(name)
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise MalformedPayload(f"row field {name!r} is not finite")
+            value = float.__float__(value)
+        elif isinstance(value, bool) or not isinstance(value, int):
+            raise MalformedPayload(f"row field {name!r} is not a number")
+        elif not I64_MIN <= value <= I64_MAX:
+            raise MalformedPayload(f"row field {name!r} out of range")
+        else:
+            value = int.__int__(value)
         if positive and value <= 0:
             raise MalformedPayload(f"{name} must be positive")
         return value
+
+    def fast(v):
+        return (f"(type({v}) is float and -_INF < {v} < _INF"
+                f" or type({v}) is int and {I64_MIN} <= {v} <= {I64_MAX})"
+                + (f" and {v} > 0" if positive else ""))
 
     def column(values):
         kinds = set(map(type, values))
@@ -312,13 +318,11 @@ def _number(name: str, *, positive: bool = False):
         else:
             ok = kinds == _INT and I64_MIN <= min(values) and max(values) <= I64_MAX
         return ok and (not positive or min(values) > 0)
-    return name, check, _REQUIRED, repr, column, "%r", "REAL"
+    return name, check, fast, _REQUIRED, repr, column, "%r", "REAL"
 
 
 def _text(name: str, *, allow_empty: bool = True, default=_REQUIRED):
     def check(value):
-        if type(value) is str and value.isascii() and (allow_empty or value):
-            return value
         if value is None:
             raise _missing(name)
         if not isinstance(value, str) or not (allow_empty or value):
@@ -329,13 +333,16 @@ def _text(name: str, *, allow_empty: bool = True, default=_REQUIRED):
             raise MalformedPayload(f"row field {name!r} is not valid UTF-8") from None
         return value
 
+    def fast(v):
+        return f"type({v}) is str and {v}.isascii()" + ("" if allow_empty else f" and {v} != ''")
+
     def column(values):
         if set(map(type, values)) != _STR:
             return False
         text = "".join(values)  # what JSON writes as it is, and UTF-8 holds
         return (text.isprintable() and '"' not in text and "\\" not in text
                 and (allow_empty or all(values)))
-    return name, check, default, _json_string, column, '"%s"', "TEXT"
+    return name, check, fast, default, _json_string, column, '"%s"', "TEXT"
 
 
 def _is_int16(value) -> bool:
@@ -367,16 +374,51 @@ def _samples_json(packed: bytes) -> str:
     return "[" + ("[%d,%d,%d]," * (len(flat) // 3))[:-1] % flat + "]"
 
 
-# The stream kernels pay a few microseconds a field on every call, which a
-# list of rows checked one at a time outgrows at about 16 to 24 rows (one
-# realtime packet of an hour's default streams holds 27 rows in all).
+# The list length from which rows_json writes a list with the JSON kernel
+# (_kernel_json), which pays a few microseconds a field on every call,
+# rather than with the compiled writer, which pays one call a row. Measured
+# per row on the default hour (CPython 3.11, 2 vCPUs), the writer is the
+# faster below 32 rows on every stream; the kernel overtakes it on motion
+# rows at 32 to 48 rows (by 3-5% on longer lists) and comes level with it
+# on the other streams only at thousands of rows. One realtime packet of an
+# hour's default streams holds 27 rows in all, so realtime lists take the
+# writer and a batch's long lists the kernel.
 _KERNEL_MIN_ROWS = 32
 
 
-def _kernel_takes(rows) -> bool:
-    """Whether a stream kernel takes rows: at least _KERNEL_MIN_ROWS of them,
-    all exact dicts; other lists go through the row checks one at a time."""
-    return len(rows) >= _KERNEL_MIN_ROWS and set(map(type, rows)) == _DICT
+def _fast_case(fields, returned: str) -> dict[str, list[str]]:
+    """The source lines of one row form's fast case in a compiled
+    ``row_params`` and ``row_json``, by name: they take each field's value
+    from the row, test every field's fast case in one condition and return;
+    a row that any test refuses falls through. returned is the source of
+    the tuple ``row_params`` returns, over the fields' names."""
+    tests, checked, template, args = [], [], [], []
+    for name, _, fast, default, *_ in fields:
+        if fast is None:
+            checked.append(f"{name} = check_{name}({name})")
+        elif default is _REQUIRED:
+            tests.append(fast(name))
+        else:
+            tests.append(f"({name} is None or {fast(name)})")
+            if default is not None:
+                checked.append(f"if {name} is None: {name} = {default!r}")
+    for name, _, _, default, text, *_ in sorted(fields, key=lambda field: field[0]):
+        piece, arg = (f'"{name}":%r,', name) if text is repr else (
+            f'"{name}":%s,', f"text_{name}({name})")
+        if default is _REQUIRED:
+            template.append(piece)
+            args.append(arg)
+        else:
+            template.append("%s")
+            written = "is not None" if default is None else f"!= {default!r}"
+            args.append(f"({piece!r} % ({arg},) if {name} {written} else '')")
+    template = "{" + "".join(template)[:-1] + "}"
+    tests = [f"if ({tests[0]}", *(f"        and {test}" for test in tests[1:])]
+    tests[-1] += "):"
+    head = [*(f"{name} = row.get({name!r})" for name, *_ in fields), *tests,
+            *(f"    {line}" for line in checked)]
+    return {"row_params": [*head, f"    return {returned}"],
+            "row_json": [*head, f"    return ({template!r} % ({', '.join(args)})).encode()"]}
 
 
 class StreamSpec:
@@ -396,14 +438,23 @@ class StreamSpec:
     wire but read back from storage as floats; text as valid UTF-8.
 
     ``rows_params`` and ``rows_json`` do the same for a stream's list of
-    rows. They take the values of a list of at least ``_KERNEL_MIN_ROWS``
-    rows a column at a time from ``_columns``, each field's column test
-    looping in C, and write every row's JSON with one ``%`` template or its
-    parameters with ``zip``. A shorter list, or one where any column is not
-    the exact-type fast case (a bool, an int or float subclass, a required
-    field left out, text that JSON escapes or that is not printable, a row
-    that is not a dict), goes row by row through ``row_params`` or
-    ``row_json``, so each error is the one ``row_params`` raises.
+    rows through two functions compiled at import from the stream's fields
+    (their source is ``source``). Each tests every field's fast case, its
+    exact JSON type and range (``fast`` above), inline in one frame, where
+    ``row_params`` calls a check per field and ``row_json`` walks the values
+    again, and returns the row's values or writes its JSON with one ``%``
+    template. A row outside the fast case (a bool, an int or float
+    subclass, a required field left out, text that is not ASCII, a row that
+    is not a dict) goes to ``row_params`` or ``row_json``, so every value
+    and every error is the one they give. ``rows_params`` checks lists of
+    every length this way: a realtime packet's rows pay one call a row,
+    and a batch's are checked faster than a column at a time.
+    ``rows_json`` writes a list of at least ``_KERNEL_MIN_ROWS`` rows with
+    the JSON kernel, which takes the values a column at a time from
+    ``_columns``, each field's column test looping in C, and writes every
+    row from one template; at that length it is as fast as the compiled
+    writer or faster (see ``_KERNEL_MIN_ROWS``). A list that a column test
+    refuses goes to the compiled writer row by row.
 
     A row's logical size, the unit of the storage-rate figures, is ``row_bytes``
     plus ``sample_bytes`` per motion sample plus the UTF-8 length of each
@@ -419,23 +470,55 @@ class StreamSpec:
         # every row starts with its natural key (see natural_key)
         fields = (_int("ts"), _int("ms", hi=999, default=_REQUIRED if ms_required else -1),
                   _int("idx", hi=U32_MAX, default=0)) + fields
-        self._fields = tuple((name, check, default) for name, check, default, *_ in fields)
+        self._fields = fields
         self.declarations = {name: sql if default is None else sql + " NOT NULL"
-                             for name, _, default, *_, sql in fields}
-        # the stream kernels' view: per field, in table order
+                             for name, _, _, default, *_, sql in fields}
+        # the JSON kernel's view: per field, in table order
         self._columns_of = tuple((itertools.repeat(name), check, default, column)
-                                 for name, check, default, _, column, *_ in fields)
+                                 for name, check, _, default, _, column, *_ in fields)
         # the JSON of row_params's values: per field in key order, its
         # position in them, and the default whose value is left out
         position = ("ts", "ms", "idx", *self.columns).index
         self._json_columns = tuple(layout[1:] for layout in sorted(
             (name, position(name), f'"{name}":', default, text, form, column is None)
-            for name, _, default, text, column, form, _ in fields))
+            for name, _, _, default, text, column, form, _ in fields))
         if self._json_columns[-1][2] is not _REQUIRED:
             raise ValueError("a row template ends with a field every row carries")
         self.row_bytes = row_bytes
         self.sample_bytes = sample_bytes
         self.text_bytes = text_bytes
+        self._compile()
+
+    def _forms(self) -> list[tuple[str | None, tuple, str]]:
+        """Each form a row may take, as (the source of the test that picks
+        it, None for the last, its fields, the source of what ``row_params``
+        returns for it)."""
+        return [(None, self._fields, f"({', '.join(('ts', 'ms', 'idx', *self.columns))})")]
+
+    def _compile(self):
+        """Compile the fast ``row_params`` and ``row_json`` of ``_forms``
+        (see the class docstring), built only from the stream table, the
+        way ``collections.namedtuple`` builds its classes."""
+        forms = self._forms()
+        namespace = {"_INF": _INF, "spec": self}
+        for _, fields, _ in forms:
+            for name, check, _, _, text, *_ in fields:
+                namespace[f"check_{name}"], namespace[f"text_{name}"] = check, text
+        bodies = [_fast_case(fields, returned) for _, fields, returned in forms]
+        sources = []
+        for kind in ("row_params", "row_json"):
+            lines = [f"def {kind}(row):", "    if type(row) is dict:"]
+            for i, (test, _, _) in enumerate(forms):
+                body = bodies[i][kind]
+                if len(forms) > 1:
+                    lines.append(f"        {'elif' if i else 'if'} {test}:" if test
+                                 else "        else:")
+                    body = [f"    {line}" for line in body]
+                lines += [f"        {line}" for line in body]
+            sources.append("\n".join([*lines, f"    return spec.{kind}(row)", ""]))
+        self.source = "\n".join(sources)
+        exec(self.source, namespace)
+        self._compiled_params, self._compiled_json = namespace["row_params"], namespace["row_json"]
 
     def row_params(self, row) -> tuple:
         """Check one row as received; return ``(ts, ms or -1, idx or 0,
@@ -449,7 +532,7 @@ class StreamSpec:
             raise MalformedPayload("row is not an object")
         get = row.get
         params = []
-        for name, check, default in self._fields:
+        for name, check, _, default, *_ in self._fields:
             value = get(name)
             params.append(check(value) if value is not None or default is _REQUIRED
                           else default)
@@ -477,7 +560,7 @@ class StreamSpec:
                 try:
                     values = list(map(check, values))
                 except MalformedPayload:
-                    return None  # row_params raises for the row it meets first
+                    return None  # the compiled writer raises for the row it meets first
             elif default is not _REQUIRED and (absent := values.count(None)):
                 if absent == len(values):
                     values = [default] * absent
@@ -491,19 +574,25 @@ class StreamSpec:
         return columns
 
     def rows_params(self, rows: list) -> list[tuple]:
-        """``row_params`` of each row, a column at a time where every
-        column is the fast case; raises as ``row_params`` does."""
-        columns = self._columns(rows) if _kernel_takes(rows) else None
-        if columns is None:
-            return list(map(self.row_params, rows))
-        return list(zip(*columns))
+        """``row_params`` of each row; raises as ``row_params`` does."""
+        return list(map(self._compiled_params, rows))
 
     def rows_json(self, rows: list) -> list[bytes]:
-        """``row_json`` of each row, from one template where every column is
-        the fast case; raises as ``row_params`` does."""
-        columns = self._columns(rows) if _kernel_takes(rows) else None
+        """``row_json`` of each row, from one template of the whole list
+        where it is long enough and every column is the fast case; raises as
+        ``row_params`` does."""
+        if len(rows) >= _KERNEL_MIN_ROWS and set(map(type, rows)) == _DICT:
+            written = self._kernel_json(rows)
+            if written is not None:
+                return written
+        return list(map(self._compiled_json, rows))
+
+    def _kernel_json(self, rows: list[dict]) -> list[bytes] | None:
+        """``row_json`` of each of a list of dicts, a column at a time; None
+        where a column test refuses the list."""
+        columns = self._columns(rows)
         if columns is None:
-            return list(map(self.row_json, rows))
+            return None
         template, args = [], []
         for i, key, default, text, form, mapped in self._json_columns:
             values = columns[i]
@@ -531,9 +620,13 @@ class _MotionSpec(StreamSpec):
     def __init__(self, name: str):
         super().__init__(name, "motion_rows",
                          (_number("rate", positive=True),
-                          ("samples", _samples, _REQUIRED, _samples_json, None, "%s", "BLOB")),
+                          ("samples", _samples, None, _REQUIRED, _samples_json, None, "%s",
+                           "BLOB")),
                          columns=("rate", "n", "samples"), row_bytes=8, sample_bytes=6)
         self.declarations["n"] = "INTEGER NOT NULL"
+
+    def _forms(self):
+        return [(None, self._fields, "(ts, ms, idx, rate, len(samples) // 6, samples)")]
 
     def row_params(self, row) -> tuple:
         ts, ms, idx, rate, samples = super().row_params(row)
@@ -548,15 +641,20 @@ class _MotionSpec(StreamSpec):
 
 class _WifiSpec(StreamSpec):
     """wifi: a row names its access point by ap_id or, without one, by
-    (mac, essid), which storage interns to an ap_id. The stream kernels take
-    a list of rows that all name it the same way."""
+    (mac, essid), which storage interns to an ap_id. The compiled checks
+    tell the two forms apart row by row; the JSON kernel takes a list of
+    rows that all name it by the pair, or all by ap_id."""
 
     def __init__(self):
-        super().__init__("wifi", "wifi_rows", (_int("ap_id", lo=1, hi=U32_MAX), _RSSI),
-                         row_bytes=17)
         self._by_pair = StreamSpec("wifi", "wifi_rows", (
             _text("mac", allow_empty=False), _text("essid"), _RSSI),  # hidden networks: ""
             row_bytes=17)
+        super().__init__("wifi", "wifi_rows", (_int("ap_id", lo=1, hi=U32_MAX), _RSSI),
+                         row_bytes=17)
+
+    def _forms(self):
+        return [("'ap_id' in row", self._fields, "(ts, ms, idx, ap_id, rssi)"),
+                (None, self._by_pair._fields, "(ts, ms, idx, (mac, essid), rssi)")]
 
     def row_params(self, row) -> tuple:
         if isinstance(row, dict) and "ap_id" not in row:
@@ -569,23 +667,10 @@ class _WifiSpec(StreamSpec):
             return self._by_pair.row_json(row)
         return super().row_json(row)
 
-    @staticmethod
-    def _by_pair_only(rows: list) -> bool:
-        return _kernel_takes(rows) and not any(map(dict.__contains__, rows,
-                                                itertools.repeat("ap_id")))
-
-    def rows_params(self, rows: list) -> list[tuple]:
-        if self._by_pair_only(rows):
-            columns = self._by_pair._columns(rows)
-            if columns is not None:
-                ts, ms, idx, mac, essid, rssi = columns
-                return list(zip(ts, ms, idx, zip(mac, essid), rssi))
-        return super().rows_params(rows)
-
-    def rows_json(self, rows: list) -> list[bytes]:
-        if self._by_pair_only(rows):
-            return self._by_pair.rows_json(rows)
-        return super().rows_json(rows)
+    def _kernel_json(self, rows: list[dict]) -> list[bytes] | None:
+        if any(map(dict.__contains__, rows, itertools.repeat("ap_id"))):
+            return super()._kernel_json(rows)
+        return self._by_pair._kernel_json(rows)
 
 
 _RSSI = _int("rssi", lo=-127, hi=0)

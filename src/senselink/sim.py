@@ -13,6 +13,7 @@ which is exactly the statelessness claim under test.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -165,6 +166,12 @@ class WorkloadConfig:
 
 
 def _motion_rows(rng: random.Random, cfg: WorkloadConfig, hz: int, phase: float) -> list[dict]:
+    # Each noise term is rng.randrange(-64, 65) drawn the way CPython 3.10 to
+    # 3.13 draws it (Random._randbelow_with_getrandbits): 8 random bits, drawn
+    # again while 129 or more, minus 64, without randrange's two calls.
+    # test_generate_session_output_is_pinned and
+    # test_benchmark_hour_counters_are_pinned guard the equivalence.
+    getrandbits = rng.getrandbits
     rows = []
     rate = float(hz)
     for t in range(cfg.duration_s):
@@ -172,10 +179,17 @@ def _motion_rows(rng: random.Random, cfg: WorkloadConfig, hz: int, phase: float)
         for i in range(hz):
             angle = 2.0 * math.pi * 0.2 * (t + i / hz) + phase
             base = int(2048 * math.sin(angle))
+            x = getrandbits(8)
+            while x >= 129:
+                x = getrandbits(8)
+            y = getrandbits(8)
+            while y >= 129:
+                y = getrandbits(8)
+            z = getrandbits(8)
+            while z >= 129:
+                z = getrandbits(8)
             # every value is within 2048 + 64 of zero, so it fits 16 bits
-            samples.append([base + rng.randrange(-64, 65),
-                            -base // 2 + rng.randrange(-64, 65),
-                            1000 + rng.randrange(-64, 65)])
+            samples.append([base + x - 64, -base // 2 + y - 64, 1000 + z - 64])
         rows.append({"ts": cfg.start_ts + t, "samples": samples, "rate": rate})
     return rows
 
@@ -218,6 +232,9 @@ def generate_session(cfg: WorkloadConfig) -> dict[str, list[dict]]:
                  "" if i % 9 == 8 else f"net-{i}") for i in range(cfg.wifi_ap_pool)]
         cum_weights = list(itertools.accumulate(
             1.0 / (rank + 1) ** 1.2 for rank in range(cfg.wifi_ap_pool)))
+        # rng.choices(range(pool), cum_weights=cum_weights)[0], as CPython
+        # draws it: one bisection of random() * total, without the list
+        total, last = cum_weights[-1] + 0.0, cfg.wifi_ap_pool - 1
         rows = []
         t = rng.uniform(cfg.wifi_scan_min_s, cfg.wifi_scan_max_s)
         while t < cfg.duration_s:
@@ -225,7 +242,7 @@ def generate_session(cfg: WorkloadConfig) -> dict[str, list[dict]]:
             ms = rng.randrange(1000)
             seen: set[int] = set()
             for idx in range(cfg.wifi_aps_per_scan):
-                choice = rng.choices(range(cfg.wifi_ap_pool), cum_weights=cum_weights)[0]
+                choice = bisect.bisect(cum_weights, rng.random() * total, 0, last)
                 while choice in seen:
                     choice = (choice + 1) % cfg.wifi_ap_pool
                 seen.add(choice)

@@ -4,12 +4,13 @@
 for tests and simulations (``open_storage("memory")``). The stream table in
 :mod:`senselink.codec` (``STREAM_SPECS``) defines each stream's fields, its
 row table and columns, and its logical byte cost. ``write_rows`` takes rows
-as they were received: ``StreamSpec.rows_params`` checks a stream's rows a
-column at a time and returns their INSERT parameters (``row_params``, one
-row at a time, for short lists and for any list it cannot check by column),
-admitting only values SQLite holds (signed 64-bit integers, numbers that
-read back as floats, valid UTF-8), and every row of a batch is checked
-before its transaction begins, so a malformed row writes nothing. Inside
+as they were received: ``StreamSpec.rows_params`` checks a stream's rows and
+returns their INSERT parameters, one call a row of a check compiled from
+the stream table that tests each field's exact JSON type inline and hands
+any other row to ``row_params``, the reference. It admits only values
+SQLite holds (signed 64-bit integers, numbers that read back as floats,
+valid UTF-8), and every row of a batch is checked before its transaction
+begins, so a malformed row writes nothing. Inside
 the transaction each stream's parameters go to SQLite in chunks: every full
 chunk of ``_ROWS_PER_INSERT`` rows is one execution of one multi-row
 ``INSERT OR IGNORE ... VALUES(...),(...),...`` statement, its parameters

@@ -574,12 +574,14 @@ def _drain_in_process(session, core):
 
 def test_client_path_serializes_each_row_once(test_keypair, core, monkeypatch, tmp_path):
     # a default hour goes from enqueue through the journal and every packet
-    # to storage with no validate_streams and no row through the encoder;
-    # the stream kernels check and convert every list of rows long enough for
-    # them, on both ends and in verification, without handing one back to the
-    # per-row checks
+    # to storage with no validate_streams and no row through the encoder,
+    # enqueued whole (batch) and in the simulator's realtime chunks; the
+    # compiled row checks and the JSON kernel check and convert every list
+    # of rows, long or short, on both ends and in verification, without
+    # handing one generated row to the reference row_params or row_json
     assert not hasattr(codec.StreamSpec, "normalize")
-    generated = sim.generate_session(sim.WorkloadConfig(seed=8))
+    workload = sim.WorkloadConfig(seed=8)
+    generated = sim.generate_session(workload)
     encode = json.JSONEncoder.encode  # codec._CANONICAL's and json.dumps'
 
     def tripwire(self, obj):
@@ -590,44 +592,44 @@ def test_client_path_serializes_each_row_once(test_keypair, core, monkeypatch, t
     def no_validate_streams(streams):
         raise AssertionError("validate_streams ran on the client path")
 
-    lists = []  # the length of each list a stream kernel is given, innermost last
-    taken = set()  # the kernels given a list long enough for them
+    lengths = {"rows_json": [], "rows_params": []}  # of each list given, by function
 
-    def kernel(convert):
+    def listed(convert):
         def watched(self, rows):
-            lists.append(len(rows))
-            if len(rows) >= codec._KERNEL_MIN_ROWS:
-                taken.add(convert.__name__)
-            try:
-                return convert(self, rows)
-            finally:
-                lists.pop()
+            lengths[convert.__name__].append(len(rows))
+            return convert(self, rows)
         return watched
 
-    def per_row(check):
+    def reference(check):
         def watched(self, row):
-            if lists[-1] >= codec._KERNEL_MIN_ROWS:
-                raise AssertionError(f"a list of {self.name} rows fell back to per-row checks")
-            return check(self, row)
+            raise AssertionError(f"a {self.name} row went to the reference {check.__name__}")
         return watched
 
     monkeypatch.setattr(json.JSONEncoder, "encode", tripwire)
     monkeypatch.setattr(codec, "validate_streams", no_validate_streams)
     for cls in {codec.StreamSpec, *map(type, codec.STREAM_SPECS.values())}:
-        for name, wrap in (("rows_json", kernel), ("rows_params", kernel),
-                           ("row_json", per_row), ("row_params", per_row)):
+        for name, wrap in (("rows_json", listed), ("rows_params", listed),
+                           ("row_json", reference), ("row_params", reference)):
             if name in vars(cls):
                 monkeypatch.setattr(cls, name, wrap(vars(cls)[name]))
-    j = journal.Journal(str(tmp_path / "j.bin"))
-    session = make_session(test_keypair, journal=j)
-    authenticate(session, core)
-    assert session.enqueue_rows(generated) == codec.batch_row_count(generated)
-    _drain_in_process(session, core)
-    assert session.report().delivered_rows == codec.batch_row_count(generated)
-    assert j.watermark == j.total_rows
-    j.close()
-    sim.verify_storage(core.storage, session.session_id, generated)
-    assert taken == {"rows_json", "rows_params"}
+    rows = codec.batch_row_count(generated)
+    for mode in ("batch", "realtime"):
+        j = journal.Journal(str(tmp_path / f"{mode}.bin"))
+        session = make_session(test_keypair, journal=j)
+        authenticate(session, core)
+        if mode == "batch":
+            assert session.enqueue_rows(generated) == rows
+            _drain_in_process(session, core)
+        else:
+            for _, chunk in sim.flush_chunks(generated, workload.start_ts, 5.0):
+                assert session.enqueue_rows(chunk) == codec.batch_row_count(chunk)
+                _drain_in_process(session, core)
+        assert session.report().delivered_rows == rows
+        assert j.watermark == j.total_rows
+        j.close()
+        sim.verify_storage(core.storage, session.session_id, generated)
+    for given in lengths.values():  # short lists and lists the JSON kernel takes
+        assert min(given) < codec._KERNEL_MIN_ROWS <= max(given)
 
 
 def test_default_hour_seals_each_packet_once(test_keypair, core, monkeypatch):

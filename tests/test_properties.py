@@ -9,8 +9,9 @@ from those values (``StreamSpec.row_json``) and joins a packet's payload
 from those bytes (``codec.data_payload``), as ``encode_data_packet`` does.
 Each row's bytes must be the canonical JSON of the row the reference
 validator returns, and a payload must agree byte for byte with a plain
-serialization. The stream kernels must agree with the row checks, SQLite
-storage must store and report what a dict model of it does, and the
+serialization. The list checks (the compiled row checks, and on long
+lists the JSON kernel) must agree with the row checks at every length,
+SQLite storage must store and report what a dict model of it does, and the
 ingest core must store or count as one discard every mutation of a valid
 blob, without raising.
 """
@@ -682,15 +683,17 @@ def test_validation_admits_only_what_sqlite_holds(data, stream, beyond):
 
 
 # ---------------------------------------------------------------------------
-# the stream kernels against the per-row checks they stand in for
+# the list checks (the compiled row checks and, on long lists, the JSON
+# kernel) against the reference row checks they stand in for
 
 
 def _listed(convert, rows):
-    """What converting a list of rows gives: the list, or the error message."""
+    """What converting a list of rows gives: the list, or the type and
+    message of the exception raised."""
     try:
         return convert(rows)
-    except codec.MalformedPayload as exc:
-        return "malformed", str(exc)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def _assert_kernels_match_the_row_checks(stream, rows):
@@ -702,19 +705,27 @@ def _assert_kernels_match_the_row_checks(stream, rows):
         stream, rows)
 
 
+def _among(rows, fill, size):
+    """rows in the middle of copies of fill, size rows in all."""
+    pad = size - len(rows)
+    return [fill] * (pad // 2) + rows + [fill] * (pad - pad // 2)
+
+
 def _padded(rows, fill):
-    """rows among copies of fill, enough for the stream kernels to take the list."""
-    pad = [fill] * (codec._KERNEL_MIN_ROWS - len(rows) // 2)
-    return pad + rows + pad
+    """rows among copies of fill, enough for the JSON kernel to take the list."""
+    return _among(rows, fill, 2 * codec._KERNEL_MIN_ROWS)
 
 
 def test_stream_kernels_match_the_row_checks_under_each_single_mutation():
-    # one odd row among rows of the fast case; a wifi row among rows that
-    # name their access point the other way
+    # one odd row alone, among 1-30 rows of the fast case and among enough
+    # of them for the JSON kernel; a wifi row among rows that name their
+    # access point the other way
     fast = {stream: dict(row, alt=0.5) if stream == "gps" else row  # numbers all floats
             for stream, row in _EXAMPLE_ROWS}
-    for stream, row in _single_mutations():
-        _assert_kernels_match_the_row_checks(stream, _padded([row], fast[stream]))
+    for i, (stream, row) in enumerate(_single_mutations()):
+        for rows in ([row], _among([row], fast[stream], 2 + i % (codec._KERNEL_MIN_ROWS - 2)),
+                     _padded([row], fast[stream])):
+            _assert_kernels_match_the_row_checks(stream, rows)
     for stream, row in _EXAMPLE_ROWS:
         _assert_kernels_match_the_row_checks(stream, [])
         _assert_kernels_match_the_row_checks(stream, _padded([row], fast[stream]))
@@ -722,15 +733,20 @@ def test_stream_kernels_match_the_row_checks_under_each_single_mutation():
 
 
 @settings(max_examples=600, deadline=None)
-@given(data=st.data(), stream=st.sampled_from(STREAMS), size=st.integers(1, 5))
-def test_stream_kernels_match_the_row_checks(data, stream, size):
+@given(data=st.data(), stream=st.sampled_from(STREAMS), size=st.integers(1, 5),
+       short=st.booleans())
+def test_stream_kernels_match_the_row_checks(data, stream, size, short):
     examples = [row for name, row in _EXAMPLE_ROWS if name == stream]  # wifi: both kinds
     rows = [data.draw(st.sampled_from(examples)) for _ in range(size)]
     for i in data.draw(st.lists(st.integers(0, size - 1), max_size=size)):
         rows[i] = _mutated(rows[i], data.draw(_mutations))
     if data.draw(st.integers(0, 9)) == 0:
         rows[data.draw(st.integers(0, size - 1))] = data.draw(_not_a_row)
-    _assert_kernels_match_the_row_checks(stream, _padded(rows, rows[0]))
+    if short:  # one row, or up to one fewer than the JSON kernel takes
+        rows = _among(rows, rows[0], data.draw(st.integers(size, codec._KERNEL_MIN_ROWS - 1)))
+    else:
+        rows = _padded(rows, rows[0])
+    _assert_kernels_match_the_row_checks(stream, rows)
 
 
 # ---------------------------------------------------------------------------
