@@ -18,11 +18,11 @@ Reliability rules:
   at the ``now`` of the pump that encodes it; the drain loop pumps one new
   packet at a time with a fresh ``now``, so encoding a window never expires
   the timers of packets still waiting to be sent
-* the rows of a batch are checked and serialized a stream at a time when
-  they are buffered (``StreamSpec.rows_json``); the journal record of the
-  batch and each packet's payload are joined from those bytes, a packet of
-  ``PACK_JSON_BUDGET`` is sealed once, and a payload is kept until the
-  packet is acknowledged
+* the rows of a batch are checked and serialized by the compiled
+  per-stream functions when they are buffered (``StreamSpec.rows_json``);
+  the journal record of the batch and each packet's payload are joined
+  from those bytes, a packet of ``PACK_JSON_BUDGET`` is sealed once, and a
+  payload is kept until the packet is acknowledged
 * a new packet takes whole runs from the front of the buffer and splits at
   most one, where a bisection of its row ends finds the JSON budget
 * one retry timer serves handshakes and data packets alike: one not

@@ -18,7 +18,6 @@ receivers treat all of them as "silently discard the packet".
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import struct
@@ -239,7 +238,7 @@ def deserialize_payload(data: bytes, expected_kind: type):
 # ---------------------------------------------------------------------------
 # the stream table: row shape, ms rule, SQLite table and logical byte cost
 
-# A field is (name, check, fast, default, text, column, form, sql).
+# A field is (name, check, fast, default, text, sql).
 # check(value) takes the field's value from a row as received and returns the
 # value SQLite stores, or raises MalformedPayload: bool is refused, and int
 # and float subclasses are accepted, as the plain int or float of the same
@@ -251,21 +250,13 @@ def deserialize_payload(data: bytes, expected_kind: type):
 # (StreamSpec) test it inline and call check only for a row it refuses. A
 # field whose fast is None, a motion row's samples, has check called on
 # every row. text(value) is the canonical JSON of a checked value; a row's
-# JSON leaves out each field whose checked value is its default.
-#
-# column(values) tests a non-empty column of present values at once, with
-# builtins that loop in C: it is true when every value is of the fast case,
-# and form, a %-format, writes each as text(value) does (text passes only
-# when no character of it needs escaping). It never raises; false sends the
-# stream's rows to the compiled row checks. A field whose column is None has
-# check mapped over its column instead, and form writes text of the checked
-# value. sql is the SQLite type of the field's column, declared NOT NULL
-# unless the default is None.
+# JSON leaves out each field whose checked value is its default. sql is the
+# SQLite type of the field's column, declared NOT NULL unless the default is
+# None.
 
 _REQUIRED = object()  # the default of a field every row must carry
 _INF = math.inf
 _json_string = json.encoder.encode_basestring  # strings as _CANONICAL writes them
-_INT, _FLOAT, _STR, _DICT = {int}, {float}, {str}, {dict}
 
 
 def _missing(name: str):
@@ -282,10 +273,7 @@ def _int(name: str, lo: int = 0, hi: int = I64_MAX, *, default=_REQUIRED):
 
     def fast(v):
         return f"type({v}) is int and {lo} <= {v} <= {hi}"
-
-    def column(values):
-        return set(map(type, values)) == _INT and lo <= min(values) and max(values) <= hi
-    return name, check, fast, default, repr, column, "%r", "INTEGER"
+    return name, check, fast, default, repr, "INTEGER"
 
 
 def _number(name: str, *, positive: bool = False):
@@ -310,15 +298,7 @@ def _number(name: str, *, positive: bool = False):
         return (f"(type({v}) is float and -_INF < {v} < _INF"
                 f" or type({v}) is int and {I64_MIN} <= {v} <= {I64_MAX})"
                 + (f" and {v} > 0" if positive else ""))
-
-    def column(values):
-        kinds = set(map(type, values))
-        if kinds == _FLOAT:  # an inf or a NaN anywhere makes the sum NaN or infinite
-            ok = math.isfinite(sum(values))
-        else:
-            ok = kinds == _INT and I64_MIN <= min(values) and max(values) <= I64_MAX
-        return ok and (not positive or min(values) > 0)
-    return name, check, fast, _REQUIRED, repr, column, "%r", "REAL"
+    return name, check, fast, _REQUIRED, repr, "REAL"
 
 
 def _text(name: str, *, allow_empty: bool = True, default=_REQUIRED):
@@ -335,14 +315,7 @@ def _text(name: str, *, allow_empty: bool = True, default=_REQUIRED):
 
     def fast(v):
         return f"type({v}) is str and {v}.isascii()" + ("" if allow_empty else f" and {v} != ''")
-
-    def column(values):
-        if set(map(type, values)) != _STR:
-            return False
-        text = "".join(values)  # what JSON writes as it is, and UTF-8 holds
-        return (text.isprintable() and '"' not in text and "\\" not in text
-                and (allow_empty or all(values)))
-    return name, check, fast, default, _json_string, column, '"%s"', "TEXT"
+    return name, check, fast, default, _json_string, "TEXT"
 
 
 def _is_int16(value) -> bool:
@@ -372,18 +345,6 @@ def _samples_json(packed: bytes) -> str:
     """The canonical JSON of packed samples: a list of [x, y, z] triplets."""
     flat = struct.unpack(f"<{len(packed) // 2}h", packed)
     return "[" + ("[%d,%d,%d]," * (len(flat) // 3))[:-1] % flat + "]"
-
-
-# The list length from which rows_json writes a list with the JSON kernel
-# (_kernel_json), which pays a few microseconds a field on every call,
-# rather than with the compiled writer, which pays one call a row. Measured
-# per row on the default hour (CPython 3.11, 2 vCPUs), the writer is the
-# faster below 32 rows on every stream; the kernel overtakes it on motion
-# rows at 32 to 48 rows (by 3-5% on longer lists) and comes level with it
-# on the other streams only at thousands of rows. One realtime packet of an
-# hour's default streams holds 27 rows in all, so realtime lists take the
-# writer and a batch's long lists the kernel.
-_KERNEL_MIN_ROWS = 32
 
 
 def _fast_case(fields, returned: str) -> dict[str, list[str]]:
@@ -446,15 +407,8 @@ class StreamSpec:
     template. A row outside the fast case (a bool, an int or float
     subclass, a required field left out, text that is not ASCII, a row that
     is not a dict) goes to ``row_params`` or ``row_json``, so every value
-    and every error is the one they give. ``rows_params`` checks lists of
-    every length this way: a realtime packet's rows pay one call a row,
-    and a batch's are checked faster than a column at a time.
-    ``rows_json`` writes a list of at least ``_KERNEL_MIN_ROWS`` rows with
-    the JSON kernel, which takes the values a column at a time from
-    ``_columns``, each field's column test looping in C, and writes every
-    row from one template; at that length it is as fast as the compiled
-    writer or faster (see ``_KERNEL_MIN_ROWS``). A list that a column test
-    refuses goes to the compiled writer row by row.
+    and every error is the one they give. A list of any length pays one
+    call a row.
 
     A row's logical size, the unit of the storage-rate figures, is ``row_bytes``
     plus ``sample_bytes`` per motion sample plus the UTF-8 length of each
@@ -472,16 +426,15 @@ class StreamSpec:
                   _int("idx", hi=U32_MAX, default=0)) + fields
         self._fields = fields
         self.declarations = {name: sql if default is None else sql + " NOT NULL"
-                             for name, _, _, default, *_, sql in fields}
-        # the JSON kernel's view: per field, in table order
-        self._columns_of = tuple((itertools.repeat(name), check, default, column)
-                                 for name, check, _, default, _, column, *_ in fields)
+                             for name, _, _, default, _, sql in fields}
         # the JSON of row_params's values: per field in key order, its
         # position in them, and the default whose value is left out
         position = ("ts", "ms", "idx", *self.columns).index
         self._json_columns = tuple(layout[1:] for layout in sorted(
-            (name, position(name), f'"{name}":', default, text, form, column is None)
-            for name, _, _, default, text, column, form, _ in fields))
+            (name, position(name), f'"{name}":', default, text)
+            for name, _, _, default, text, _ in fields))
+        # _fast_case trims the comma after the last field of its row
+        # template, which every row writes only for a field every row carries
         if self._json_columns[-1][2] is not _REQUIRED:
             raise ValueError("a row template ends with a field every row carries")
         self.row_bytes = row_bytes
@@ -502,7 +455,7 @@ class StreamSpec:
         forms = self._forms()
         namespace = {"_INF": _INF, "spec": self}
         for _, fields, _ in forms:
-            for name, check, _, _, text, *_ in fields:
+            for name, check, _, _, text, _ in fields:
                 namespace[f"check_{name}"], namespace[f"text_{name}"] = check, text
         bodies = [_fast_case(fields, returned) for _, fields, returned in forms]
         sources = []
@@ -543,74 +496,19 @@ class StreamSpec:
         in key order, less each value that is its field's default."""
         params = self.row_params(row)
         parts = []
-        for i, key, default, text, _, _ in self._json_columns:
+        for i, key, default, text in self._json_columns:
             value = params[i]
             if default is _REQUIRED or value != default:
                 parts.append(key + text(value))
         return ("{" + ",".join(parts) + "}").encode()
-
-    def _columns(self, rows: list[dict]) -> list[list] | None:
-        """The columns of ``row_params`` of rows, in its order, defaults
-        filled in; None unless every column test passes, which a required
-        None fails."""
-        columns = []
-        for name, check, default, column in self._columns_of:
-            values = list(map(dict.get, rows, name))
-            if column is None:
-                try:
-                    values = list(map(check, values))
-                except MalformedPayload:
-                    return None  # the compiled writer raises for the row it meets first
-            elif default is not _REQUIRED and (absent := values.count(None)):
-                if absent == len(values):
-                    values = [default] * absent
-                elif column([value for value in values if value is not None]):
-                    values = [default if value is None else value for value in values]
-                else:
-                    return None
-            elif not column(values):
-                return None
-            columns.append(values)
-        return columns
 
     def rows_params(self, rows: list) -> list[tuple]:
         """``row_params`` of each row; raises as ``row_params`` does."""
         return list(map(self._compiled_params, rows))
 
     def rows_json(self, rows: list) -> list[bytes]:
-        """``row_json`` of each row, from one template of the whole list
-        where it is long enough and every column is the fast case; raises as
-        ``row_params`` does."""
-        if len(rows) >= _KERNEL_MIN_ROWS and set(map(type, rows)) == _DICT:
-            written = self._kernel_json(rows)
-            if written is not None:
-                return written
+        """``row_json`` of each row; raises as ``row_params`` does."""
         return list(map(self._compiled_json, rows))
-
-    def _kernel_json(self, rows: list[dict]) -> list[bytes] | None:
-        """``row_json`` of each of a list of dicts, a column at a time; None
-        where a column test refuses the list."""
-        columns = self._columns(rows)
-        if columns is None:
-            return None
-        template, args = [], []
-        for i, key, default, text, form, mapped in self._json_columns:
-            values = columns[i]
-            if default is not _REQUIRED and default in values:
-                if values.count(default) == len(values):
-                    continue  # no row's value differs from the default
-                # written, with its comma, where it is not the default
-                pieces = {value: key + text(value) + "," for value in set(values) - {default}}
-                pieces[default] = ""
-                template.append("%s")
-                values = list(map(pieces.__getitem__, values))
-            else:
-                template.append(key + form + ",")
-                if mapped:
-                    values = list(map(text, values))
-            args.append(values)
-        template = "{" + "".join(template)[:-1] + "}"
-        return list(map(str.encode, map(template.__mod__, zip(*args))))
 
 
 class _MotionSpec(StreamSpec):
@@ -620,8 +518,7 @@ class _MotionSpec(StreamSpec):
     def __init__(self, name: str):
         super().__init__(name, "motion_rows",
                          (_number("rate", positive=True),
-                          ("samples", _samples, None, _REQUIRED, _samples_json, None, "%s",
-                           "BLOB")),
+                          ("samples", _samples, None, _REQUIRED, _samples_json, "BLOB")),
                          columns=("rate", "n", "samples"), row_bytes=8, sample_bytes=6)
         self.declarations["n"] = "INTEGER NOT NULL"
 
@@ -632,18 +529,11 @@ class _MotionSpec(StreamSpec):
         ts, ms, idx, rate, samples = super().row_params(row)
         return ts, ms, idx, rate, len(samples) // 6, samples  # 3 x 2 bytes a sample
 
-    def _columns(self, rows: list[dict]) -> list[list] | None:
-        columns = super()._columns(rows)
-        if columns is not None:
-            columns.insert(4, [len(packed) // 6 for packed in columns[4]])
-        return columns
-
 
 class _WifiSpec(StreamSpec):
     """wifi: a row names its access point by ap_id or, without one, by
     (mac, essid), which storage interns to an ap_id. The compiled checks
-    tell the two forms apart row by row; the JSON kernel takes a list of
-    rows that all name it by the pair, or all by ap_id."""
+    tell the two forms apart row by row."""
 
     def __init__(self):
         self._by_pair = StreamSpec("wifi", "wifi_rows", (
@@ -666,11 +556,6 @@ class _WifiSpec(StreamSpec):
         if isinstance(row, dict) and "ap_id" not in row:
             return self._by_pair.row_json(row)
         return super().row_json(row)
-
-    def _kernel_json(self, rows: list[dict]) -> list[bytes] | None:
-        if any(map(dict.__contains__, rows, itertools.repeat("ap_id"))):
-            return super()._kernel_json(rows)
-        return self._by_pair._kernel_json(rows)
 
 
 _RSSI = _int("rssi", lo=-127, hi=0)

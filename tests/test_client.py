@@ -544,7 +544,7 @@ def test_journal_resume_after_crash(test_keypair, core, tmp_path):
 
 def test_journal_replay_buffers_what_enqueue_did(test_keypair, tmp_path):
     # replayed rows come back parsed from the journal (a zero idx left out,
-    # numbers as JSON reads them) and go through the stream kernels again
+    # numbers as JSON reads them) and go through the compiled row writers again
     path = str(tmp_path / "j.bin")
     j = journal.Journal(path)
     session = make_session(test_keypair, journal=j)
@@ -576,9 +576,9 @@ def test_client_path_serializes_each_row_once(test_keypair, core, monkeypatch, t
     # a default hour goes from enqueue through the journal and every packet
     # to storage with no validate_streams and no row through the encoder,
     # enqueued whole (batch) and in the simulator's realtime chunks; the
-    # compiled row checks and the JSON kernel check and convert every list
-    # of rows, long or short, on both ends and in verification, without
-    # handing one generated row to the reference row_params or row_json
+    # compiled row checks and writers check and convert every list of rows,
+    # long or short, on both ends and in verification, without handing one
+    # generated row to the reference row_params or row_json
     assert not hasattr(codec.StreamSpec, "normalize")
     workload = sim.WorkloadConfig(seed=8)
     generated = sim.generate_session(workload)
@@ -628,8 +628,8 @@ def test_client_path_serializes_each_row_once(test_keypair, core, monkeypatch, t
         assert j.watermark == j.total_rows
         j.close()
         sim.verify_storage(core.storage, session.session_id, generated)
-    for given in lengths.values():  # short lists and lists the JSON kernel takes
-        assert min(given) < codec._KERNEL_MIN_ROWS <= max(given)
+    for given in lengths.values():  # realtime lists and a batch's long ones
+        assert min(given) < 32 <= max(given)
 
 
 def test_default_hour_seals_each_packet_once(test_keypair, core, monkeypatch):
