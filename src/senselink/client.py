@@ -46,7 +46,8 @@ Reliability rules:
 A session sets its window, journal, JSON bytes per packet and identifiers,
 and always sends ``codec.PROTOCOL_VERSION``; the retry limit, backoff,
 re-auth interval, buffer limit and packet-size limit are module constants
-(the last is ``codec.MAX_PACKET_BYTES``, which the server enforces too).
+(the last is ``codec.MAX_PACKET_BYTES``, which the server enforces too, as it
+does ``codec.MAX_DECOMPRESSED_BYTES`` on a packet's payload).
 """
 
 from __future__ import annotations
@@ -80,8 +81,10 @@ BUFFER_LIMIT_BYTES = 64 * 1024 * 1024
 # JSON bytes per data packet before compression. Motion rows, the stream
 # that compresses worst, seal to about 0.29 of their JSON, so a full packet
 # seals under MAX_PACKET_BYTES at the first try; the shrink loop in
-# _send_new_packet guards anything less compressible. The server parses a
-# whole packet at once, so its peak memory grows with this budget.
+# _send_new_packet guards anything less compressible, and a payload over
+# codec.MAX_DECOMPRESSED_BYTES, which the server would not inflate. The
+# server parses a whole packet at once, so its peak memory grows with this
+# budget.
 PACK_JSON_BUDGET = 160 * 1024
 AUTH_REFRESH_EVERY = 4  # data retries between self-healing re-auths
 CONNECT_TIMEOUT = 10.0  # seconds TcpTransport waits to connect
@@ -436,13 +439,17 @@ class ClientSession:
             for run in take:
                 row_json.setdefault(run.stream, []).append(run.data)
             payload = codec.data_payload(seq, row_json)
-            blob = codec.seal_data_payload(self.session_id, payload, self.key)
-            if len(blob) <= codec.MAX_PACKET_BYTES:
-                break
+            if len(payload) > codec.MAX_DECOMPRESSED_BYTES:  # the server would not inflate it
+                size, limit = len(payload), codec.MAX_DECOMPRESSED_BYTES
+            else:
+                blob = codec.seal_data_payload(self.session_id, payload, self.key)
+                if len(blob) <= codec.MAX_PACKET_BYTES:
+                    break
+                size, limit = len(blob), codec.MAX_PACKET_BYTES
             if count == 1:
                 raise ClientError("single row exceeds the packet size limit")
             # shrink in proportion to the overshoot, with 10% headroom
-            keep = int(count * codec.MAX_PACKET_BYTES * 0.9 // len(blob))
+            keep = int(count * limit * 0.9 // size)
             count = min(max(keep, 1), count - 1)
         for _ in take:
             run = self._buffer.popleft()

@@ -20,17 +20,23 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable
+
+import orjson
 
 from . import crypto
 from .crypto import DecryptFailed
 
 PROTOCOL_VERSION = 1
 COMPRESSION_LEVEL = 6
-MAX_DECOMPRESSED_BYTES = 4 * 1024 * 1024  # zip-bomb guard on a stateless server
+# Inflation cap, the zip-bomb guard of a stateless server: above the largest
+# payload a client builds (client.PACK_JSON_BUDGET, 160 KiB, and its wrapper),
+# and the 240 KB budget of older clients
+MAX_DECOMPRESSED_BYTES = 256 * 1024
 MAX_PACKET_BYTES = 60 * 1024  # fits a UDP datagram with headroom
 
 U16_MAX = 0xFFFF
@@ -182,12 +188,52 @@ def serialize_payload(value: object) -> bytes:
     return canonical_json(payload_dict(value))
 
 
+# The nesting levels of arrays and objects a payload may have. orjson 3.8
+# recurses once a level and sets no limit of its own, so a text deep enough
+# overflows the C stack of the thread that parses it: 131,072 nested lists,
+# which fit in the inflation cap, end the process with an 8 MiB stack.
+MAX_NESTING = 1024
+_BRACKETS = bytes.maketrans(b"{}", b"[]")
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_RUNS = re.compile(rb"\[+|\]+")
+
+
+def _nesting_within(data: bytes, limit: int) -> bool:
+    """Whether the arrays and objects of the JSON text data nest at most
+    limit deep and balance, read at C speed: brackets outside strings, braces
+    counted as brackets, then levels stripped from the inside."""
+    if b"\\" in data:  # escapes pair up from the left, as a lexer reads them
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    brackets = data.translate(_BRACKETS, _NOT_STRUCTURE).replace(b'""', b"")
+    if b'"' in brackets:  # a string holds a bracket
+        brackets = b"".join(brackets.split(b'"')[::2])
+    stripped = 0  # a payload of rows nests about six deep
+    while brackets and stripped < 8:
+        inner = brackets.replace(b"[]", b"")
+        if len(inner) == len(brackets):
+            return False  # no innermost pair left: unbalanced
+        brackets, stripped = inner, stripped + 1
+    depth = peak = 0
+    for run in _RUNS.findall(brackets):
+        depth += len(run) if run.startswith(b"[") else -len(run)
+        if depth < 0:
+            return False
+        peak = max(peak, depth)
+    return depth == 0 and stripped + peak <= limit
+
+
 def _parse_json(data: bytes) -> dict:
-    # ValueError covers bad UTF-8, bad JSON and an integer beyond Python's
-    # digit limit; RecursionError, nesting deeper than the parser's stack
+    """The one JSON reader of what senselink receives (payloads, journal
+    records): orjson over the bytes, which checks their UTF-8 itself. Beyond
+    json.loads it refuses the NaN, Infinity and -Infinity literals, numbers
+    beyond a double (1e400) and lone surrogate escapes, and it reads integer
+    literals outside [-2**63, 2**64) as the nearest double. A valid text of
+    2 * MAX_NESTING bytes or fewer cannot nest deeper than MAX_NESTING."""
+    if len(data) > 2 * MAX_NESTING and not _nesting_within(data, MAX_NESTING):
+        raise MalformedPayload(f"payload nests deeper than {MAX_NESTING} levels")
     try:
-        obj = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
+        obj = orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
         raise MalformedPayload("payload is not valid JSON") from exc
     if not isinstance(obj, dict):
         raise MalformedPayload("payload is not a JSON object")
@@ -252,7 +298,10 @@ def deserialize_payload(data: bytes, expected_kind: type):
 # every row. text(value) is the canonical JSON of a checked value; a row's
 # JSON leaves out each field whose checked value is its default. sql is the
 # SQLite type of the field's column, declared NOT NULL unless the default is
-# None.
+# None. A number field (_number) takes a finite float or a signed 64-bit int
+# as the reader (_parse_json) gives it: an integer literal outside
+# [-2**63, 2**64) arrives as the nearest double and is stored as one, as
+# 1e20 is, while one in [2**63, 2**64) arrives as an int and is refused.
 
 _REQUIRED = object()  # the default of a field every row must carry
 _INF = math.inf
@@ -396,7 +445,10 @@ class StreamSpec:
     what SQLite holds (https://www.sqlite.org/datatype3.html): integers in
     signed 64 bits, so ``ts`` and ``device_ts`` end at ``I64_MAX``; number
     fields as finite floats or signed 64-bit integers, kept as sent on the
-    wire but read back from storage as floats; text as valid UTF-8.
+    wire but read back from storage as floats; text as valid UTF-8. An
+    integer literal outside [-2**63, 2**64) reaches a number field as the
+    nearest double, which it stores, and reaches an integer field as a
+    float, which it refuses.
 
     ``rows_params`` and ``rows_json`` do the same for a stream's list of
     rows through two functions compiled at import from the stream's fields
@@ -617,7 +669,7 @@ def validate_streams(streams: object) -> tuple[dict[str, list[dict]], int]:
     Each row is normalized as ``StreamSpec.row_json`` writes it: unknown
     fields and a zero idx dropped."""
     known, unknown = split_streams(streams)
-    return {name: [json.loads(STREAM_SPECS[name].row_json(row)) for row in rows]
+    return {name: [_parse_json(STREAM_SPECS[name].row_json(row)) for row in rows]
             for name, rows in known.items()}, unknown
 
 

@@ -18,12 +18,16 @@ Record kinds:
 A torn final record (crash mid-append) is truncated away on open, and an
 append that fails part way cuts the file back to where the record began, so
 a later append never follows a torn one. Records are UTF-8; replay reads
-records with ASCII escapes as well, the form older builds wrote.
+records with ASCII escapes as well, the form older builds wrote. Replay reads
+each record with the reader of received payloads (``codec._parse_json``), so
+a record it refuses (a NaN literal, a lone surrogate escape, nesting deeper
+than ``codec.MAX_NESTING``, bytes that are not UTF-8) is a
+:class:`JournalError`. No build wrote such a record: rows are checked before
+they are journaled, and the checks refuse each of these.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 
@@ -105,11 +109,9 @@ class Journal:
 
     def _apply(self, body: bytes):
         try:
-            record = json.loads(body.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:  # as in codec._parse_json
-            raise JournalError("corrupt journal record") from exc
-        if not isinstance(record, dict):
-            raise JournalError("journal record is not an object")
+            record = codec._parse_json(body)
+        except codec.MalformedPayload as exc:
+            raise JournalError(f"corrupt journal record: {exc}") from exc
         kind = record.get("kind")
         if kind == "batch":
             streams = record.get("streams")

@@ -10,9 +10,9 @@ DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 MAX_RATE_WORKLOAD = dict(accel_hz=200, gyro_hz=200, mag_hz=200, obd_hz=12,
                          wifi_scan_min_s=2.0, wifi_scan_max_s=2.0)
 
-# JSON that json.loads refuses with an error other than JSONDecodeError:
-# nesting deeper than its stack (RecursionError) and an integer beyond
-# Python's 4300-digit limit (ValueError)
+# JSON past the payload reader's limits: nesting deeper than
+# codec.MAX_NESTING, and an integer of 5000 digits, beyond a double (which
+# json.loads refused for Python's 4300-digit limit)
 PARSER_LIMITS = {"deep-nesting": b"[" * 5000 + b"]" * 5000,
                  "huge-integer": b'{"seq":' + b"1" * 5000 + b"}"}
 

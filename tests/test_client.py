@@ -231,6 +231,33 @@ def test_single_oversized_row_is_an_error(test_keypair, core, monkeypatch):
         session.pump(1.0)
 
 
+def test_packet_split_when_its_payload_is_over_the_inflation_cap(test_keypair, core):
+    # rows that compress well under a budget above the cap: each packet's
+    # blob fits MAX_PACKET_BYTES at once, so only the payload's size shrinks
+    # it, and the server stores every row
+    session = make_session(test_keypair, pack_json_budget=4 * codec.MAX_DECOMPRESSED_BYTES)
+    authenticate(session, core)
+    session.enqueue_rows({"events": [{"ts": TS, "idx": i, "kind": "note", "detail": "x" * 1000}
+                                     for i in range(600)]})
+    emissions = session.pump(1.0)
+    assert len(emissions) > 2
+    payloads = [codec.decompress(crypto.sym_decrypt(session.key, blob[4:]))
+                for _, blob in emissions]
+    assert all(len(payload) <= codec.MAX_DECOMPRESSED_BYTES for payload in payloads)
+    stored = [codec.decode_feedback(core.handle_data_packet(blob), session.key).stored
+              for _, blob in emissions]
+    assert sum(stored) == 600
+
+
+def test_single_row_over_the_inflation_cap_is_an_error(test_keypair, core):
+    session = make_session(test_keypair)
+    authenticate(session, core)
+    session.enqueue_rows({"events": [
+        {"ts": TS, "kind": "big", "detail": "x" * codec.MAX_DECOMPRESSED_BYTES}]})
+    with pytest.raises(ClientError, match="single row"):
+        session.pump(1.0)
+
+
 def test_seq_numbers_never_reused(test_keypair, core):
     session = make_session(test_keypair, pack_json_budget=1)
     authenticate(session, core)

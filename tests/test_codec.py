@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import zlib
 
+import orjson
 import pytest
 
 from senselink import codec, crypto
@@ -110,6 +115,48 @@ def test_deserialize_rejects_bad_values():
     ):
         with pytest.raises(codec.MalformedPayload):
             codec.deserialize_payload(data, codec.AuthResponse)
+
+
+@pytest.mark.parametrize("opener,closer,leaf", [(b"[", b"]", b""), (b'{"a":', b"}", b"0"),
+                                                (b'[{"a":', b"}]", b"0")],
+                         ids=["arrays", "objects", "both"])
+def test_the_reader_refuses_nesting_past_its_limit(opener, closer, leaf):
+    per = len(closer)  # levels an opener adds
+    for reps in ((codec.MAX_NESTING - 1) // per, (codec.MAX_NESTING - 1) // per + 1):
+        data = b'{"a":' + opener * reps + leaf + closer * reps + b"}"
+        if 1 + reps * per <= codec.MAX_NESTING:
+            assert codec._parse_json(data)["a"] is not None
+        else:
+            with pytest.raises(codec.MalformedPayload, match="nests deeper"):
+                codec._parse_json(data)
+
+
+def test_the_nesting_check_reads_brackets_in_strings_as_text():
+    deep = codec.MAX_NESTING + 100
+    for text in (b"[" * deep, b"]" * deep, b'\\"' + b"[" * deep, b"\\\\" + b"]" * deep):
+        assert codec._parse_json(b'{"a":"' + text + b'"}')["a"]
+    # brackets in strings that would balance a count blind to strings hide
+    # no real level: every level here is an array
+    hidden = b'{"a":' + b'["]",' * deep + b"0" + b',"["]' * deep + b"}"
+    assert orjson.loads(hidden) and not codec._nesting_within(hidden, codec.MAX_NESTING)
+    with pytest.raises(codec.MalformedPayload, match="nests deeper"):
+        codec._parse_json(hidden)
+    for unbalanced in (b"[" * 3000, b"]" * 3000, b"[]" * 1500 + b"]"):
+        assert not codec._nesting_within(unbalanced, codec.MAX_NESTING)
+
+
+def test_nesting_that_would_end_the_parsing_process_is_refused():
+    # the deepest arrays that fit in the inflation cap: orjson alone
+    # overflows an 8 MiB stack on them and ends the process, so a child
+    # process reads them
+    half = codec.MAX_DECOMPRESSED_BYTES // 2
+    script = ("from senselink import codec\n"
+              "try: codec._parse_json(b'[' * %d + b']' * %d)\n"
+              "except codec.MalformedPayload: print('refused')\n" % (half, half))
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "refused\n"), done.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +338,16 @@ def test_auth_request_incompressible_identifiers_rejected(test_keypair):
                             identifiers=idents)
     with pytest.raises(crypto.PlaintextTooLong):
         codec.encode_auth_request(req, test_keypair.public_part)
+
+
+def test_auth_request_inflating_past_the_cap_is_refused(test_keypair):
+    # one OAEP block holds at most 446 bytes of zlib, which inflate to about
+    # 360 KB of JSON at level 6; the cap refuses what passes 256 KiB
+    req = codec.AuthRequest(seq=1, user_hash="ab" * 16, time=TS, key=make_key(),
+                            identifiers={"k": "x" * codec.MAX_DECOMPRESSED_BYTES})
+    blob = codec.encode_auth_request(req, test_keypair.public_part)
+    with pytest.raises(codec.OutputLimitExceeded):
+        codec.decode_auth_request(blob, test_keypair.private_part)
 
 
 def test_auth_response_plaintext_seq_prefix():

@@ -252,6 +252,63 @@ def test_serialize_rejects_non_finite_numbers_and_non_string_keys(value):
 
 
 # ---------------------------------------------------------------------------
+# the payload reader (codec._parse_json) against json.loads
+
+# what canonical_json writes of checked values: signed 64-bit integers,
+# finite floats (-0.0 too) and text without lone surrogates
+_canonical = st.recursive(
+    st.none() | st.booleans() | _i64 | _num | st.just(-0.0) | _text
+    | st.text('[]{}"\\,:', max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=12)
+
+
+def _exact(value):
+    """value with each number tagged by its type and each float given by its
+    bits, so that 1 and 1.0, or 0.0 and -0.0, compare unequal."""
+    if isinstance(value, list):
+        return [_exact(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _exact(v) for k, v in value.items()}
+    if isinstance(value, float):
+        return "float", struct.pack(">d", value)
+    return type(value).__name__, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.dictionaries(_text, _canonical, max_size=4))
+def test_the_payload_reader_reads_canonical_json_as_json_loads_does(value):
+    data = codec.canonical_json(value)
+    assert _exact(codec._parse_json(data)) == _exact(json.loads(data))
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.floats(allow_nan=False, allow_infinity=False))
+def test_the_payload_reader_reads_each_float_text_as_json_loads_does(value):
+    texts = [repr(value), f"{value:.17g}", f"{value:.17e}", f"{value:.17E}"]
+    data = ('{"v":[%s]}' % ",".join(texts)).encode()
+    assert _exact(codec._parse_json(data)) == _exact(json.loads(data))
+
+
+def _depth(value) -> int:
+    if isinstance(value, (list, dict)):
+        return 1 + max(map(_depth, value.values() if isinstance(value, dict) else value),
+                       default=0)
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_canonical, wraps=st.lists(st.booleans(), max_size=12), limit=st.integers(0, 16))
+def test_the_nesting_check_reads_the_depth_of_the_value(value, wraps, limit):
+    # wrapped in arrays and objects to pass the levels the check strips
+    # before it counts; strings full of brackets, quotes and backslashes
+    for in_array in wraps:
+        value = [value] if in_array else {'"[': value}
+    data = codec.canonical_json(value)
+    assert codec._nesting_within(data, limit) == (_depth(value) <= limit)
+
+
+# ---------------------------------------------------------------------------
 # row validation against a reference copy of the per-stream if-chain
 
 _REF_MOTION = frozenset({"accel", "gyro", "mag"})

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import select
@@ -6,12 +7,13 @@ import sqlite3
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
 from conftest import PARSER_LIMITS
 
-from senselink import codec, crypto, server, sim, storage
+from senselink import codec, crypto, journal, server, sim, storage
 from senselink.client import (AUTH, DATA, ClientSession, TcpTransport,
                               UdpTransport, run_until_drained)
 from senselink.server import ConfigError, IngestCore, ServerConfig, ServerDaemon
@@ -258,6 +260,117 @@ def test_json_the_parser_cannot_take_is_a_malformed_discard(test_keypair, body):
     assert core.metrics["auth_discard_malformed"] == 1
     assert core.metrics["data_discard_malformed"] == 1
     assert _accounted(core.metrics, "auth") and _accounted(core.metrics, "data")
+
+
+def _nested(levels: int) -> bytes:
+    """A payload whose arrays and objects nest levels deep: the payload, its
+    streams and an unknown stream's list, and lists in that stream's row."""
+    inner = levels - 3
+    return b'{"seq":2,"streams":{"x":[' + b"[" * inner + b"]" * inner + b"]}}"
+
+
+def _pressure(row: bytes) -> bytes:
+    return b'{"seq":2,"streams":{"pressure":[' + row + b"]}}"
+
+
+_ROW = b'{"hpa":1.0,"ts":%d}' % TS
+# Payloads the reader (codec._parse_json) takes otherwise than json.loads
+# did, and two it refuses as json.loads did (a BOM, bytes that are not
+# UTF-8), each with where it lands: "refused" by the reader, "malformed" by
+# the row checks, or acknowledged with one row "stored" or "unknown"
+_READER_CONTRACT = {
+    "nan": (b'{"seq":2,"streams":{"pressure":[%s],"x":[NaN]}}' % _ROW, "refused"),
+    "infinity": (b'{"seq":2,"streams":{"pressure":[%s],"x":[Infinity]}}' % _ROW, "refused"),
+    "-infinity": (b'{"seq":2,"streams":{"pressure":[%s],"x":[-Infinity]}}' % _ROW, "refused"),
+    "1e400": (b'{"seq":2,"streams":{"pressure":[%s],"x":[1e400]}}' % _ROW, "refused"),
+    "lone-surrogate": (_pressure(b'{"hpa":1.0,"note":"\\ud800","ts":%d}' % TS), "refused"),
+    "2**64-in-ts": (_pressure(b'{"hpa":1.0,"ts":%d}' % 2**64), "malformed"),
+    "2**64-in-hpa": (_pressure(b'{"hpa":%d,"ts":%d}' % (2**64, TS)), "stored"),
+    "nesting-1023": (_nested(1023), "unknown"),
+    "nesting-1025": (_nested(1025), "refused"),
+    "bom": (b"\xef\xbb\xbf" + _pressure(_ROW), "refused"),
+    "invalid-utf8": (_pressure(b'{"hpa":1.0,"note":"\xff","ts":%d}' % TS), "refused"),
+}
+
+
+@pytest.mark.parametrize("body,outcome", _READER_CONTRACT.values(), ids=_READER_CONTRACT)
+def test_the_payload_reader_contract(test_keypair, tmp_path, body, outcome):
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
+    key, sid = _session(core, test_keypair)
+    reply = core.handle_data_packet(codec.seal_data_payload(sid, body, key))
+    if outcome in ("refused", "malformed"):
+        assert reply is None and core.metrics["data_discard_malformed"] == 1
+    else:
+        assert codec.decode_feedback(reply, key).stored == 1
+        assert core.metrics["rows_written" if outcome == "stored" else "rows_unknown_stream"] == 1
+    if outcome == "stored":  # the nearest double, as 1.8446744073709552e19 written so
+        assert core.storage.read_session_rows(sid)["pressure"][0]["hpa"] == 1.8446744073709552e19
+    assert _accounted(core.metrics, "data")
+    if outcome == "refused":  # the same body as a journal record
+        record = body.replace(b'"seq":2', b'"kind":"batch"', 1)
+        (tmp_path / "j.bin").write_bytes(len(record).to_bytes(4, "big") + record)
+        with pytest.raises(journal.JournalError) as info:
+            journal.Journal(str(tmp_path / "j.bin"))
+        assert isinstance(info.value.__cause__, codec.MalformedPayload)
+
+
+def _payload_of_size(seq: int, stream: bytes, row, size: int) -> bytes:
+    """A data payload of as many rows row(0), row(1), ... of stream as fit in
+    size bytes, padded with spaces to exactly size bytes."""
+    head, tail = b'{"seq":%d,"streams":{"%s":[' % (seq, stream), b"]}}"
+    rows, length = [], len(head) + len(tail) - 1
+    while length + len(row(len(rows))) + 1 <= size:
+        rows.append(row(len(rows)))
+        length += len(rows[-1]) + 1
+    body = head + b",".join(rows) + tail
+    return body[:-1] + b" " * (size - len(body)) + body[-1:]
+
+
+def _handled_with_peak(core, blob):
+    """core's reply to blob, and the tracemalloc peak of handling it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        reply = core.handle_data_packet(blob)
+        return reply, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# A hostile payload at the inflation cap may lift the heap to at most this
+# multiple of the peak of the costliest packet of an honest default hour
+HOSTILE_PEAK_BOUND = 4.0
+
+
+def test_a_payload_at_the_inflation_cap_costs_a_bounded_heap(test_keypair):
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
+    session = ClientSession(HASH, TS, test_keypair.public_part)
+    session.handle_wire(AUTH, core.handle_auth_packet(session.begin(0.0)[0][1]))
+    session.enqueue_rows(sim.generate_session(sim.WorkloadConfig()))
+    honest = 0  # the largest peak of the hour's packets: an accel packet's
+    for _, blob in session.pump(1.0):
+        reply, peak = _handled_with_peak(core, blob)
+        assert codec.decode_feedback(reply, session.key).stored
+        honest = max(honest, peak)
+    shapes = {  # rows of an unknown stream are acknowledged and not stored
+        "{}": (b"x", lambda i: b"{}"),
+        "[[]]": (b"x", lambda i: b"[[]]"),
+        "0": (b"x", lambda i: b"0"),
+        "pressure": (b"pressure", lambda i: b'{"hpa":1.0,"ts":%d}' % (TS + i)),
+    }
+    ratios = {}
+    for seq, (name, (stream, row)) in enumerate(shapes.items(), 10_000):
+        payload = _payload_of_size(seq, stream, row, codec.MAX_DECOMPRESSED_BYTES)
+        assert len(payload) == codec.MAX_DECOMPRESSED_BYTES
+        reply, peak = _handled_with_peak(
+            core, codec.seal_data_payload(session.session_id, payload, session.key))
+        assert codec.decode_feedback(reply, session.key).seq == seq
+        ratios[name] = round(peak / honest, 2)
+        over = payload[:-1] + b" }"
+        assert core.handle_data_packet(
+            codec.seal_data_payload(session.session_id, over, session.key)) is None
+    assert core.metrics["data_discard_checksum"] == len(shapes)
+    assert max(ratios.values()) <= HOSTILE_PEAK_BOUND, ratios
 
 
 def _fail_storage(st, path, how):
