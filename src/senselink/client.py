@@ -18,8 +18,10 @@ Reliability rules:
   at the ``now`` of the pump that encodes it; the drain loop pumps one new
   packet at a time with a fresh ``now``, so encoding a window never expires
   the timers of packets still waiting to be sent
-* the rows of a batch are checked and serialized by the compiled
-  per-stream functions when they are buffered (``StreamSpec.rows_json``);
+* a batch that names a stream outside ``codec.STREAM_SPECS`` is refused
+  whole, as the server refuses such a packet; the rows of a batch are
+  checked and serialized by the compiled per-stream functions when they
+  are buffered (``StreamSpec.rows_json``);
   the journal record of the batch and each packet's payload are joined
   from those bytes, a packet of ``PACK_JSON_BUDGET`` is sealed once, and a
   payload is kept until the packet is acknowledged
@@ -246,15 +248,10 @@ class ClientSession:
         self._released: list[tuple[int, int]] = []
         self._watermark = self.journal.watermark
         self._failed_rows = 0
-        # a count DeliveryReport reports is kept under its field name
-        self.counters = {
-            "delivered_rows": 0, "rows_reenqueued": 0,
-            "packets_sent": 0, "retransmissions": 0, "packets_failed": 0,
-            "auth_sent": 0, "auth_responses": 0, "auth_ignored": 0,
-            "feedback_received": 0, "feedback_ignored": 0,
-            "json_bytes": 0, "wire_bytes": 0, "wire_bytes_total": 0,
-            "max_inflight": 0,
-        }
+        # each count DeliveryReport reports, less the two report() works
+        # out, is kept under its field name
+        self.counters = {f.name: 0 for f in fields(DeliveryReport)
+                         if f.name not in ("failed_rows", "pending_rows")}
         # pending rows come in index order, a stream's rows next to each other
         for stream, run in itertools.groupby(self.journal.pending_rows(), itemgetter(1)):
             indexes, _, rows = zip(*run)
@@ -315,17 +312,20 @@ class ClientSession:
         return self._count_sent(AUTH, blob)
 
     def begin(self, now: float = 0.0) -> list[tuple[str, bytes]]:
-        """First authentication request; generates the session key."""
+        """First authentication request; generates the session key. A
+        request the encoder refuses raises and leaves the session unstarted."""
         if self.key or self._pending_auths:
             raise ClientError("session already started")
-        self.key = crypto.generate_session_key()
-        return [self._make_auth(now, self.key, self.identifiers)]
+        key = crypto.generate_session_key()
+        out = [self._make_auth(now, key, self.identifiers)]
+        self.key = key
+        return out
 
     def update_session(self, now: float, new_key: bytes | None = None,
                        new_identifiers: dict | None = None) -> list[tuple[str, bytes]]:
         """Re-auth with the same (hash, time): rotate the key and/or replace
         identifiers. Data keeps flowing under the old key until the response
-        arrives."""
+        arrives. A request the encoder refuses raises and changes nothing."""
         key = new_key if new_key is not None else self.key
         if len(key) != crypto.SESSION_KEY_LEN:
             raise ValueError("session key must be 16 bytes")
@@ -350,10 +350,10 @@ class ClientSession:
     # -- buffering ----------------------------------------------------------
 
     def enqueue_rows(self, streams: dict[str, list[dict]]) -> int:
-        known, unknown = codec.split_streams(streams)
-        if unknown:
-            raise ValueError("cannot enqueue rows for unknown streams")
-        row_json = codec.rows_json(known)  # checks every row before anything is kept
+        """Journal and buffer a batch; returns its row count. A batch that
+        names a stream outside ``codec.STREAM_SPECS`` or holds a malformed
+        row raises ``codec.MalformedPayload``, and nothing of it is kept."""
+        row_json = codec.rows_json(codec.split_streams(streams))  # checks every row
         # in write order, the order of the indexes; indexes are set once journaled
         runs = [_Run.of_rows(0, stream, rows) for stream, rows in row_json.items()]
         count = sum(map(len, runs))
@@ -560,9 +560,7 @@ class ClientSession:
         if self.auth_failed:
             failed += pending
             pending = 0
-        counts = {f.name: self.counters[f.name] for f in fields(DeliveryReport)
-                  if f.name in self.counters}
-        return DeliveryReport(failed_rows=failed, pending_rows=pending, **counts)
+        return DeliveryReport(failed_rows=failed, pending_rows=pending, **self.counters)
 
 
 # ---------------------------------------------------------------------------

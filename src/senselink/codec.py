@@ -102,12 +102,12 @@ class AuthResponse:
 
 @dataclass(frozen=True)
 class DataPacket:
+    """A decoded data packet: its streams map names only streams of
+    ``STREAM_SPECS`` (``split_streams``), their rows as received."""
+
     session_id: int
     seq: int
     streams: dict[str, list[dict]]
-    # rows under stream names this build does not know; acknowledged but not
-    # stored, so newer clients never stall against an older server
-    unknown_rows: int = 0
     # the session key a decoded packet was decrypted with, which encrypts
     # its feedback
     key: bytes | None = field(default=None, repr=False, compare=False)
@@ -645,38 +645,35 @@ def write_order(streams: dict[str, list]) -> list[tuple[str, list]]:
     return sorted(streams.items())  # names are unique, so rows are never compared
 
 
-def split_streams(streams: object) -> tuple[dict[str, list], int]:
-    """Check a streams map's shape, not its rows; returns (the rows of known
-    streams, unknown row count). An empty batch is malformed."""
+def split_streams(streams: object) -> dict[str, list]:
+    """Check a streams map's shape, not its rows, and return it: every name
+    must be a stream of ``STREAM_SPECS`` and map to a list, and an empty
+    batch is malformed. A packet that names a stream this build does not
+    know is refused whole, so no row is acknowledged that no table holds."""
     if not isinstance(streams, dict):
         raise MalformedPayload("streams must be an object")
-    known: dict[str, list] = {}
-    unknown = 0
     for name, rows in streams.items():
-        if not isinstance(name, str) or not isinstance(rows, list):
+        if name not in STREAM_SPECS:
+            raise MalformedPayload("unknown stream name")
+        if not isinstance(rows, list):
             raise MalformedPayload("stream entries must map names to row lists")
-        if name in STREAM_SPECS:
-            known[name] = rows
-        else:
-            unknown += len(rows)
-    if batch_row_count(known) + unknown == 0:
+    if batch_row_count(streams) == 0:
         raise MalformedPayload("empty row batch")
-    return known, unknown
+    return streams
 
 
-def validate_streams(streams: object) -> tuple[dict[str, list[dict]], int]:
-    """Validate a streams map; returns (known streams, unknown row count).
-    Each row is normalized as ``StreamSpec.row_json`` writes it: unknown
-    fields and a zero idx dropped."""
-    known, unknown = split_streams(streams)
+def validate_streams(streams: object) -> dict[str, list[dict]]:
+    """Validate a streams map; returns each stream's rows normalized as
+    ``StreamSpec.row_json`` writes them: unknown fields and a zero idx
+    dropped."""
     return {name: [_parse_json(STREAM_SPECS[name].row_json(row)) for row in rows]
-            for name, rows in known.items()}, unknown
+            for name, rows in split_streams(streams).items()}
 
 
-def rows_json(known: dict[str, list]) -> dict[str, list[bytes]]:
-    """The canonical JSON of each row of known streams (``StreamSpec.rows_json``),
+def rows_json(streams: dict[str, list]) -> dict[str, list[bytes]]:
+    """The canonical JSON of each row (``StreamSpec.rows_json``) of a checked streams map,
     by stream in write order, so the rows come in the order of their indexes."""
-    return {name: STREAM_SPECS[name].rows_json(rows) for name, rows in write_order(known)}
+    return {name: STREAM_SPECS[name].rows_json(rows) for name, rows in write_order(streams)}
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +706,12 @@ def decompress(data: bytes) -> bytes:
 
 
 def encode_auth_request(req: AuthRequest, server_public) -> bytes:
-    return crypto.asym_encrypt(server_public, compress(serialize_payload(req)))
+    """One OAEP block; a request whose JSON the server would not inflate
+    raises ValueError, one whose zlib overflows the block PlaintextTooLong."""
+    payload = serialize_payload(req)
+    if len(payload) > MAX_DECOMPRESSED_BYTES:
+        raise ValueError(f"auth request exceeds {MAX_DECOMPRESSED_BYTES} bytes of JSON")
+    return crypto.asym_encrypt(server_public, compress(payload))
 
 
 def decode_auth_request(blob: bytes, server_private) -> AuthRequest:
@@ -760,10 +762,8 @@ def seal_data_payload(session_id: int, payload: bytes, key: bytes, *,
 
 
 def encode_data_packet(pkt: DataPacket, key: bytes, *, iv: bytes | None = None) -> bytes:
-    known, unknown = split_streams(pkt.streams)
-    if unknown:
-        raise ValueError("cannot encode rows for unknown streams")
-    return seal_data_payload(pkt.session_id, data_payload(pkt.seq, rows_json(known)), key, iv=iv)
+    payload = data_payload(pkt.seq, rows_json(split_streams(pkt.streams)))
+    return seal_data_payload(pkt.session_id, payload, key, iv=iv)
 
 
 def decode_data_packet(blob: bytes, key_lookup: Callable[[int], bytes | None]) -> DataPacket:
@@ -775,9 +775,8 @@ def decode_data_packet(blob: bytes, key_lookup: Callable[[int], bytes | None]) -
         raise UnknownSession(f"no key for session {session_id}")
     obj = _parse_json(decompress(crypto.sym_decrypt(key, blob[4:])))
     seq = _ints(obj, (_SEQ,))["seq"]
-    streams, unknown = split_streams(obj.get("streams"))
-    return DataPacket(session_id=session_id, seq=seq, streams=streams, unknown_rows=unknown,
-                      key=key)
+    streams = split_streams(obj.get("streams"))
+    return DataPacket(session_id=session_id, seq=seq, streams=streams, key=key)
 
 
 def encode_feedback(fb: FeedbackPacket, key: bytes, *, iv: bytes | None = None) -> bytes:

@@ -21,7 +21,9 @@ acknowledge the reply before; a peer that cannot take it is closed, so no
 frame follows a cut one.
 
 Anything that fails decryption, decompression, or validation is silently
-discarded; per-kind counters are the only trace.
+discarded, a data packet that names a stream outside ``codec.STREAM_SPECS``
+included, so every row acknowledged is stored; per-kind counters are the
+only trace.
 """
 
 from __future__ import annotations
@@ -136,13 +138,8 @@ class IngestCore:
         checks each row as it builds its parameters, so a malformed row
         raises :class:`codec.MalformedPayload` here."""
         stored = self.storage.write_rows(pkt.session_id, pkt.streams)
-        # rows under stream names this build does not know are acknowledged
-        # (not stored) so a newer client is not wedged into retransmitting
-        stored += pkt.unknown_rows
         self.bump("data_ok")
-        self.bump("rows_written", stored - pkt.unknown_rows)
-        if pkt.unknown_rows:
-            self.bump("rows_unknown_stream", pkt.unknown_rows)
+        self.bump("rows_written", stored)
         log.info("data_ok session_id=%d seq=%d stored=%d", pkt.session_id, pkt.seq, stored)
         fb = codec.FeedbackPacket(session_id=pkt.session_id, seq=pkt.seq, stored=stored)
         return codec.encode_feedback(fb, pkt.key)

@@ -31,10 +31,10 @@ statement or lock is held between lists, so a reader holds one list of rows
 at a time. A row is read in the form it is stored, the tuple
 ``StreamSpec.rows_params`` gives the row as sent (a wifi row's ap_id joined
 back to its ``(mac, essid)`` pair), so the simulator compares stored and
-generated rows chunk by chunk without writing either as JSON.
-``read_session_rows`` drains every stream under one hold of the lock, one
-snapshot, and shapes each row with ``row_dict``, the one place a stored row
-becomes a dict of the fields a client sends. One tally counts each
+generated rows chunk by chunk without writing either as JSON; ``row_dict``
+is the one place a stored row becomes a dict of the fields a client sends.
+Only streams of the stream table reach ``write_rows``: the decoder refuses a
+packet that names another (``codec.split_streams``). One tally counts each
 stream's rows and logical bytes, of a session (``session_tally``) or of the
 whole store (``storage_stats``). A failing SQLite call of
 ``upsert_session``, ``lookup_session_key`` or ``write_rows`` raises
@@ -338,25 +338,6 @@ class SqliteStorage:
                     for ts, ms, idx, ap, rssi in values]
         head = (sid, stream) if stream in MOTION_STREAMS else (sid,)
         return map(head.__add__, values)
-
-    def read_session_rows(self, session_id: int) -> dict[str, list[dict]]:
-        """Every stored row of a session, per stream, in natural-key order, as
-        ``row_dict`` shapes it, a wifi row that names its access point with
-        the access point's ``ap_id`` too; read under one hold of the lock, so
-        no write lands between streams."""
-        out: dict[str, list[dict]] = {}
-        with self._lock:
-            ap_ids = {(mac, essid): ap_id for ap_id, mac, essid in
-                      self._db.execute("SELECT ap_id, mac, essid FROM access_points")}
-            for stream in STREAM_SPECS:
-                rows = [row_dict(stream, row)
-                        for chunk in self.read_stream_chunks(session_id, stream) for row in chunk]
-                for row in rows:  # only a wifi row that names an access point has a mac
-                    if "mac" in row:
-                        row["ap_id"] = ap_ids[row["mac"], row["essid"]]
-                if rows:
-                    out[stream] = rows
-        return out
 
     def read_stream_chunks(self, session_id: int, stream: str) -> Iterator[list[tuple]]:
         """The stored rows of one stream of a session in natural-key order, as

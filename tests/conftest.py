@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from senselink import crypto
+from senselink import codec, crypto, storage
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -15,6 +15,19 @@ MAX_RATE_WORKLOAD = dict(accel_hz=200, gyro_hz=200, mag_hz=200, obd_hz=12,
 # json.loads refused for Python's 4300-digit limit)
 PARSER_LIMITS = {"deep-nesting": b"[" * 5000 + b"]" * 5000,
                  "huge-integer": b'{"seq":' + b"1" * 5000 + b"}"}
+
+
+def stored_rows(st, session_id) -> dict[str, list[dict]]:
+    """Every stored row of a session, per stream that has any, in
+    natural-key order, as ``storage.row_dict`` shapes it."""
+    out = {}
+    for stream in codec.STREAM_SPECS:
+        rows = [storage.row_dict(stream, row)
+                for chunk in st.read_stream_chunks(session_id, stream) for row in chunk]
+        if rows:
+            out[stream] = rows
+    return out
+
 
 # Filled in by tests/test_acceptance.py; printed as a summary block so every
 # criterion gets exactly one PASS/FAIL line regardless of pytest verbosity.

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import ACCEPTANCE_RESULTS, DATA_DIR, MAX_RATE_WORKLOAD
+from conftest import ACCEPTANCE_RESULTS, DATA_DIR, MAX_RATE_WORKLOAD, stored_rows
 from test_golden import check_golden_vectors
 
 from senselink import crypto, storage
@@ -95,7 +95,7 @@ def test_server_restarts_leave_no_trace_in_storage(test_keypair):
     kicked = run_experiment(workload, channel, keypair=test_keypair,
                             mode="realtime", storage=bounced,
                             restart_at=(5, 20, 40, 60, 80))
-    same = plain.read_session_rows(1) == bounced.read_session_rows(1)
+    same = stored_rows(plain, 1) == stored_rows(bounced, 1)
     ok = base.verified and kicked.verified and kicked.restarts == 5 and same
     record("five mid-run server restarts: stored rows match a clean run", ok,
            f"restarts={kicked.restarts}, rows_equal={same}, "
@@ -137,7 +137,7 @@ def test_key_rotation_mid_session_converges(test_keypair):
 
     [(_, new_blob)] = session.pump(session.next_wakeup())
     session.handle_wire(DATA, core.handle_data_packet(new_blob), 2.0)
-    stored = len(core.storage.read_session_rows(sid).get("pressure", []))
+    stored = len(stored_rows(core.storage, sid).get("pressure", []))
     ok = (session.session_id == sid and old_key_dead and session.is_done()
           and stored == 30)
     record("key rotation keeps the session id; old-key packets die silently",

@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from conftest import stored_rows
+
 from senselink import cli, crypto, journal, storage
 from senselink.server import ServerConfig, ServerDaemon
 
@@ -132,7 +134,7 @@ def test_upload_tcp_matches_udp(daemon, keyfiles, capsys):
     st = daemon.core.storage
     sids = [st.upsert_session(crypto.hash_user(e), TS, bytes(16))
             for e in ("u@example.com", "t@example.com")]
-    assert st.read_session_rows(sids[0]) == st.read_session_rows(sids[1])
+    assert stored_rows(st, sids[0]) == stored_rows(st, sids[1])
 
 
 def test_upload_realtime_mode(daemon, keyfiles, capsys):

@@ -10,7 +10,7 @@ from collections import deque
 
 import pytest
 
-from conftest import PARSER_LIMITS
+from conftest import PARSER_LIMITS, stored_rows
 
 from senselink import client, codec, crypto, journal, sim
 from senselink.client import (AUTH, DATA, BASE_TIMEOUT, ClientError, BufferFull, TimeMismatch,
@@ -94,6 +94,25 @@ def test_identifiers_the_server_refuses_are_refused_before_sending(test_keypair,
     with pytest.raises(ValueError):
         session.update_session(1.0, new_identifiers=identifiers)
     assert session.counters["auth_sent"] == 1
+
+
+def test_a_handshake_past_the_inflation_cap_leaves_nothing_behind(test_keypair, core):
+    # identifiers that compress into one OAEP block but inflate past the cap
+    huge = {"k": "x" * codec.MAX_DECOMPRESSED_BYTES}
+    session = make_session(test_keypair, identifiers=huge)
+    with pytest.raises(ValueError):
+        session.begin(0.0)
+    assert (session.key, session._pending_auths, session.counters["auth_sent"]) == (b"", {}, 0)
+    session.identifiers = None  # the session is not started, so begin may run again
+    authenticate(session, core)
+    key = session.key
+    with pytest.raises(ValueError):
+        session.update_session(1.0, new_key=crypto.generate_session_key(), new_identifiers=huge)
+    assert (session.key, session.identifiers, session._pending_auths) == (key, None, {})
+    assert session.counters["auth_sent"] == 1
+    [(_, blob)] = session.update_session(2.0, new_identifiers={"hw": "rev-c"})
+    session.handle_wire(AUTH, core.handle_auth_packet(blob), 2.1)
+    assert session.identifiers == {"hw": "rev-c"} and not session._pending_auths
 
 
 def test_handshake_against_core(test_keypair, core):
@@ -535,7 +554,7 @@ def test_refresh_recovers_lost_server_state(test_keypair, monkeypatch):
     assert session.is_done()
     assert session.report().delivered_rows == 5
     assert session.session_id == old_sid  # same (hash, time) key on a fresh db
-    assert len(core_b.storage.read_session_rows(session.session_id)["pressure"]) == 5
+    assert len(stored_rows(core_b.storage, session.session_id)["pressure"]) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +583,7 @@ def test_journal_resume_after_crash(test_keypair, core, tmp_path):
     resumed.handle_wire(DATA, reply, 2.1)
     assert resumed.is_done()
     assert j2.watermark == 30
-    rows = core.storage.read_session_rows(resumed.session_id)["pressure"]
+    rows = stored_rows(core.storage, resumed.session_id)["pressure"]
     assert [r["ts"] for r in rows] == [TS + i for i in range(30)]
     j2.close()
 
@@ -760,10 +779,18 @@ def test_buffer_limit(test_keypair, monkeypatch):
     assert session.enqueue_rows(pressure_batch(10)) == session.report().pending_rows == 10
 
 
-def test_unknown_stream_enqueue_rejected(test_keypair):
-    session = make_session(test_keypair)
-    with pytest.raises(ValueError):  # not MalformedPayload: refused before any row is checked
+def test_unknown_stream_enqueue_rejected(test_keypair, tmp_path):
+    path = tmp_path / "j.bin"
+    j = journal.Journal(str(path))
+    session = make_session(test_keypair, journal=j)
+    size = path.stat().st_size
+    # refused by the stream check before any row is checked: the pressure
+    # row, which lacks its hpa, would fail otherwise
+    with pytest.raises(codec.MalformedPayload, match="unknown stream"):
         session.enqueue_rows({"heart_rate": [{"ts": TS, "bpm": 60}], "pressure": [{"ts": TS}]})
+    assert (j.total_rows, path.stat().st_size, session._buffered_bytes) == (0, size, 0)
+    assert not session._buffer and session.report().pending_rows == 0
+    j.close()
 
 
 def test_enqueue_keeps_nothing_of_a_batch_with_a_bad_row(test_keypair, tmp_path):
@@ -845,7 +872,7 @@ def test_drain_loop_times_each_packet_from_its_own_send(test_keypair, core):
     assert report.retransmissions == 0
     assert len(transport.stamps) == 40
     assert len(set(transport.stamps)) == 40  # each packet stamped at its own send
-    rows = core.storage.read_session_rows(session.session_id)["pressure"]
+    rows = stored_rows(core.storage, session.session_id)["pressure"]
     assert [r["ts"] for r in rows] == [TS + i for i in range(40)]
 
 

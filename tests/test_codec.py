@@ -228,13 +228,15 @@ def test_validate_row_motion_samples():
         checked_row("mag", {"ts": TS, "rate": 0, "samples": [[1, 2, 3]]})
 
 
-def test_validate_streams_counts_unknown_and_rejects_empty():
-    known, unknown = codec.validate_streams({
-        "pressure": [{"ts": TS, "hpa": 1000.0}],
-        "heart_rate": [{"ts": TS, "bpm": 60}, {"ts": TS + 1, "bpm": 61}],
-    })
-    assert list(known) == ["pressure"]
-    assert unknown == 2
+def test_validate_streams_refuses_unknown_streams_and_empty_batches():
+    known = {"pressure": [{"ts": TS, "hpa": 1000.0}]}
+    assert codec.split_streams(known) is known  # checked, not copied
+    assert codec.validate_streams(known) == known
+    for streams in ({**known, "heart_rate": [{"ts": TS, "bpm": 60}]},
+                    {**known, "heart_rate": []}, {"heart_rate": [{"ts": TS}]}):
+        for check in (codec.split_streams, codec.validate_streams):
+            with pytest.raises(codec.MalformedPayload, match="unknown stream"):
+                check(streams)
     with pytest.raises(codec.MalformedPayload):
         codec.validate_streams({})
     with pytest.raises(codec.MalformedPayload):
@@ -342,12 +344,22 @@ def test_auth_request_incompressible_identifiers_rejected(test_keypair):
 
 def test_auth_request_inflating_past_the_cap_is_refused(test_keypair):
     # one OAEP block holds at most 446 bytes of zlib, which inflate to about
-    # 360 KB of JSON at level 6; the cap refuses what passes 256 KiB
+    # 360 KB of JSON at level 6; the cap refuses what passes 256 KiB, the
+    # encoder before it seals the request and the decoder one sealed by hand
     req = codec.AuthRequest(seq=1, user_hash="ab" * 16, time=TS, key=make_key(),
                             identifiers={"k": "x" * codec.MAX_DECOMPRESSED_BYTES})
-    blob = codec.encode_auth_request(req, test_keypair.public_part)
+    payload = codec.serialize_payload(req)
+    with pytest.raises(ValueError, match="exceeds"):
+        codec.encode_auth_request(req, test_keypair.public_part)
+    blob = crypto.asym_encrypt(test_keypair.public_part, codec.compress(payload))
     with pytest.raises(codec.OutputLimitExceeded):
         codec.decode_auth_request(blob, test_keypair.private_part)
+    # the largest request the cap admits is sealed and read back whole
+    fits = dataclasses.replace(req, identifiers={
+        "k": "x" * (codec.MAX_DECOMPRESSED_BYTES - len(payload) + len(req.identifiers["k"]))})
+    assert len(codec.serialize_payload(fits)) == codec.MAX_DECOMPRESSED_BYTES
+    blob = codec.encode_auth_request(fits, test_keypair.public_part)
+    assert codec.decode_auth_request(blob, test_keypair.private_part) == fits
 
 
 def test_auth_response_plaintext_seq_prefix():
@@ -382,26 +394,21 @@ def test_data_packet_roundtrip_with_key_lookup():
     blob = codec.encode_data_packet(pkt, key)
     assert blob[:4] == (42).to_bytes(4, "big")
     back = codec.decode_data_packet(blob, {42: key}.get)
-    assert back.session_id == 42 and back.seq == 5 and back.unknown_rows == 0
-    assert back.streams == codec.validate_streams(pkt.streams)[0]
+    assert back.session_id == 42 and back.seq == 5
+    assert back.streams == codec.validate_streams(pkt.streams)
     with pytest.raises(codec.UnknownSession):
         codec.decode_data_packet(blob, {41: key}.get)
 
 
-def test_data_packet_unknown_stream_rows_counted_not_encoded():
+def test_data_packet_naming_an_unknown_stream_is_refused_both_ways():
     key = make_key()
-    payload = codec.canonical_json({"seq": 1, "streams": {
-        "pressure": [{"ts": TS, "hpa": 1000.0}],
-        "heart_rate": [{"ts": TS, "bpm": 60}],
-    }})
+    streams = {"pressure": [{"ts": TS, "hpa": 1000.0}], "heart_rate": [{"ts": TS, "bpm": 60}]}
+    payload = codec.canonical_json({"seq": 1, "streams": streams})
     blob = (7).to_bytes(4, "big") + crypto.sym_encrypt(key, codec.compress(payload))
-    pkt = codec.decode_data_packet(blob, {7: key}.get)
-    assert pkt.unknown_rows == 1
-    assert list(pkt.streams) == ["pressure"]
-    with pytest.raises(ValueError):
-        codec.encode_data_packet(
-            codec.DataPacket(session_id=7, seq=1,
-                             streams={"heart_rate": [{"ts": TS}]}), key)
+    with pytest.raises(codec.MalformedPayload, match="unknown stream"):
+        codec.decode_data_packet(blob, {7: key}.get)
+    with pytest.raises(codec.MalformedPayload, match="unknown stream"):
+        codec.encode_data_packet(codec.DataPacket(session_id=7, seq=1, streams=streams), key)
 
 
 def test_feedback_roundtrip():

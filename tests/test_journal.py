@@ -253,7 +253,7 @@ def _expected_buffer(streams, first=0):
 
 def test_ascii_escaped_journal_reopens_with_the_same_rows(tmp_path, test_keypair):
     path = str(tmp_path / "j.bin")
-    validated, _ = codec.validate_streams(_NON_ASCII)
+    validated = codec.validate_streams(_NON_ASCII)
     with open(path, "wb") as f:  # json.dumps' defaults escape every non-ASCII character
         for record in ({"kind": "batch", "streams": validated}, {"kind": "ack", "through": 1}):
             body = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
@@ -280,7 +280,7 @@ def test_non_ascii_rows_survive_a_crash_in_the_utf8_form(tmp_path, test_keypair)
         record = f.read()[4:]
     assert "Kópavogur".encode() in record and b"\\u" not in record
     assert json.loads(record) == {"kind": "batch",
-                                  "streams": codec.validate_streams(_NON_ASCII)[0]}
+                                  "streams": codec.validate_streams(_NON_ASCII)}
     assert _buffered(path, test_keypair) == before
 
 

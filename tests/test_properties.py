@@ -31,6 +31,7 @@ from senselink.client import ClientSession
 from senselink.journal import Journal
 
 from _buffer_oracle import RowBuffer, buffered_rows, run_rows
+from conftest import stored_rows
 
 TS = 1_400_000_000
 HASH = crypto.hash_user("props@example.com")
@@ -92,7 +93,7 @@ def test_client_json_size_is_the_payload_length(test_keypair, batch, seq_gap):
     session.enqueue_rows(batch)
     session.pump(1.0)
     assert session._flight
-    by_index = [row for _, rows in codec.write_order(codec.validate_streams(batch)[0])
+    by_index = [row for _, rows in codec.write_order(codec.validate_streams(batch))
                 for row in rows]
     for pkt in session._flight.values():
         streams = {}
@@ -155,7 +156,7 @@ def test_run_buffer_packs_and_releases_as_the_row_buffer(test_keypair, budget, w
         try:
             for batches, fill, new, acks, end in rounds:
                 for batch in batches:
-                    row_json = codec.rows_json(codec.split_streams(batch)[0])
+                    row_json = codec.rows_json(codec.split_streams(batch))
                     model.enqueue(j.total_rows, row_json)
                     session.enqueue_rows(batch)
                     journaled += [(stream, data) for stream, rows in row_json.items()
@@ -200,7 +201,7 @@ def test_run_buffer_packs_and_releases_as_the_row_buffer(test_keypair, budget, w
 @settings(max_examples=100, deadline=None)
 @given(batch=_batches, seq=st.integers(0, codec.U32_MAX))
 def test_data_payload_joins_rows_into_the_canonical_payload(batch, seq):
-    validated, _ = codec.validate_streams(batch)
+    validated = codec.validate_streams(batch)
     row_json = {name: [codec.canonical_json(row) for row in rows]
                 for name, rows in validated.items()}
     assert codec.data_payload(seq, row_json) == codec.canonical_json(
@@ -209,7 +210,7 @@ def test_data_payload_joins_rows_into_the_canonical_payload(batch, seq):
 
 def _reference_encode(pkt: codec.DataPacket, key: bytes, iv: bytes) -> bytes:
     """Reference encoder: validate, then a plain ``json.dumps`` in canonical form."""
-    streams, _ = codec.validate_streams(pkt.streams)
+    streams = codec.validate_streams(pkt.streams)
     text = json.dumps({"seq": pkt.seq, "streams": streams}, sort_keys=True,
                       separators=(",", ":"), ensure_ascii=False, allow_nan=False)
     body = zlib.compress(text.encode("utf-8"), codec.COMPRESSION_LEVEL)
@@ -633,19 +634,28 @@ class _StorageOracle:
                 self.rows.setdefault(key, fields)
         return sum(len(rows) for rows in streams.values())
 
-    def read_session_rows(self, sid):
-        pairs = {ap_id: pair for pair, ap_id in self.aps.items()}
-        out: dict[str, list[dict]] = {}
+    def _session_rows(self, sid):
+        """(stream, row) of each of a session's rows in natural-key order,
+        a wifi row with its ap_id."""
         for key in sorted(self.rows, key=lambda k: k[2:]):
             row_sid, stream, ts, ms, idx = key
-            if row_sid != sid:
-                continue
-            row = {"ts": ts, **({"ms": ms} if ms != -1 else {}),
-                   **({"idx": idx} if idx else {}), **self.rows[key]}
+            if row_sid == sid:
+                yield stream, {"ts": ts, **({"ms": ms} if ms != -1 else {}),
+                               **({"idx": idx} if idx else {}), **self.rows[key]}
+
+    def stored_rows(self, sid):
+        """As storage.row_dict shapes them: a wifi row names its access
+        point by (mac, essid), or by its ap_id if no access point has it."""
+        pairs = {ap_id: pair for pair, ap_id in self.aps.items()}
+        out: dict[str, list[dict]] = {}
+        for stream, row in self._session_rows(sid):
             if stream == "wifi" and row["ap_id"] in pairs:
-                row["mac"], row["essid"] = pairs[row["ap_id"]]
+                row["mac"], row["essid"] = pairs[row.pop("ap_id")]
             out.setdefault(stream, []).append(row)
         return out
+
+    def wifi_ap_ids(self, sid):
+        return [row["ap_id"] for stream, row in self._session_rows(sid) if stream == "wifi"]
 
     def session_tally(self, sid: int) -> dict[str, tuple[int, int]]:
         tally: dict[str, tuple[int, int]] = {}
@@ -688,12 +698,15 @@ def test_sqlite_storage_matches_dict_model(writes):
                 sid, streams = sent[batch % len(sent)]
                 received = streams
             else:  # SQLite gets the rows as a receiver does, the model validated ones
-                sid, (streams, _) = sids[who], codec.validate_streams(batch)
+                sid, streams = sids[who], codec.validate_streams(batch)
                 sent.append((sid, streams))
                 received = batch
             assert sql.write_rows(sid, received) == model.write_rows(sid, streams)
         for sid in sids:
-            assert sql.read_session_rows(sid) == model.read_session_rows(sid)
+            assert stored_rows(sql, sid) == model.stored_rows(sid)
+            assert [ap_id for ap_id, in sql._db.execute(
+                "SELECT ap_id FROM wifi_rows WHERE session_id=? ORDER BY ts, ms, idx", (sid,))
+                    ] == model.wifi_ap_ids(sid)
         stats = sql.storage_stats()
         assert stats == model.storage_stats()
         summed: dict[str, tuple[int, int]] = {}
@@ -836,7 +849,7 @@ def _edited(blob: bytes, edits, donors: dict[str, bytes]) -> bytes:
 
 def _snapshot(st_, sids):
     return (st_.storage_stats(), [st_.lookup_session_key(sid) for sid in sids],
-            [st_.read_session_rows(sid) for sid in sids])
+            [stored_rows(st_, sid) for sid in sids])
 
 
 @settings(max_examples=150, deadline=None)

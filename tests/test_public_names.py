@@ -1,14 +1,20 @@
-"""Every public module-level name in ``src/senselink`` has a caller, and
-every private name there is read.
+"""Every public module-level name, method and class attribute in
+``src/senselink`` has a caller, and every private name there is read.
 
-A public name counts as used when it appears as a whole word in
-``src/senselink`` or ``perfbench/`` outside its own definition. Code that
-only tests reach belongs in the tests. A private name (a leading
-underscore, not a dunder) at module level, a private method or class
-attribute, or a private attribute set on ``self`` counts as read when it
-appears as a whole word in ``src/senselink`` outside every definition of
-that name, so a constant, helper or attribute left behind when the code
-that read it went is caught.
+A public module-level name counts as used when it appears as a whole word
+in ``src/senselink`` or ``perfbench/`` outside its own definition. A public
+method or class attribute counts as used when the code there, less
+docstrings and comments, names it outside its own definition: as a name,
+an attribute, a keyword argument or a word of a string literal. Code that
+only tests reach belongs in the tests; a member that only callers outside
+the repository use is listed in ``OUTSIDE_CALLERS`` with the reason it is
+kept.
+
+A private name (a leading underscore, not a dunder) at module level, a
+private method or class attribute, or a private attribute set on ``self``
+counts as read when it appears as a whole word in ``src/senselink``
+outside every definition of that name, so a constant, helper or attribute
+left behind when the code that read it went is caught.
 """
 
 import ast
@@ -19,6 +25,11 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "senselink").glob("*.py"))
 CALLERS = SOURCES + sorted((ROOT / "perfbench").rglob("*.py"))
+
+# public members no code in the repository calls, each with why it is kept
+OUTSIDE_CALLERS = {
+    "client.ClientSession.update_session": "the key-rotation API of a gathering unit",
+}
 
 
 def _bound_names(node):
@@ -37,6 +48,26 @@ def _public_definitions(path):
         for name in _bound_names(node):
             if not name.startswith("_"):
                 yield name, node.lineno, node.end_lineno
+
+
+def _code_words(tree):
+    """The words the code of a syntax tree uses: its names, attributes,
+    keyword arguments and the words of its string literals, less its
+    docstrings."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            yield from re.findall(r"\w+", node.value)
 
 
 def _is_private(name):
@@ -74,6 +105,22 @@ def test_every_public_name_in_src_has_a_caller():
             if words[name] == len(own):
                 unused.append(f"{home.stem}.{name}")
     assert unused == []
+
+
+def test_every_public_member_in_src_has_a_caller():
+    words = collections.Counter(word for path in CALLERS for word in
+                                _code_words(ast.parse(path.read_text(encoding="utf-8"))))
+    unused = []
+    for path in SOURCES:
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                for name in _bound_names(member):
+                    if not name.startswith("_") and words[name] == collections.Counter(
+                            _code_words(member))[name]:
+                        unused.append(f"{path.stem}.{cls.name}.{name}")
+    assert sorted(unused) == sorted(OUTSIDE_CALLERS)
 
 
 def test_every_private_name_in_src_is_read():

@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import PARSER_LIMITS
+from conftest import PARSER_LIMITS, stored_rows
 
 from senselink import codec, crypto, journal, server, sim, storage
 from senselink.client import (AUTH, DATA, ClientSession, TcpTransport,
@@ -110,7 +110,7 @@ def test_data_flow_store_then_ack(test_keypair):
     fb = codec.decode_feedback(reply, key)
     assert (fb.session_id, fb.seq, fb.stored) == (sid, 2, 12)
     # write-then-ack: rows are durable by the time feedback exists
-    assert len(core.storage.read_session_rows(sid)["pressure"]) == 12
+    assert len(stored_rows(core.storage, sid)["pressure"]) == 12
 
 
 def test_replayed_data_packet_acked_idempotently(test_keypair):
@@ -192,7 +192,9 @@ def test_cross_session_key_isolation(test_keypair):
     assert core.handle_data_packet(data_blob(key_b, sid_a, seq=2)) is None
 
 
-def test_unknown_stream_rows_acked_not_stored(test_keypair):
+def test_a_packet_naming_an_unknown_stream_is_discarded(test_keypair):
+    # every row acknowledged is stored: a stream this build has no table for
+    # discards the whole packet, its rows of known streams too
     core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
     key = crypto.generate_session_key()
     sid = codec.decode_auth_response(
@@ -202,10 +204,11 @@ def test_unknown_stream_rows_acked_not_stored(test_keypair):
         "heart_rate": [{"ts": TS, "bpm": 60}, {"ts": TS, "bpm": 61}],
     }})
     blob = sid.to_bytes(4, "big") + crypto.sym_encrypt(key, codec.compress(payload))
-    fb = codec.decode_feedback(core.handle_data_packet(blob), key)
-    assert fb.stored == 3  # 1 stored + 2 acknowledged-but-skipped
-    assert core.metrics["rows_unknown_stream"] == 2
-    assert core.storage.storage_stats()["total_rows"] == 1
+    assert core.handle_data_packet(blob) is None
+    assert core.metrics == {"auth_packets": 1, "auth_ok": 1, "data_packets": 1,
+                            "data_discard_malformed": 1}
+    assert core.storage.storage_stats()["total_rows"] == 0
+    assert _accounted(core.metrics, "data")
 
 
 def _session(core, keypair):
@@ -243,8 +246,9 @@ def test_bad_last_row_discards_the_whole_packet(test_keypair):
         {"ts": TS + 3, "mac": "aa:01", "essid": "first-seen", "rssi": -60}]})
     fb = codec.decode_feedback(core.handle_data_packet(good), key)
     assert fb.stored == 2
-    rows = core.storage.read_session_rows(sid)["wifi"]
-    assert [(r["ap_id"], r["mac"], r["essid"]) for r in rows] == [
+    rows = stored_rows(core.storage, sid)["wifi"]
+    ap_ids = core.storage._db.execute("SELECT ap_id FROM wifi_rows ORDER BY ts").fetchall()
+    assert [(ap_id, r["mac"], r["essid"]) for (ap_id,), r in zip(ap_ids, rows)] == [
         (1, "aa:03", "other"), (2, "aa:01", "first-seen")]
     assert core.metrics["data_packets"] == core.metrics["data_ok"] + _discards(core.metrics)
 
@@ -262,31 +266,33 @@ def test_json_the_parser_cannot_take_is_a_malformed_discard(test_keypair, body):
     assert _accounted(core.metrics, "auth") and _accounted(core.metrics, "data")
 
 
-def _nested(levels: int) -> bytes:
-    """A payload whose arrays and objects nest levels deep: the payload, its
-    streams and an unknown stream's list, and lists in that stream's row."""
-    inner = levels - 3
-    return b'{"seq":2,"streams":{"x":[' + b"[" * inner + b"]" * inner + b"]}}"
-
-
 def _pressure(row: bytes) -> bytes:
     return b'{"seq":2,"streams":{"pressure":[' + row + b"]}}"
+
+
+def _nested(levels: int) -> bytes:
+    """A payload whose arrays and objects nest levels deep: the payload, its
+    streams, the pressure list and its row, and lists in an unknown field of
+    that row, which the row checks ignore."""
+    inner = levels - 4
+    return _pressure(b'{"hpa":1.0,"ts":%d,"x":' % TS + b"[" * inner + b"]" * inner + b"}")
 
 
 _ROW = b'{"hpa":1.0,"ts":%d}' % TS
 # Payloads the reader (codec._parse_json) takes otherwise than json.loads
 # did, and two it refuses as json.loads did (a BOM, bytes that are not
 # UTF-8), each with where it lands: "refused" by the reader, "malformed" by
-# the row checks, or acknowledged with one row "stored" or "unknown"
+# the row checks, or one row "stored", with the hpa it is stored with
 _READER_CONTRACT = {
-    "nan": (b'{"seq":2,"streams":{"pressure":[%s],"x":[NaN]}}' % _ROW, "refused"),
-    "infinity": (b'{"seq":2,"streams":{"pressure":[%s],"x":[Infinity]}}' % _ROW, "refused"),
-    "-infinity": (b'{"seq":2,"streams":{"pressure":[%s],"x":[-Infinity]}}' % _ROW, "refused"),
-    "1e400": (b'{"seq":2,"streams":{"pressure":[%s],"x":[1e400]}}' % _ROW, "refused"),
+    "nan": (_pressure(b'{"hpa":1.0,"ts":%d,"x":NaN}' % TS), "refused"),
+    "infinity": (_pressure(b'{"hpa":1.0,"ts":%d,"x":Infinity}' % TS), "refused"),
+    "-infinity": (_pressure(b'{"hpa":1.0,"ts":%d,"x":-Infinity}' % TS), "refused"),
+    "1e400": (_pressure(b'{"hpa":1.0,"ts":%d,"x":1e400}' % TS), "refused"),
     "lone-surrogate": (_pressure(b'{"hpa":1.0,"note":"\\ud800","ts":%d}' % TS), "refused"),
     "2**64-in-ts": (_pressure(b'{"hpa":1.0,"ts":%d}' % 2**64), "malformed"),
-    "2**64-in-hpa": (_pressure(b'{"hpa":%d,"ts":%d}' % (2**64, TS)), "stored"),
-    "nesting-1023": (_nested(1023), "unknown"),
+    # the nearest double, as 1.8446744073709552e19 written so
+    "2**64-in-hpa": (_pressure(b'{"hpa":%d,"ts":%d}' % (2**64, TS)), ("stored", 2.0**64)),
+    "nesting-1023": (_nested(1023), ("stored", 1.0)),
     "nesting-1025": (_nested(1025), "refused"),
     "bom": (b"\xef\xbb\xbf" + _pressure(_ROW), "refused"),
     "invalid-utf8": (_pressure(b'{"hpa":1.0,"note":"\xff","ts":%d}' % TS), "refused"),
@@ -301,10 +307,8 @@ def test_the_payload_reader_contract(test_keypair, tmp_path, body, outcome):
     if outcome in ("refused", "malformed"):
         assert reply is None and core.metrics["data_discard_malformed"] == 1
     else:
-        assert codec.decode_feedback(reply, key).stored == 1
-        assert core.metrics["rows_written" if outcome == "stored" else "rows_unknown_stream"] == 1
-    if outcome == "stored":  # the nearest double, as 1.8446744073709552e19 written so
-        assert core.storage.read_session_rows(sid)["pressure"][0]["hpa"] == 1.8446744073709552e19
+        assert codec.decode_feedback(reply, key).stored == core.metrics["rows_written"] == 1
+        assert stored_rows(core.storage, sid) == {"pressure": [{"ts": TS, "hpa": outcome[1]}]}
     assert _accounted(core.metrics, "data")
     if outcome == "refused":  # the same body as a journal record
         record = body.replace(b'"seq":2', b'"kind":"batch"', 1)
@@ -352,7 +356,7 @@ def test_a_payload_at_the_inflation_cap_costs_a_bounded_heap(test_keypair):
         reply, peak = _handled_with_peak(core, blob)
         assert codec.decode_feedback(reply, session.key).stored
         honest = max(honest, peak)
-    shapes = {  # rows of an unknown stream are acknowledged and not stored
+    shapes = {  # rows of an unknown stream, read whole and then discarded
         "{}": (b"x", lambda i: b"{}"),
         "[[]]": (b"x", lambda i: b"[[]]"),
         "0": (b"x", lambda i: b"0"),
@@ -364,12 +368,16 @@ def test_a_payload_at_the_inflation_cap_costs_a_bounded_heap(test_keypair):
         assert len(payload) == codec.MAX_DECOMPRESSED_BYTES
         reply, peak = _handled_with_peak(
             core, codec.seal_data_payload(session.session_id, payload, session.key))
-        assert codec.decode_feedback(reply, session.key).seq == seq
+        if stream == b"x":
+            assert reply is None
+        else:
+            assert codec.decode_feedback(reply, session.key).seq == seq
         ratios[name] = round(peak / honest, 2)
         over = payload[:-1] + b" }"
         assert core.handle_data_packet(
             codec.seal_data_payload(session.session_id, over, session.key)) is None
     assert core.metrics["data_discard_checksum"] == len(shapes)
+    assert core.metrics["data_discard_malformed"] == 3
     assert max(ratios.values()) <= HOSTILE_PEAK_BOUND, ratios
 
 
@@ -445,9 +453,9 @@ def test_server_stores_without_validate_streams(test_keypair, monkeypatch):
         "obd": [{"ts": TS, "ms": 250, "pid": 12, "value": 870}],
         "events": [{"ts": TS, "kind": "lap", "detail": "é"}],
     }
-    expected = dict(codec.validate_streams(streams)[0], wifi=[  # read back with both names
-        {"ts": TS, "ap_id": 1, "mac": "aa:bb", "essid": "net", "rssi": -40},
-        {"ts": TS, "idx": 1, "ap_id": 1, "mac": "aa:bb", "essid": "net", "rssi": -45}])
+    expected = dict(codec.validate_streams(streams), wifi=[  # read back by their access point
+        {"ts": TS, "mac": "aa:bb", "essid": "net", "rssi": -40},
+        {"ts": TS, "idx": 1, "mac": "aa:bb", "essid": "net", "rssi": -45}])
     blob = codec.encode_data_packet(codec.DataPacket(session_id=sid, seq=2, streams=streams), key)
 
     def tripwire(streams):
@@ -456,7 +464,8 @@ def test_server_stores_without_validate_streams(test_keypair, monkeypatch):
     monkeypatch.setattr(codec, "validate_streams", tripwire)
     fb = codec.decode_feedback(core.handle_data_packet(blob), key)
     assert (fb.seq, fb.stored) == (2, 8)
-    assert core.storage.read_session_rows(sid) == expected
+    assert stored_rows(core.storage, sid) == expected
+    assert core.storage._db.execute("SELECT ap_id FROM wifi_rows").fetchall() == [(1,), (1,)]
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +485,7 @@ def test_rebuilt_core_handles_the_next_packet_identically(test_keypair):
     reply = core.handle_data_packet(data_blob(key, sid, seq=3, base_ts=TS + 100))
     assert codec.decode_feedback(reply, key).stored == 5
     assert st.key_lookups == 3  # each packet read its key from storage
-    assert len(st.read_session_rows(sid)["pressure"]) == 10
+    assert len(stored_rows(st, sid)["pressure"]) == 10
 
 
 def test_one_key_lookup_per_data_packet(test_keypair):
@@ -507,7 +516,7 @@ def test_two_cores_over_one_file_agree_after_key_rotation(test_keypair, tmp_path
         assert reply is not None, core_b.metrics
         fb = codec.decode_feedback(reply, key2)
         assert (fb.seq, fb.stored) == (3, 5)
-        assert len(st_a.read_session_rows(sid)["pressure"]) == 10
+        assert len(stored_rows(st_a, sid)["pressure"]) == 10
     finally:
         st_a.close()
         st_b.close()
@@ -566,7 +575,7 @@ def test_udp_roundtrip(test_keypair, daemon):
                                        for i in range(40)]})
     report = drain(session, UdpTransport("127.0.0.1", daemon.auth_port, daemon.data_port))
     assert report.complete and report.delivered_rows == 40
-    rows = daemon.core.storage.read_session_rows(session.session_id)["pressure"]
+    rows = stored_rows(daemon.core.storage, session.session_id)["pressure"]
     assert len(rows) == 40
 
 
@@ -611,7 +620,7 @@ def test_udp_and_tcp_carry_identical_payloads(test_keypair, daemon):
         report = drain(session, transport_cls("127.0.0.1", daemon.auth_port,
                                               daemon.data_port))
         assert report.complete
-        stored[email] = daemon.core.storage.read_session_rows(session.session_id)
+        stored[email] = stored_rows(daemon.core.storage, session.session_id)
     assert stored["udp@example.com"] == stored["tcp@example.com"]
 
 

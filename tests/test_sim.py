@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import pytest
 
-from conftest import MAX_RATE_WORKLOAD
+from conftest import MAX_RATE_WORKLOAD, stored_rows
 
 from senselink import client, codec, sim, storage
 from senselink.sim import (ChannelConfig, EventLoop, ExperimentReport, SimError,
@@ -163,8 +163,7 @@ def test_generate_session_output_is_pinned(cfg, digest):
 
 def test_generate_session_rows_pass_validation():
     rows = generate_session(WorkloadConfig(duration_s=60, seed=3, obd_hz=4))
-    validated, unknown = codec.validate_streams(rows)
-    assert unknown == 0
+    validated = codec.validate_streams(rows)
     assert codec.batch_row_count(validated) == codec.batch_row_count(rows)
 
 
@@ -214,7 +213,7 @@ def test_verify_storage_sorts_generated_rows_by_natural_key():
     rows = [{"ts": TS + 1, "hpa": 2.0}, {"ts": TS, "hpa": 1.0, "idx": 1},
             {"ts": TS, "ms": 3, "idx": 0, "hpa": 0.25}, {"ts": TS, "ms": None, "hpa": 0.5}]
     st.write_rows(sid, {"pressure": rows})
-    assert [r["hpa"] for r in st.read_session_rows(sid)["pressure"]] == [0.5, 1.0, 0.25, 2.0]
+    assert [r["hpa"] for r in stored_rows(st, sid)["pressure"]] == [0.5, 1.0, 0.25, 2.0]
     verify_storage(st, sid, {"pressure": rows})  # rows as generated, out of key order
     swapped = [dict(rows[0], hpa=1.0), dict(rows[1], hpa=2.0), *rows[2:]]
     with pytest.raises(VerificationFailed, match=r"pressure\[1\]"):

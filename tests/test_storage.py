@@ -7,6 +7,8 @@ import threading
 
 import pytest
 
+from conftest import stored_rows
+
 from senselink import codec, sim, storage
 from test_properties import logical_row_bytes  # the cost function of the dict model
 
@@ -30,6 +32,12 @@ def new_session(st, email_tag="a", start=TS, key=KEY):
 
 def pressure_rows(n, base_ts=TS):
     return {"pressure": [{"ts": base_ts + i, "hpa": 1000.0 + i} for i in range(n)]}
+
+
+def wifi_ap_ids(st, sid):
+    """The ap_id of each stored wifi row of a session, in natural-key order."""
+    return [ap_id for ap_id, in st._db.execute(
+        "SELECT ap_id FROM wifi_rows WHERE session_id=? ORDER BY ts, ms, idx", (sid,))]
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +217,8 @@ def test_rows_isolated_between_sessions(store):
     sid_b = new_session(store, "b")
     store.write_rows(sid_a, pressure_rows(5))
     store.write_rows(sid_b, pressure_rows(3, base_ts=TS + 50))
-    assert len(store.read_session_rows(sid_a)["pressure"]) == 5
-    assert len(store.read_session_rows(sid_b)["pressure"]) == 3
+    assert len(stored_rows(store, sid_a)["pressure"]) == 5
+    assert len(stored_rows(store, sid_b)["pressure"]) == 3
 
 
 def test_read_back_equals_written(store):
@@ -223,9 +231,9 @@ def test_read_back_equals_written(store):
         "events": [{"ts": TS, "kind": "marker", "detail": "lap 1"},
                    {"ts": TS, "idx": 1, "kind": "marker"}],
     }
-    validated, _ = codec.validate_streams(streams)
+    validated = codec.validate_streams(streams)
     store.write_rows(sid, validated)
-    back = store.read_session_rows(sid)
+    back = stored_rows(store, sid)
     assert back == validated
 
 
@@ -238,7 +246,7 @@ def test_read_ordering_and_filters(store):
         {"ts": TS, "ms": 0, "idx": 1, "pid": 13, "value": 54},
     ], "gyro": [{"ts": TS, "rate": 1.0, "samples": [[1, 2, 3]]}]}
     store.write_rows(sid, rows)
-    back = store.read_session_rows(sid)
+    back = stored_rows(store, sid)
     assert sorted(back) == ["gyro", "obd"]  # motion streams share a table
     assert [(r["ts"], r["ms"], r.get("idx", 0)) for r in back["obd"]] == [
         (TS, 0, 0), (TS, 0, 1), (TS, 500, 0), (TS + 1, 0, 0)]
@@ -250,7 +258,7 @@ def test_rows_without_ms_sort_before_ms_zero(store):
         {"ts": TS, "ms": 0, "hpa": 2.0},
         {"ts": TS, "hpa": 1.0},
     ]})
-    back = store.read_session_rows(sid)["pressure"]
+    back = stored_rows(store, sid)["pressure"]
     assert "ms" not in back[0] and back[0]["hpa"] == 1.0
     assert back[1]["ms"] == 0
     assert store.storage_stats()["rows"]["pressure"] == 2  # distinct keys
@@ -261,7 +269,7 @@ def test_motion_samples_roundtrip_exact(store):
     samples = [[-32768, 32767, 0], [1, -1, 12345], [-12345, 11, -11]]
     store.write_rows(sid, {"accel": [{"ts": TS, "rate": 50, "samples": samples}],
                            "gyro": [{"ts": TS, "rate": 50, "samples": samples[:1]}]})
-    back = store.read_session_rows(sid)
+    back = stored_rows(store, sid)
     assert back["accel"][0]["samples"] == samples
     assert back["accel"][0]["rate"] == 50
     assert back["gyro"][0]["samples"] == samples[:1]
@@ -281,10 +289,10 @@ def test_wifi_interning_shares_ids(store):
     store.write_rows(sid, scans)
     stats = store.storage_stats()
     assert stats["access_points"] == 2  # hidden "" is a distinct identity
-    back = store.read_session_rows(sid)["wifi"]
-    assert back[0]["ap_id"] == back[1]["ap_id"]
+    back, ap_ids = stored_rows(store, sid)["wifi"], wifi_ap_ids(store, sid)
+    assert ap_ids[0] == ap_ids[1]
     assert back[0]["mac"] == "aa:bb:cc:dd:ee:01" and back[0]["essid"] == "cafe"
-    assert back[2]["ap_id"] != back[0]["ap_id"]
+    assert ap_ids[2] != ap_ids[0]
 
 
 def test_write_rows_interns_each_pair_once(store):
@@ -292,8 +300,9 @@ def test_write_rows_interns_each_pair_once(store):
     row = {"ts": TS, "mac": "mac1", "essid": "net", "rssi": -50}
     store.write_rows(sid, {"wifi": [row, dict(row, ts=TS + 1)]})
     store.write_rows(sid, {"wifi": [dict(row, ts=TS + 2), dict(row, ts=TS + 3, essid="other")]})
-    back = store.read_session_rows(sid)["wifi"]
-    assert [(r["ap_id"], r["essid"]) for r in back] == [(1, "net")] * 3 + [(2, "other")]
+    back = stored_rows(store, sid)["wifi"]
+    assert [(ap_id, r["essid"]) for ap_id, r in zip(wifi_ap_ids(store, sid), back)] == [
+        (1, "net")] * 3 + [(2, "other")]
     assert store.storage_stats()["access_points"] == 2
 
 
@@ -314,9 +323,10 @@ def test_concurrent_interning_single_id(store):
         assert not t.is_alive()
     assert store.storage_stats()["access_points"] == 1
     for sid in sids:
-        back = store.read_session_rows(sid)["wifi"]
+        back = stored_rows(store, sid)["wifi"]
         assert len(back) == 25
-        assert {(r["ap_id"], r["mac"], r["essid"]) for r in back} == {(1, "aa:bb", "shared")}
+        assert {(ap_id, r["mac"], r["essid"]) for ap_id, r in zip(wifi_ap_ids(store, sid), back)
+                } == {(1, "aa:bb", "shared")}
 
 
 def test_ap_ids_shared_across_sessions(store):
@@ -325,9 +335,7 @@ def test_ap_ids_shared_across_sessions(store):
     row = {"ts": TS, "mac": "aa:bb:cc:dd:ee:99", "essid": "shared", "rssi": -60}
     store.write_rows(sid_a, {"wifi": [row]})
     store.write_rows(sid_b, {"wifi": [dict(row, ts=TS + 5)]})
-    id_a = store.read_session_rows(sid_a)["wifi"][0]["ap_id"]
-    id_b = store.read_session_rows(sid_b)["wifi"][0]["ap_id"]
-    assert id_a == id_b
+    assert wifi_ap_ids(store, sid_a) == wifi_ap_ids(store, sid_b) == [1]
     assert store.storage_stats()["access_points"] == 1
 
 
@@ -353,7 +361,7 @@ def test_sqlite_ap_cache_forgets_ids_a_rollback_gave_back(tmp_path):
     assert isinstance(failed.value.__cause__, sqlite3.IntegrityError)
     st.write_rows(sid, {"wifi": [{"ts": TS + 1, "rssi": -60, "mac": "m2", "essid": "two"}]})
     st.write_rows(sid, {"wifi": [{"ts": TS + 2, "rssi": -70, "mac": "m1", "essid": "one"}]})
-    rows = st.read_session_rows(sid)["wifi"]
+    rows = stored_rows(st, sid)["wifi"]
     assert [(r["ts"], r["mac"], r["essid"]) for r in rows] == [
         (TS + 1, "m2", "two"), (TS + 2, "m1", "one")]
     st.close()
@@ -385,8 +393,9 @@ def test_sqlite_ap_cache_forgets_ids_a_rollback_inside_a_chunk_gave_back(tmp_pat
     assert st.storage_stats()["total_rows"] == st.storage_stats()["access_points"] == 0
     st.write_rows(sid, {"wifi": [{"ts": TS + 1, "rssi": -60, "mac": "n1", "essid": "two"}]})
     st.write_rows(sid, {"wifi": [{"ts": TS + 2, "rssi": -70, "mac": "m0", "essid": "one"}]})
-    rows = st.read_session_rows(sid)["wifi"]
-    assert [(r["ts"], r["ap_id"], r["mac"]) for r in rows] == [(TS + 1, 1, "n1"), (TS + 2, 2, "m0")]
+    rows = stored_rows(st, sid)["wifi"]
+    assert [(r["ts"], ap_id, r["mac"]) for ap_id, r in zip(wifi_ap_ids(st, sid), rows)] == [
+        (TS + 1, 1, "n1"), (TS + 2, 2, "m0")]
     st.close()
     db = sqlite3.connect(path)
     try:
@@ -421,10 +430,10 @@ def test_storages_over_one_file_intern_alike_after_a_rollback(tmp_path):
         ap_ids = {}
         for st in (first, second):
             for sid in sids:
-                back = st.read_session_rows(sid)["wifi"]
+                back = stored_rows(st, sid)["wifi"]
                 assert [(r["mac"], r["essid"]) for r in back] == written[sid]
-                for r in back:
-                    assert ap_ids.setdefault((r["mac"], r["essid"]), r["ap_id"]) == r["ap_id"]
+                for ap_id, r in zip(wifi_ap_ids(st, sid), back):
+                    assert ap_ids.setdefault((r["mac"], r["essid"]), ap_id) == ap_id
         assert sorted(ap_ids.values()) == [1, 2, 3]
         assert first.storage_stats()["access_points"] == 3
     finally:
@@ -496,7 +505,7 @@ def test_sqlite_survives_process_kill(tmp_path):
 
     st = storage.SqliteStorage(str(db))
     try:
-        rows = st.read_session_rows(1)
+        rows = stored_rows(st, 1)
         assert len(rows["pressure"]) == 50
         assert st.lookup_session_key(1) == bytes(16)
         assert st.upsert_session("a" * 32, TS, bytes(16)) == 1  # the same identity
@@ -515,7 +524,7 @@ def test_sqlite_reopen_after_close(tmp_path):
     st2 = storage.SqliteStorage(db)
     try:
         assert st2.upsert_session("b" * 32, TS, KEY) == sid  # same natural key
-        assert len(st2.read_session_rows(sid)["pressure"]) == 7
+        assert len(stored_rows(st2, sid)["pressure"]) == 7
         assert st2.upsert_session("c" * 32, TS, KEY) == sid + 1  # counter persisted
     finally:
         st2.close()
@@ -657,7 +666,7 @@ def test_v1_file_opens_and_round_trips(tmp_path):
         "gps": [{"ts": TS, "ms": 5, "lat": 1.5, "lon": 2.5, "alt": 3.5, "speed": 0.5,
                  "accuracy": 4.0, "device_ts": TS - 1}],
         "gyro": [{"ts": TS, "rate": 50.0, "samples": [[1, -2, 3]]}],
-        "wifi": [{"ts": TS, "idx": 2, "ap_id": 1, "rssi": -40, "mac": "aa:bb", "essid": "cafe"}],
+        "wifi": [{"ts": TS, "idx": 2, "rssi": -40, "mac": "aa:bb", "essid": "cafe"}],
         "bt": [{"ts": TS, "device_id": "mouse", "rssi": -70}],
         "pressure": [{"ts": TS, "hpa": 1013.25}],
         "obd": [{"ts": TS, "ms": 0, "pid": 12, "value": 870.5}],
@@ -665,14 +674,13 @@ def test_v1_file_opens_and_round_trips(tmp_path):
     }
     st = storage.SqliteStorage(path)
     try:
-        assert st.read_session_rows(1) == expected
+        assert stored_rows(st, 1) == expected and wifi_ap_ids(st, 1) == [1]
         assert st.upsert_session("a" * 32, TS, KEY) == 1
         # written back through the current code, the file reads the same
-        again = {s: [{k: v for k, v in row.items() if k not in ("mac", "essid")} for row in rows]
-                 for s, rows in expected.items()}
+        again = dict(expected, wifi=[{"ts": TS, "idx": 2, "ap_id": 1, "rssi": -40}])
         assert st.write_rows(1, again) == 7
         assert st.storage_stats()["total_rows"] == 7
         st.write_rows(st.upsert_session("b" * 32, TS, KEY), again)
-        assert st.read_session_rows(2) == expected
+        assert stored_rows(st, 2) == expected and wifi_ap_ids(st, 2) == [1]
     finally:
         st.close()
