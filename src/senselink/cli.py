@@ -25,7 +25,7 @@ from . import crypto, sim
 from .client import DEFAULT_WINDOW, ClientSession, TcpTransport, UdpTransport, run_until_drained
 from .journal import Journal, JournalError
 from .server import DEFAULT_AUTH_PORT, DEFAULT_DATA_PORT, ConfigError, ServerConfig, ServerDaemon
-from .storage import StorageError, open_storage
+from .storage import StorageError, open_storage, storage_path
 
 ENV_PREFIX = "SENSELINK_"
 
@@ -202,12 +202,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    selector = args.storage
-    path = selector[len("sqlite:"):] if selector.startswith("sqlite:") else selector
-    if selector != "memory" and not os.path.exists(path):
+    path = storage_path(args.storage)
+    if path is not None and not os.path.exists(path):
         print(f"no storage file at {path}", file=sys.stderr)
         return EXIT_CONFIG
-    storage = open_storage(selector)
+    storage = open_storage(args.storage)
     try:
         stats = storage.storage_stats()
     finally:

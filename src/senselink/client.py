@@ -65,7 +65,7 @@ from dataclasses import dataclass, fields
 from operator import add, attrgetter, itemgetter
 
 from . import codec, crypto
-from .journal import JournalError, MemoryJournal
+from . import journal as _journal
 
 AUTH = "auth"
 DATA = "data"
@@ -158,6 +158,15 @@ class _Run:
         return _Run(self.start + n, self.stream, self.data[cut:], self.ends[n:],
                     self.base + cut)
 
+    def pieces(self, budget: int) -> list[bytes]:
+        """The run's JSON cut at row boundaries into pieces that fit budget
+        as ``fit`` counts, a row over budget being a piece of its own."""
+        run, out = self, []
+        while len(run) > (n := max(run.fit(budget), 1)):
+            out.append(run.head(n).data)
+            run = run.tail(n)
+        return [*out, run.data]
+
 
 @dataclass
 class PendingAuth:
@@ -234,7 +243,7 @@ class ClientSession:
         self.window = window
         self.pack_json_budget = pack_json_budget
 
-        self.journal = journal if journal is not None else MemoryJournal()
+        self.journal = journal if journal is not None else _journal.MemoryJournal()
         self.key = b""  # set by the first auth request
         self.session_id: int | None = None
         self.auth_failed = False
@@ -258,7 +267,7 @@ class ClientSession:
             try:  # the journal checks a record's shape, its rows are checked here
                 row_json = codec.STREAM_SPECS[stream].rows_json(list(rows))
             except codec.MalformedPayload as exc:
-                raise JournalError(f"journal row of {stream!r}: {exc}") from exc
+                raise _journal.JournalError(f"journal row of {stream!r}: {exc}") from exc
             self._buffer_run(_Run.of_rows(indexes[0], stream, row_json))
 
     # -- helpers ------------------------------------------------------------
@@ -359,7 +368,9 @@ class ClientSession:
         count = sum(map(len, runs))
         if self._buffered_bytes + sum(run.size for run in runs) > BUFFER_LIMIT_BYTES:
             raise BufferFull(f"buffer limit {BUFFER_LIMIT_BYTES} bytes exceeded")
-        index = self.journal.append({run.stream: [run.data] for run in runs}, count).start
+        budget = _journal.MAX_RECORD_BYTES // 2  # so a piece fits a record of its own
+        index = self.journal.append({run.stream: run.pieces(budget) for run in runs},
+                                    count).start
         for run in runs:
             run.start = index
             index += len(run)

@@ -298,10 +298,11 @@ def deserialize_payload(data: bytes, expected_kind: type):
 # every row. text(value) is the canonical JSON of a checked value; a row's
 # JSON leaves out each field whose checked value is its default. sql is the
 # SQLite type of the field's column, declared NOT NULL unless the default is
-# None. A number field (_number) takes a finite float or a signed 64-bit int
-# as the reader (_parse_json) gives it: an integer literal outside
-# [-2**63, 2**64) arrives as the nearest double and is stored as one, as
-# 1e20 is, while one in [2**63, 2**64) arrives as an int and is refused.
+# None (a wifi row stores the ap_id of its mac and essid instead). A number
+# field (_number) takes a finite float or a signed 64-bit int as the reader
+# (_parse_json) gives it: an integer literal outside [-2**63, 2**64) arrives
+# as the nearest double and is stored as one, as 1e20 is, while one in
+# [2**63, 2**64) arrives as an int and is refused.
 
 _REQUIRED = object()  # the default of a field every row must carry
 _INF = math.inf
@@ -396,41 +397,6 @@ def _samples_json(packed: bytes) -> str:
     return "[" + ("[%d,%d,%d]," * (len(flat) // 3))[:-1] % flat + "]"
 
 
-def _fast_case(fields, returned: str) -> dict[str, list[str]]:
-    """The source lines of one row form's fast case in a compiled
-    ``row_params`` and ``row_json``, by name: they take each field's value
-    from the row, test every field's fast case in one condition and return;
-    a row that any test refuses falls through. returned is the source of
-    the tuple ``row_params`` returns, over the fields' names."""
-    tests, checked, template, args = [], [], [], []
-    for name, _, fast, default, *_ in fields:
-        if fast is None:
-            checked.append(f"{name} = check_{name}({name})")
-        elif default is _REQUIRED:
-            tests.append(fast(name))
-        else:
-            tests.append(f"({name} is None or {fast(name)})")
-            if default is not None:
-                checked.append(f"if {name} is None: {name} = {default!r}")
-    for name, _, _, default, text, *_ in sorted(fields, key=lambda field: field[0]):
-        piece, arg = (f'"{name}":%r,', name) if text is repr else (
-            f'"{name}":%s,', f"text_{name}({name})")
-        if default is _REQUIRED:
-            template.append(piece)
-            args.append(arg)
-        else:
-            template.append("%s")
-            written = "is not None" if default is None else f"!= {default!r}"
-            args.append(f"({piece!r} % ({arg},) if {name} {written} else '')")
-    template = "{" + "".join(template)[:-1] + "}"
-    tests = [f"if ({tests[0]}", *(f"        and {test}" for test in tests[1:])]
-    tests[-1] += "):"
-    head = [*(f"{name} = row.get({name!r})" for name, *_ in fields), *tests,
-            *(f"    {line}" for line in checked)]
-    return {"row_params": [*head, f"    return {returned}"],
-            "row_json": [*head, f"    return ({template!r} % ({', '.join(args)})).encode()"]}
-
-
 class StreamSpec:
     """One sensor stream.
 
@@ -438,17 +404,17 @@ class StreamSpec:
     natural key, in table order, and ``declarations`` map the natural key's
     and each column's name to its SQLite type and constraint, from which
     storage creates the table. ``row_params`` is the one statement of what a
-    row may hold: it checks a row as received and returns its values for
-    them. ``row_json`` writes the canonical JSON of those values, which
-    leaves out unknown fields and a field whose value is its default (an
-    absent ms, a zero idx, an absent optional field). The checks admit only
-    what SQLite holds (https://www.sqlite.org/datatype3.html): integers in
-    signed 64 bits, so ``ts`` and ``device_ts`` end at ``I64_MAX``; number
-    fields as finite floats or signed 64-bit integers, kept as sent on the
-    wire but read back from storage as floats; text as valid UTF-8. An
-    integer literal outside [-2**63, 2**64) reaches a number field as the
-    nearest double, which it stores, and reaches an integer field as a
-    float, which it refuses.
+    row may hold: it checks a row's fields as received and returns the tuple
+    ``_returned`` builds from their values. ``row_json`` writes the
+    canonical JSON of those values, which leaves out unknown fields and a
+    field whose value is its default (an absent ms, a zero idx, an absent
+    optional field). The checks admit only what SQLite holds
+    (https://www.sqlite.org/datatype3.html): integers in signed 64 bits, so
+    ``ts`` and ``device_ts`` end at ``I64_MAX``; number fields as finite
+    floats or signed 64-bit integers, kept as sent on the wire but read back
+    from storage as floats; text as valid UTF-8. An integer literal outside
+    [-2**63, 2**64) reaches a number field as the nearest double, which it
+    stores, and reaches an integer field as a float, which it refuses.
 
     ``rows_params`` and ``rows_json`` do the same for a stream's list of
     rows through two functions compiled at import from the stream's fields
@@ -467,6 +433,8 @@ class StreamSpec:
     field named in ``text_bytes``.
     """
 
+    _returned: str | None = None  # source of row_params's tuple; None: each value in order
+
     def __init__(self, name: str, table: str, fields: tuple, *, ms_required: bool = False,
                  columns: tuple[str, ...] = (), row_bytes: int, sample_bytes: int = 0,
                  text_bytes: tuple[str, ...] = ()):
@@ -479,13 +447,12 @@ class StreamSpec:
         self._fields = fields
         self.declarations = {name: sql if default is None else sql + " NOT NULL"
                              for name, _, _, default, _, sql in fields}
-        # the JSON of row_params's values: per field in key order, its
-        # position in them, and the default whose value is left out
-        position = ("ts", "ms", "idx", *self.columns).index
+        # the JSON of the checked values: per field in key order, its
+        # position in field order, and the default whose value is left out
         self._json_columns = tuple(layout[1:] for layout in sorted(
-            (name, position(name), f'"{name}":', default, text)
-            for name, _, _, default, text, _ in fields))
-        # _fast_case trims the comma after the last field of its row
+            (name, i, f'"{name}":', default, text)
+            for i, (name, _, _, default, text, _) in enumerate(fields)))
+        # _compile trims the comma after the last field of its row
         # template, which every row writes only for a field every row carries
         if self._json_columns[-1][2] is not _REQUIRED:
             raise ValueError("a row template ends with a field every row carries")
@@ -494,62 +461,82 @@ class StreamSpec:
         self.text_bytes = text_bytes
         self._compile()
 
-    def _forms(self) -> list[tuple[str | None, tuple, str]]:
-        """Each form a row may take, as (the source of the test that picks
-        it, None for the last, its fields, the source of what ``row_params``
-        returns for it)."""
-        return [(None, self._fields, f"({', '.join(('ts', 'ms', 'idx', *self.columns))})")]
-
     def _compile(self):
-        """Compile the fast ``row_params`` and ``row_json`` of ``_forms``
-        (see the class docstring), built only from the stream table, the
-        way ``collections.namedtuple`` builds its classes."""
-        forms = self._forms()
+        """Compile ``_shape``, the fast ``row_params`` and ``row_json`` (see
+        the class docstring) from the stream table alone, the way
+        ``collections.namedtuple`` builds its classes. The fast ones take
+        each field's value from the row, test every field's fast case in one
+        condition and return; a row that any test refuses falls through."""
+        fields = self._fields
+        names = ", ".join(field[0] for field in fields)
         namespace = {"_INF": _INF, "spec": self}
-        for _, fields, _ in forms:
-            for name, check, _, _, text, _ in fields:
-                namespace[f"check_{name}"], namespace[f"text_{name}"] = check, text
-        bodies = [_fast_case(fields, returned) for _, fields, returned in forms]
-        sources = []
-        for kind in ("row_params", "row_json"):
-            lines = [f"def {kind}(row):", "    if type(row) is dict:"]
-            for i, (test, _, _) in enumerate(forms):
-                body = bodies[i][kind]
-                if len(forms) > 1:
-                    lines.append(f"        {'elif' if i else 'if'} {test}:" if test
-                                 else "        else:")
-                    body = [f"    {line}" for line in body]
-                lines += [f"        {line}" for line in body]
-            sources.append("\n".join([*lines, f"    return spec.{kind}(row)", ""]))
+        tests, checked, template, args = [], [], [], []
+        for name, check, fast, default, text, _ in fields:
+            namespace[f"check_{name}"], namespace[f"text_{name}"] = check, text
+            if fast is None:
+                checked.append(f"{name} = check_{name}({name})")
+            elif default is _REQUIRED:
+                tests.append(fast(name))
+            else:
+                tests.append(f"({name} is None or {fast(name)})")
+                if default is not None:
+                    checked.append(f"if {name} is None: {name} = {default!r}")
+        for name, _, _, default, text, _ in sorted(fields, key=lambda field: field[0]):
+            piece, arg = (f'"{name}":%r,', name) if text is repr else (
+                f'"{name}":%s,', f"text_{name}({name})")
+            if default is _REQUIRED:
+                template.append(piece)
+                args.append(arg)
+            else:
+                template.append("%s")
+                written = "is not None" if default is None else f"!= {default!r}"
+                args.append(f"({piece!r} % ({arg},) if {name} {written} else '')")
+        template = "{" + "".join(template)[:-1] + "}"
+        tests = [f"if ({tests[0]}", *(f"        and {test}" for test in tests[1:])]
+        tests[-1] += "):"
+        head = [*(f"{name} = row.get({name!r})" for name, *_ in fields), *tests,
+                *(f"    {line}" for line in checked)]
+        returned = self._returned or f"({names})"
+        sources = [f"def shape({names}):\n    return {returned}\n"]
+        for kind, result in (("row_params", returned), ("row_json", (
+                f"({template!r} % ({', '.join(args)})).encode()"))):
+            sources.append("\n".join([f"def {kind}(row):", "    if type(row) is dict:",
+                                      *(f"        {line}" for line in head),
+                                      f"            return {result}",
+                                      f"    return spec.{kind}(row)", ""]))
         self.source = "\n".join(sources)
         exec(self.source, namespace)
+        self._shape = namespace["shape"]
         self._compiled_params, self._compiled_json = namespace["row_params"], namespace["row_json"]
+
+    def _checked(self, row) -> list:
+        """Each field's checked value in field order, an absent one's default."""
+        if not isinstance(row, dict):
+            raise MalformedPayload("row is not an object")
+        get = row.get
+        values = []
+        for name, check, _, default, *_ in self._fields:
+            value = get(name)
+            values.append(check(value) if value is not None or default is _REQUIRED
+                          else default)
+        return values
 
     def row_params(self, row) -> tuple:
         """Check one row as received; return ``(ts, ms or -1, idx or 0,
-        *columns)``. A wifi row that names its access point by (mac, essid)
-        carries the pair in place of the ap_id.
+        *columns)``, a wifi row's ap_id as the ``(mac, essid)`` it interns.
 
         Raises :class:`MalformedPayload` on any violation; receivers discard
         the whole packet in that case (a well-formed client never sends one).
         """
-        if not isinstance(row, dict):
-            raise MalformedPayload("row is not an object")
-        get = row.get
-        params = []
-        for name, check, _, default, *_ in self._fields:
-            value = get(name)
-            params.append(check(value) if value is not None or default is _REQUIRED
-                          else default)
-        return tuple(params)
+        return self._shape(*self._checked(row))
 
     def row_json(self, row) -> bytes:
-        """The canonical JSON of the values ``row_params`` returns for row,
+        """The canonical JSON of the values ``_checked`` returns for row,
         in key order, less each value that is its field's default."""
-        params = self.row_params(row)
+        values = self._checked(row)
         parts = []
         for i, key, default, text in self._json_columns:
-            value = params[i]
+            value = values[i]
             if default is _REQUIRED or value != default:
                 parts.append(key + text(value))
         return ("{" + ",".join(parts) + "}").encode()
@@ -567,6 +554,8 @@ class _MotionSpec(StreamSpec):
     """accel, gyro and mag: one row holds a second of samples, stored as
     their count n and the packed 16-bit triplets."""
 
+    _returned = "(ts, ms, idx, rate, len(samples) // 6, samples)"  # 3 x 2 bytes a sample
+
     def __init__(self, name: str):
         super().__init__(name, "motion_rows",
                          (_number("rate", positive=True),
@@ -574,40 +563,18 @@ class _MotionSpec(StreamSpec):
                          columns=("rate", "n", "samples"), row_bytes=8, sample_bytes=6)
         self.declarations["n"] = "INTEGER NOT NULL"
 
-    def _forms(self):
-        return [(None, self._fields, "(ts, ms, idx, rate, len(samples) // 6, samples)")]
-
-    def row_params(self, row) -> tuple:
-        ts, ms, idx, rate, samples = super().row_params(row)
-        return ts, ms, idx, rate, len(samples) // 6, samples  # 3 x 2 bytes a sample
-
 
 class _WifiSpec(StreamSpec):
-    """wifi: a row names its access point by ap_id or, without one, by
-    (mac, essid), which storage interns to an ap_id. The compiled checks
-    tell the two forms apart row by row."""
+    """wifi: a row names its access point by (mac, essid) (a hidden network's
+    essid is ""), which storage interns to the ap_id it stores."""
+
+    _returned = "(ts, ms, idx, (mac, essid), rssi)"
 
     def __init__(self):
-        self._by_pair = StreamSpec("wifi", "wifi_rows", (
-            _text("mac", allow_empty=False), _text("essid"), _RSSI),  # hidden networks: ""
-            row_bytes=17)
-        super().__init__("wifi", "wifi_rows", (_int("ap_id", lo=1, hi=U32_MAX), _RSSI),
-                         row_bytes=17)
-
-    def _forms(self):
-        return [("'ap_id' in row", self._fields, "(ts, ms, idx, ap_id, rssi)"),
-                (None, self._by_pair._fields, "(ts, ms, idx, (mac, essid), rssi)")]
-
-    def row_params(self, row) -> tuple:
-        if isinstance(row, dict) and "ap_id" not in row:
-            ts, ms, idx, mac, essid, rssi = self._by_pair.row_params(row)
-            return ts, ms, idx, (mac, essid), rssi
-        return super().row_params(row)
-
-    def row_json(self, row) -> bytes:
-        if isinstance(row, dict) and "ap_id" not in row:
-            return self._by_pair.row_json(row)
-        return super().row_json(row)
+        super().__init__("wifi", "wifi_rows",
+                         (_text("mac", allow_empty=False), _text("essid"), _RSSI),
+                         columns=("ap_id", "rssi"), row_bytes=17)
+        self.declarations["ap_id"] = "INTEGER NOT NULL"
 
 
 _RSSI = _int("rssi", lo=-127, hi=0)

@@ -15,15 +15,20 @@ Record kinds:
   :func:`senselink.codec.write_order` (stream name, then list order)
 * ``{"kind": "ack", "through": N}`` — first N rows are released
 
+A batch whose record would pass ``MAX_RECORD_BYTES`` is journaled as one
+record a piece, in write order, which gives its rows the same indexes; the
+caller keeps each piece within half the cap. A crash between the records
+leaves a prefix of the batch, whose rows replay as pending.
+
 A torn final record (crash mid-append) is truncated away on open, and an
-append that fails part way cuts the file back to where the record began, so
-a later append never follows a torn one. Records are UTF-8; replay reads
-records with ASCII escapes as well, the form older builds wrote. Replay reads
-each record with the reader of received payloads (``codec._parse_json``), so
-a record it refuses (a NaN literal, a lone surrogate escape, nesting deeper
-than ``codec.MAX_NESTING``, bytes that are not UTF-8) is a
-:class:`JournalError`. No build wrote such a record: rows are checked before
-they are journaled, and the checks refuse each of these.
+append that fails part way cuts the file back to where its first record
+began, so a later append never follows a torn one. Records are UTF-8; replay
+reads records with ASCII escapes as well, the form older builds wrote.
+Replay reads each record with the reader of received payloads
+(``codec._parse_json``), so a record it refuses (a NaN literal, a lone
+surrogate escape, nesting deeper than ``codec.MAX_NESTING``, bytes that are
+not UTF-8) is a :class:`JournalError`. No build wrote such a record: rows
+are checked before they are journaled, and the checks refuse each of these.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ from . import codec
 MAX_RECORD_BYTES = 16 * 1024 * 1024
 
 _LEN = struct.Struct("!I")
+
+
+def _batch_record(row_json: dict[str, list[bytes]]) -> bytes:
+    return b'{"kind":"batch","streams":' + codec.streams_json(row_json) + b"}"
 
 
 class JournalError(Exception):
@@ -143,15 +152,17 @@ class Journal:
         for offset, (stream, row) in enumerate(self._pending):
             yield base + offset, stream, row
 
-    def _write(self, body: bytes):
-        if len(body) > MAX_RECORD_BYTES:
+    def _write(self, *bodies: bytes):
+        """Append one record a body; a failed append leaves none behind."""
+        if any(len(body) > MAX_RECORD_BYTES for body in bodies):
             raise JournalError("record too large")
         f = self._file
         start = f.tell()
-        record = memoryview(_LEN.pack(len(body)) + body)
         try:
-            while record:
-                record = record[f.write(record):]
+            for body in bodies:
+                record = memoryview(_LEN.pack(len(body)) + body)
+                while record:
+                    record = record[f.write(record):]
             os.fsync(f.fileno())
         except BaseException:
             f.truncate(start)
@@ -163,7 +174,10 @@ class Journal:
         stream, each piece one row or several joined by commas; returns the
         global indexes of its rows."""
         first = self.total_rows
-        self._write(b'{"kind":"batch","streams":' + codec.streams_json(row_json) + b"}")
+        body = _batch_record(row_json)
+        self._write(*([body] if len(body) <= MAX_RECORD_BYTES else [
+            _batch_record({stream: [piece]})
+            for stream, pieces in codec.write_order(row_json) for piece in pieces]))
         self.total_rows += count
         return range(first, self.total_rows)
 

@@ -48,12 +48,12 @@ Schema rules:
 * a batch is written in :func:`senselink.codec.write_order`, the order a
   partial stored count refers to
 * accel/gyro/mag rows pack one second of samples each, as 16-bit triplets
-* wifi rows intern their (mac, essid) pair into a shared auxiliary table
-  and store only the surrogate ap_id. ``write_rows`` interns inside its
-  own transaction: it looks up each distinct pair of the batch in the
-  order the pair first appears, and inserts it if it is missing, so a
-  rollback takes the new access points with it and nothing outside
-  SQLite holds an ap_id
+* a wifi row names its access point only by (mac, essid), interned inside
+  ``write_rows``'s transaction into a shared table: each distinct pair of
+  the batch, in the order it first appears, is looked up and inserted if
+  missing, so a rollback takes the new access points with it and no write
+  leaves an ap_id without one (an older build's file may hold such a row,
+  which reads back with its bare ap_id)
 * the users table is written only through the auth path (upsert_session)
   and is never exposed by row reads or stats
 """
@@ -121,7 +121,7 @@ def row_dict(stream: str, stored: tuple) -> dict:
     fields a client sends: less an absent ms or idx (stored as -1 and 0),
     an optional field left out (NULL) and a motion row's sample count, with
     the samples unpacked, and a wifi row's access point as its mac and
-    essid, or as its ap_id if no access point has it."""
+    essid, or, in an older build's file, as an ap_id no access point has."""
     names = ("ts", "ms", "idx", *STREAM_SPECS[stream].columns)
     row = {name: value for name, value in zip(names, stored) if value is not None}
     if row["ms"] == -1:
@@ -328,14 +328,14 @@ class SqliteStorage:
         """The INSERT parameters of one stream's checked rows, inside the
         write's transaction."""
         if stream == "wifi":  # interned in row order, so each ap_id keeps its value
-            ap_ids = dict.fromkeys(ap for _, _, _, ap, _ in values if isinstance(ap, tuple))
+            ap_ids = dict.fromkeys(pair for _, _, _, pair, _ in values)
             for pair in ap_ids:
                 row = self._db.execute(
                     "SELECT ap_id FROM access_points WHERE mac=? AND essid=?", pair).fetchone()
                 ap_ids[pair] = row[0] if row is not None else self._db.execute(
                     "INSERT INTO access_points(mac, essid) VALUES(?,?)", pair).lastrowid
-            return [(sid, ts, ms, idx, ap_ids.get(ap, ap), rssi)
-                    for ts, ms, idx, ap, rssi in values]
+            return [(sid, ts, ms, idx, ap_ids[pair], rssi)
+                    for ts, ms, idx, pair, rssi in values]
         head = (sid, stream) if stream in MOTION_STREAMS else (sid,)
         return map(head.__add__, values)
 
@@ -345,8 +345,8 @@ class SqliteStorage:
         is read as it is stored: ``(ts, ms, idx, *spec.columns)``, an absent
         ms as -1 and an absent idx as 0, so it equals what
         ``StreamSpec.rows_params`` gives the row as sent. A wifi row's ap_id
-        reads as its access point's ``(mac, essid)`` pair, and as the ap_id
-        itself if no access point has it."""
+        reads as its access point's ``(mac, essid)`` pair, or as itself in
+        an older build's file where no access point has it."""
         spec, after = STREAM_SPECS[stream], None
         while True:
             with self._lock:
@@ -428,11 +428,16 @@ class MemoryStorage(SqliteStorage):
         super().__init__(":memory:")
 
 
+def storage_path(selector: str) -> str | None:
+    """None for 'memory' (in-memory SQLite), else the path of 'sqlite:<path>' or a bare path."""
+    return None if selector == "memory" else selector.removeprefix("sqlite:")
+
+
 def open_storage(selector: str) -> SqliteStorage:
-    """'memory' (in-memory SQLite), 'sqlite:<path>', or a bare filesystem path."""
-    if selector == "memory":
+    """The storage a selector names (see storage_path)."""
+    path = storage_path(selector)
+    if path is None:
         return SqliteStorage(":memory:")
-    path = selector[len("sqlite:"):] if selector.startswith("sqlite:") else selector
     if not path:
         raise ValueError("empty storage selector")
     return SqliteStorage(path)

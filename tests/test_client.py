@@ -807,6 +807,17 @@ def test_enqueue_keeps_nothing_of_a_batch_with_a_bad_row(test_keypair, tmp_path)
     j.close()
 
 
+def test_enqueue_refuses_a_wifi_row_naming_a_bare_ap_id(test_keypair, tmp_path):
+    path = tmp_path / "j.bin"
+    j = journal.Journal(str(path))
+    session = make_session(test_keypair, journal=j)
+    size = path.stat().st_size
+    with pytest.raises(codec.MalformedPayload, match="mac"):
+        session.enqueue_rows({"wifi": [{"ts": TS, "ap_id": 1, "rssi": -40}]})
+    assert (j.total_rows, path.stat().st_size, session._buffered_bytes) == (0, size, 0)
+    j.close()
+
+
 def test_constructor_validation(test_keypair):
     with pytest.raises(ValueError):
         ClientSession("not-a-hash", TS, test_keypair.public_part)

@@ -204,16 +204,24 @@ def test_validate_row_wifi_shapes():
     by_pair = checked_row(
         "wifi", {"ts": TS, "mac": "aa:bb", "essid": "", "rssi": -30})
     assert by_pair["essid"] == ""  # hidden network
-    by_id = checked_row("wifi", {"ts": TS, "ap_id": 5, "rssi": -30})
-    assert by_id["ap_id"] == 5 and "mac" not in by_id
+    # an ap_id is the server's own key, which no client is told: next to the
+    # pair it is ignored like any unknown field, and alone it names nothing
+    with_id = checked_row("wifi", {"ts": TS, "ap_id": 5, "mac": "aa:bb", "essid": "",
+                                   "rssi": -30})
+    assert with_id == by_pair
     for bad in (
-        {"ts": TS, "rssi": -30},                         # neither form
+        {"ts": TS, "rssi": -30},                         # no access point
+        {"ts": TS, "ap_id": 5, "rssi": -30},             # a bare ap_id
+        {"ts": TS, "ap_id": 5, "essid": "x", "rssi": -30},
+        {"ts": TS, "mac": "aa:bb", "rssi": -30},         # no essid
         {"ts": TS, "mac": "", "essid": "x", "rssi": -5},  # empty mac
-        {"ts": TS, "ap_id": 5, "rssi": 1},                # rssi > 0
-        {"ts": TS, "ap_id": 5, "rssi": -200},
+        {"ts": TS, "mac": "aa:bb", "essid": "", "rssi": 1},  # rssi > 0
+        {"ts": TS, "mac": "aa:bb", "essid": "", "rssi": -200},
     ):
         with pytest.raises(codec.MalformedPayload):
             checked_row("wifi", bad)
+        with pytest.raises(codec.MalformedPayload):
+            codec.STREAM_SPECS["wifi"].rows_params([bad])
 
 
 def test_validate_row_motion_samples():

@@ -205,6 +205,20 @@ def test_bad_row_is_a_journal_error_on_resume(tmp_path, test_keypair):
         j.close()
 
 
+def test_a_journaled_wifi_row_naming_a_bare_ap_id_fails_to_resume(tmp_path, test_keypair):
+    # older builds journaled such rows; a row names its access point by
+    # (mac, essid) now, so the journal does not open until the row is gone
+    path = str(tmp_path / "j.bin")
+    _write_records(path, b'{"kind":"batch","streams":{"wifi":[{"ap_id":1,"rssi":-40,"ts":5}]}}')
+    j = journal.Journal(path)
+    try:
+        with pytest.raises(journal.JournalError, match="journal row of 'wifi'.*'mac'"):
+            ClientSession(crypto.hash_user("j@example.org"), TS, test_keypair.public_part,
+                          journal=j)
+    finally:
+        j.close()
+
+
 def test_oversized_declared_record_rejected(tmp_path):
     path = str(tmp_path / "j.bin")
     with open(path, "wb") as f:
@@ -330,12 +344,17 @@ def test_journal_cut_at_every_byte_reopens_at_the_last_whole_record(tmp_path):
 
 
 class _FullDisk:
-    """A journal file whose next write stores half its bytes, then fails."""
+    """A journal file whose write after the next ``writes`` stores half its
+    bytes, then fails."""
 
-    def __init__(self, f):
+    def __init__(self, f, writes=0):
         self.inner = f
+        self.writes = writes
 
     def write(self, data):
+        if self.writes:
+            self.writes -= 1
+            return self.inner.write(data)
         self.inner.write(bytes(data[:len(data) // 2]))
         raise OSError(errno.ENOSPC, "No space left on device")
 
@@ -359,6 +378,66 @@ def test_failed_append_leaves_no_torn_record(tmp_path):
     reopened = journal.Journal(path)  # raised "corrupt journal record" before
     assert [row["ts"] for _, _, row in reopened.pending_rows()] == [TS, TS + 1, TS + 20]
     reopened.close()
+
+
+_MIXED = {"pressure": [{"ts": TS + i, "hpa": 1000.0 + i} for i in range(40)],
+          "bt": [{"ts": TS + i, "device_id": f"dev-{i}", "rssi": -i} for i in range(30)],
+          "wifi": [{"ts": TS + i, "mac": "aa:bb", "essid": "x" * i, "rssi": -40}
+                   for i in range(25)]}
+
+
+def _record_lengths(path):
+    lengths = []
+    with open(path, "rb") as f:
+        while header := f.read(4):
+            lengths.append(struct.unpack("!I", header)[0])
+            f.seek(lengths[-1], os.SEEK_CUR)
+    return lengths
+
+
+def test_a_batch_over_the_record_cap_is_journaled_in_several_records(
+        tmp_path, test_keypair, monkeypatch):
+    whole = str(tmp_path / "whole.bin")
+    j = journal.Journal(whole)
+    expected = ClientSession(crypto.hash_user("j@example.org"), TS, test_keypair.public_part,
+                             journal=j)
+    expected.enqueue_rows(_MIXED)
+    j.close()
+    assert len(_record_lengths(whole)) == 1
+    j = journal.Journal(whole)
+    pending = list(j.pending_rows())
+    j.close()
+    monkeypatch.setattr(journal, "MAX_RECORD_BYTES", 600)  # about 12 rows a record
+    path = str(tmp_path / "cut.bin")
+    j = journal.Journal(path)
+    session = ClientSession(crypto.hash_user("j@example.org"), TS, test_keypair.public_part,
+                            journal=j)
+    assert session.enqueue_rows(_MIXED) == 95
+    j.close()
+    assert buffered_rows(session) == buffered_rows(expected)
+    lengths = _record_lengths(path)
+    assert len(lengths) > 5 and max(lengths) <= 600
+    reopened = journal.Journal(path)
+    assert list(reopened.pending_rows()) == pending
+    reopened.close()
+    assert _buffered(path, test_keypair) == buffered_rows(expected)
+
+
+def test_a_failed_append_of_several_records_leaves_none_of_them(tmp_path, monkeypatch):
+    monkeypatch.setattr(journal, "MAX_RECORD_BYTES", 600)
+    path = str(tmp_path / "j.bin")
+    j = journal.Journal(path)
+    j.append(batch(2), 2)
+    size = os.path.getsize(path)
+    pieces = codec.rows_json(_MIXED)  # one piece a row
+    j._file = _FullDisk(j._file, writes=3)  # fails in the fourth record
+    with pytest.raises(OSError):
+        j.append(pieces, 95)
+    j._file = j._file.inner
+    assert os.path.getsize(path) == size and j.total_rows == 2
+    assert j.append(pieces, 95) == range(2, 97)
+    j.close()
+    assert len(_record_lengths(path)) == 96
 
 
 def test_new_journal_syncs_its_directory_once(tmp_path, monkeypatch):

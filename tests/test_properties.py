@@ -57,9 +57,7 @@ def _row_strategies(ts, num):
             "speed": num, "accuracy": num, "device_ts": ts}),
         "accel": motion, "gyro": motion, "mag": motion,
         "wifi": st.fixed_dictionaries(
-            {**key, "rssi": st.integers(-127, 0), "mac": _text.filter(bool), "essid": _text})
-        | st.fixed_dictionaries({**key, "rssi": st.integers(-127, 0),
-                                 "ap_id": st.integers(1, 6)}),
+            {**key, "rssi": st.integers(-127, 0), "mac": _text.filter(bool), "essid": _text}),
         "bt": st.fixed_dictionaries(
             {**key, "device_id": _text.filter(bool), "rssi": st.integers(-127, 0)},
             optional={"ms": st.integers(0, 999)}),
@@ -393,11 +391,8 @@ def _reference_validate_row(stream, row):
         out["rate"] = rate
     elif stream == "wifi":
         out["rssi"] = _ref_int(row, "rssi", lo=-127, hi=0)
-        if "ap_id" in row:
-            out["ap_id"] = _ref_int(row, "ap_id", lo=1, hi=codec.U32_MAX)
-        else:
-            out["mac"] = _ref_str(row, "mac", allow_empty=False)
-            out["essid"] = _ref_str(row, "essid")
+        out["mac"] = _ref_str(row, "mac", allow_empty=False)
+        out["essid"] = _ref_str(row, "essid")
     elif stream == "bt":
         out["device_id"] = _ref_str(row, "device_id", allow_empty=False)
         out["rssi"] = _ref_int(row, "rssi", lo=-127, hi=0)
@@ -470,7 +465,7 @@ _EXAMPLE_ROWS = [
     ("gyro", {"ts": TS, "rate": 0.5, "samples": [[-32768, 32767, 0]]}),
     ("mag", {"ts": TS, "ms": 999, "rate": 10.0, "samples": [[4, 5, 6]]}),
     ("wifi", {"ts": TS, "mac": "aa:bb", "essid": "", "rssi": -127}),
-    ("wifi", {"ts": TS, "idx": 1, "ap_id": 3, "rssi": 0}),
+    ("wifi", {"ts": TS, "idx": 1, "ap_id": 3, "mac": "m", "essid": "e", "rssi": 0}),
     ("bt", {"ts": TS, "device_id": "mouse", "rssi": -40}),
     ("pressure", {"ts": 0, "hpa": 1013.25}),
     ("obd", {"ts": 2**63 - 1, "ms": 0, "pid": codec.U32_MAX, "value": -1}),
@@ -547,7 +542,7 @@ def test_row_json_matches_the_encoded_reference(data, source, mutations, target,
 # the one-pass parameter builder against the two passes it replaced
 
 _REF_COLUMNS = {"gps": ("lat", "lon", "alt", "speed", "accuracy", "device_ts"),
-                "wifi": ("ap_id", "rssi"), "bt": ("device_id", "rssi"), "pressure": ("hpa",),
+                "bt": ("device_id", "rssi"), "pressure": ("hpa",),
                 "obd": ("pid", "value"), "events": ("kind", "detail")}
 
 
@@ -561,7 +556,7 @@ def _reference_row_params(stream, row):
     if stream in _REF_MOTION:
         flat = [v for triple in out["samples"] for v in triple]
         return (*key, out["rate"], len(out["samples"]), struct.pack(f"<{len(flat)}h", *flat))
-    if stream == "wifi" and "ap_id" not in out:
+    if stream == "wifi":
         return (*key, (out["mac"], out["essid"]), out["rssi"])
     return (*key, *map(out.get, _REF_COLUMNS[stream]))
 
@@ -627,7 +622,7 @@ class _StorageOracle:
             for row in rows:
                 fields = {name: float(v) if name in _REF_NUMBER_FIELDS else v
                           for name, v in row.items() if name not in ("ts", "ms", "idx")}
-                if "mac" in fields:
+                if stream == "wifi":
                     pair = fields.pop("mac"), fields.pop("essid")
                     fields["ap_id"] = self.aps.setdefault(pair, len(self.aps) + 1)
                 key = (sid, stream, row["ts"], row.get("ms", -1), row.get("idx", 0))
@@ -645,11 +640,11 @@ class _StorageOracle:
 
     def stored_rows(self, sid):
         """As storage.row_dict shapes them: a wifi row names its access
-        point by (mac, essid), or by its ap_id if no access point has it."""
+        point by (mac, essid)."""
         pairs = {ap_id: pair for pair, ap_id in self.aps.items()}
         out: dict[str, list[dict]] = {}
         for stream, row in self._session_rows(sid):
-            if stream == "wifi" and row["ap_id"] in pairs:
+            if stream == "wifi":
                 row["mac"], row["essid"] = pairs[row.pop("ap_id")]
             out.setdefault(stream, []).append(row)
         return out
@@ -707,6 +702,9 @@ def test_sqlite_storage_matches_dict_model(writes):
             assert [ap_id for ap_id, in sql._db.execute(
                 "SELECT ap_id FROM wifi_rows WHERE session_id=? ORDER BY ts, ms, idx", (sid,))
                     ] == model.wifi_ap_ids(sid)
+        # no write leaves a wifi row whose access point is not stored
+        assert sql._db.execute("SELECT COUNT(*) FROM wifi_rows WHERE ap_id NOT IN "
+                               "(SELECT ap_id FROM access_points)").fetchone()[0] == 0
         stats = sql.storage_stats()
         assert stats == model.storage_stats()
         summed: dict[str, tuple[int, int]] = {}

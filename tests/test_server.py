@@ -253,6 +253,27 @@ def test_bad_last_row_discards_the_whole_packet(test_keypair):
     assert core.metrics["data_packets"] == core.metrics["data_ok"] + _discards(core.metrics)
 
 
+def test_a_wifi_row_naming_a_bare_ap_id_is_a_malformed_discard(test_keypair):
+    # an ap_id is storage's own key and no reply carries one, so a row that
+    # names its access point by one alone could only point at another
+    # session's access point, or at none
+    core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
+    other_key = crypto.generate_session_key()
+    other = codec.decode_auth_response(core.handle_auth_packet(
+        auth_blob(test_keypair, other_key, user_hash="b" * 32)), other_key).session_id
+    interned = _sealed(other_key, other, 2, {"wifi": [
+        {"ts": TS, "mac": "aa:01", "essid": "theirs", "rssi": -40}]})
+    assert codec.decode_feedback(core.handle_data_packet(interned), other_key).stored == 1
+    key, sid = _session(core, test_keypair)
+    bare = _sealed(key, sid, 2, {"wifi": [{"ts": TS, "ap_id": 1, "rssi": -40}]})
+    assert core.handle_data_packet(bare) is None
+    assert core.metrics["data_discard_malformed"] == 1
+    assert core.storage.session_tally(sid) == {}
+    stats = core.storage.storage_stats()
+    assert stats["total_rows"] == 1 and stats["access_points"] == 1
+    assert _accounted(core.metrics, "data")
+
+
 @pytest.mark.parametrize("body", PARSER_LIMITS.values(), ids=PARSER_LIMITS)
 def test_json_the_parser_cannot_take_is_a_malformed_discard(test_keypair, body):
     core = IngestCore(test_keypair.private_part, storage.open_storage("memory"))
@@ -447,15 +468,13 @@ def test_server_stores_without_validate_streams(test_keypair, monkeypatch):
                  "accuracy": 4.5, "device_ts": TS}],
         "accel": [{"ts": TS, "rate": 50.0, "samples": [[1, -2, 3], [32767, -32768, 0]]}],
         "wifi": [{"ts": TS, "mac": "aa:bb", "essid": "net", "rssi": -40},
-                 {"ts": TS, "idx": 1, "ap_id": 1, "rssi": -45}],
+                 {"ts": TS, "idx": 1, "mac": "aa:bb", "essid": "net", "rssi": -45}],
         "bt": [{"ts": TS, "device_id": "watch", "rssi": -70}],
         "pressure": [{"ts": TS, "hpa": 1013.25}],
         "obd": [{"ts": TS, "ms": 250, "pid": 12, "value": 870}],
         "events": [{"ts": TS, "kind": "lap", "detail": "é"}],
     }
-    expected = dict(codec.validate_streams(streams), wifi=[  # read back by their access point
-        {"ts": TS, "mac": "aa:bb", "essid": "net", "rssi": -40},
-        {"ts": TS, "idx": 1, "mac": "aa:bb", "essid": "net", "rssi": -45}])
+    expected = codec.validate_streams(streams)
     blob = codec.encode_data_packet(codec.DataPacket(session_id=sid, seq=2, streams=streams), key)
 
     def tripwire(streams):

@@ -677,10 +677,13 @@ def test_v1_file_opens_and_round_trips(tmp_path):
         assert stored_rows(st, 1) == expected and wifi_ap_ids(st, 1) == [1]
         assert st.upsert_session("a" * 32, TS, KEY) == 1
         # written back through the current code, the file reads the same
-        again = dict(expected, wifi=[{"ts": TS, "idx": 2, "ap_id": 1, "rssi": -40}])
-        assert st.write_rows(1, again) == 7
+        assert st.write_rows(1, expected) == 7
         assert st.storage_stats()["total_rows"] == 7
-        st.write_rows(st.upsert_session("b" * 32, TS, KEY), again)
+        st.write_rows(st.upsert_session("b" * 32, TS, KEY), expected)
         assert stored_rows(st, 2) == expected and wifi_ap_ids(st, 2) == [1]
+        # a row may not name the access point by the ap_id the file holds
+        with pytest.raises(codec.MalformedPayload):
+            st.write_rows(2, {"wifi": [{"ts": TS + 1, "ap_id": 1, "rssi": -40}]})
+        assert st.storage_stats()["total_rows"] == 14
     finally:
         st.close()
