@@ -22,7 +22,8 @@ import sys
 import time
 
 from . import crypto, sim
-from .client import DEFAULT_WINDOW, ClientSession, TcpTransport, UdpTransport, run_until_drained
+from .client import (DEFAULT_WINDOW, ClientError, ClientSession, TcpTransport, UdpTransport,
+                     run_until_drained)
 from .journal import Journal, JournalError
 from .server import DEFAULT_AUTH_PORT, DEFAULT_DATA_PORT, ConfigError, ServerConfig, ServerDaemon
 from .storage import StorageError, open_storage, storage_path
@@ -91,6 +92,8 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    if args.log_level.lower() not in ("debug", "info", "warning", "error"):
+        raise ConfigError(f"unknown log level {args.log_level!r}")
     logging.basicConfig(
         stream=sys.stderr, level=getattr(logging, args.log_level.upper()),
         format="%(asctime)s %(levelname)s %(name)s %(message)s")
@@ -126,10 +129,14 @@ def cmd_upload(args) -> int:
             crypto.hash_user(args.email), start_time, server_public,
             window=args.window, journal=journal)
 
-        if args.duration:
-            workload = sim.WorkloadConfig(duration_s=args.duration, seed=args.seed,
-                                          start_ts=start_time)
-            generated = sim.generate_session(workload)
+        if args.duration < 0:
+            raise ValueError("duration must not be negative")
+        # generated and enqueued an hour at a time, so memory does not grow
+        # with the recording; the first hour is seeded with --seed itself
+        for offset in range(0, args.duration, 3600):
+            generated = sim.generate_session(sim.WorkloadConfig(
+                duration_s=min(args.duration - offset, 3600),
+                seed=args.seed + offset // 3600 * 2**32, start_ts=start_time + offset))
             if args.realtime:
                 for _, chunk in sim.flush_chunks(generated, start_time, args.flush_period):
                     session.enqueue_rows(chunk)
@@ -260,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     _arg(p, "window", type=int, default=DEFAULT_WINDOW, help="max data packets in flight")
     _arg(p, "journal", default=None, help="journal file to upload and track")
     _arg(p, "duration", type=int, default=0, help="generate a workload of this many seconds")
-    _arg(p, "seed", type=int, default=1, help="workload generator seed")
+    _arg(p, "seed", type=int, default=1,
+         help="workload generator seed; hour H > 0 of a longer workload uses SEED + H * 2**32")
     _arg(p, "flush-period", type=float, default=5.0, help="realtime flush period, seconds")
     _arg(p, "timeout", type=float, default=600.0, help="overall drain timeout, seconds")
     p.add_argument("--realtime", action="store_true",
@@ -293,7 +301,7 @@ def main(argv=None) -> int:
     except (ConnectionError, socket.gaierror, TimeoutError) as exc:  # OSError subclasses
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except (ConfigError, ValueError, OSError, JournalError, StorageError) as exc:
+    except (ConfigError, ValueError, OSError, JournalError, StorageError, ClientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except sim.SimError as exc:  # a simulation whose stored rows fail verification

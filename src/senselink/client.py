@@ -13,7 +13,9 @@ the journal; no Python object is kept per row.
 
 Reliability rules:
 
-* a row leaves the buffer only after feedback whose stored count covers it
+* a packet's rows are released only by feedback whose stored count equals
+  the packet's row count, which the server sends once it has stored them
+  all; any other count is ignored, and the packet stays in flight
 * a packet's retry timer starts when the packet is handed to the transport,
   at the ``now`` of the pump that encodes it; the drain loop pumps one new
   packet at a time with a fresh ``now``, so encoding a window never expires
@@ -36,11 +38,11 @@ Reliability rules:
 * a retransmission re-emits identical bytes, unless the key or session id
   changed since the packet was sealed, in which case the kept payload is
   re-sealed under the current values
-* feedback reporting stored < sent releases the stored prefix (server-side
-  write order: stream name, then batch order) and re-enqueues the shortfall
-  at the front of the buffer under a fresh sequence number; released rows
-  are kept as a few disjoint index ranges above the journal's watermark,
-  which moves when the range at its end is released
+* the buffer holds consecutive journal indexes and a new packet takes its
+  front, so each packet in flight is one index range, kept as its first
+  index and row count; released rows are kept as a few disjoint index
+  ranges above the journal's watermark, which moves when the range at its
+  end is released
 * after every few fruitless retries of the same packet the engine re-sends
   an authentication packet, so a server that lost or rotated the session
   key converges back instead of discarding packets forever
@@ -62,7 +64,7 @@ from array import array
 from bisect import bisect, bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
-from operator import add, attrgetter, itemgetter
+from operator import add, itemgetter
 
 from . import codec, crypto
 from . import journal as _journal
@@ -77,8 +79,8 @@ MAX_TIMEOUT = 30.0
 MAX_RETRIES = 10
 # Counts what the buffer's runs hold (_Run.size): their rows' joined JSON,
 # 4 bytes of row end per row and _RUN_BYTES per run. Rows in flight are not
-# counted; the window bounds them to about window x PACK_JSON_BUDGET bytes
-# of payload, kept with their runs.
+# counted; they are kept as their packet's payload, which the window bounds
+# to about window x PACK_JSON_BUDGET bytes.
 BUFFER_LIMIT_BYTES = 64 * 1024 * 1024
 # JSON bytes per data packet before compression. Motion rows, the stream
 # that compresses worst, seal to about 0.29 of their JSON, so a full packet
@@ -181,7 +183,7 @@ class PendingAuth:
 @dataclass
 class OutstandingPacket:
     seq: int
-    runs: list[_Run]  # in buffer order
+    start: int  # the first journal index of the packet's rows
     row_count: int
     payload: bytes  # canonical JSON, sealed again after a key or session change
     blob: bytes
@@ -212,7 +214,6 @@ class DeliveryReport:
     feedback_received: int
     auth_ignored: int
     feedback_ignored: int
-    rows_reenqueued: int
     json_bytes: int
     wire_bytes: int
     wire_bytes_total: int
@@ -469,7 +470,7 @@ class ClientSession:
             self._buffer.appendleft(run.tail(len(take[-1])))
             self._buffered_bytes += self._buffer[0].size
         pkt = OutstandingPacket(
-            seq=seq, runs=take, row_count=count, payload=payload, blob=blob,
+            seq=seq, start=take[0].start, row_count=count, payload=payload, blob=blob,
             key_used=self.key, session_id_used=self.session_id,
             first_sent_at=now, next_retry_at=now + self._timeout_after(0))
         self._flight[seq] = pkt
@@ -485,34 +486,19 @@ class ClientSession:
     # -- feedback -----------------------------------------------------------
 
     def handle_feedback(self, fb: codec.FeedbackPacket, now: float = 0.0) -> AckResult | None:
-        if fb.session_id != self.session_id:
+        """Release a packet in flight whose feedback stored all its rows;
+        other feedback is ignored, and the packet is retried as it was."""
+        pkt = self._flight.get(fb.seq) if fb.session_id == self.session_id else None
+        if pkt is None or fb.stored != pkt.row_count:
             self.counters["feedback_ignored"] += 1
             return None
-        pkt = self._flight.pop(fb.seq, None)
-        if pkt is None:
-            self.counters["feedback_ignored"] += 1
-            return None
+        del self._flight[fb.seq]
         self.counters["feedback_received"] += 1
-        stored = min(fb.stored, pkt.row_count)
-        # storage's write order (codec.write_order): stream name, then packet order
-        left = stored
-        shortfall = []
-        for run in sorted(pkt.runs, key=attrgetter("stream")):
-            n = min(left, len(run))
-            if n:
-                self._release(run.start, run.start + n)
-                left -= n
-            if n < len(run):
-                shortfall.append(run.tail(n) if n else run)
+        self._release(pkt.start, pkt.start + pkt.row_count)
         if self._watermark > self.journal.watermark:
             self.journal.ack_through(self._watermark)
-        self.counters["delivered_rows"] += stored
-        if shortfall:
-            shortfall.sort(key=attrgetter("start"))
-            self._buffer.extendleft(reversed(shortfall))
-            self._buffered_bytes += sum(run.size for run in shortfall)
-            self.counters["rows_reenqueued"] += pkt.row_count - stored
-        return AckResult(seq=fb.seq, sent_rows=pkt.row_count, stored_rows=stored)
+        self.counters["delivered_rows"] += pkt.row_count
+        return AckResult(seq=fb.seq, sent_rows=pkt.row_count, stored_rows=pkt.row_count)
 
     def _release(self, start: int, stop: int):
         """Mark journal indexes [start, stop) acknowledged, and move the

@@ -607,8 +607,8 @@ def natural_key(row: dict) -> tuple[int, int, int]:
 
 
 def write_order(streams: dict[str, list]) -> list[tuple[str, list]]:
-    """A batch's (stream, rows) pairs in the order storage writes them and a
-    stored count covers them: by stream name, then batch order."""
+    """A batch's (stream, rows) pairs in the order storage writes them and
+    the client numbers their rows: by stream name, then batch order."""
     return sorted(streams.items())  # names are unique, so rows are never compared
 
 

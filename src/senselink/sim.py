@@ -360,9 +360,9 @@ class ExperimentReport:
     """What one ``run_experiment`` measured. The client's counts
     (``retransmissions``, ``packets_sent``, ``feedback_received``,
     ``feedback_ignored``, ``auth_sent``, ``auth_responses``,
-    ``auth_ignored``, ``rows_reenqueued``, ``json_bytes``, ``wire_bytes``,
-    ``wire_bytes_total``) are the fields of its ``DeliveryReport`` of the
-    same names, the ones ``upload`` prints. The storage figures
+    ``auth_ignored``, ``json_bytes``, ``wire_bytes``, ``wire_bytes_total``)
+    are the fields of its ``DeliveryReport`` of the same names, the ones
+    ``upload`` prints. The storage figures
     (``rows_stored``, ``duplicate_rows``, ``stored_bytes``,
     ``storage_rate_bps``) count the run's own session only, whatever else
     the storage holds, and are 0 if the session never authenticated."""
@@ -380,7 +380,6 @@ class ExperimentReport:
     auth_sent: int = 0
     auth_responses: int = 0
     auth_ignored: int = 0
-    rows_reenqueued: int = 0
     json_bytes: int = 0
     wire_bytes: int = 0        # unique data packets, client to server
     wire_bytes_total: int = 0  # everything the client transmitted

@@ -45,8 +45,8 @@ Schema rules:
   milliseconds column (required where the stream table says so)
 * the natural key (session_id, stream, ts, ms, idx) is unique, so replayed
   writes are idempotent and retransmission is safe
-* a batch is written in :func:`senselink.codec.write_order`, the order a
-  partial stored count refers to
+* a batch is written in :func:`senselink.codec.write_order` in one
+  transaction, so its rows are stored all together or not at all
 * accel/gyro/mag rows pack one second of samples each, as 16-bit triplets
 * a wifi row names its access point only by (mac, essid), interned inside
   ``write_rows``'s transaction into a shared table: each distinct pair of

@@ -4,10 +4,9 @@ of ``senselink.client`` is checked against (tests/test_properties.py).
 A row is (journal index, stream, canonical JSON). A new packet takes rows
 from the front of the buffer while their JSON, each row's with one list
 separator, fits the budget, and always at least one row. Feedback that
-stores k rows releases the first k in storage's write order (stream name,
-then packet order) one index at a time, moves the watermark over released
-indexes one at a time, and returns the rest to the front of the buffer in
-index order.
+stores as many rows as the packet holds releases them one index at a time
+and moves the watermark over released indexes one at a time; feedback of
+any other count changes nothing, and the packet stays in flight.
 """
 
 from collections import deque
@@ -60,13 +59,13 @@ class RowBuffer:
         return codec.data_payload(seq, row_json)
 
     def feedback(self, seq: int, stored: int):
-        ordered = sorted(self.flight.pop(seq), key=lambda entry: entry[1])
-        for index, _, _ in ordered[:stored]:
+        if stored != len(self.flight[seq]):
+            return
+        for index, _, _ in self.flight.pop(seq):
             self.released.add(index)
         while self.watermark in self.released:
             self.released.discard(self.watermark)
             self.watermark += 1
-        self.buffer.extendleft(reversed(sorted(ordered[stored:])))  # by index
 
     def give_up(self, seq: int):
         del self.flight[seq]

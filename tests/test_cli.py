@@ -11,7 +11,7 @@ import pytest
 
 from conftest import stored_rows
 
-from senselink import cli, crypto, journal, storage
+from senselink import cli, client, codec, crypto, journal, sim, storage
 from senselink.server import ServerConfig, ServerDaemon
 
 TS = 1_400_000_000
@@ -232,8 +232,64 @@ def test_local_file_error_is_config_error(keyfiles, tmp_path, capsys, monkeypatc
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_upload_generates_an_hour_at_a_time(keyfiles, tmp_path, monkeypatch):
+    # a recording over an hour is generated and enqueued one hour at a time,
+    # so the client never holds more than an hour of row dicts
+    made, real = [], sim.generate_session
+
+    def generate_session(cfg):
+        made.append((cfg, real(cfg)))
+        return made[-1][1]
+
+    monkeypatch.setattr(cli.sim, "generate_session", generate_session)
+    jpath = str(tmp_path / "j.bin")
+    code = cli.main(["upload", "--pubkey", keyfiles[1], "--time", str(TS),
+                     "--duration", "7300", "--seed", "5", "--journal", jpath,
+                     "--transport", "tcp", "--auth-port", "1", "--data-port", "2"])
+    assert code == 3  # nothing listens there
+    assert [(cfg.start_ts - TS, cfg.duration_s, cfg.seed) for cfg, _ in made] == [
+        (0, 3600, 5), (3600, 3600, 5 + 2**32), (7200, 100, 5 + 2 * 2**32)]
+    assert made[0][1] == real(sim.WorkloadConfig(seed=5, start_ts=TS))
+    j = journal.Journal(jpath)
+    try:
+        assert j.total_rows == sum(codec.batch_row_count(rows) for _, rows in made)
+    finally:
+        j.close()
+
+
+def test_upload_over_the_buffer_limit_is_config_error(keyfiles, tmp_path, capsys,
+                                                      monkeypatch):
+    # exit code 1 means partial delivery: a batch the client cannot buffer
+    # ends the command as an error, without a traceback and unjournaled
+    monkeypatch.setattr(client, "BUFFER_LIMIT_BYTES", 1024)
+    jpath = str(tmp_path / "j.bin")
+    code = cli.main(["upload", "--pubkey", keyfiles[1], "--time", str(TS),
+                     "--duration", "30", "--journal", jpath,
+                     "--auth-port", "1", "--data-port", "2"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: buffer limit")
+    j = journal.Journal(jpath)
+    try:
+        assert j.total_rows == 0
+    finally:
+        j.close()
+
+
 # ---------------------------------------------------------------------------
 # serve
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_serve_unknown_log_level_is_config_error(keyfiles, capsys, monkeypatch, source):
+    argv = ["serve", "--key", keyfiles[0]]
+    if source == "flag":
+        argv += ["--log-level", "verbose"]
+    else:  # argparse checks no default against choices, so serve checks the level
+        monkeypatch.setenv("SENSELINK_LOG_LEVEL", "verbose")
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: unknown log level 'verbose'"]
 
 
 def test_serve_equal_ports_is_config_error(keyfiles):

@@ -378,47 +378,57 @@ def test_feedback_for_wrong_session_ignored(test_keypair, core):
     assert session.counters["delivered_rows"] == 0
 
 
-def test_partial_store_reenqueues_shortfall_first(test_keypair, core, j):
+def ignored_unless_whole(session, j, seq, blob):
+    """Feedback one row short of and one row over the row count of packet
+    seq each release nothing, and the packet's retry sends blob again."""
+    sent = session._flight[seq].row_count
+    for stored in (sent - 1, sent + 1):
+        flight, watermark = dict(session._flight), j.watermark
+        ignored, delivered = (session.counters[k] for k in ("feedback_ignored", "delivered_rows"))
+        fb = codec.FeedbackPacket(session.session_id, seq, stored)
+        assert session.handle_feedback(fb, 1.1) is None
+        assert session.counters["feedback_ignored"] == ignored + 1
+        assert session._flight == flight
+        assert j.watermark == watermark
+        assert session.counters["delivered_rows"] == delivered
+        assert (DATA, blob) in session.pump(session._flight[seq].next_retry_at)
+
+
+def test_short_or_over_count_is_ignored_and_the_packet_resent(test_keypair, core, j):
+    # the server acknowledges a packet whole, so no other count releases rows
     session = make_session(test_keypair, journal=j)
     authenticate(session, core)
     session.enqueue_rows(pressure_batch(120))
     [(_, blob)] = session.pump(1.0)
-    pkt = codec.decode_data_packet(blob, core.lookup_key)
-    short = codec.FeedbackPacket(session_id=session.session_id, seq=pkt.seq, stored=100)
-    ack = session.handle_feedback(short, 1.1)
-    assert ack.stored_rows == 100
-    assert session.counters["rows_reenqueued"] == 20
-    assert j.watermark == 100  # contiguous released prefix only
-    # the shortfall goes out again ahead of anything else, on a fresh seq
-    [(_, blob2)] = session.pump(2.0)
-    pkt2 = codec.decode_data_packet(blob2, core.lookup_key)
-    assert pkt2.seq != pkt.seq
-    assert [r["ts"] for r in pkt2.streams["pressure"]] == [TS + i for i in range(100, 120)]
-    reply = core.handle_data_packet(blob2)
-    session.handle_wire(DATA, reply, 2.1)
-    assert j.watermark == 120
+    seq = codec.decode_data_packet(blob, core.lookup_key).seq
+    ignored_unless_whole(session, j, seq, blob)
+    assert session.counters["retransmissions"] == 2
+    ack = session.handle_wire(DATA, core.handle_data_packet(blob), 9.0)
+    assert (ack.seq, ack.sent_rows, ack.stored_rows) == (seq, 120, 120)
+    assert j.watermark == 120 and session._released == []
+    assert session.counters["delivered_rows"] == 120
     assert session.is_done()
 
 
-def test_partial_ack_releases_the_write_order_prefix(test_keypair, core, j):
+def test_full_count_releases_a_mixed_packet_as_one_range(test_keypair, core, j):
     session = make_session(test_keypair, journal=j)
     authenticate(session, core)
+    blobs = []
     for base in (TS, TS + 10):  # journal indexes: events 0, pressure 1-3, events 4, pressure 5-7
         session.enqueue_rows({"pressure": [{"ts": base + i, "hpa": 1000.0} for i in range(3)],
                               "events": [{"ts": base, "kind": "lap"}]})
-    [(_, blob)] = session.pump(1.0)
-    pkt = codec.decode_data_packet(blob, core.lookup_key)
-    written = [(stream, row) for stream, rows in codec.write_order(pkt.streams)
-               for row in rows]  # the order storage writes them in
-    assert [stream for stream, _ in written] == ["events"] * 2 + ["pressure"] * 6
-    session.handle_feedback(codec.FeedbackPacket(session.session_id, pkt.seq, stored=4), 1.1)
-    # released: both events (0, 4) and the first two pressure rows (1, 2)
-    assert j.watermark == 3
-    assert session._released == [(4, 5)]
-    [(_, blob2)] = session.pump(2.0)
-    resent = codec.decode_data_packet(blob2, core.lookup_key)
-    assert resent.streams == {"pressure": [row for _, row in written[4:]]}
-    assert [r["ts"] for r in resent.streams["pressure"]] == [TS + 2, TS + 10, TS + 11, TS + 12]
+        [(_, blob)] = session.pump(1.0)
+        blobs.append(blob)
+    first, second = (codec.decode_data_packet(blob, core.lookup_key) for blob in blobs)
+    assert [(p.start, p.row_count) for p in session._flight.values()] == [(0, 4), (4, 4)]
+    ignored_unless_whole(session, j, second.seq, blobs[1])
+    session.handle_wire(DATA, core.handle_data_packet(blobs[1]), 9.0)
+    assert session._released == [(4, 8)] and j.watermark == 0
+    ignored_unless_whole(session, j, first.seq, blobs[0])
+    session.handle_wire(DATA, core.handle_data_packet(blobs[0]), 20.0)
+    assert session._released == [] and j.watermark == 8
+    assert session.counters["delivered_rows"] == 8
+    assert not session._flight and not session._buffer
 
 
 def test_given_up_packet_keeps_release_bookkeeping_bounded(test_keypair, core, j,

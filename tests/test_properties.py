@@ -16,6 +16,7 @@ ingest core must store or count as one discard every mutation of a valid
 blob, without raising.
 """
 
+import itertools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from senselink import codec, crypto, server as ingest, storage
 from senselink.client import ClientSession
 from senselink.journal import Journal
 
-from _buffer_oracle import RowBuffer, buffered_rows, run_rows
+from _buffer_oracle import RowBuffer, buffered_rows
 from conftest import stored_rows
 
 TS = 1_400_000_000
@@ -91,12 +92,12 @@ def test_client_json_size_is_the_payload_length(test_keypair, batch, seq_gap):
     session.enqueue_rows(batch)
     session.pump(1.0)
     assert session._flight
-    by_index = [row for _, rows in codec.write_order(codec.validate_streams(batch))
-                for row in rows]
+    by_index = [(stream, row) for stream, rows in
+                codec.write_order(codec.validate_streams(batch)) for row in rows]
     for pkt in session._flight.values():
         streams = {}
-        for index, stream, _ in (row for run in pkt.runs for row in run_rows(run)):
-            streams.setdefault(stream, []).append(by_index[index])
+        for stream, row in by_index[pkt.start:pkt.start + pkt.row_count]:
+            streams.setdefault(stream, []).append(row)
         payload = codec.decompress(crypto.sym_decrypt(session.key, pkt.blob[4:]))
         assert payload == codec.canonical_json({"seq": pkt.seq, "streams": streams})
         assert pkt.payload == payload  # the kept payload is what was sealed
@@ -106,7 +107,8 @@ def test_client_json_size_is_the_payload_length(test_keypair, batch, seq_gap):
 # rounds of: batches to enqueue; a budget the JSON of the next k buffered
 # rows, each with one separator, fills to the byte or misses by one (or
 # none); new packets to pump; acks of in-flight packets, each picked by its
-# place in seq order and storing its rows modulo their count + 1 (None: all);
+# place in seq order and storing its rows modulo their count + 2, so short,
+# whole or one over (None: all);
 # and a packet given up, or a crash and a resume from the journal
 _rounds = st.lists(st.tuples(
     st.lists(_batches, max_size=2),
@@ -127,6 +129,10 @@ def _started(keypair, j, budget, window):
 
 def _agree(session, model, j):
     assert buffered_rows(session) == list(model.buffer)
+    assert all(a.start + len(a) == b.start for a, b in itertools.pairwise(session._buffer))
+    assert {seq: [index for index, _, _ in rows] for seq, rows in model.flight.items()} == {
+        seq: list(range(pkt.start, pkt.start + pkt.row_count))
+        for seq, pkt in session._flight.items()}
     assert session._buffered_bytes == sum(run.size for run in session._buffer)
     assert j.watermark == model.watermark
     released = session._released
@@ -144,7 +150,8 @@ def test_run_buffer_packs_and_releases_as_the_row_buffer(test_keypair, budget, w
     # the per-row buffer of tests/_buffer_oracle.py as the reference: every
     # packet's payload and row count, the buffered rows, the released indexes
     # and the journal's watermark agree after each step, across random batches,
-    # budgets, partial and reordered acks, given-up packets and journal resumes
+    # budgets, whole, short, over and reordered acks, given-up packets and
+    # journal resumes
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "j.bin")
         j = Journal(path)
@@ -175,9 +182,14 @@ def test_run_buffer_packs_and_releases_as_the_row_buffer(test_keypair, budget, w
                         break
                     seq = sorted(session._flight)[pick % len(session._flight)]
                     sent = session._flight[seq].row_count
-                    stored = sent if stored is None else stored % (sent + 1)
+                    stored = sent if stored is None else stored % (sent + 2)
+                    ignored = session.counters["feedback_ignored"]
                     ack = session.handle_feedback(codec.FeedbackPacket(7, seq, stored))
-                    assert (ack.sent_rows, ack.stored_rows) == (sent, stored)
+                    if stored == sent:
+                        assert (ack.seq, ack.sent_rows, ack.stored_rows) == (seq, sent, sent)
+                    else:
+                        assert ack is None
+                        assert session.counters["feedback_ignored"] == ignored + 1
                     model.feedback(seq, stored)
                     _agree(session, model, j)
                 if end == "resume":  # a crash: what is in flight is lost

@@ -15,12 +15,20 @@ private method or class attribute, or a private attribute set on ``self``
 counts as read when it appears as a whole word in ``src/senselink``
 outside every definition of that name, so a constant, helper or attribute
 left behind when the code that read it went is caught.
+
+Every field of ``client.DeliveryReport`` and ``sim.ExperimentReport`` is
+written by some code in ``src/senselink``, so a field left behind when its
+counter went is caught.
 """
 
 import ast
 import collections
+import dataclasses
 import pathlib
 import re
+
+from senselink.client import DeliveryReport
+from senselink.sim import ExperimentReport
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "senselink").glob("*.py"))
@@ -134,3 +142,32 @@ def test_every_private_name_in_src_is_read():
             read.update(name for name in re.findall(r"\w+", line)
                         if name in defined and (path, number) not in defined[name])
     assert sorted(defined.keys() - read) == []
+
+
+def test_every_report_field_is_written():
+    # a DeliveryReport field is written as a keyword of a DeliveryReport call
+    # or as a counter, a string in the subscript of an assignment target; an
+    # ExperimentReport field as a keyword of an ExperimentReport call, as an
+    # attribute assigned to, or as a written DeliveryReport field of the same
+    # name, which run_experiment copies
+    keywords = collections.defaultdict(set)
+    subscripts, attributes = set(), set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                keywords[node.func.id].update(k.arg for k in node.keywords if k.arg)
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+            for target in targets:
+                if isinstance(target, ast.Subscript):
+                    subscripts.update(n.value for n in ast.walk(target.slice)
+                                      if isinstance(n, ast.Constant) and isinstance(n.value, str))
+                elif isinstance(target, ast.Attribute):
+                    attributes.add(target.attr)
+    delivery = keywords["DeliveryReport"] | subscripts
+    experiment = keywords["ExperimentReport"] | attributes | delivery
+    unwritten = [f"client.DeliveryReport.{f.name}" for f in dataclasses.fields(DeliveryReport)
+                 if f.name not in delivery]
+    unwritten += [f"sim.ExperimentReport.{f.name}" for f in dataclasses.fields(ExperimentReport)
+                  if f.name not in experiment]
+    assert unwritten == []

@@ -125,6 +125,41 @@ def test_replayed_data_packet_acked_idempotently(test_keypair):
     assert core.storage.storage_stats()["rows"]["pressure"] == 120
 
 
+@pytest.mark.parametrize("flush_period", [60.0, 5.0], ids=["batch", "realtime"])
+def test_every_reply_to_a_valid_data_packet_stores_its_row_count(test_keypair, flush_period):
+    # the client releases a packet only on feedback whose stored count is the
+    # packet's row count; the core sends no reply with any other count
+    st = storage.open_storage("memory")
+    core = IngestCore(test_keypair.private_part, st)
+    key, sid = _session(core, test_keypair)
+    generated = sim.generate_session(sim.WorkloadConfig(duration_s=120, seed=3, start_ts=TS))
+    first, second = [chunk for _, chunk in sim.flush_chunks(generated, TS, flush_period)][:2]
+    overlap = {s: first.get(s, []) + second.get(s, []) for s in {*first, *second}}
+
+    def assert_whole(core, key, seq, streams):
+        reply = core.handle_data_packet(codec.encode_data_packet(
+            codec.DataPacket(sid, seq, streams), key))
+        fb = codec.decode_feedback(reply, key)
+        assert (fb.session_id, fb.seq, fb.stored) == (sid, seq, codec.batch_row_count(streams))
+
+    assert_whole(core, key, 2, first)  # the first time
+    blob = codec.encode_data_packet(codec.DataPacket(sid, 3, first), key)
+    for _ in range(2):  # the same blob again
+        fb = codec.decode_feedback(core.handle_data_packet(blob), key)
+        assert (fb.seq, fb.stored) == (3, codec.batch_row_count(first))
+    assert_whole(core, key, 4, overlap)  # rows already stored and new ones
+    core = IngestCore(test_keypair.private_part, st)  # a restart keeps only storage
+    fb = codec.decode_feedback(core.handle_data_packet(blob), key)
+    assert (fb.seq, fb.stored) == (3, codec.batch_row_count(first))
+    assert_whole(core, key, 5, overlap)
+    rotated, same = _session(core, test_keypair)  # re-sealed under a rotated key
+    assert same == sid
+    assert_whole(core, rotated, 3, first)
+    assert_whole(core, rotated, 6, overlap)
+    assert sum(n for n, _ in st.session_tally(sid).values()) == codec.batch_row_count(overlap)
+    assert codec.batch_row_count(first) < codec.batch_row_count(overlap)
+
+
 def test_integers_beyond_sqlite_are_discarded_not_raised(test_keypair, tmp_path):
     # ts and auth time end at 2**63 - 1, where SQLite's signed 64 bits do;
     # the blobs are sealed by hand because the encoders refuse such values

@@ -432,8 +432,8 @@ def test_experiment_report_shares_the_client_counts_by_name():
     shared = ({f.name for f in fields(ExperimentReport)}
               & {f.name for f in fields(client.DeliveryReport)})
     assert shared == {"retransmissions", "packets_sent", "feedback_received", "feedback_ignored",
-                      "auth_sent", "auth_responses", "auth_ignored", "rows_reenqueued",
-                      "json_bytes", "wire_bytes", "wire_bytes_total"}
+                      "auth_sent", "auth_responses", "auth_ignored", "json_bytes",
+                      "wire_bytes", "wire_bytes_total"}
 
 
 def test_runs_sharing_a_storage_report_their_own_session(test_keypair):
