@@ -40,9 +40,10 @@ Reliability rules:
   re-sealed under the current values
 * the buffer holds consecutive journal indexes and a new packet takes its
   front, so each packet in flight is one index range, kept as its first
-  index and row count; released rows are kept as a few disjoint index
-  ranges above the journal's watermark, which moves when the range at its
-  end is released
+  index and row count; the journal's watermark is the only acknowledgement
+  state: feedback moves it to the first index the session still holds,
+  the lowest of the buffer's front, the packets in flight and the first
+  packet given up
 * after every few fruitless retries of the same packet the engine re-sends
   an authentication packet, so a server that lost or rotated the session
   key converges back instead of discarding packets forever
@@ -50,18 +51,19 @@ Reliability rules:
 A session sets its window, journal, JSON bytes per packet and identifiers,
 and always sends ``codec.PROTOCOL_VERSION``; the retry limit, backoff,
 re-auth interval, buffer limit and packet-size limit are module constants
-(the last is ``codec.MAX_PACKET_BYTES``, which the server enforces too, as it
-does ``codec.MAX_DECOMPRESSED_BYTES`` on a packet's payload).
+(the last is ``codec.MAX_PACKET_BYTES``, which the server enforces on every
+transport, as it does ``codec.MAX_DECOMPRESSED_BYTES`` on a packet's payload).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import select
 import socket
 import time
 from array import array
-from bisect import bisect, bisect_right
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
 from operator import add, itemgetter
@@ -253,10 +255,7 @@ class ClientSession:
         self._buffered_bytes = 0  # the sizes of the buffer's runs
         self._flight: dict[int, OutstandingPacket] = {}
         self._pending_auths: dict[int, PendingAuth] = {}
-        # released journal indexes above the watermark: sorted, disjoint and
-        # apart, as (start, stop) pairs
-        self._released: list[tuple[int, int]] = []
-        self._watermark = self.journal.watermark
+        self._failed_from = math.inf  # the lowest first index of a packet given up
         self._failed_rows = 0
         # each count DeliveryReport reports, less the two report() works
         # out, is kept under its field name
@@ -480,40 +479,29 @@ class ClientSession:
 
     def _fail_packet(self, pkt: OutstandingPacket):
         del self._flight[pkt.seq]
+        self._failed_from = min(self._failed_from, pkt.start)
         self._failed_rows += pkt.row_count
         self.counters["packets_failed"] += 1
 
     # -- feedback -----------------------------------------------------------
 
     def handle_feedback(self, fb: codec.FeedbackPacket, now: float = 0.0) -> AckResult | None:
-        """Release a packet in flight whose feedback stored all its rows;
-        other feedback is ignored, and the packet is retried as it was."""
+        """Release a packet in flight whose feedback stored all its rows, and
+        move the journal's watermark to the first index the session still
+        holds; other feedback is ignored, and the packet is retried as it was."""
         pkt = self._flight.get(fb.seq) if fb.session_id == self.session_id else None
         if pkt is None or fb.stored != pkt.row_count:
             self.counters["feedback_ignored"] += 1
             return None
         del self._flight[fb.seq]
         self.counters["feedback_received"] += 1
-        self._release(pkt.start, pkt.start + pkt.row_count)
-        if self._watermark > self.journal.watermark:
-            self.journal.ack_through(self._watermark)
+        held = min(self._failed_from,
+                   self._buffer[0].start if self._buffer else self.journal.total_rows,
+                   *(p.start for p in self._flight.values()))
+        if held > self.journal.watermark:
+            self.journal.ack_through(held)
         self.counters["delivered_rows"] += pkt.row_count
         return AckResult(seq=fb.seq, sent_rows=pkt.row_count, stored_rows=pkt.row_count)
-
-    def _release(self, start: int, stop: int):
-        """Mark journal indexes [start, stop) acknowledged, and move the
-        watermark over the released range it reaches."""
-        ranges = self._released
-        i = bisect(ranges, (start,))
-        if i < len(ranges) and ranges[i][0] == stop:
-            stop = ranges.pop(i)[1]
-        if i and ranges[i - 1][1] == start:
-            i -= 1
-            start = ranges.pop(i)[0]
-        if start == self._watermark:
-            self._watermark = stop
-        else:
-            ranges.insert(i, (start, stop))
 
     # -- wire dispatch ------------------------------------------------------
 

@@ -734,8 +734,12 @@ def encode_data_packet(pkt: DataPacket, key: bytes, *, iv: bytes | None = None) 
 
 
 def decode_data_packet(blob: bytes, key_lookup: Callable[[int], bytes | None]) -> DataPacket:
-    """Decrypt and parse a data packet. Its rows stay as received: storage
-    checks them as it builds their parameters (``StreamSpec.rows_params``)."""
+    """Decrypt and parse a data packet. A blob over ``MAX_PACKET_BYTES`` is
+    malformed on every transport, as TCP's framing refuses it. Its rows stay
+    as received: storage checks them as it builds their parameters
+    (``StreamSpec.rows_params``)."""
+    if len(blob) > MAX_PACKET_BYTES:
+        raise MalformedPayload(f"packet of {len(blob)} bytes exceeds {MAX_PACKET_BYTES}")
     session_id = peek_u32(blob)
     key = key_lookup(session_id)
     if key is None:

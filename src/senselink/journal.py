@@ -143,14 +143,17 @@ class Journal:
             raise JournalError(f"unknown record kind {kind!r}")
 
     def pending_rows(self):
-        """(index, stream, row) for rows not yet under the watermark.
+        """(index, stream, row) for the rows replay found above the
+        watermark, in index order from ``watermark``.
 
-        Only meaningful right after open; live appends track indexes via
-        the range returned by :meth:`append`.
+        Call it right after open. The rows are handed over once: the first
+        call takes them and the journal keeps none, so a later call yields
+        nothing. Live appends track indexes via the range returned by
+        :meth:`append`.
         """
-        base = self.total_rows - len(self._pending)
-        for offset, (stream, row) in enumerate(self._pending):
-            yield base + offset, stream, row
+        pending, self._pending = self._pending, []
+        return ((self.watermark + offset, stream, row)
+                for offset, (stream, row) in enumerate(pending))
 
     def _write(self, *bodies: bytes):
         """Append one record a body; a failed append leaves none behind."""

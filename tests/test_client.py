@@ -405,7 +405,7 @@ def test_short_or_over_count_is_ignored_and_the_packet_resent(test_keypair, core
     assert session.counters["retransmissions"] == 2
     ack = session.handle_wire(DATA, core.handle_data_packet(blob), 9.0)
     assert (ack.seq, ack.sent_rows, ack.stored_rows) == (seq, 120, 120)
-    assert j.watermark == 120 and session._released == []
+    assert j.watermark == 120
     assert session.counters["delivered_rows"] == 120
     assert session.is_done()
 
@@ -423,19 +423,19 @@ def test_full_count_releases_a_mixed_packet_as_one_range(test_keypair, core, j):
     assert [(p.start, p.row_count) for p in session._flight.values()] == [(0, 4), (4, 4)]
     ignored_unless_whole(session, j, second.seq, blobs[1])
     session.handle_wire(DATA, core.handle_data_packet(blobs[1]), 9.0)
-    assert session._released == [(4, 8)] and j.watermark == 0
+    assert j.watermark == 0  # the first packet, indexes 0-3, is still in flight
     ignored_unless_whole(session, j, first.seq, blobs[0])
     session.handle_wire(DATA, core.handle_data_packet(blobs[0]), 20.0)
-    assert session._released == [] and j.watermark == 8
+    assert j.watermark == 8
     assert session.counters["delivered_rows"] == 8
     assert not session._flight and not session._buffer
 
 
-def test_given_up_packet_keeps_release_bookkeeping_bounded(test_keypair, core, j,
-                                                           monkeypatch):
+def test_given_up_packet_holds_the_watermark_at_its_first_index(test_keypair, core, j,
+                                                                 tmp_path, monkeypatch):
     # a realtime recording whose second packet is given up after MAX_RETRIES:
-    # the watermark stays before its rows, and the rows acknowledged after it
-    # are kept as one released range, not one entry per row
+    # the watermark stays at its first index while the rows after it are
+    # acknowledged, so a resume from the journal holds the rows from there on
     monkeypatch.setattr(client, "MAX_RETRIES", 2)
     session = make_session(test_keypair, journal=j)
     authenticate(session, core)
@@ -463,8 +463,12 @@ def test_given_up_packet_keeps_release_bookkeeping_bounded(test_keypair, core, j
     assert report.delivered_rows + report.failed_rows == codec.batch_row_count(generated)
     assert report.delivered_rows > 100 * first_rows > 0
     assert j.watermark == first_rows  # before the given-up rows
-    assert len(session._released) <= 2
-    assert sum(b - a for a, b in session._released) == report.delivered_rows - first_rows
+    j.close()
+    reopened = journal.Journal(str(tmp_path / "j.bin"))
+    resumed = make_session(test_keypair, journal=reopened)
+    assert resumed._buffer[0].start == first_rows
+    assert sum(map(len, resumed._buffer)) == reopened.total_rows - first_rows
+    reopened.close()
 
 
 def test_rows_kept_until_acked(test_keypair, core, j):
@@ -616,6 +620,80 @@ def test_journal_replay_buffers_what_enqueue_did(test_keypair, tmp_path):
     assert runs(resumed) == runs(session)
     assert len(runs(session)) == len(codec.STREAM_SPECS.keys() & session_rows.keys())
     assert resumed._buffered_bytes == session._buffered_bytes
+
+
+# SHA-256 (of 490,572 bytes, 30 ack records among them) and watermark of
+# the journal of the scripted session below
+_SCRIPTED_JOURNAL = ("299d57e13d06e39d86320e75de6119ba79dd7dcced13d58f851b85f81ee50c49",
+                     2449)
+
+
+def test_scripted_session_writes_pinned_journal_bytes(test_keypair, tmp_path):
+    # 15 min of the default workload in 5-s realtime batches at window 4:
+    # after every third batch each packet in flight is acknowledged whole,
+    # newest first, except the 91st data packet, which is never acknowledged
+    # and is given up after MAX_RETRIES; the journal's bytes (batch records
+    # and the ack records the feedback order writes) and its final watermark
+    # are pinned
+    path = tmp_path / "j.bin"
+    j = journal.Journal(str(path))
+    session = make_session(test_keypair, journal=j, window=4)
+    sid = 7
+    data_seqs = []  # in the order first sent
+
+    def pump(now):
+        session.pump(now)
+        for seq in list(session._pending_auths):  # the first and self-healing ones
+            session.handle_auth_response(codec.AuthResponse(seq, TS, sid), now)
+        data_seqs.extend(seq for seq in session._flight if seq not in data_seqs)
+
+    def deliver(now):
+        for seq in sorted(session._flight, reverse=True):
+            if data_seqs.index(seq) != 90:
+                fb = codec.FeedbackPacket(sid, seq, session._flight[seq].row_count)
+                assert session.handle_feedback(fb, now) is not None
+
+    session.begin(0.0)
+    pump(0.0)
+    generated = sim.generate_session(sim.WorkloadConfig(duration_s=900))
+    for i, (now, chunk) in enumerate(sim.flush_chunks(generated, TS, 5.0)):
+        session.enqueue_rows(chunk)
+        pump(now)
+        if i % 3 == 2:
+            deliver(now)
+    while not session.is_done():
+        now = max(now, session.next_wakeup() or now)
+        pump(now)
+        deliver(now)
+    report = session.report()
+    assert report.packets_failed == 1 and report.pending_rows == 0
+    assert report.delivered_rows + report.failed_rows == j.total_rows
+    j.close()
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert (digest, j.watermark) == _SCRIPTED_JOURNAL, (digest, j.watermark)
+
+
+def test_a_resumed_session_holds_its_replayed_rows_once(test_keypair, tmp_path):
+    # the journal hands its replayed rows over once, so a session built over
+    # a reopened journal holds them as its buffer only, not also as the
+    # journal's parsed rows (8x the buffer when the journal kept them)
+    path = str(tmp_path / "j.bin")
+    j = journal.Journal(path)
+    make_session(test_keypair, journal=j).enqueue_rows(
+        sim.generate_session(sim.WorkloadConfig(seed=6)))
+    j.close()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        j = journal.Journal(path)
+        session = make_session(test_keypair, journal=j)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    j.close()
+    assert sum(map(len, session._buffer)) == j.total_rows
+    assert held <= 1.5 * session._buffered_bytes, held / session._buffered_bytes
 
 
 def _drain_in_process(session, core):

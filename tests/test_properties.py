@@ -135,10 +135,6 @@ def _agree(session, model, j):
         for seq, pkt in session._flight.items()}
     assert session._buffered_bytes == sum(run.size for run in session._buffer)
     assert j.watermark == model.watermark
-    released = session._released
-    assert all(a < b < c for (_, a), (b, c) in zip(released, released[1:]))
-    assert all(j.watermark < a < b for a, b in released)
-    assert {i for a, b in released for i in range(a, b)} == model.released
     assert session.report().pending_rows == len(model.buffer) + sum(
         map(len, model.flight.values()))
 
@@ -148,10 +144,10 @@ def _agree(session, model, j):
 def test_run_buffer_packs_and_releases_as_the_row_buffer(test_keypair, budget, window,
                                                          rounds):
     # the per-row buffer of tests/_buffer_oracle.py as the reference: every
-    # packet's payload and row count, the buffered rows, the released indexes
-    # and the journal's watermark agree after each step, across random batches,
-    # budgets, whole, short, over and reordered acks, given-up packets and
-    # journal resumes
+    # packet's payload and row count, the buffered rows and the journal's
+    # watermark agree after each step, across random batches, budgets,
+    # whole, short, over and reordered acks, given-up packets and journal
+    # resumes
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "j.bin")
         j = Journal(path)

@@ -246,6 +246,39 @@ def test_a_packet_naming_an_unknown_stream_is_discarded(test_keypair):
     assert _accounted(core.metrics, "data")
 
 
+def test_a_packet_over_the_size_limit_is_a_malformed_discard(test_keypair):
+    # the size limit of TCP's framing holds on every transport: a valid blob
+    # over codec.MAX_PACKET_BYTES handed to the core, as UDP and the
+    # simulator hand it, is discarded before its key is looked up, while the
+    # largest packet a client seals of the same rows is stored whole
+    counting = CountingStorage(storage.open_storage("memory"))
+    core = IngestCore(test_keypair.private_part, counting)
+    key, sid = _session(core, test_keypair)
+    rng = random.Random(5)
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
+    rows = [{"ts": TS + i, "kind": "note", "detail": "".join(rng.choices(alphabet, k=120))}
+            for i in range(720)]
+    blob = _sealed(key, sid, 2, {"events": rows})
+    payload = codec.canonical_json({"seq": 2, "streams": {"events": rows}})
+    assert len(payload) <= codec.MAX_DECOMPRESSED_BYTES  # valid but for its size
+    assert codec.MAX_PACKET_BYTES < len(blob) < 1.05 * codec.MAX_PACKET_BYTES
+    lookups = counting.key_lookups
+    assert core.handle_data_packet(blob) is None
+    assert counting.key_lookups == lookups
+    assert core.metrics["data_discard_malformed"] == 1 and "data_ok" not in core.metrics
+    assert core.storage.storage_stats()["total_rows"] == 0
+    session = ClientSession(crypto.hash_user("big@example.com"), TS, test_keypair.public_part)
+    [(_, auth)] = session.begin(0.0)
+    session.handle_wire(AUTH, core.handle_auth_packet(auth), 0.0)
+    session.enqueue_rows({"events": rows})
+    [(_, largest)] = session.pump(1.0, max_new=1)
+    assert 0.8 * codec.MAX_PACKET_BYTES < len(largest) <= codec.MAX_PACKET_BYTES
+    ack = session.handle_wire(DATA, core.handle_data_packet(largest), 1.1)
+    assert 0 < ack.stored_rows == ack.sent_rows < len(rows)
+    assert core.storage.storage_stats()["total_rows"] == ack.stored_rows
+    assert _accounted(core.metrics, "data")
+
+
 def _session(core, keypair):
     key = crypto.generate_session_key()
     return key, codec.decode_auth_response(
