@@ -8,8 +8,8 @@ testable under a virtual clock; real-socket helpers live at the bottom.
 Rows wait in a buffer of runs. A run is one stream's rows with consecutive
 journal indexes: its first index, its stream, the rows' canonical JSON
 joined by commas, and where each row's JSON ends (an ``array('I')``). A
-batch adds one run per stream, as does each stream of a batch replayed from
-the journal; no Python object is kept per row.
+batch adds one run per stream, as does each run the journal replays (one a
+stream of a record, its rows checked JSON); no Python object is kept per row.
 
 Reliability rules:
 
@@ -23,8 +23,8 @@ Reliability rules:
 * a batch that names a stream outside ``codec.STREAM_SPECS`` is refused
   whole, as the server refuses such a packet; the rows of a batch are
   checked and serialized by the compiled per-stream functions when they
-  are buffered (``StreamSpec.rows_json``);
-  the journal record of the batch and each packet's payload are joined
+  are buffered (``StreamSpec.rows_json``); the journal's records of the
+  batch (it sizes them) and each packet's payload are joined
   from those bytes, a packet of ``PACK_JSON_BUDGET`` is sealed once, and a
   payload is kept until the packet is acknowledged
 * a new packet takes whole runs from the front of the buffer and splits at
@@ -66,7 +66,7 @@ from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
-from operator import add, itemgetter
+from operator import add
 
 from . import codec, crypto
 from . import journal as _journal
@@ -162,15 +162,6 @@ class _Run:
         return _Run(self.start + n, self.stream, self.data[cut:], self.ends[n:],
                     self.base + cut)
 
-    def pieces(self, budget: int) -> list[bytes]:
-        """The run's JSON cut at row boundaries into pieces that fit budget
-        as ``fit`` counts, a row over budget being a piece of its own."""
-        run, out = self, []
-        while len(run) > (n := max(run.fit(budget), 1)):
-            out.append(run.head(n).data)
-            run = run.tail(n)
-        return [*out, run.data]
-
 
 @dataclass
 class PendingAuth:
@@ -261,14 +252,8 @@ class ClientSession:
         # out, is kept under its field name
         self.counters = {f.name: 0 for f in fields(DeliveryReport)
                          if f.name not in ("failed_rows", "pending_rows")}
-        # pending rows come in index order, a stream's rows next to each other
-        for stream, run in itertools.groupby(self.journal.pending_rows(), itemgetter(1)):
-            indexes, _, rows = zip(*run)
-            try:  # the journal checks a record's shape, its rows are checked here
-                row_json = codec.STREAM_SPECS[stream].rows_json(list(rows))
-            except codec.MalformedPayload as exc:
-                raise _journal.JournalError(f"journal row of {stream!r}: {exc}") from exc
-            self._buffer_run(_Run.of_rows(indexes[0], stream, row_json))
+        for start, stream, rows in self.journal.pending_runs():
+            self._buffer_run(_Run.of_rows(start, stream, rows))
 
     # -- helpers ------------------------------------------------------------
 
@@ -365,18 +350,16 @@ class ClientSession:
         row_json = codec.rows_json(codec.split_streams(streams))  # checks every row
         # in write order, the order of the indexes; indexes are set once journaled
         runs = [_Run.of_rows(0, stream, rows) for stream, rows in row_json.items()]
-        count = sum(map(len, runs))
         if self._buffered_bytes + sum(run.size for run in runs) > BUFFER_LIMIT_BYTES:
             raise BufferFull(f"buffer limit {BUFFER_LIMIT_BYTES} bytes exceeded")
-        budget = _journal.MAX_RECORD_BYTES // 2  # so a piece fits a record of its own
-        index = self.journal.append({run.stream: run.pieces(budget) for run in runs},
-                                    count).start
+        indexes = self.journal.append(row_json)
+        index = indexes.start
         for run in runs:
             run.start = index
             index += len(run)
             if run:
                 self._buffer_run(run)
-        return count
+        return len(indexes)
 
     # -- transmission -------------------------------------------------------
 

@@ -15,10 +15,18 @@ Record kinds:
   :func:`senselink.codec.write_order` (stream name, then list order)
 * ``{"kind": "ack", "through": N}`` — first N rows are released
 
-A batch whose record would pass ``MAX_RECORD_BYTES`` is journaled as one
-record a piece, in write order, which gives its rows the same indexes; the
-caller keeps each piece within half the cap. A crash between the records
-leaves a prefix of the batch, whose rows replay as pending.
+The journal alone sizes its records: a batch whose record would pass
+``MAX_RECORD_BYTES`` is journaled as one record a piece of a stream's rows,
+in write order, each within half the cap (a row over that is a piece of its
+own). A crash between the records leaves a prefix of the batch pending.
+
+Replay gives back what was appended, each row's canonical JSON, checked by
+``StreamSpec.rows_json`` as its record is read: a bad row is a
+:class:`JournalError` from ``Journal(path)``. Pending rows are kept as runs,
+one per stream of a record, until an ack record covers a run whole, and
+``pending_runs`` hands them over once. An open holds their JSON (about 1.4x
+the client's buffer of them) and, at its peak, one parsed record (17 MB for
+a default hour).
 
 A torn final record (crash mid-append) is truncated away on open, and an
 append that fails part way cuts the file back to where its first record
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections import deque
 
 from . import codec
 
@@ -65,27 +74,46 @@ class MemoryJournal:
     def __init__(self):
         self.total_rows = 0
         self.watermark = 0
+        self._runs: deque[tuple[int, str, list[bytes]]] = deque()  # filled by replay
 
-    def pending_rows(self):
-        return iter(())
+    def pending_runs(self):
+        """(first index, stream, rows' canonical JSON) for each run replay
+        found above the watermark, in index order from ``watermark``.
 
-    def append(self, row_json: dict[str, list[bytes]], count: int) -> range:
+        Call it right after open. The runs are handed over once: the first
+        call takes them and the journal keeps none, so a later call yields
+        nothing. Live appends track indexes via the range returned by
+        :meth:`append`.
+        """
+        runs, self._runs = self._runs, deque()
+        if runs and runs[0][0] < self.watermark:  # an ack may end inside a run
+            first, stream, rows = runs[0]
+            runs[0] = (self.watermark, stream, rows[self.watermark - first:])
+        return (runs.popleft() for _ in range(len(runs)))  # each freed as it is taken
+
+    def _write(self, *bodies: bytes):
+        """Keep one record a body before the indexes or watermark move; a
+        memory journal keeps none."""
+
+    def append(self, row_json: dict[str, list[bytes]]) -> range:
+        """Journal a batch given as each row's canonical JSON by stream
+        (``codec.rows_json``); returns the global indexes of its rows."""
         first = self.total_rows
-        self.total_rows += count
+        self.total_rows += codec.batch_row_count(row_json)
         return range(first, self.total_rows)
 
     def ack_through(self, n: int):
         if n < self.watermark or n > self.total_rows:
             raise JournalError(f"watermark {n} out of range")
-        self.watermark = n
+        if n > self.watermark:
+            self._write(b'{"kind":"ack","through":%d}' % n)
+            self.watermark = n
 
 
-class Journal:
+class Journal(MemoryJournal):
     def __init__(self, path: str):
+        super().__init__()
         self._path = path
-        self.total_rows = 0
-        self.watermark = 0
-        self._pending: list[tuple[str, dict]] = []
         exists = os.path.exists(path)
         # unbuffered: a failed append leaves nothing behind to be written later
         self._file = open(path, "r+b" if exists else "w+b", buffering=0)
@@ -130,30 +158,22 @@ class Journal:
             for stream, rows in codec.write_order(streams):
                 if stream not in codec.STREAM_SPECS or not isinstance(rows, list):
                     raise JournalError(f"batch record with a bad stream {stream!r}")
-                self._pending += [(stream, row) for row in rows]
-                self.total_rows += len(rows)
+                try:
+                    rows = codec.STREAM_SPECS[stream].rows_json(rows)
+                except codec.MalformedPayload as exc:
+                    raise JournalError(f"journal row of {stream!r}: {exc}") from exc
+                if rows:
+                    self._runs.append((self.total_rows, stream, rows))
+                    self.total_rows += len(rows)
         elif kind == "ack":
             through = record.get("through")
             if not isinstance(through, int) or not 0 <= through <= self.total_rows:
                 raise JournalError("ack record out of range")
-            if through > self.watermark:  # _pending starts at the watermark's row
-                del self._pending[:through - self.watermark]
-                self.watermark = through
+            self.watermark = max(self.watermark, through)
+            while self._runs and self._runs[0][0] + len(self._runs[0][2]) <= self.watermark:
+                self._runs.popleft()
         else:
             raise JournalError(f"unknown record kind {kind!r}")
-
-    def pending_rows(self):
-        """(index, stream, row) for the rows replay found above the
-        watermark, in index order from ``watermark``.
-
-        Call it right after open. The rows are handed over once: the first
-        call takes them and the journal keeps none, so a later call yields
-        nothing. Live appends track indexes via the range returned by
-        :meth:`append`.
-        """
-        pending, self._pending = self._pending, []
-        return ((self.watermark + offset, stream, row)
-                for offset, (stream, row) in enumerate(pending))
 
     def _write(self, *bodies: bytes):
         """Append one record a body; a failed append leaves none behind."""
@@ -172,24 +192,20 @@ class Journal:
             f.seek(start)
             raise
 
-    def append(self, row_json: dict[str, list[bytes]], count: int) -> range:
-        """Journal a batch of count rows given as their canonical JSON by
-        stream, each piece one row or several joined by commas; returns the
-        global indexes of its rows."""
-        first = self.total_rows
-        body = _batch_record(row_json)
-        self._write(*([body] if len(body) <= MAX_RECORD_BYTES else [
-            _batch_record({stream: [piece]})
-            for stream, pieces in codec.write_order(row_json) for piece in pieces]))
-        self.total_rows += count
-        return range(first, self.total_rows)
-
-    def ack_through(self, n: int):
-        if n < self.watermark or n > self.total_rows:
-            raise JournalError(f"watermark {n} out of range")
-        if n > self.watermark:
-            self._write(b'{"kind":"ack","through":%d}' % n)
-            self.watermark = n
+    def append(self, row_json: dict[str, list[bytes]]) -> range:
+        records = [_batch_record(row_json)]
+        if len(records[0]) > MAX_RECORD_BYTES:  # one record a piece of a stream's rows
+            records = []
+            for stream, rows in codec.write_order(row_json):
+                start = size = 0  # each row's JSON and separator counted in size
+                for k, row in enumerate(rows):
+                    if k > start and size + len(row) + 1 > MAX_RECORD_BYTES // 2:
+                        records.append(_batch_record({stream: rows[start:k]}))
+                        start, size = k, 0
+                    size += len(row) + 1
+                records.append(_batch_record({stream: rows[start:]}))
+        self._write(*records)
+        return super().append(row_json)
 
     def close(self):
         self._file.close()

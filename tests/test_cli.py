@@ -152,7 +152,7 @@ def test_upload_with_journal(daemon, keyfiles, tmp_path, capsys):
     try:
         assert j.total_rows > 0
         assert j.watermark == j.total_rows  # everything confirmed stored
-        assert list(j.pending_rows()) == []
+        assert list(j.pending_runs()) == []
     finally:
         j.close()
 

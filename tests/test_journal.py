@@ -30,21 +30,29 @@ def _write_records(path, *records):
             f.write(struct.pack("!I", len(body)) + body)
 
 
+def _pending(j):
+    """The rows of the journal's pending runs as (index, stream, row)."""
+    return [(start + k, stream, json.loads(row)) for start, stream, rows in j.pending_runs()
+            for k, row in enumerate(rows)]
+
+
 def test_iter_batch_rows_global_order(tmp_path):
     # replay indexes a batch's rows in write order: stream name, then list order
     path = str(tmp_path / "j.bin")
-    _write_records(path, b'{"kind":"batch","streams":{"pressure":[{"ts":2}],'
-                         b'"bt":[{"ts":1},{"ts":3}]}}')
+    _write_records(path, b'{"kind":"batch","streams":{"pressure":[{"hpa":2,"ts":2}],'
+                         b'"bt":[{"device_id":"a","rssi":-1,"ts":1},'
+                         b'{"device_id":"b","rssi":-3,"ts":3}]}}')
     j = journal.Journal(path)
-    assert list(j.pending_rows()) == [
-        (0, "bt", {"ts": 1}), (1, "bt", {"ts": 3}), (2, "pressure", {"ts": 2})]
+    assert list(j.pending_runs()) == [
+        (0, "bt", [b'{"device_id":"a","rssi":-1,"ts":1}', b'{"device_id":"b","rssi":-3,"ts":3}']),
+        (2, "pressure", [b'{"hpa":2,"ts":2}'])]
     j.close()
 
 
 def test_append_returns_global_index_ranges(tmp_path):
     j = journal.Journal(str(tmp_path / "j.bin"))
-    assert j.append(batch(3), 3) == range(0, 3)
-    assert j.append(batch(2, base_ts=TS + 10), 2) == range(3, 5)
+    assert j.append(batch(3)) == range(0, 3)
+    assert j.append(batch(2, base_ts=TS + 10)) == range(3, 5)
     assert j.total_rows == 5
     j.close()
 
@@ -52,33 +60,32 @@ def test_append_returns_global_index_ranges(tmp_path):
 def test_replay_resumes_past_watermark(tmp_path):
     path = str(tmp_path / "j.bin")
     j = journal.Journal(path)
-    j.append(batch(3), 3)
-    j.append(codec.rows_json({"bt": [{"ts": TS, "device_id": "kb", "rssi": -9}]}), 1)
+    j.append(batch(3))
+    j.append(codec.rows_json({"bt": [{"ts": TS, "device_id": "kb", "rssi": -9}]}))
     j.ack_through(3)
     j.close()
 
     j2 = journal.Journal(path)
     assert (j2.total_rows, j2.watermark) == (4, 3)
-    pending = list(j2.pending_rows())
-    assert pending == [(3, "bt", {"ts": TS, "device_id": "kb", "rssi": -9})]
+    assert _pending(j2) == [(3, "bt", {"ts": TS, "device_id": "kb", "rssi": -9})]
     # appends continue the global numbering
-    assert j2.append(batch(2, base_ts=TS + 50), 2) == range(4, 6)
+    assert j2.append(batch(2, base_ts=TS + 50)) == range(4, 6)
     j2.close()
 
     j3 = journal.Journal(path)
     assert j3.total_rows == 6
-    assert [i for i, _, _ in j3.pending_rows()] == [3, 4, 5]
+    assert [i for i, _, _ in _pending(j3)] == [3, 4, 5]
     j3.close()
 
 
 def test_fully_acked_journal_reopens_empty(tmp_path):
     path = str(tmp_path / "j.bin")
     j = journal.Journal(path)
-    j.append(batch(4), 4)
+    j.append(batch(4))
     j.ack_through(4)
     j.close()
     j2 = journal.Journal(path)
-    assert list(j2.pending_rows()) == []
+    assert list(j2.pending_runs()) == []
     assert (j2.total_rows, j2.watermark) == (4, 4)
     j2.close()
 
@@ -88,15 +95,15 @@ def test_replay_holds_only_unacknowledged_rows(tmp_path):
     # acknowledged hours peaks within 1.3x of reopening one, where holding
     # every row until the end of the file peaked at about 3.5x
     hour = codec.rows_json(sim.generate_session(sim.WorkloadConfig(seed=2)))
-    count = sum(len(rows) for rows in hour.values())
+    count = codec.batch_row_count(hour)
     peaks = []
     for hours in (1, 4):
         path = str(tmp_path / f"{hours}h.bin")
         j = journal.Journal(path)
         for _ in range(hours):
-            j.append(hour, count)
+            j.append(hour)
             j.ack_through(j.total_rows)
-        j.append(batch(2), 2)  # two rows left pending
+        j.append(batch(2))  # two rows left pending
         j.close()
         tracemalloc.start()
         try:
@@ -104,14 +111,14 @@ def test_replay_holds_only_unacknowledged_rows(tmp_path):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert [i for i, _, _ in j.pending_rows()] == [hours * count, hours * count + 1]
+        assert [i for i, _, _ in _pending(j)] == [hours * count, hours * count + 1]
         j.close()
     assert peaks[1] <= 1.3 * peaks[0], peaks
 
 
 def test_ack_watermark_rules(tmp_path):
     j = journal.Journal(str(tmp_path / "j.bin"))
-    j.append(batch(5), 5)
+    j.append(batch(5))
     j.ack_through(3)
     with pytest.raises(journal.JournalError):
         j.ack_through(2)  # regression
@@ -126,7 +133,7 @@ def test_ack_watermark_rules(tmp_path):
 def test_torn_trailing_record_truncated(tmp_path):
     path = str(tmp_path / "j.bin")
     j = journal.Journal(path)
-    j.append(batch(3), 3)
+    j.append(batch(3))
     j.close()
     good_size = os.path.getsize(path)
 
@@ -136,7 +143,7 @@ def test_torn_trailing_record_truncated(tmp_path):
     j2 = journal.Journal(path)
     assert j2.total_rows == 3
     assert os.path.getsize(path) == good_size
-    j2.append(batch(1, base_ts=TS + 99), 1)
+    j2.append(batch(1, base_ts=TS + 99))
     j2.close()
 
     j3 = journal.Journal(path)
@@ -147,7 +154,7 @@ def test_torn_trailing_record_truncated(tmp_path):
 def test_torn_header_truncated(tmp_path):
     path = str(tmp_path / "j.bin")
     j = journal.Journal(path)
-    j.append(batch(2), 2)
+    j.append(batch(2))
     j.close()
     with open(path, "ab") as f:
         f.write(b"\x00\x00")
@@ -183,40 +190,33 @@ def test_unknown_record_kind_rejected(tmp_path):
 def test_malformed_record_rejected_and_file_closed(tmp_path, body):
     path = str(tmp_path / "j.bin")
     _write_records(path, b'{"kind":"batch","streams":{"pressure":[]}}', body)
+    _refused_at_open(path)
+
+
+def _refused_at_open(path, match=None):
+    """Open the journal at path, which must raise a JournalError (matching
+    match, if given) and leave no file open."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(journal.JournalError):
+        with pytest.raises(journal.JournalError, match=match):
             journal.Journal(path)
         gc.collect()  # a file left open warns as it is collected
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-def test_bad_row_is_a_journal_error_on_resume(tmp_path, test_keypair):
-    # replay checks a record's shape; the resuming session checks its rows
+def test_bad_row_is_a_journal_error_on_resume(tmp_path):
+    # replay checks each row of a record as it reads it
     path = str(tmp_path / "j.bin")
     _write_records(path, b'{"kind":"batch","streams":{"pressure":[5]}}')
-    j = journal.Journal(path)
-    try:
-        assert j.total_rows == 1
-        with pytest.raises(journal.JournalError, match="row is not an object"):
-            ClientSession(crypto.hash_user("j@example.org"), TS, test_keypair.public_part,
-                          journal=j)
-    finally:
-        j.close()
+    _refused_at_open(path, "journal row of 'pressure': row is not an object")
 
 
-def test_a_journaled_wifi_row_naming_a_bare_ap_id_fails_to_resume(tmp_path, test_keypair):
+def test_a_journaled_wifi_row_naming_a_bare_ap_id_fails_to_resume(tmp_path):
     # older builds journaled such rows; a row names its access point by
     # (mac, essid) now, so the journal does not open until the row is gone
     path = str(tmp_path / "j.bin")
     _write_records(path, b'{"kind":"batch","streams":{"wifi":[{"ap_id":1,"rssi":-40,"ts":5}]}}')
-    j = journal.Journal(path)
-    try:
-        with pytest.raises(journal.JournalError, match="journal row of 'wifi'.*'mac'"):
-            ClientSession(crypto.hash_user("j@example.org"), TS, test_keypair.public_part,
-                          journal=j)
-    finally:
-        j.close()
+    _refused_at_open(path, "journal row of 'wifi'.*'mac'")
 
 
 def test_oversized_declared_record_rejected(tmp_path):
@@ -227,11 +227,13 @@ def test_oversized_declared_record_rejected(tmp_path):
         journal.Journal(path)
 
 
-def test_memory_journal_contract():
-    j = journal.MemoryJournal()
-    assert j.append(batch(3), 3) == range(0, 3)
-    assert j.append(batch(1), 1) == range(3, 4)
-    assert list(j.pending_rows()) == []
+@pytest.mark.parametrize("kind", ["MemoryJournal", "Journal"])
+def test_memory_journal_contract(tmp_path, kind):
+    j = journal.MemoryJournal() if kind == "MemoryJournal" else journal.Journal(
+        str(tmp_path / "j.bin"))
+    assert j.append(batch(3)) == range(0, 3)
+    assert j.append(batch(1)) == range(3, 4)
+    assert list(j.pending_runs()) == []
     j.ack_through(2)
     with pytest.raises(journal.JournalError):
         j.ack_through(1)
@@ -239,6 +241,8 @@ def test_memory_journal_contract():
         j.ack_through(5)
     j.ack_through(4)
     assert j.watermark == 4
+    if kind == "Journal":
+        j.close()
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +280,7 @@ def test_ascii_escaped_journal_reopens_with_the_same_rows(tmp_path, test_keypair
     j = journal.Journal(path)
     assert (j.total_rows, j.watermark) == (4, 1)
     written = [(stream, row) for stream, rows in codec.write_order(validated) for row in rows]
-    assert list(j.pending_rows()) == [(i, *pair) for i, pair in enumerate(written)][1:]
+    assert _pending(j) == [(i, *pair) for i, pair in enumerate(written)][1:]
     j.close()
     assert _buffered(path, test_keypair) == _expected_buffer(_NON_ASCII)[1:]
 
@@ -298,6 +302,72 @@ def test_non_ascii_rows_survive_a_crash_in_the_utf8_form(tmp_path, test_keypair)
     assert _buffered(path, test_keypair) == before
 
 
+def test_a_record_with_an_empty_stream_list_adds_no_row(tmp_path, test_keypair):
+    # an earlier build journaled a batch over the record cap one record a
+    # piece, and a stream's empty list as a record of its own
+    path = str(tmp_path / "j.bin")
+    bt = codec.rows_json({"bt": [{"ts": TS, "device_id": "kb", "rssi": -9}]})
+    _write_records(path, journal._batch_record(batch(2)),
+                   b'{"kind":"batch","streams":{"bt":[]}}', journal._batch_record(bt),
+                   b'{"kind":"ack","through":1}')
+    j = journal.Journal(path)
+    assert (j.total_rows, j.watermark) == (3, 1)
+    j.close()
+    assert _buffered(path, test_keypair) == [(1, "pressure", batch(2)["pressure"][1]),
+                                             (2, "bt", bt["bt"][0])]
+
+
+def _pending_hours(path, keypair, hours):
+    """A journal at path holding hours of the default workload, pending and
+    enqueued an hour at a time as ``upload`` does (one record an hour)."""
+    j = journal.Journal(path)
+    session = ClientSession(crypto.hash_user("j@example.org"), TS, keypair.public_part,
+                            journal=j)
+    for hour in range(hours):
+        session.enqueue_rows(sim.generate_session(sim.WorkloadConfig(
+            seed=6 + hour * 2**32, start_ts=TS + hour * 3600)))
+    j.close()
+    gc.collect()
+
+
+def test_an_open_holds_its_pending_rows_as_row_json(tmp_path, test_keypair):
+    # replay keeps each pending row as the canonical JSON the session buffers,
+    # not as a parsed dict (6.9x the buffer when it kept the dicts)
+    path = str(tmp_path / "j.bin")
+    _pending_hours(path, test_keypair, 1)
+    tracemalloc.start()
+    try:
+        j = journal.Journal(path)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    session = ClientSession(crypto.hash_user("j@example.org"), TS, test_keypair.public_part,
+                            journal=j)
+    j.close()
+    assert sum(map(len, session._buffer)) == j.total_rows
+    assert held <= 1.5 * session._buffered_bytes, held / session._buffered_bytes
+
+
+def test_a_resume_of_three_pending_hours_peaks_within_5x_its_buffer(tmp_path, test_keypair):
+    # the parse of one record sets the peak of an open (about 8x an hour's
+    # buffer); the records before it are held as row JSON (8.1x the
+    # buffer when replay kept every pending row as a parsed dict)
+    path = str(tmp_path / "j.bin")
+    _pending_hours(path, test_keypair, 3)
+    tracemalloc.start()
+    try:
+        j = journal.Journal(path)
+        session = ClientSession(crypto.hash_user("j@example.org"), TS,
+                                test_keypair.public_part, journal=j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    j.close()
+    assert sum(map(len, session._buffer)) == j.total_rows
+    assert peak <= 5 * session._buffered_bytes, peak / session._buffered_bytes
+
+
 # ---------------------------------------------------------------------------
 # crashes, full disks and hostile files
 
@@ -310,7 +380,7 @@ def test_journal_cut_at_every_byte_reopens_at_the_last_whole_record(tmp_path):
     written = []  # (stream, row) by global index
 
     def append(row_json):
-        j.append(row_json, codec.batch_row_count(row_json))
+        j.append(row_json)
         written.extend((stream, json.loads(row)) for stream, rows in row_json.items()
                        for row in rows)
 
@@ -337,7 +407,7 @@ def test_journal_cut_at_every_byte_reopens_at_the_last_whole_record(tmp_path):
         reopened = journal.Journal(cut)
         try:
             assert (reopened.total_rows, reopened.watermark,
-                    list(reopened.pending_rows())) == state, size
+                    _pending(reopened)) == state, size
         finally:
             reopened.close()
         assert os.path.getsize(cut) == end, size
@@ -365,18 +435,18 @@ class _FullDisk:
 def test_failed_append_leaves_no_torn_record(tmp_path):
     path = str(tmp_path / "j.bin")
     j = journal.Journal(path)
-    j.append(batch(2), 2)
+    j.append(batch(2))
     size = os.path.getsize(path)
     j._file = _FullDisk(j._file)
     with pytest.raises(OSError):
-        j.append(batch(3, base_ts=TS + 10), 3)
+        j.append(batch(3, base_ts=TS + 10))
     j._file = j._file.inner
     assert os.path.getsize(path) == size
-    assert j.append(batch(1, base_ts=TS + 20), 1) == range(2, 3)
+    assert j.append(batch(1, base_ts=TS + 20)) == range(2, 3)
     j.close()
 
     reopened = journal.Journal(path)  # raised "corrupt journal record" before
-    assert [row["ts"] for _, _, row in reopened.pending_rows()] == [TS, TS + 1, TS + 20]
+    assert [row["ts"] for _, _, row in _pending(reopened)] == [TS, TS + 1, TS + 20]
     reopened.close()
 
 
@@ -405,7 +475,7 @@ def test_a_batch_over_the_record_cap_is_journaled_in_several_records(
     j.close()
     assert len(_record_lengths(whole)) == 1
     j = journal.Journal(whole)
-    pending = list(j.pending_rows())
+    pending = _pending(j)
     j.close()
     monkeypatch.setattr(journal, "MAX_RECORD_BYTES", 600)  # about 12 rows a record
     path = str(tmp_path / "cut.bin")
@@ -418,7 +488,7 @@ def test_a_batch_over_the_record_cap_is_journaled_in_several_records(
     lengths = _record_lengths(path)
     assert len(lengths) > 5 and max(lengths) <= 600
     reopened = journal.Journal(path)
-    assert list(reopened.pending_rows()) == pending
+    assert _pending(reopened) == pending
     reopened.close()
     assert _buffered(path, test_keypair) == buffered_rows(expected)
 
@@ -427,17 +497,23 @@ def test_a_failed_append_of_several_records_leaves_none_of_them(tmp_path, monkey
     monkeypatch.setattr(journal, "MAX_RECORD_BYTES", 600)
     path = str(tmp_path / "j.bin")
     j = journal.Journal(path)
-    j.append(batch(2), 2)
+    j.append(batch(2))
     size = os.path.getsize(path)
-    pieces = codec.rows_json(_MIXED)  # one piece a row
+    row_json = codec.rows_json(_MIXED)
     j._file = _FullDisk(j._file, writes=3)  # fails in the fourth record
     with pytest.raises(OSError):
-        j.append(pieces, 95)
+        j.append(row_json)
     j._file = j._file.inner
     assert os.path.getsize(path) == size and j.total_rows == 2
-    assert j.append(pieces, 95) == range(2, 97)
+    assert j.append(row_json) == range(2, 97)
     j.close()
-    assert len(_record_lengths(path)) == 96
+    lengths = _record_lengths(path)
+    assert len(lengths) > 5 and max(lengths) <= 600
+    reopened = journal.Journal(path)
+    written = [(stream, json.loads(row)) for rows in (batch(2), row_json)
+               for stream, rows in rows.items() for row in rows]
+    assert _pending(reopened) == [(i, *pair) for i, pair in enumerate(written)]
+    reopened.close()
 
 
 def test_new_journal_syncs_its_directory_once(tmp_path, monkeypatch):
@@ -454,7 +530,7 @@ def test_new_journal_syncs_its_directory_once(tmp_path, monkeypatch):
     assert synced == [True]
     synced.clear()
     j = journal.Journal(path)
-    j.append(batch(1), 1)
+    j.append(batch(1))
     j.close()
     assert synced == [False]  # the record itself, and no directory
 
