@@ -711,8 +711,7 @@ def decode_auth_response(blob: bytes, key: bytes) -> AuthResponse:
 def streams_json(row_json: dict[str, list[bytes]]) -> bytes:
     """The canonical streams object ``{"name":[row,...],...}`` joined from the
     canonical JSON of each row, so no row is serialized again; equal to
-    ``canonical_json(rows)`` for the validated rows. A piece of a stream's
-    list may hold several rows already joined by commas."""
+    ``canonical_json(rows)`` for the validated rows."""
     return b"{" + b",".join(canonical_json(name) + b":[" + b",".join(rows) + b"]"
                             for name, rows in sorted(row_json.items())) + b"}"
 

@@ -20,13 +20,13 @@ The journal alone sizes its records: a batch whose record would pass
 in write order, each within half the cap (a row over that is a piece of its
 own). A crash between the records leaves a prefix of the batch pending.
 
-Replay gives back what was appended, each row's canonical JSON, checked by
-``StreamSpec.rows_json`` as its record is read: a bad row is a
-:class:`JournalError` from ``Journal(path)``. Pending rows are kept as runs,
-one per stream of a record, until an ack record covers a run whole, and
-``pending_runs`` hands them over once. An open holds their JSON (about 1.4x
-the client's buffer of them) and, at its peak, one parsed record (17 MB for
-a default hour).
+Replay reads every record, keeping each batch record's body until an ack
+record covers its rows, then checks the rows above the watermark, a record
+at a time, with ``StreamSpec.rows_json`` (a bad one is a :class:`JournalError`
+from ``Journal(path)``; an acknowledged row is never sent again, so it is not
+checked) and keeps their JSON as runs, one per stream of a record, that
+``pending_runs`` hands over once. An open holds about 1.4x the client's
+buffer of them and, at its peak, one parsed record (17 MB for an hour).
 
 A torn final record (crash mid-append) is truncated away on open, and an
 append that fails part way cuts the file back to where its first record
@@ -74,30 +74,19 @@ class MemoryJournal:
     def __init__(self):
         self.total_rows = 0
         self.watermark = 0
-        self._runs: deque[tuple[int, str, list[bytes]]] = deque()  # filled by replay
 
     def pending_runs(self):
-        """(first index, stream, rows' canonical JSON) for each run replay
-        found above the watermark, in index order from ``watermark``.
-
-        Call it right after open. The runs are handed over once: the first
-        call takes them and the journal keeps none, so a later call yields
-        nothing. Live appends track indexes via the range returned by
-        :meth:`append`.
-        """
-        runs, self._runs = self._runs, deque()
-        if runs and runs[0][0] < self.watermark:  # an ack may end inside a run
-            first, stream, rows = runs[0]
-            runs[0] = (self.watermark, stream, rows[self.watermark - first:])
-        return (runs.popleft() for _ in range(len(runs)))  # each freed as it is taken
+        """(first index, stream, rows' canonical JSON) for each run replay found
+        above the watermark, in index order; a memory journal replays none. The
+        runs are handed over once, so call it right after open: a later call
+        yields nothing. Live appends track indexes by the range of :meth:`append`."""
+        return iter(())
 
     def _write(self, *bodies: bytes):
-        """Keep one record a body before the indexes or watermark move; a
-        memory journal keeps none."""
+        """Keep one record a body before the indexes move; a memory journal keeps none."""
 
     def append(self, row_json: dict[str, list[bytes]]) -> range:
-        """Journal a batch given as each row's canonical JSON by stream
-        (``codec.rows_json``); returns the global indexes of its rows."""
+        """Journal a batch in ``codec.rows_json``'s form; return its rows' indexes."""
         first = self.total_rows
         self.total_rows += codec.batch_row_count(row_json)
         return range(first, self.total_rows)
@@ -114,6 +103,7 @@ class Journal(MemoryJournal):
     def __init__(self, path: str):
         super().__init__()
         self._path = path
+        self._runs: deque[tuple[int, str, list[bytes]]] = deque()  # filled by replay
         exists = os.path.exists(path)
         # unbuffered: a failed append leaves nothing behind to be written later
         self._file = open(path, "r+b" if exists else "w+b", buffering=0)
@@ -128,6 +118,7 @@ class Journal(MemoryJournal):
 
     def _replay(self):
         good = 0
+        batches: deque[tuple[int, int, bytes]] = deque()  # (first, end, body) not yet acked
         with open(self._path, "rb") as f:  # buffered, unlike the file appends go to
             while True:
                 header = f.read(4)
@@ -139,12 +130,24 @@ class Journal(MemoryJournal):
                 body = f.read(length)
                 if len(body) < length:
                     break
-                self._apply(body)
+                self._apply(body, batches)
                 good += 4 + length
         self._file.truncate(good)  # drop a torn trailing record, if any
         self._file.seek(good)
+        while batches:  # each body freed as its rows are checked
+            first, _, body = batches.popleft()
+            # rows in global index order, the write order of storage
+            for stream, rows in codec.write_order(codec._parse_json(body)["streams"]):
+                start, first = first, first + len(rows)
+                rows = rows[max(0, self.watermark - start):]  # an ack may end inside a record
+                if rows:
+                    try:
+                        rows = codec.STREAM_SPECS[stream].rows_json(rows)
+                    except codec.MalformedPayload as exc:
+                        raise JournalError(f"journal row of {stream!r}: {exc}") from exc
+                    self._runs.append((first - len(rows), stream, rows))
 
-    def _apply(self, body: bytes):
+    def _apply(self, body: bytes, batches: deque[tuple[int, int, bytes]]):
         try:
             record = codec._parse_json(body)
         except codec.MalformedPayload as exc:
@@ -154,26 +157,25 @@ class Journal(MemoryJournal):
             streams = record.get("streams")
             if not isinstance(streams, dict):
                 raise JournalError("batch record without streams")
-            # rows in global index order, the write order of storage
-            for stream, rows in codec.write_order(streams):
+            first = self.total_rows
+            for stream, rows in streams.items():
                 if stream not in codec.STREAM_SPECS or not isinstance(rows, list):
                     raise JournalError(f"batch record with a bad stream {stream!r}")
-                try:
-                    rows = codec.STREAM_SPECS[stream].rows_json(rows)
-                except codec.MalformedPayload as exc:
-                    raise JournalError(f"journal row of {stream!r}: {exc}") from exc
-                if rows:
-                    self._runs.append((self.total_rows, stream, rows))
-                    self.total_rows += len(rows)
+                self.total_rows += len(rows)
+            batches.append((first, self.total_rows, body))
         elif kind == "ack":
             through = record.get("through")
-            if not isinstance(through, int) or not 0 <= through <= self.total_rows:
+            if not codec._in_range(through, 0, self.total_rows):
                 raise JournalError("ack record out of range")
             self.watermark = max(self.watermark, through)
-            while self._runs and self._runs[0][0] + len(self._runs[0][2]) <= self.watermark:
-                self._runs.popleft()
+            while batches and batches[0][1] <= self.watermark:
+                batches.popleft()
         else:
             raise JournalError(f"unknown record kind {kind!r}")
+
+    def pending_runs(self):
+        runs, self._runs = self._runs, deque()
+        return (runs.popleft() for _ in range(len(runs)))  # each freed as it is taken
 
     def _write(self, *bodies: bytes):
         """Append one record a body; a failed append leaves none behind."""

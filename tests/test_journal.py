@@ -205,7 +205,7 @@ def _refused_at_open(path, match=None):
 
 
 def test_bad_row_is_a_journal_error_on_resume(tmp_path):
-    # replay checks each row of a record as it reads it
+    # replay checks each pending row of a record before the open returns
     path = str(tmp_path / "j.bin")
     _write_records(path, b'{"kind":"batch","streams":{"pressure":[5]}}')
     _refused_at_open(path, "journal row of 'pressure': row is not an object")
@@ -213,10 +213,31 @@ def test_bad_row_is_a_journal_error_on_resume(tmp_path):
 
 def test_a_journaled_wifi_row_naming_a_bare_ap_id_fails_to_resume(tmp_path):
     # older builds journaled such rows; a row names its access point by
-    # (mac, essid) now, so the journal does not open until the row is gone
+    # (mac, essid) now, so the journal does not open while the row is pending
     path = str(tmp_path / "j.bin")
     _write_records(path, b'{"kind":"batch","streams":{"wifi":[{"ap_id":1,"rssi":-40,"ts":5}]}}')
     _refused_at_open(path, "journal row of 'wifi'.*'mac'")
+
+
+@pytest.mark.parametrize("through", [1, 2])
+def test_an_acknowledged_row_is_not_checked_on_resume(tmp_path, through):
+    # a journal an older build uploaded keeps its bare-ap_id wifi rows below
+    # the watermark; they are never sent again, so the journal reopens with
+    # only the rows above it pending, even when the ack ends inside a record
+    path = str(tmp_path / "j.bin")
+    good = b'{"essid":"","mac":"aa:bb","rssi":-30,"ts":6}'
+    _write_records(path, b'{"kind":"batch","streams":{"wifi":[{"ap_id":1,"rssi":-40,"ts":5},'
+                         + good + b"]}}", b'{"kind":"ack","through":%d}' % through)
+    j = journal.Journal(path)
+    assert (j.total_rows, j.watermark) == (2, through)
+    assert list(j.pending_runs()) == ([(1, "wifi", [good])] if through == 1 else [])
+    j.close()
+
+
+def test_an_ack_record_through_a_bool_is_refused(tmp_path):
+    path = str(tmp_path / "j.bin")
+    _write_records(path, journal._batch_record(batch(2)), b'{"kind":"ack","through":true}')
+    _refused_at_open(path, "ack record out of range")
 
 
 def test_oversized_declared_record_rejected(tmp_path):
