@@ -1,9 +1,10 @@
 """Upload session engine for a gathering unit.
 
 The engine is sans-I/O: it consumes wall-clock ``now`` values and received
-wire blobs, and emits ``(kind, blob)`` pairs the caller must transmit (kind
-routes to the auth or data socket). That keeps the whole state machine
-testable under a virtual clock; real-socket helpers live at the bottom.
+wire blobs, each through ``handle_wire``, and emits ``(kind, blob)`` pairs
+the caller must transmit (kind routes to the auth or data socket). That
+keeps the whole state machine testable under a virtual clock; real-socket
+helpers live at the bottom.
 
 Rows wait in a buffer of runs. A run is one stream's rows with consecutive
 journal indexes: its first index, its stream, the rows' canonical JSON
@@ -105,14 +106,6 @@ class BufferFull(ClientError):
     pass
 
 
-class UnknownSeq(ClientError):
-    pass
-
-
-class TimeMismatch(ClientError):
-    pass
-
-
 # The Python objects of one run besides its JSON and row ends (the run, the
 # bytes and array headers, its first index, its slot in the buffer), as
 # tracemalloc measures them on CPython 3.11
@@ -208,8 +201,8 @@ class DeliveryReport:
     auth_ignored: int
     feedback_ignored: int
     json_bytes: int
-    wire_bytes: int
-    wire_bytes_total: int
+    wire_bytes: int        # unique data packets, client to server
+    wire_bytes_total: int  # everything the client transmitted
     max_inflight: int
 
     @property
@@ -325,21 +318,6 @@ class ClientSession:
             raise ValueError("session key must be 16 bytes")
         identifiers = self.identifiers if new_identifiers is None else new_identifiers
         return [self._make_auth(now, key, identifiers)]
-
-    def handle_auth_response(self, resp: codec.AuthResponse, now: float = 0.0) -> bool:
-        pending = self._pending_auths.get(resp.seq)
-        if pending is None:
-            raise UnknownSeq(f"no pending auth with seq {resp.seq}")
-        if resp.time != self.start_time:
-            raise TimeMismatch(f"auth response time {resp.time} != {self.start_time}")
-        self.session_id = resp.session_id
-        self.key = pending.key
-        self.identifiers = pending.identifiers
-        # earlier proposals are superseded; later ones stay in flight
-        for seq in [s for s in self._pending_auths if s <= resp.seq]:
-            del self._pending_auths[seq]
-        self.counters["auth_responses"] += 1
-        return True
 
     # -- buffering ----------------------------------------------------------
 
@@ -489,22 +467,35 @@ class ClientSession:
     # -- wire dispatch ------------------------------------------------------
 
     def handle_wire(self, kind: str, blob: bytes, now: float = 0.0) -> AckResult | bool | None:
-        """Decode and apply one received blob; undecodable input is ignored."""
-        try:
-            if kind == AUTH:
-                seq = codec.peek_u32(blob)
-                pending = self._pending_auths.get(seq)
-                if pending is None:
-                    self.counters["auth_ignored"] += 1
-                    return None
-                resp = codec.decode_auth_response(blob, pending.key)
-                return self.handle_auth_response(resp, now)
-            fb = codec.decode_feedback(blob, self.key)
+        """Decode and apply one received blob, the only way a reply enters
+        the engine. Feedback goes to ``handle_feedback``. A handshake reply
+        that answers a pending handshake and names this session's start time
+        sets the session id and adopts that handshake's key and identifiers;
+        any other reply, and input that does not decode, is counted as
+        ignored and changes nothing."""
+        if kind != AUTH:
+            try:
+                fb = codec.decode_feedback(blob, self.key)
+            except codec.DECODE_ERRORS:
+                self.counters["feedback_ignored"] += 1
+                return None
             return self.handle_feedback(fb, now)
-        except codec.DECODE_ERRORS + (UnknownSeq, TimeMismatch):
-            key = "auth_ignored" if kind == AUTH else "feedback_ignored"
-            self.counters[key] += 1
+        try:
+            pending = self._pending_auths.get(codec.peek_u32(blob))
+            resp = codec.decode_auth_response(blob, pending.key) if pending else None
+        except codec.DECODE_ERRORS:
+            resp = None
+        if resp is None or resp.time != self.start_time:
+            self.counters["auth_ignored"] += 1
             return None
+        self.session_id = resp.session_id
+        self.key = pending.key
+        self.identifiers = pending.identifiers
+        # earlier proposals are superseded; later ones stay in flight
+        for seq in [s for s in self._pending_auths if s <= resp.seq]:
+            del self._pending_auths[seq]
+        self.counters["auth_responses"] += 1
+        return True
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -764,8 +764,6 @@ def decode_feedback(blob: bytes, key: bytes) -> FeedbackPacket:
 
 
 def frame(blob: bytes) -> bytes:
-    if len(blob) > U32_MAX:
-        raise FrameTooLarge("blob exceeds 32-bit length prefix")
     return _U32.pack(len(blob)) + blob
 
 

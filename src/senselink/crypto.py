@@ -60,10 +60,6 @@ class ServerKeyPair:
     private_part: rsa.RSAPrivateKey
     public_part: rsa.RSAPublicKey
 
-    @property
-    def bits(self) -> int:
-        return self.public_part.key_size
-
 
 def generate_server_keypair(bits: int = DEFAULT_KEY_BITS) -> ServerKeyPair:
     """Generate the server's RSA keypair (default 4096 bits)."""

@@ -9,6 +9,10 @@ runs (fresh IVs), but lengths and therefore all counters do not.
 The harness also injects server restarts: the ingest core is discarded and
 rebuilt around the same storage at chosen data-packet arrival ordinals,
 which is exactly the statelessness claim under test.
+
+A run's report, ``ExperimentReport``, is the client engine's
+``DeliveryReport`` (every count ``upload`` prints, under the same names)
+with the channel's, the storage's and the run's own figures added.
 """
 
 from __future__ import annotations
@@ -355,44 +359,32 @@ def _first_difference(storage, session_id: int, stream: str,
 # experiment runner
 
 
-@dataclass
-class ExperimentReport:
-    """What one ``run_experiment`` measured. The client's counts
-    (``retransmissions``, ``packets_sent``, ``feedback_received``,
-    ``feedback_ignored``, ``auth_sent``, ``auth_responses``,
-    ``auth_ignored``, ``json_bytes``, ``wire_bytes``, ``wire_bytes_total``)
-    are the fields of its ``DeliveryReport`` of the same names, the ones
-    ``upload`` prints. The storage figures
-    (``rows_stored``, ``duplicate_rows``, ``stored_bytes``,
-    ``storage_rate_bps``) count the run's own session only, whatever else
-    the storage holds, and are 0 if the session never authenticated."""
+@dataclass(frozen=True)
+class ExperimentReport(DeliveryReport):
+    """What one ``run_experiment`` measured: every field of the client's
+    ``DeliveryReport``, the report ``upload`` prints, and the simulator's
+    own figures. ``rows_failed`` counts the rows failed and those still
+    pending. The storage figures (``rows_stored``, ``duplicate_rows``,
+    ``stored_bytes``, ``storage_rate_bps``) count the run's own session
+    only, whatever else the storage holds, and are 0 if the session never
+    authenticated."""
 
-    rows_generated: int = 0
-    rows_stored: int = 0
-    rows_failed: int = 0
-    duplicate_rows: int = 0
-    retransmissions: int = 0
-    packets_sent: int = 0
-    packets_lost: int = 0
-    packets_duplicated: int = 0
-    feedback_received: int = 0
-    feedback_ignored: int = 0
-    auth_sent: int = 0
-    auth_responses: int = 0
-    auth_ignored: int = 0
-    json_bytes: int = 0
-    wire_bytes: int = 0        # unique data packets, client to server
-    wire_bytes_total: int = 0  # everything the client transmitted
-    stored_bytes: int = 0
-    storage_rate_bps: float = 0.0
-    compression_ratio: float = 0.0
-    delivery_ratio: float = 0.0
-    throughput_rows_s: float = 0.0
-    virtual_time_s: float = 0.0
-    wall_time_s: float = 0.0
-    restarts: int = 0
-    window: int = 0
-    verified: bool = False
+    rows_generated: int
+    rows_stored: int
+    rows_failed: int
+    duplicate_rows: int
+    packets_lost: int
+    packets_duplicated: int
+    stored_bytes: int
+    storage_rate_bps: float
+    compression_ratio: float
+    delivery_ratio: float
+    throughput_rows_s: float
+    virtual_time_s: float
+    wall_time_s: float
+    restarts: int
+    window: int
+    verified: bool
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -401,11 +393,6 @@ class ExperimentReport:
         d = self.to_dict()
         width = max(len(k) for k in d)
         return [f"{k.ljust(width)}  {v}" for k, v in d.items()]
-
-
-# the counts an ExperimentReport takes by name from the client's DeliveryReport
-_CLIENT_COUNTS = ({f.name for f in fields(ExperimentReport)}
-                  & {f.name for f in fields(DeliveryReport)})
 
 
 def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
@@ -515,11 +502,14 @@ def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
         tally = storage.session_tally(session.session_id)  # none if never authenticated
         stored_rows = sum(n for n, _ in tally.values())
         stored_bytes = sum(total for _, total in tally.values())
-        report = ExperimentReport(
+        if verify:
+            verify_storage(storage, session.session_id, generated)
+        return ExperimentReport(
+            **asdict(report_in),
             rows_generated=rows_generated,
             rows_stored=stored_rows,
             rows_failed=report_in.failed_rows + report_in.pending_rows,
-            duplicate_rows=0,
+            duplicate_rows=max(0, stored_rows - rows_generated),
             packets_lost=(c2s_auth.dropped + c2s_data.dropped
                           + s2c_auth.dropped + s2c_data.dropped),
             packets_duplicated=(c2s_auth.duplicated + c2s_data.duplicated
@@ -532,16 +522,11 @@ def run_experiment(workload: WorkloadConfig, channel: ChannelConfig, *,
                             if rows_generated else 1.0),
             throughput_rows_s=(report_in.delivered_rows / loop.now if loop.now else 0.0),
             virtual_time_s=loop.now,
+            wall_time_s=round(time.monotonic() - started, 3),
             restarts=restarts,
             window=window,
-            **{name: getattr(report_in, name) for name in _CLIENT_COUNTS},
+            verified=verify,
         )
-        if verify:
-            verify_storage(storage, session.session_id, generated)
-            report.verified = True
-        report.duplicate_rows = max(0, stored_rows - rows_generated)
-        report.wall_time_s = round(time.monotonic() - started, 3)
-        return report
     finally:
         if owned:
             storage.close()

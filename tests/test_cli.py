@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import os
@@ -370,6 +371,19 @@ def test_simulate_writes_json_report(tmp_path, capsys):
     assert report["verified"] is True
     err = capsys.readouterr().err
     assert "rows_generated" in err  # human summary on stderr
+
+
+def test_simulate_report_holds_every_delivery_report_field(tmp_path):
+    # the report is the client's DeliveryReport, what upload prints, with the
+    # simulator's figures added; on a lossless run no row fails or stays pending
+    conf = tmp_path / "exp.conf"
+    conf.write_text("duration_s = 20\nlatency_ms = 10\nchannel_seed = 3\n")
+    out = tmp_path / "report.json"
+    assert cli.main(["simulate", "--config", str(conf), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert {f.name for f in dataclasses.fields(client.DeliveryReport)} <= report.keys()
+    assert report["delivered_rows"] == report["rows_stored"] == report["rows_generated"] > 0
+    assert report["failed_rows"] == report["pending_rows"] == report["packets_failed"] == 0
 
 
 def test_simulate_stdout_report(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -13,9 +14,8 @@ import pytest
 from conftest import PARSER_LIMITS, stored_rows
 
 from senselink import client, codec, crypto, journal, sim
-from senselink.client import (AUTH, DATA, BASE_TIMEOUT, ClientError, BufferFull, TimeMismatch,
-                              UnknownSeq, ClientSession, TcpTransport,
-                              run_until_drained)
+from senselink.client import (AUTH, DATA, BASE_TIMEOUT, ClientError, BufferFull,
+                              ClientSession, TcpTransport, run_until_drained)
 from senselink.server import IngestCore
 from senselink.storage import open_storage
 
@@ -124,28 +124,44 @@ def test_handshake_against_core(test_keypair, core):
     assert core.lookup_key(sid) == session.key
 
 
-def test_auth_response_wrong_time_rejected(test_keypair):
+@pytest.mark.parametrize("phase", ["begun", "rotating"])
+@pytest.mark.parametrize("reply", ["unknown-seq", "wrong-time", "wrong-key", "short"])
+def test_a_stray_auth_reply_changes_nothing(test_keypair, core, phase, reply):
+    # a handshake reply that answers no pending handshake, names another
+    # start time, is sealed under another key or is too short to hold a
+    # prefix and ciphertext is counted as ignored, and the session id, key,
+    # identifiers and pending handshakes stay as they were, before the first
+    # reply and during a key rotation alike; the real reply is still taken
     session = make_session(test_keypair)
-    _, blob = session.begin(0.0)[0]
-    seq = codec.decode_auth_request(blob, test_keypair.private_part).seq
-    forged = codec.encode_auth_response(
-        codec.AuthResponse(seq=seq, time=TS + 1, session_id=5), session.key)
-    with pytest.raises(TimeMismatch):
-        session.handle_auth_response(codec.decode_auth_response(forged, session.key))
-    assert session.handle_wire(AUTH, forged) is None  # swallowed on the wire path
+    if phase == "begun":
+        session.begin(0.0)
+    else:
+        authenticate(session, core)
+        session.update_session(1.0, new_key=crypto.generate_session_key(),
+                               new_identifiers={"hw": "rev-c"})
+    [pending] = session._pending_auths.values()
+    real = codec.AuthResponse(seq=pending.seq, time=TS, session_id=5)
+    stray = {
+        "unknown-seq": codec.encode_auth_response(
+            codec.AuthResponse(seq=pending.seq + 1, time=TS, session_id=5), pending.key),
+        "wrong-time": codec.encode_auth_response(
+            codec.AuthResponse(seq=pending.seq, time=TS + 1, session_id=5), pending.key),
+        "wrong-key": codec.encode_auth_response(real, crypto.generate_session_key()),
+        "short": codec.encode_auth_response(real, pending.key)[:4],
+    }[reply]
+
+    def state():
+        return (session.session_id, session.key, session.identifiers,
+                {seq: dataclasses.astuple(p) for seq, p in session._pending_auths.items()},
+                session.counters["auth_responses"])
+
+    before = state()
+    assert session.handle_wire(AUTH, stray, 2.0) is None
+    assert state() == before
     assert session.counters["auth_ignored"] == 1
-    assert not session.authenticated
-
-
-def test_auth_response_unknown_seq_ignored(test_keypair):
-    session = make_session(test_keypair)
-    session.begin(0.0)
-    stray = codec.encode_auth_response(
-        codec.AuthResponse(seq=999, time=TS, session_id=5), session.key)
-    with pytest.raises(UnknownSeq):
-        session.handle_auth_response(codec.decode_auth_response(stray, session.key))
-    assert session.handle_wire(AUTH, stray) is None
-    assert not session.authenticated
+    assert session.handle_wire(AUTH, codec.encode_auth_response(real, pending.key), 2.0)
+    assert (session.session_id, session.key, session.identifiers, session._pending_auths) == (
+        5, pending.key, pending.identifiers, {})
 
 
 def test_garbage_wire_input_ignored(test_keypair, core):
@@ -644,7 +660,9 @@ def test_scripted_session_writes_pinned_journal_bytes(test_keypair, tmp_path):
     def pump(now):
         session.pump(now)
         for seq in list(session._pending_auths):  # the first and self-healing ones
-            session.handle_auth_response(codec.AuthResponse(seq, TS, sid), now)
+            reply = codec.AuthResponse(seq, TS, sid)
+            key = session._pending_auths[seq].key
+            session.handle_wire(AUTH, codec.encode_auth_response(reply, key), now)
         data_seqs.extend(seq for seq in session._flight if seq not in data_seqs)
 
     def deliver(now):

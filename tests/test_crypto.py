@@ -46,7 +46,7 @@ def test_hash_user_normalizes_case_and_whitespace():
 
 
 def test_keypair_sizes(test_keypair):
-    assert test_keypair.bits == 4096
+    assert test_keypair.public_part.key_size == 4096
     assert crypto.max_plaintext_len(test_keypair.public_part) == 446
     with pytest.raises(ValueError):
         crypto.generate_server_keypair(bits=1024)

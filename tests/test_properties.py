@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from senselink import codec, crypto, server as ingest, storage
-from senselink.client import ClientSession
+from senselink.client import AUTH, ClientSession
 from senselink.journal import Journal
 
 from _buffer_oracle import RowBuffer, buffered_rows
@@ -87,7 +87,8 @@ def test_client_json_size_is_the_payload_length(test_keypair, batch, seq_gap):
     session = ClientSession(HASH, TS, test_keypair.public_part,
                             pack_json_budget=400)  # several packets per batch
     session.begin(0.0)
-    session.handle_auth_response(codec.AuthResponse(seq=1, time=TS, session_id=7))
+    session.handle_wire(AUTH, codec.encode_auth_response(
+        codec.AuthResponse(seq=1, time=TS, session_id=7), session.key))
     session._next_seq += seq_gap  # vary the digits of seq
     session.enqueue_rows(batch)
     session.pump(1.0)
@@ -123,7 +124,8 @@ def _started(keypair, j, budget, window):
     session = ClientSession(HASH, TS, keypair.public_part, journal=j,
                             pack_json_budget=budget, window=window)
     session.begin(0.0)
-    session.handle_auth_response(codec.AuthResponse(seq=1, time=TS, session_id=7))
+    session.handle_wire(AUTH, codec.encode_auth_response(
+        codec.AuthResponse(seq=1, time=TS, session_id=7), session.key))
     return session
 
 

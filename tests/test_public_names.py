@@ -147,11 +147,10 @@ def test_every_private_name_in_src_is_read():
 def test_every_report_field_is_written():
     # a DeliveryReport field is written as a keyword of a DeliveryReport call
     # or as a counter, a string in the subscript of an assignment target; an
-    # ExperimentReport field as a keyword of an ExperimentReport call, as an
-    # attribute assigned to, or as a written DeliveryReport field of the same
-    # name, which run_experiment copies
+    # ExperimentReport field as a keyword of an ExperimentReport call, or as
+    # a written DeliveryReport field, which it inherits
     keywords = collections.defaultdict(set)
-    subscripts, attributes = set(), set()
+    subscripts = set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
@@ -162,10 +161,8 @@ def test_every_report_field_is_written():
                 if isinstance(target, ast.Subscript):
                     subscripts.update(n.value for n in ast.walk(target.slice)
                                       if isinstance(n, ast.Constant) and isinstance(n.value, str))
-                elif isinstance(target, ast.Attribute):
-                    attributes.add(target.attr)
     delivery = keywords["DeliveryReport"] | subscripts
-    experiment = keywords["ExperimentReport"] | attributes | delivery
+    experiment = keywords["ExperimentReport"] | delivery
     unwritten = [f"client.DeliveryReport.{f.name}" for f in dataclasses.fields(DeliveryReport)
                  if f.name not in delivery]
     unwritten += [f"sim.ExperimentReport.{f.name}" for f in dataclasses.fields(ExperimentReport)

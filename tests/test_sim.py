@@ -426,16 +426,6 @@ def test_benchmark_hour_counters_are_pinned(test_keypair):
     assert report.verified
 
 
-def test_experiment_report_shares_the_client_counts_by_name():
-    # run_experiment copies these DeliveryReport fields by name: a field
-    # renamed on either side would drop out of simulate's report unnoticed
-    shared = ({f.name for f in fields(ExperimentReport)}
-              & {f.name for f in fields(client.DeliveryReport)})
-    assert shared == {"retransmissions", "packets_sent", "feedback_received", "feedback_ignored",
-                      "auth_sent", "auth_responses", "auth_ignored", "json_bytes",
-                      "wire_bytes", "wire_bytes_total"}
-
-
 def test_runs_sharing_a_storage_report_their_own_session(test_keypair):
     # two sessions (two start times) on one storage, and each on fresh storage
     workloads = [WorkloadConfig(duration_s=30, seed=4, start_ts=TS + 3600 * n)
@@ -632,10 +622,12 @@ def test_config_roundtrip_into_experiment(test_keypair):
     assert report.verified
 
 
-def test_report_serialization():
-    report = ExperimentReport(rows_generated=10, rows_stored=10)
+def test_report_serialization(test_keypair):
+    report = run_experiment(WorkloadConfig(duration_s=10), ChannelConfig(),
+                            keypair=test_keypair)
     d = report.to_dict()
-    assert d["rows_generated"] == 10
+    assert list(d) == [f.name for f in fields(ExperimentReport)]
+    assert d["rows_generated"] == d["rows_stored"] == report.rows_generated > 0
     lines = report.summary_lines()
     assert any(line.startswith("rows_generated") for line in lines)
     assert len(lines) == len(d)
